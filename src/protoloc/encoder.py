@@ -168,26 +168,6 @@ def forward_batch(params: EncoderParams, images: np.ndarray, keep_cache: bool = 
     return x, cache
 
 
-def forward(params: EncoderParams, image: np.ndarray):
-    """Single image -> (feature map h x w x D, cache for backward)."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3:
-        raise ShapeError(f"expected H x W x C image, got shape {image.shape}")
-    fms, cache = forward_batch(params, image[None])
-    return fms[0], cache
-
-
-def embed(params: EncoderParams, image: np.ndarray) -> np.ndarray:
-    """Global-average-pooled feature map: the D-dimensional embedding."""
-    fm, _ = forward(params, image)
-    return kernels.global_avg_pool(fm)
-
-
-def embed_batch(params: EncoderParams, images: np.ndarray) -> np.ndarray:
-    fms, _ = forward_batch(params, images, keep_cache=False)
-    return kernels.global_avg_pool_batch(fms)
-
-
 def backward_batch(params: EncoderParams, cache: ForwardCache,
                    grad_fms: np.ndarray) -> np.ndarray:
     """Adjoint of forward_batch w.r.t. params; gradients sum over the batch."""
@@ -216,14 +196,6 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
         grad_flat[koff:koff + int(np.prod(kshape))] = gw.ravel()
         grad_flat[boff:boff + bshape[0]] = gb
     return grad_flat
-
-
-def backward(params: EncoderParams, cache: ForwardCache, grad_fm: np.ndarray) -> np.ndarray:
-    """Adjoint of forward for one image: d(loss)/d(flat params) given d(loss)/d(FM)."""
-    grad_fm = np.asarray(grad_fm, dtype=np.float64)
-    if grad_fm.ndim != 3:
-        raise CacheMismatch(f"expected h x w x D gradient, got shape {grad_fm.shape}")
-    return backward_batch(params, cache, grad_fm[None])
 
 
 def sgd_step(params: EncoderParams, grads: np.ndarray, lr: float) -> EncoderParams:

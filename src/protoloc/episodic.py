@@ -1,9 +1,11 @@
-"""Class representations, the nearest-representation classifier, and the
-episode losses with exact gradients through the whole episode graph.
+"""Episodes, the distance-logit loss, the nearest-representation
+classifier, and the episode loss with exact gradients through the whole
+episode graph, all as matrix code: class c's representation is row c.
 
 Logits are negated squared Euclidean distances divided by a temperature;
-the base loss is mean cross-entropy against prototype logits, the RoI loss
-is the same form against refined representations, and the combined loss
+the base loss is mean cross-entropy against prototypes (per-class means of
+support embeddings), the RoI loss is the same form against refined
+representations (per-class means of RoI features), and the combined loss
 adds them with a balancing weight. Gradients flow through query
 embeddings, support embeddings (via the prototype mean) and, in refined
 mode, through the RoIAlign sampling weights; proposed box coordinates are
@@ -23,7 +25,7 @@ from .localization import propose_box
 
 
 class EmptyClass(ValueError):
-    """A class was given no support embeddings."""
+    """An episode has no classes or no support items per class."""
 
 
 class NonPositiveTemperature(ValueError):
@@ -47,20 +49,6 @@ class LossConfig:
 
 
 @dataclass
-class ClassRepresentation:
-    class_index: int
-    vector: np.ndarray
-    kind: str = "prototype"   # or "refined"
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim != 1:
-            raise ShapeError(f"representation must be a vector, got shape {self.vector.shape}")
-        if not np.all(np.isfinite(self.vector)):
-            raise ValueError("representation vector contains non-finite values")
-
-
-@dataclass
 class Episode:
     """One N-way K-shot task. Support items are stored grouped by class
     label (class c occupies rows c*K .. (c+1)*K-1)."""
@@ -76,6 +64,8 @@ class Episode:
 
     def __post_init__(self):
         n, k = self.n_way, self.k_shot
+        if n < 1 or k < 1:
+            raise EmptyClass(f"need n_way >= 1 and k_shot >= 1, got {n}-way {k}-shot")
         self.support_labels = np.asarray(self.support_labels, dtype=np.int64)
         self.query_labels = np.asarray(self.query_labels, dtype=np.int64)
         if self.support_labels.shape != (n * k,):
@@ -95,86 +85,14 @@ class Episode:
         return self.query_labels.size // self.n_way
 
 
-def compute_prototypes(embeddings_by_class, support_ids_by_class=None):
-    """Mean support embedding per class, in class-index order.
+def distance_logit_loss(embeds, labels, reps, temperature):
+    """Mean cross-entropy of the distance logit -||e - rep_c||^2 / temperature.
 
-    When support ids are given, each class's embeddings are summed in
-    ascending id order, making the result bit-identical under permutations
-    of the support list.
+    embeds is (Q, D), labels (Q,) class indices into the rows of reps
+    (N, D). Returns (loss, d loss / d embeds, d loss / d reps).
     """
-    reps = []
-    for c, embs in enumerate(embeddings_by_class):
-        embs = np.asarray(embs, dtype=np.float64)
-        if embs.ndim != 2 or embs.shape[0] == 0:
-            raise EmptyClass(f"class {c} has no support embeddings")
-        if support_ids_by_class is not None:
-            order = np.argsort(np.asarray(support_ids_by_class[c]), kind="stable")
-            embs = embs[order]
-        reps.append(ClassRepresentation(c, embs.mean(axis=0), kind="prototype"))
-    return reps
-
-
-def classify(query_embedding: np.ndarray, reps) -> int:
-    """Index of the nearest representation in squared Euclidean distance.
-
-    Ties break toward the lowest class index.
-    """
-    e = np.asarray(query_embedding, dtype=np.float64)
-    if not reps:
-        raise ShapeError("need at least one representation")
-    best = None
-    for r in reps:
-        if r.vector.shape != e.shape:
-            raise ShapeError(f"representation dim {r.vector.shape} != query dim {e.shape}")
-        diff = e - r.vector
-        key = (float(diff @ diff), r.class_index)
-        if best is None or key < best:
-            best = key
-    return best[1]
-
-
-def logits(query_embedding: np.ndarray, reps, temperature: float) -> np.ndarray:
-    """Per-representation logit: -||e - rep_k||^2 / T, in the order of reps."""
-    if temperature <= 0.0:
-        raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
-    e = np.asarray(query_embedding, dtype=np.float64)
-    out = np.empty(len(reps))
-    for i, r in enumerate(reps):
-        if r.vector.shape != e.shape:
-            raise ShapeError(f"representation dim {r.vector.shape} != query dim {e.shape}")
-        diff = e - r.vector
-        out[i] = -(diff @ diff) / temperature
-    return out
-
-
-def softmax(logit_vec: np.ndarray) -> np.ndarray:
-    logit_vec = np.asarray(logit_vec, dtype=np.float64)
-    shifted = logit_vec - logit_vec.max()
-    ex = np.exp(shifted)
-    return ex / ex.sum()
-
-
-def cross_entropy_from_logits(logit_vec: np.ndarray, true_class: int) -> float:
-    """-log softmax(logits)[true_class], computed stably."""
-    logit_vec = np.asarray(logit_vec, dtype=np.float64)
-    if not 0 <= true_class < logit_vec.size:
-        raise IndexError(f"class {true_class} out of range for {logit_vec.size} logits")
-    m = logit_vec.max()
-    lse = m + np.log(np.exp(logit_vec - m).sum())
-    return float(lse - logit_vec[true_class])
-
-
-def _rep_matrix(reps) -> np.ndarray:
-    for k, r in enumerate(reps):
-        if r.class_index != k:
-            raise ValueError("representations must be ordered by class index 0..N-1")
-    return np.stack([r.vector for r in reps])
-
-
-def _nn_loss_grad(embeds, labels, rep_mat, temperature):
-    """Mean cross-entropy of distance logits; returns (loss, d/d embeds, d/d reps)."""
     q = embeds.shape[0]
-    diff = embeds[:, None, :] - rep_mat[None, :, :]      # (Q, N, D)
+    diff = embeds[:, None, :] - reps[None, :, :]         # (Q, N, D)
     d2 = (diff * diff).sum(axis=2)
     logit = -d2 / temperature
     m = logit.max(axis=1, keepdims=True)
@@ -190,31 +108,11 @@ def _nn_loss_grad(embeds, labels, rep_mat, temperature):
     return loss, dembeds, dreps
 
 
-def loss_base(query_embeddings, query_labels, prototypes, temperature: float) -> float:
-    """Mean per-query cross-entropy against prototype logits."""
-    if temperature <= 0.0:
-        raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
-    embeds = np.asarray(query_embeddings, dtype=np.float64)
-    labels = np.asarray(query_labels, dtype=np.int64)
-    loss, _, _ = _nn_loss_grad(embeds, labels, _rep_matrix(prototypes), temperature)
-    return loss
-
-
-def loss_roi(query_embeddings, query_labels, refined_reps, temperature: float) -> float:
-    """Same functional form as loss_base with refined representations substituted."""
-    if temperature <= 0.0:
-        raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
-    embeds = np.asarray(query_embeddings, dtype=np.float64)
-    labels = np.asarray(query_labels, dtype=np.int64)
-    loss, _, _ = _nn_loss_grad(embeds, labels, _rep_matrix(refined_reps), temperature)
-    return loss
-
-
-def loss_ours(base: float, roi_term: float, lambda_roi: float) -> float:
-    """base + lambda_roi * roi_term."""
-    if lambda_roi < 0.0:
-        raise NegativeLambda(f"lambda_roi must be >= 0, got {lambda_roi}")
-    return base + lambda_roi * roi_term
+def nearest_class(embeds, reps) -> np.ndarray:
+    """Row index of the nearest representation in squared Euclidean
+    distance, per query embedding; ties go to the lowest class index."""
+    d2 = ((embeds[:, None, :] - reps[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1)
 
 
 def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
@@ -246,8 +144,8 @@ def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
     q_emb = kernels.global_avg_pool_batch(fms[ns:])
 
     protos = s_emb.reshape(n, k, d).mean(axis=1)
-    loss_b, dq, dproto = _nn_loss_grad(q_emb, episode.query_labels, protos,
-                                       loss_cfg.temperature)
+    loss_b, dq, dproto = distance_logit_loss(q_emb, episode.query_labels, protos,
+                                             loss_cfg.temperature)
     loss = loss_b
     ds_emb = np.repeat(dproto / k, k, axis=0)            # (N*K, D)
     grad_fms = np.empty_like(fms)
@@ -264,8 +162,8 @@ def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
         feats = np.stack([roi.roi_feature(s_fms[i], boxes[i], image_hw, roi_cfg)
                           for i in range(ns)])
         refined = feats.reshape(n, k, d).mean(axis=1)
-        loss_r, dq_r, dref = _nn_loss_grad(q_emb, episode.query_labels, refined,
-                                           loss_cfg.temperature)
+        loss_r, dq_r, dref = distance_logit_loss(q_emb, episode.query_labels,
+                                                 refined, loss_cfg.temperature)
         loss = loss_b + lam * loss_r
         dq = dq + lam * dq_r
         for i in range(ns):
@@ -276,45 +174,3 @@ def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
     grad_fms[ns:] = kernels.gap_vjp_batch(fms[ns:].shape, dq)
     grad_flat = enc.backward_batch(params, cache, grad_fms)
     return loss, grad_flat
-
-
-def episode_gradient(params: enc.EncoderParams, episode: Episode, reps_mode: str,
-                     loss_cfg: LossConfig, **kwargs) -> np.ndarray:
-    """Gradient of the selected episode loss with respect to the flat parameters."""
-    return episode_loss_and_gradient(params, episode, reps_mode, loss_cfg, **kwargs)[1]
-
-
-def episode_loss(params: enc.EncoderParams, episode: Episode, reps_mode: str,
-                 loss_cfg: LossConfig, *, tau: float = 0.5,
-                 roi_cfg: roi.RoiConfig = roi.RoiConfig(),
-                 connectivity: int = 4, frozen_boxes=None) -> float:
-    """Loss value only (no backward pass); used by finite-difference checks."""
-    if reps_mode not in ("prototype", "refined"):
-        raise ValueError(f"unknown reps_mode {reps_mode!r}")
-    arch = params.arch
-    n, k = episode.n_way, episode.k_shot
-    ns = n * k
-    image_hw = (arch.input_size, arch.input_size)
-
-    images = np.concatenate([episode.support_images, episode.query_images], axis=0)
-    fms, _ = enc.forward_batch(params, images, keep_cache=False)
-    d = fms.shape[3]
-    s_emb = kernels.global_avg_pool_batch(fms[:ns])
-    q_emb = kernels.global_avg_pool_batch(fms[ns:])
-    protos = s_emb.reshape(n, k, d).mean(axis=1)
-    loss_b, _, _ = _nn_loss_grad(q_emb, episode.query_labels, protos,
-                                 loss_cfg.temperature)
-    if reps_mode != "refined" or loss_cfg.lambda_roi == 0.0:
-        return loss_b
-
-    if frozen_boxes is None:
-        boxes = [propose_box(fms[i], protos[episode.support_labels[i]],
-                             tau, *image_hw, connectivity) for i in range(ns)]
-    else:
-        boxes = list(frozen_boxes)
-    feats = np.stack([roi.roi_feature(fms[i], boxes[i], image_hw, roi_cfg)
-                      for i in range(ns)])
-    refined = feats.reshape(n, k, d).mean(axis=1)
-    loss_r, _, _ = _nn_loss_grad(q_emb, episode.query_labels, refined,
-                                 loss_cfg.temperature)
-    return loss_b + loss_cfg.lambda_roi * loss_r

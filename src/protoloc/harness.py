@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder as enc
-from . import kernels
+from . import kernels, localization
 from .config import RunConfig
 from .dataset import DatasetSpec, InsufficientData, load_dataset, sample_episode
-from .episodic import LossConfig, episode_loss_and_gradient
-from .localization import BoundingBox, iou, localize_query, propose_box
+from .episodic import LossConfig, episode_loss_and_gradient, nearest_class
+from .localization import BoundingBox, iou, propose_box
 from .roi import RoiConfig, roi_feature
 
 # RNG stream tags; episodic training shares one stream across phases so a
@@ -36,6 +36,15 @@ _EVAL_STREAM = 4
 
 class UnknownId(KeyError):
     """An image id outside the requested split."""
+
+
+class ArchMismatch(ValueError):
+    """The config's encoder architecture differs from the checkpoint's."""
+
+
+def _check_arch(cfg: RunConfig, params: enc.EncoderParams) -> None:
+    if cfg.arch != params.arch:
+        raise ArchMismatch(f"config arch {cfg.arch} != checkpoint arch {params.arch}")
 
 
 def dataset_spec_from_config(cfg: RunConfig) -> DatasetSpec:
@@ -61,20 +70,15 @@ class PretrainResult:
 
 
 def _head_forward(embeds, weights, bias, labels):
-    logits = embeds @ weights + bias
-    m = logits.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
-    rows = np.arange(logits.shape[0])
-    loss = float((lse[:, 0] - logits[rows, labels]).mean())
-    dlogits = np.exp(logits - lse)
-    dlogits[rows, labels] -= 1.0
-    dlogits /= logits.shape[0]
-    return loss, dlogits
-
-
-def head_accuracy(params, weights, bias, images, labels):
-    embeds = enc.embed_batch(params, images)
-    return float(((embeds @ weights + bias).argmax(axis=1) == labels).mean())
+    scores = embeds @ weights + bias
+    m = scores.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(scores - m).sum(axis=1, keepdims=True))
+    rows = np.arange(scores.shape[0])
+    loss = float((lse[:, 0] - scores[rows, labels]).mean())
+    dscores = np.exp(scores - lse)
+    dscores[rows, labels] -= 1.0
+    dscores /= scores.shape[0]
+    return loss, dscores
 
 
 def pretrain(cfg: RunConfig, data=None) -> PretrainResult:
@@ -105,10 +109,10 @@ def pretrain(cfg: RunConfig, data=None) -> PretrainResult:
             idx = order[start:start + cfg.pretrain_batch]
             fms, cache = enc.forward_batch(params, images[idx])
             embeds = kernels.global_avg_pool_batch(fms)
-            loss, dlogits = _head_forward(embeds, weights, bias, y[idx])
-            grad_w = embeds.T @ dlogits
-            grad_b = dlogits.sum(axis=0)
-            dembeds = dlogits @ weights.T
+            loss, dscores = _head_forward(embeds, weights, bias, y[idx])
+            grad_w = embeds.T @ dscores
+            grad_b = dscores.sum(axis=0)
+            dembeds = dscores @ weights.T
             grad_flat = enc.backward_batch(params, cache,
                                            kernels.gap_vjp_batch(fms.shape, dembeds))
             params = enc.sgd_step(params, grad_flat, cfg.pretrain_lr)
@@ -169,11 +173,7 @@ class EvalReport:
     wall_time_s: float = 0.0   # diagnostic only; never serialized
 
 
-def _default_forward(params, images):
-    return enc.forward_batch(params, images, keep_cache=False)[0]
-
-
-def _eval_task(cfg, params, split, task_index, forward_fn, mode):
+def _eval_task(cfg, params, split, task_index, mode):
     rng = np.random.default_rng((cfg.seed, _EVAL_STREAM, task_index))
     episode = sample_episode(split, cfg.n_way, cfg.k_shot, cfg.queries, rng)
     n, k = episode.n_way, episode.k_shot
@@ -181,8 +181,8 @@ def _eval_task(cfg, params, split, task_index, forward_fn, mode):
     image_hw = (cfg.arch_input_size, cfg.arch_input_size)
     roi_cfg = RoiConfig(cfg.roi_grid, cfg.roi_samples)
 
-    fms = forward_fn(params, np.concatenate(
-        [episode.support_images, episode.query_images], axis=0))
+    fms, _ = enc.forward_batch(params, np.concatenate(
+        [episode.support_images, episode.query_images], axis=0), keep_cache=False)
     d = fms.shape[3]
     s_fms, q_fms = fms[:ns], fms[ns:]
     s_emb = kernels.global_avg_pool_batch(s_fms)
@@ -199,15 +199,15 @@ def _eval_task(cfg, params, split, task_index, forward_fn, mode):
     else:
         reps = protos
 
-    d2 = ((q_emb[:, None, :] - reps[None, :, :]) ** 2).sum(axis=2)
-    pred = d2.argmin(axis=1)
+    pred = nearest_class(q_emb, reps)
     accuracy = float((pred == episode.query_labels).mean())
 
     iou_sum = 0.0
     hits = 0
     for i in range(q_emb.shape[0]):
-        box = localize_query(q_fms[i], reps[pred[i]], cfg.tau_eval,
-                             *image_hw, cfg.connectivity)
+        # module lookup, so tracing tells query boxes from support boxes
+        box = localization.propose_box(q_fms[i], reps[pred[i]], cfg.tau_eval,
+                                       *image_hw, cfg.connectivity)
         v = iou(box, BoundingBox(*episode.query_boxes[i]))
         iou_sum += v
         hits += v >= 0.5
@@ -215,25 +215,25 @@ def _eval_task(cfg, params, split, task_index, forward_fn, mode):
 
 
 def evaluate(cfg: RunConfig, params: enc.EncoderParams, reps_mode: str,
-             split=None, forward_fn=None) -> EvalReport:
+             split=None) -> EvalReport:
     """Run seeded test tasks; aggregates accuracy with its 95% confidence
     interval plus query-localization IoU and CorLoc@0.5."""
     if reps_mode not in ("prototype", "refined"):
         raise ValueError(f"unknown reps_mode {reps_mode!r}")
+    _check_arch(cfg, params)
     if split is None:
         _, splits = load_dataset(cfg.data_dir)
         split = splits["test"]
-    forward_fn = forward_fn or _default_forward
 
     start = time.perf_counter()
     indices = range(cfg.tasks)
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(
-                lambda t: _eval_task(cfg, params, split, t, forward_fn, reps_mode),
+                lambda t: _eval_task(cfg, params, split, t, reps_mode),
                 indices))
     else:
-        results = [_eval_task(cfg, params, split, t, forward_fn, reps_mode)
+        results = [_eval_task(cfg, params, split, t, reps_mode)
                    for t in indices]
     wall = time.perf_counter() - start
 
@@ -358,6 +358,7 @@ def localize_cmd(cfg: RunConfig, params: enc.EncoderParams, ids,
     PPM overlay per id plus a ``boxes.txt`` listing of
     ``id y0 x0 y1 x1 iou`` lines; returns the records.
     """
+    _check_arch(cfg, params)
     if splits is None:
         _, splits = load_dataset(cfg.data_dir)
     if split_name not in splits:
@@ -374,9 +375,9 @@ def localize_cmd(cfg: RunConfig, params: enc.EncoderParams, ids,
             raise UnknownId(f"id {image_id} outside split {split_name!r} "
                             f"(size {split.images.shape[0]})")
         image = split.images[image_id]
-        fm, _ = enc.forward(params, image)
-        rep = kernels.global_avg_pool(fm)
-        box = propose_box(fm, rep, cfg.tau_eval, *image_hw, cfg.connectivity)
+        fms, _ = enc.forward_batch(params, image[None], keep_cache=False)
+        rep = kernels.global_avg_pool_batch(fms)[0]
+        box = propose_box(fms[0], rep, cfg.tau_eval, *image_hw, cfg.connectivity)
         gt = BoundingBox(*split.boxes[image_id])
         score = iou(box, gt)
         overlay = draw_box_border(image, box)

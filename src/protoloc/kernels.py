@@ -2,9 +2,9 @@
 
 Spatial layout is height x width x channels throughout. Every operation is
 a pure function over numpy arrays and is deterministic: identical inputs
-produce bit-identical outputs. Batched variants (leading N axis) exist for
-the kernels the encoder runs in bulk; the unbatched functions are thin
-wrappers around them, so both paths share one implementation.
+produce bit-identical outputs. The convolution, pooling and global-average
+kernels take a batch with a leading N axis, the shape the encoder and the
+episode code run them at; a single image is a batch of one.
 """
 
 from __future__ import annotations
@@ -14,13 +14,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operand shapes are inconsistent with the requested operation."""
-
-
-def check_finite(arr: np.ndarray, name: str = "tensor") -> np.ndarray:
-    """Reject NaN/Inf at input boundaries (propagation inside kernels is allowed)."""
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +60,8 @@ def _check_conv_args(x, kernels, bias):
 
 
 def conv2d_batch(x, kernels, bias, stride=1, pad=0):
-    """2-D convolution (cross-correlation) over a batch, zero padding."""
+    """2-D convolution (cross-correlation) over a batch, zero padding:
+    N x H x W x Cin -> N x H' x W' x Cout, H' = (H + 2*pad - k) // stride + 1."""
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
@@ -80,17 +74,6 @@ def conv2d_batch(x, kernels, bias, stride=1, pad=0):
     cols = _im2col(xp, k, stride, out_h, out_w).reshape(n * out_h * out_w, k * k * cin)
     out = cols @ kernels.reshape(k * k * cin, cout) + bias
     return out.reshape(n, out_h, out_w, cout)
-
-
-def conv2d(x, kernels, bias, stride=1, pad=0):
-    """Single-image convolution: H x W x Cin -> H' x W' x Cout.
-
-    H' = floor((H + 2*pad - k) / stride) + 1, and likewise for W'.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"expected H x W x C input, got shape {x.shape}")
-    return conv2d_batch(x[None], kernels, bias, stride, pad)[0]
 
 
 def conv2d_vjp_batch(x, kernels, stride, pad, grad_out, cols=None):
@@ -130,17 +113,6 @@ def conv2d_vjp_batch(x, kernels, stride, pad, grad_out, cols=None):
     return grad_x, grad_kernels, grad_bias
 
 
-def conv2d_vjp(x, kernels, bias, stride, pad, grad_out):
-    """Adjoint of conv2d for a single image."""
-    x = np.asarray(x, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    _check_conv_args(x[None], kernels, bias)
-    gx, gk, gb = conv2d_vjp_batch(x[None], kernels, stride, pad,
-                                  np.asarray(grad_out, dtype=np.float64)[None])
-    return gx[0], gk, gb
-
-
 # ---------------------------------------------------------------------------
 # ReLU
 # ---------------------------------------------------------------------------
@@ -173,19 +145,13 @@ def _pool_windows(x, window):
 
 
 def maxpool2d_batch(x, window=2):
+    """Per-window max over non-overlapping window x window blocks."""
     x = np.asarray(x, dtype=np.float64)
     return _pool_windows(x, window).max(axis=3)
 
 
-def maxpool2d(x, window=2):
-    """Per-window max over non-overlapping window x window blocks."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"expected H x W x C input, got shape {x.shape}")
-    return maxpool2d_batch(x[None], window)[0]
-
-
 def maxpool2d_vjp_batch(x, grad_out, window=2):
+    """Routes gradient to each window's argmax cell (first in scan order on ties)."""
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     win = _pool_windows(x, window)
@@ -201,47 +167,24 @@ def maxpool2d_vjp_batch(x, grad_out, window=2):
     return grad_x
 
 
-def maxpool2d_vjp(x, grad_out, window=2):
-    """Routes gradient to each window's argmax cell (first in scan order on ties)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"expected H x W x C input, got shape {x.shape}")
-    return maxpool2d_vjp_batch(x[None], np.asarray(grad_out, dtype=np.float64)[None], window)[0]
-
-
 # ---------------------------------------------------------------------------
 # Global average pooling
 # ---------------------------------------------------------------------------
 
-def global_avg_pool(fm):
-    """Per-channel mean over all spatial positions: h x w x D -> D."""
-    fm = np.asarray(fm, dtype=np.float64)
-    if fm.ndim != 3:
-        raise ShapeError(f"expected h x w x D feature map, got shape {fm.shape}")
-    return fm.mean(axis=(0, 1))
-
-
 def global_avg_pool_batch(fms):
+    """Per-channel mean over all spatial positions: N x h x w x D -> N x D."""
     return np.asarray(fms, dtype=np.float64).mean(axis=(1, 2))
 
 
-def gap_vjp(fm_shape, g):
-    """Spread g / (h*w) uniformly over the spatial grid."""
-    h, w, d = fm_shape
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != (d,):
-        raise ShapeError(f"grad shape {g.shape} != ({d},)")
-    return np.broadcast_to(g / (h * w), (h, w, d)).copy()
-
-
 def gap_vjp_batch(fms_shape, g):
+    """Spread each row of g / (h*w) uniformly over its spatial grid."""
     n, h, w, d = fms_shape
     g = np.asarray(g, dtype=np.float64)
     return np.broadcast_to((g / (h * w))[:, None, None, :], (n, h, w, d)).copy()
 
 
 # ---------------------------------------------------------------------------
-# Bilinear resize / sampling
+# Bilinear resize and RoIAlign corner weights
 # ---------------------------------------------------------------------------
 
 def _axis_weights(src: int, dst: int):
@@ -279,38 +222,3 @@ def _corner_weights(v, n: int):
     w = vc - i0
     i1 = np.minimum(i0 + 1, n - 1)
     return i0, i1, w
-
-
-def bilinear_sample(fm, y: float, x: float):
-    """Sample fm at continuous (y, x); integer coordinates hit cell values exactly.
-
-    Coordinates are clamped to [0, h-1] x [0, w-1]; the result is the
-    4-neighbor bilinear blend per channel.
-    """
-    fm = np.asarray(fm, dtype=np.float64)
-    if fm.ndim != 3:
-        raise ShapeError(f"expected h x w x D feature map, got shape {fm.shape}")
-    h, w, _ = fm.shape
-    y0, y1, wy = _corner_weights(np.float64(y), h)
-    x0, x1, wx = _corner_weights(np.float64(x), w)
-    return ((1.0 - wy) * (1.0 - wx) * fm[y0, x0]
-            + (1.0 - wy) * wx * fm[y0, x1]
-            + wy * (1.0 - wx) * fm[y1, x0]
-            + wy * wx * fm[y1, x1])
-
-
-def bilinear_sample_vjp(fm, y: float, x: float, g):
-    """Scatter the 4 bilinear blend weights times g back onto an fm-shaped grid."""
-    fm = np.asarray(fm, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    h, w, d = fm.shape
-    if g.shape != (d,):
-        raise ShapeError(f"grad shape {g.shape} != ({d},)")
-    y0, y1, wy = _corner_weights(np.float64(y), h)
-    x0, x1, wx = _corner_weights(np.float64(x), w)
-    grad = np.zeros((h, w, d))
-    grad[y0, x0] += (1.0 - wy) * (1.0 - wx) * g
-    grad[y0, x1] += (1.0 - wy) * wx * g
-    grad[y1, x0] += wy * (1.0 - wx) * g
-    grad[y1, x1] += wy * wx * g
-    return grad

@@ -122,12 +122,6 @@ def propose_box(fm, rep_vector, tau, image_h, image_w, connectivity: int = 4) ->
     return bbox_of(largest_component(mask, connectivity))
 
 
-def localize_query(query_fm, predicted_rep, tau, image_h, image_w,
-                   connectivity: int = 4) -> BoundingBox:
-    """Locate the class object in a query image from its predicted class representation."""
-    return propose_box(query_fm, predicted_rep, tau, image_h, image_w, connectivity)
-
-
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two inclusive pixel boxes."""
     ay0, ax0, ay1, ax1 = a

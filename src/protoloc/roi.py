@@ -1,10 +1,10 @@
-"""RoIAlign feature extraction and refined class representations.
+"""RoIAlign feature extraction with its exact adjoint.
 
 A box proposed in image coordinates is scaled into feature-map coordinates
 without quantization, split into a regular grid of bins, and each bin is
 averaged over bilinear samples taken at regular sub-bin centers. The mean
-over bins is the RoI feature vector; the mean of a class's RoI features is
-its refined representation.
+over bins is the RoI feature vector. Training and evaluation average a
+class's RoI features into its refined representation.
 """
 
 from __future__ import annotations
@@ -117,17 +117,3 @@ def roi_feature_vjp(fm, box, image_extents, cfg: RoiConfig, grad_vector) -> np.n
                            (cfg.grid, cfg.grid, grad_vector.shape[0]))
     return roi_align_vjp(fm, box, image_extents, cfg, bins)
 
-
-def refine_representation(support_fms, boxes, image_extents,
-                          cfg: RoiConfig = RoiConfig(), class_index: int = 0):
-    """Mean of a class's RoI features, tagged as a refined representation."""
-    from .episodic import ClassRepresentation, EmptyClass
-
-    if len(support_fms) != len(boxes):
-        raise ShapeError(
-            f"{len(support_fms)} feature maps vs {len(boxes)} boxes")
-    if not support_fms:
-        raise EmptyClass("no support items for refinement")
-    feats = np.stack([roi_feature(fm, box, image_extents, cfg)
-                      for fm, box in zip(support_fms, boxes)])
-    return ClassRepresentation(class_index, feats.mean(axis=0), kind="refined")

@@ -51,75 +51,85 @@ class TestInitParams:
 class TestForward:
     def test_default_arch_shapes(self):
         params = enc.init_params(EncoderArch(), 0)
-        fm, _ = enc.forward(params, np.zeros((32, 32, 3)))
-        assert fm.shape == (4, 4, 32)
+        fms, _ = enc.forward_batch(params, np.zeros((1, 32, 32, 3)))
+        assert fms.shape == (1, 4, 4, 32)
 
     def test_zero_image_zero_bias_gives_zero_fm(self):
         params = enc.init_params(SMALL, 5)
-        fm, _ = enc.forward(params, np.zeros((16, 16, 3)))
-        assert not fm.any()
+        fms, _ = enc.forward_batch(params, np.zeros((1, 16, 16, 3)))
+        assert not fms.any()
 
     def test_matches_manual_kernel_chain(self):
         params = enc.init_params(SMALL, 8)
-        image = np.random.default_rng(8).uniform(size=(16, 16, 3))
-        fm, _ = enc.forward(params, image)
+        images = np.random.default_rng(8).uniform(size=(2, 16, 16, 3))
+        fms, _ = enc.forward_batch(params, images)
 
-        x = image
+        x = images
         for w, b in params.block_views():
-            x = kernels.maxpool2d(kernels.relu(kernels.conv2d(x, w, b, 1, SMALL.pad)))
-        np.testing.assert_array_equal(fm, x)
+            x = kernels.conv2d_batch(x, w, b, 1, SMALL.pad)
+            x = kernels.maxpool2d_batch(kernels.relu(x))
+        np.testing.assert_array_equal(fms, x)
 
     def test_batch_matches_single(self):
         params = enc.init_params(SMALL, 9)
         images = np.random.default_rng(9).uniform(size=(4, 16, 16, 3))
         fms, _ = enc.forward_batch(params, images)
         for i in range(4):
-            single, _ = enc.forward(params, images[i])
-            np.testing.assert_allclose(fms[i], single, rtol=0, atol=1e-12)
+            single, _ = enc.forward_batch(params, images[i:i + 1])
+            np.testing.assert_allclose(fms[i], single[0], rtol=0, atol=1e-12)
 
     def test_wrong_image_size_raises(self):
         params = enc.init_params(SMALL, 0)
         with pytest.raises(ShapeError):
-            enc.forward(params, np.zeros((8, 8, 3)))
+            enc.forward_batch(params, np.zeros((1, 8, 8, 3)))
+        with pytest.raises(ShapeError):
+            enc.forward_batch(params, np.zeros((16, 16, 3)))
 
 
 class TestEmbed:
+    """The embedding is the global average pool of the feature map."""
+
     def test_equals_gap_of_forward(self):
         params = enc.init_params(SMALL, 12)
-        image = np.random.default_rng(12).uniform(size=(16, 16, 3))
-        fm, _ = enc.forward(params, image)
-        np.testing.assert_array_equal(enc.embed(params, image),
-                                      kernels.global_avg_pool(fm))
+        images = np.random.default_rng(12).uniform(size=(3, 16, 16, 3))
+        fms, _ = enc.forward_batch(params, images, keep_cache=False)
+        embeds = kernels.global_avg_pool_batch(fms)
+        assert embeds.shape == (3, SMALL.embed_dim)
+        for i in range(3):
+            np.testing.assert_allclose(embeds[i], fms[i].sum(axis=(0, 1)) / 16,
+                                       rtol=0, atol=1e-15)
 
     def test_zero_image_zero_embedding(self):
         params = enc.init_params(SMALL, 1)
-        assert not enc.embed(params, np.zeros((16, 16, 3))).any()
+        fms, _ = enc.forward_batch(params, np.zeros((2, 16, 16, 3)), keep_cache=False)
+        assert not kernels.global_avg_pool_batch(fms).any()
 
 
 class TestBackward:
     def test_zero_grad_fm(self):
         params = enc.init_params(SMALL, 2)
-        image = np.random.default_rng(2).uniform(size=(16, 16, 3))
-        fm, cache = enc.forward(params, image)
-        grad = enc.backward(params, cache, np.zeros_like(fm))
+        images = np.random.default_rng(2).uniform(size=(1, 16, 16, 3))
+        fms, cache = enc.forward_batch(params, images)
+        grad = enc.backward_batch(params, cache, np.zeros_like(fms))
         assert grad.shape == params.flat.shape
         assert not grad.any()
 
     def test_gradient_layout_length(self):
         params = enc.init_params(SMALL, 2)
-        image = np.random.default_rng(3).uniform(size=(16, 16, 3))
-        fm, cache = enc.forward(params, image)
-        grad = enc.backward(params, cache, np.ones_like(fm))
+        images = np.random.default_rng(3).uniform(size=(1, 16, 16, 3))
+        fms, cache = enc.forward_batch(params, images)
+        grad = enc.backward_batch(params, cache, np.ones_like(fms))
         assert grad.size == enc.param_count(SMALL)
 
     def test_sum_fm_loss_matches_finite_differences(self):
         params = enc.init_params(SMALL, 21)
-        image = np.random.default_rng(21).uniform(size=(16, 16, 3))
-        fm, cache = enc.forward(params, image)
-        grad = enc.backward(params, cache, np.ones_like(fm))
+        images = np.random.default_rng(21).uniform(size=(1, 16, 16, 3))
+        fms, cache = enc.forward_batch(params, images)
+        grad = enc.backward_batch(params, cache, np.ones_like(fms))
 
         def loss(flat):
-            out, _ = enc.forward(enc.EncoderParams(SMALL, flat), image)
+            out, _ = enc.forward_batch(enc.EncoderParams(SMALL, flat), images,
+                                       keep_cache=False)
             return float(out.sum())
 
         assert rel_err(grad, fd_grad(loss, params.flat)) <= 1e-5
@@ -128,13 +138,15 @@ class TestBackward:
         # end-to-end through GAP: a random linear functional of the embedding
         params = enc.init_params(SMALL, 22)
         rng = np.random.default_rng(22)
-        image = rng.uniform(size=(16, 16, 3))
-        g = rng.normal(size=SMALL.embed_dim)
-        fm, cache = enc.forward(params, image)
-        grad = enc.backward(params, cache, kernels.gap_vjp(fm.shape, g))
+        images = rng.uniform(size=(1, 16, 16, 3))
+        g = rng.normal(size=(1, SMALL.embed_dim))
+        fms, cache = enc.forward_batch(params, images)
+        grad = enc.backward_batch(params, cache, kernels.gap_vjp_batch(fms.shape, g))
 
         def loss(flat):
-            return float(enc.embed(enc.EncoderParams(SMALL, flat), image) @ g)
+            out, _ = enc.forward_batch(enc.EncoderParams(SMALL, flat), images,
+                                       keep_cache=False)
+            return float((kernels.global_avg_pool_batch(out) * g).sum())
 
         assert rel_err(grad, fd_grad(loss, params.flat)) <= 1e-5
 
@@ -142,12 +154,15 @@ class TestBackward:
         params = enc.init_params(SMALL, 2)
         other = enc.init_params(EncoderArch(blocks=2, channels=(4, 6), kernel=3,
                                             input_size=32), 2)
-        image = np.random.default_rng(4).uniform(size=(16, 16, 3))
-        fm, cache = enc.forward(params, image)
+        images = np.random.default_rng(4).uniform(size=(1, 16, 16, 3))
+        fms, cache = enc.forward_batch(params, images)
         with pytest.raises(CacheMismatch):
-            enc.backward(other, cache, np.zeros_like(fm))
+            enc.backward_batch(other, cache, np.zeros_like(fms))
         with pytest.raises(CacheMismatch):
-            enc.backward(params, cache, np.zeros((2, 2, 6)))
+            enc.backward_batch(params, cache, np.zeros((1, 2, 2, 6)))
+        _, no_cache = enc.forward_batch(params, images, keep_cache=False)
+        with pytest.raises(CacheMismatch):
+            enc.backward_batch(params, no_cache, np.zeros_like(fms))
 
 
 class TestSgdStep:

@@ -192,13 +192,6 @@ class TestProposeBox:
 
 
 class TestLocalizeQuery:
-    def test_shares_propose_box_contract(self):
-        rng = np.random.default_rng(8)
-        fm = np.abs(rng.normal(size=(4, 4, 6)))
-        rep = np.abs(rng.normal(size=6)) + 0.1
-        assert loc.localize_query(fm, rep, 0.5, 32, 32) == \
-            loc.propose_box(fm, rep, 0.5, 32, 32)
-
     def test_prototype_and_refined_reps_both_valid(self):
         # different representations may yield different boxes; both must be
         # legal boxes, no equality is asserted
@@ -206,7 +199,7 @@ class TestLocalizeQuery:
         fm = np.abs(rng.normal(size=(4, 4, 6)))
         for rep in (np.abs(rng.normal(size=6)) + 0.1,
                     np.abs(rng.normal(size=6)) + 0.1):
-            b = loc.localize_query(fm, rep, 0.5, 16, 16)
+            b = loc.propose_box(fm, rep, 0.5, 16, 16)
             assert 0 <= b.y0 <= b.y1 < 16 and 0 <= b.x0 <= b.x1 < 16
 
 

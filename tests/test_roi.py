@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from protoloc import encoder as enc
 from protoloc import roi
-from protoloc.encoder import CacheMismatch
-from protoloc.episodic import EmptyClass
-from protoloc.kernels import ShapeError, global_avg_pool
+from protoloc.encoder import CacheMismatch, EncoderArch
+from protoloc.episodic import (EmptyClass, Episode, LossConfig,
+                               distance_logit_loss, episode_loss_and_gradient)
+from protoloc.kernels import ShapeError, global_avg_pool_batch
 from protoloc.localization import BoundingBox
 from protoloc.roi import RoiConfig
 
 from oracles import fd_grad, rel_err, roi_align_dense, roi_align_reference
+
+SMALL = EncoderArch(blocks=2, channels=(4, 6), kernel=3, input_size=16)
 
 
 def test_config_validation():
@@ -94,12 +98,12 @@ class TestRoiFeature:
         rng = np.random.default_rng(4)
         fm = rng.normal(size=(4, 4, 3))
         out = roi.roi_feature(fm, BoundingBox(0, 0, 3, 3), (4, 4), RoiConfig(4, 1))
-        np.testing.assert_allclose(out, global_avg_pool(fm), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, global_avg_pool_batch(fm[None])[0], rtol=0, atol=1e-12)
 
     def test_constant_fm_equals_gap_any_geometry(self):
         fm = np.full((4, 4, 2), 0.75)
         out = roi.roi_feature(fm, BoundingBox(5, 5, 20, 30), (32, 32), RoiConfig(3, 2))
-        np.testing.assert_allclose(out, global_avg_pool(fm), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, global_avg_pool_batch(fm[None])[0], rtol=0, atol=1e-12)
 
     def test_step_field_monotonicity(self):
         # fm is a step field, larger on the right half; shrinking the box
@@ -112,39 +116,62 @@ class TestRoiFeature:
 
 
 class TestRefineRepresentation:
+    """Refined representations are per-class means of RoI features; with
+    lambda = 1 the episode loss is the base term plus the loss against them."""
+
+    @staticmethod
+    def losses(seed, n_way, k_shot, boxes, images=None):
+        params = enc.init_params(SMALL, seed)
+        rng = np.random.default_rng(seed)
+        ns, nq = n_way * k_shot, 2 * n_way
+        if images is None:
+            images = rng.uniform(size=(ns + nq, 16, 16, 3))
+        episode = Episode(
+            n_way=n_way, k_shot=k_shot,
+            support_images=images[:ns], support_labels=np.repeat(np.arange(n_way), k_shot),
+            support_boxes=np.tile([2, 2, 10, 10], (ns, 1)),
+            query_images=images[ns:], query_labels=np.repeat(np.arange(n_way), 2),
+            query_boxes=np.tile([2, 2, 10, 10], (nq, 1)))
+        got, grad = episode_loss_and_gradient(params, episode, "refined",
+                                              LossConfig(8.0, 1.0), frozen_boxes=boxes)
+        fms, _ = enc.forward_batch(params, images)
+        emb = global_avg_pool_batch(fms)
+        feats = [roi.roi_feature(fms[i], boxes[i], (16, 16)) for i in range(ns)]
+        protos = emb[:ns].reshape(n_way, k_shot, -1).mean(axis=1)
+        base = distance_logit_loss(emb[ns:], episode.query_labels, protos, 8.0)[0]
+        return got, grad, base, feats, emb[ns:], episode.query_labels
+
     def test_single_item(self):
-        rng = np.random.default_rng(5)
-        fm = rng.normal(size=(4, 4, 3))
-        box = BoundingBox(2, 2, 20, 20)
-        rep = roi.refine_representation([fm], [box], (32, 32))
-        assert rep.kind == "refined"
-        np.testing.assert_array_equal(rep.vector, roi.roi_feature(fm, box, (32, 32)))
+        boxes = [BoundingBox(2, 2, 12, 12), BoundingBox(0, 3, 9, 15)]
+        got, _, base, feats, q_emb, labels = self.losses(5, 2, 1, boxes)
+        refined = distance_logit_loss(q_emb, labels, np.stack(feats), 8.0)[0]
+        assert got == base + refined
 
     def test_constant_fms_any_boxes(self):
-        fms = [np.full((4, 4, 2), 1.5)] * 3
-        boxes = [BoundingBox(0, 0, 5, 5), BoundingBox(10, 10, 30, 30),
+        # zero images under zero biases give all-zero feature maps: every
+        # representation and embedding coincides, each term is log N
+        boxes = [BoundingBox(0, 0, 5, 5), BoundingBox(10, 10, 15, 15),
                  BoundingBox(2, 9, 3, 12)]
-        rep = roi.refine_representation(fms, boxes, (32, 32))
-        np.testing.assert_allclose(rep.vector, 1.5, rtol=0, atol=1e-12)
+        got, _, _, feats, _, _ = self.losses(6, 3, 1, boxes, np.zeros((9, 16, 16, 3)))
+        assert not np.any(feats)
+        assert abs(got - 2.0 * np.log(3)) <= 1e-12
 
     def test_mean_oracle_and_permutation_invariance(self):
-        rng = np.random.default_rng(6)
-        fms = [rng.normal(size=(4, 4, 3)) for _ in range(5)]
-        boxes = [BoundingBox(1, 1, 30, 30)] * 5
-        rep = roi.refine_representation(fms, boxes, (32, 32))
-        feats = np.stack([roi.roi_feature(f, b, (32, 32)) for f, b in zip(fms, boxes)])
-        np.testing.assert_allclose(rep.vector, feats.mean(axis=0), rtol=0, atol=1e-15)
+        boxes = [BoundingBox(1, 1, 14, 14), BoundingBox(0, 0, 15, 15),
+                 BoundingBox(3, 2, 9, 12), BoundingBox(5, 5, 15, 10)]
+        got, grad, base, feats, q_emb, labels = self.losses(7, 2, 2, boxes)
+        refined = np.stack([(feats[2 * c] + feats[2 * c + 1]) / 2 for c in range(2)])
+        want = base + distance_logit_loss(q_emb, labels, refined, 8.0)[0]
+        assert abs(got - want) <= 1e-15
         # fixed summation order: identical input order gives identical bits
-        again = roi.refine_representation(list(fms), list(boxes), (32, 32))
-        np.testing.assert_array_equal(rep.vector, again.vector)
+        again, grad_again, *_ = self.losses(7, 2, 2, boxes)
+        assert again == got
+        np.testing.assert_array_equal(grad_again, grad)
 
     def test_empty_class(self):
+        # a class with no supports has no refined representation to average
         with pytest.raises(EmptyClass):
-            roi.refine_representation([], [], (32, 32))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            roi.refine_representation([np.zeros((4, 4, 2))], [], (32, 32))
+            self.losses(8, 2, 0, [])
 
 
 class TestRoiAlignVjp:
