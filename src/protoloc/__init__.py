@@ -8,23 +8,24 @@ them.
 """
 
 from .config import RunConfig, load_config_file, parse_config_text
-from .dataset import (DatasetSpec, InsufficientData, Sample, SplitData,
-                      generate_dataset, load_dataset, render_sample,
-                      sample_episode)
+from .dataset import (CorruptDataset, DatasetSpec, InsufficientData, Sample,
+                      SplitData, generate_dataset, load_dataset,
+                      render_sample, sample_episode)
 from .encoder import (CacheMismatch, EncoderArch, EncoderParams,
                       backward_batch, forward_batch, init_params,
                       load_checkpoint, save_checkpoint, sgd_step)
 from .episodic import (EmptyClass, Episode, LossConfig, NegativeLambda,
                        NonPositiveTemperature, distance_logit_loss,
                        episode_loss_and_gradient, nearest_class)
-from .harness import (ArchMismatch, EvalReport, UnknownId, evaluate,
-                      localize_cmd, pretrain, report_emit, train_episodic)
+from .harness import (ArchMismatch, EvalReport, NonFiniteLoss, UnknownId,
+                      evaluate, localize_cmd, pretrain, report_emit,
+                      train_episodic)
 from .kernels import ShapeError, bilinear_resize, relu, relu_vjp
 from .localization import (BoundingBox, DegenerateMap,
                            DegenerateRepresentation, EmptyComponent,
                            EmptyMask, bbox_of, iou, largest_component,
                            propose_box, segment_mask, similarity_map)
-from .roi import RoiConfig, roi_align, roi_align_vjp, roi_feature
+from .roi import RoiConfig, roi_feature
 from .tns_io import read_tns, write_tns
 
 __version__ = "0.1.0"

@@ -46,6 +46,10 @@ class InsufficientData(ValueError):
     """Split lacks the classes or per-class items an episode needs."""
 
 
+class CorruptDataset(ValueError):
+    """A dataset file's sha256 differs from the digest its manifest records."""
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     image_size: int = 32
@@ -251,12 +255,16 @@ def generate_dataset(spec: DatasetSpec, seed: int, out_dir) -> dict:
 
 
 def load_dataset(data_dir):
-    """Load a generated dataset; returns (manifest, {split name: SplitData})."""
+    """Load a generated dataset, checking every file against its manifest
+    digest; returns (manifest, {split name: SplitData})."""
     data_dir = Path(data_dir)
     manifest = json.loads((data_dir / "manifest.json").read_text())
     splits = {}
-    for name in manifest["splits"]:
+    for name, entry in manifest["splits"].items():
         split_dir = data_dir / name
+        for file_name, digest in entry["digests"].items():
+            if _digest(split_dir / file_name) != digest:
+                raise CorruptDataset(f"{split_dir / file_name}: sha256 differs from manifest")
         splits[name] = SplitData(
             name=name,
             images=read_tns(split_dir / "images.tns"),

@@ -140,8 +140,7 @@ class ForwardCache:
     """Per-block activations retained for the backward pass of one forward call."""
     arch: EncoderArch
     block_inputs: list       # conv input per block, (N, H, W, Cin)
-    pre_relu: list           # conv output per block, (N, H, W, Cout)
-    post_relu: list          # relu output (pool input) per block
+    post_relu: list          # relu output (pool input) per block, (N, H, W, Cout)
     fm_shape: tuple          # (N, h, w, D)
 
 
@@ -155,16 +154,14 @@ def forward_batch(params: EncoderParams, images: np.ndarray, keep_cache: bool = 
             f"image batch shape {images.shape} does not match arch input "
             f"{(arch.input_size, arch.input_size, arch.input_channels)}")
     x = images
-    block_inputs, pre_relu, post_relu = [], [], []
+    block_inputs, post_relu = [], []
     for w, b in params.block_views():
-        pre = kernels.conv2d_batch(x, w, b, stride=1, pad=arch.pad)
-        act = kernels.relu(pre)
+        act = kernels.relu(kernels.conv2d_batch(x, w, b, stride=1, pad=arch.pad))
         if keep_cache:
             block_inputs.append(x)
-            pre_relu.append(pre)
             post_relu.append(act)
         x = kernels.maxpool2d_batch(act, window=2)
-    cache = ForwardCache(arch, block_inputs, pre_relu, post_relu, x.shape) if keep_cache else None
+    cache = ForwardCache(arch, block_inputs, post_relu, x.shape) if keep_cache else None
     return x, cache
 
 
@@ -188,7 +185,8 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
     for blk in reversed(range(arch.blocks)):
         w, _ = views[blk]
         g = kernels.maxpool2d_vjp_batch(cache.post_relu[blk], g, window=2)
-        g = kernels.relu_vjp(cache.pre_relu[blk], g)
+        # relu(t) > 0 exactly where t > 0, so the relu output masks alike
+        g = kernels.relu_vjp(cache.post_relu[blk], g)
         g, gw, gb = kernels.conv2d_vjp_batch(cache.block_inputs[blk], w,
                                              stride=1, pad=arch.pad, grad_out=g)
         _, koff, kshape = layout[2 * blk]

@@ -1,6 +1,7 @@
-"""Episodes, the distance-logit loss, the nearest-representation
-classifier, and the episode loss with exact gradients through the whole
-episode graph, all as matrix code: class c's representation is row c.
+"""Episodes, the softmax cross-entropy (shared with pretraining), the
+distance-logit loss, the nearest-representation classifier, and the
+episode loss with exact gradients through the whole episode graph, all as
+matrix code: class c's representation is row c.
 
 Logits are negated squared Euclidean distances divided by a temperature;
 the base loss is mean cross-entropy against prototypes (per-class means of
@@ -85,23 +86,28 @@ class Episode:
         return self.query_labels.size // self.n_way
 
 
+def softmax_cross_entropy(logits, labels):
+    """Mean softmax cross-entropy of (Q, N) logits against (Q,) class
+    indices. Returns (loss, d loss / d logits)."""
+    m = logits.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    rows = np.arange(logits.shape[0])
+    loss = float((lse[:, 0] - logits[rows, labels]).mean())
+    dlogits = np.exp(logits - lse)
+    dlogits[rows, labels] -= 1.0
+    dlogits /= logits.shape[0]
+    return loss, dlogits
+
+
 def distance_logit_loss(embeds, labels, reps, temperature):
     """Mean cross-entropy of the distance logit -||e - rep_c||^2 / temperature.
 
     embeds is (Q, D), labels (Q,) class indices into the rows of reps
     (N, D). Returns (loss, d loss / d embeds, d loss / d reps).
     """
-    q = embeds.shape[0]
     diff = embeds[:, None, :] - reps[None, :, :]         # (Q, N, D)
     d2 = (diff * diff).sum(axis=2)
-    logit = -d2 / temperature
-    m = logit.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logit - m).sum(axis=1, keepdims=True))
-    rows = np.arange(q)
-    loss = float((lse[:, 0] - logit[rows, labels]).mean())
-    dlogit = np.exp(logit - lse)
-    dlogit[rows, labels] -= 1.0
-    dlogit /= q
+    loss, dlogit = softmax_cross_entropy(-d2 / temperature, labels)
     dd2 = -dlogit / temperature                          # dL/d d2, (Q, N)
     dembeds = (dd2[:, :, None] * 2.0 * diff).sum(axis=1)
     dreps = -(dd2[:, :, None] * 2.0 * diff).sum(axis=0)
@@ -119,15 +125,13 @@ def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
                               reps_mode: str, loss_cfg: LossConfig, *,
                               tau: float = 0.5,
                               roi_cfg: roi.RoiConfig = roi.RoiConfig(),
-                              connectivity: int = 4,
-                              frozen_boxes=None):
+                              connectivity: int = 4):
     """Loss value and its exact parameter gradient for one episode.
 
     reps_mode "prototype" optimizes the base loss; "refined" optimizes the
-    combined loss, proposing boxes at threshold tau (or using frozen_boxes)
-    and building refined representations from RoI features. Box
-    coordinates are stop-gradient: only the bilinear sampling weights
-    carry gradient into the feature maps.
+    combined loss, proposing boxes at threshold tau and building refined
+    representations from RoI features. Box coordinates are stop-gradient:
+    only the bilinear sampling weights carry gradient into the feature maps.
     """
     if reps_mode not in ("prototype", "refined"):
         raise ValueError(f"unknown reps_mode {reps_mode!r}")
@@ -153,12 +157,9 @@ def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
 
     if reps_mode == "refined" and loss_cfg.lambda_roi != 0.0:
         lam = loss_cfg.lambda_roi
-        if frozen_boxes is None:
-            boxes = [propose_box(s_fms[i], protos[episode.support_labels[i]],
-                                 tau, *image_hw, connectivity)
-                     for i in range(ns)]
-        else:
-            boxes = list(frozen_boxes)
+        boxes = [propose_box(s_fms[i], protos[episode.support_labels[i]],
+                             tau, *image_hw, connectivity)
+                 for i in range(ns)]
         feats = np.stack([roi.roi_feature(s_fms[i], boxes[i], image_hw, roi_cfg)
                           for i in range(ns)])
         refined = feats.reshape(n, k, d).mean(axis=1)

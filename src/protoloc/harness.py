@@ -22,7 +22,8 @@ from . import encoder as enc
 from . import kernels, localization
 from .config import RunConfig
 from .dataset import DatasetSpec, InsufficientData, load_dataset, sample_episode
-from .episodic import LossConfig, episode_loss_and_gradient, nearest_class
+from .episodic import (LossConfig, episode_loss_and_gradient, nearest_class,
+                       softmax_cross_entropy)
 from .localization import BoundingBox, iou, propose_box
 from .roi import RoiConfig, roi_feature
 
@@ -40,6 +41,10 @@ class UnknownId(KeyError):
 
 class ArchMismatch(ValueError):
     """The config's encoder architecture differs from the checkpoint's."""
+
+
+class NonFiniteLoss(FloatingPointError):
+    """An episode's loss or gradient is not finite; no step is taken on it."""
 
 
 def _check_arch(cfg: RunConfig, params: enc.EncoderParams) -> None:
@@ -67,18 +72,6 @@ class PretrainResult:
     head_weights: np.ndarray   # (D, train classes)
     head_bias: np.ndarray
     losses: list               # per-batch cross-entropy
-
-
-def _head_forward(embeds, weights, bias, labels):
-    scores = embeds @ weights + bias
-    m = scores.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(scores - m).sum(axis=1, keepdims=True))
-    rows = np.arange(scores.shape[0])
-    loss = float((lse[:, 0] - scores[rows, labels]).mean())
-    dscores = np.exp(scores - lse)
-    dscores[rows, labels] -= 1.0
-    dscores /= scores.shape[0]
-    return loss, dscores
 
 
 def pretrain(cfg: RunConfig, data=None) -> PretrainResult:
@@ -109,7 +102,7 @@ def pretrain(cfg: RunConfig, data=None) -> PretrainResult:
             idx = order[start:start + cfg.pretrain_batch]
             fms, cache = enc.forward_batch(params, images[idx])
             embeds = kernels.global_avg_pool_batch(fms)
-            loss, dscores = _head_forward(embeds, weights, bias, y[idx])
+            loss, dscores = softmax_cross_entropy(embeds @ weights + bias, y[idx])
             grad_w = embeds.T @ dscores
             grad_b = dscores.sum(axis=0)
             dembeds = dscores @ weights.T
@@ -130,7 +123,8 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
                    split=None):
     """Seeded episodic SGD; phase "base" uses prototype loss, "ours" adds the
     RoI term with boxes proposed at the training threshold. Returns
-    (params, per-episode losses)."""
+    (params, per-episode losses); raises NonFiniteLoss before stepping on a
+    non-finite loss or gradient."""
     if phase not in ("base", "ours"):
         raise ValueError(f"unknown phase {phase!r}")
     if split is None:
@@ -150,6 +144,9 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
                 params, episode, mode, loss_cfg,
                 tau=cfg.tau_train_resolved, roi_cfg=roi_cfg,
                 connectivity=cfg.connectivity)
+            if not (np.isfinite(loss) and np.isfinite(grad).all()):
+                raise NonFiniteLoss(f"{phase} phase, epoch {epoch}, episode {j} "
+                                    f"(index {len(losses)}): loss {loss}")
             params = enc.sgd_step(params, grad, cfg.lr)
             losses.append(loss)
     return params, losses

@@ -4,7 +4,8 @@ Spatial layout is height x width x channels throughout. Every operation is
 a pure function over numpy arrays and is deterministic: identical inputs
 produce bit-identical outputs. The convolution, pooling and global-average
 kernels take a batch with a leading N axis, the shape the encoder and the
-episode code run them at; a single image is a batch of one.
+episode code run them at; a single image is a batch of one. Bilinear resize
+and RoIAlign share one clamped corner-weight helper.
 """
 
 from __future__ import annotations
@@ -187,13 +188,12 @@ def gap_vjp_batch(fms_shape, g):
 # Bilinear resize and RoIAlign corner weights
 # ---------------------------------------------------------------------------
 
-def _axis_weights(src: int, dst: int):
-    """Half-pixel-center source coordinates for a dst-length axis, clamped."""
-    s = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
-    s = np.clip(s, 0.0, src - 1.0)
-    i0 = np.clip(np.floor(s).astype(np.int64), 0, max(src - 2, 0))
-    w = s - i0
-    i1 = np.minimum(i0 + 1, src - 1)
+def _corner_weights(v, n: int):
+    """Clamped floor/ceil indices and blend weight for coordinate(s) v on an n-cell axis."""
+    vc = np.clip(v, 0.0, float(n - 1))
+    i0 = np.clip(np.floor(vc).astype(np.int64), 0, max(n - 2, 0))
+    w = vc - i0
+    i1 = np.minimum(i0 + 1, n - 1)
     return i0, i1, w
 
 
@@ -208,17 +208,8 @@ def bilinear_resize(m, out_h: int, out_w: int):
     if m.ndim != 2:
         raise ShapeError(f"expected 2-D map, got shape {m.shape}")
     h, w = m.shape
-    ri0, ri1, rw = _axis_weights(h, out_h)
-    ci0, ci1, cw = _axis_weights(w, out_w)
+    ri0, ri1, rw = _corner_weights((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, h)
+    ci0, ci1, cw = _corner_weights((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, w)
     top = m[np.ix_(ri0, ci0)] * (1.0 - cw) + m[np.ix_(ri0, ci1)] * cw
     bot = m[np.ix_(ri1, ci0)] * (1.0 - cw) + m[np.ix_(ri1, ci1)] * cw
     return top * (1.0 - rw)[:, None] + bot * rw[:, None]
-
-
-def _corner_weights(v, n: int):
-    """Clamped floor/ceil indices and blend weight for coordinate(s) v on an n-cell axis."""
-    vc = np.clip(v, 0.0, float(n - 1))
-    i0 = np.clip(np.floor(vc).astype(np.int64), 0, max(n - 2, 0))
-    w = vc - i0
-    i1 = np.minimum(i0 + 1, n - 1)
-    return i0, i1, w

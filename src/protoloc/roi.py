@@ -1,10 +1,12 @@
 """RoIAlign feature extraction with its exact adjoint.
 
 A box proposed in image coordinates is scaled into feature-map coordinates
-without quantization, split into a regular grid of bins, and each bin is
-averaged over bilinear samples taken at regular sub-bin centers. The mean
-over bins is the RoI feature vector. Training and evaluation average a
-class's RoI features into its refined representation.
+without quantization and split into a regular grid of bins; each bin
+averages bilinear samples at regular sub-bin centers, and the RoI feature
+is the mean over bins. Bilinear sampling is separable, so that mean is the
+weighted sum ay^T FM ax of per-row and per-column cell weights, and the
+adjoint is outer(ay, ax) times the incoming gradient. Training and
+evaluation average a class's RoI features into its refined representation.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 from .encoder import CacheMismatch
 from .kernels import ShapeError, _corner_weights
-from .localization import BoundingBox
 
 
 @dataclass(frozen=True)
@@ -42,78 +43,38 @@ def _sample_axis(lo: float, hi: float, grid: int, samples: int) -> np.ndarray:
     return (lo + g * bin_len + (s + 0.5) * (bin_len / samples)).ravel()
 
 
-def _sample_grid(fm_hw, box, image_extents, cfg: RoiConfig):
-    """Continuous sampling coordinates in the feature map's cell-center frame.
-
-    The inclusive pixel box converts to the half-open continuous box
-    [y0, y1+1) x [x0, x1+1); image coordinates scale into feature
-    coordinates by (h/H, w/W); the half-pixel shift maps the continuous
-    frame onto integer cell centers.
-    """
-    h, w = fm_hw
-    image_h, image_w = image_extents
-    y0, x0, y1, x1 = box
-    ys = _sample_axis(y0 * h / image_h, (y1 + 1) * h / image_h, cfg.grid, cfg.samples) - 0.5
-    xs = _sample_axis(x0 * w / image_w, (x1 + 1) * w / image_w, cfg.grid, cfg.samples) - 0.5
-    return ys, xs
+def _cell_weights(p0: int, p1: int, n: int, size: int, cfg: RoiConfig) -> np.ndarray:
+    """Mean bilinear weight per cell of an n-cell axis over the samples in the
+    pixel span [p0, p1+1) of a size-pixel image axis, scaled by n/size; the
+    -0.5 shift maps the continuous frame onto cell centers."""
+    v = _sample_axis(p0 * n / size, (p1 + 1) * n / size, cfg.grid, cfg.samples) - 0.5
+    i0, i1, w = _corner_weights(v, n)
+    return (np.bincount(i0, weights=1.0 - w, minlength=n)
+            + np.bincount(i1, weights=w, minlength=n)) / v.size
 
 
-def roi_align(fm: np.ndarray, box, image_extents, cfg: RoiConfig = RoiConfig()) -> np.ndarray:
-    """Pool the box into a grid x grid x D tensor of bin-averaged bilinear samples."""
-    fm = np.asarray(fm, dtype=np.float64)
+def _roi_weights(fm, box, image_extents, cfg: RoiConfig):
+    """Row and column cell weights (ay, ax) of the inclusive pixel box on fm."""
     if fm.ndim != 3:
         raise ShapeError(f"expected h x w x D feature map, got shape {fm.shape}")
-    h, w, d = fm.shape
     _check_box(box, *image_extents)
-    ys, xs = _sample_grid((h, w), box, image_extents, cfg)
-    yi0, yi1, wy = _corner_weights(ys, h)
-    xi0, xi1, wx = _corner_weights(xs, w)
-    wy = wy[:, None, None]
-    wx = wx[None, :, None]
-    vals = ((1.0 - wy) * (1.0 - wx) * fm[np.ix_(yi0, xi0)]
-            + (1.0 - wy) * wx * fm[np.ix_(yi0, xi1)]
-            + wy * (1.0 - wx) * fm[np.ix_(yi1, xi0)]
-            + wy * wx * fm[np.ix_(yi1, xi1)])
-    g, s = cfg.grid, cfg.samples
-    return vals.reshape(g, s, g, s, d).mean(axis=(1, 3))
-
-
-def roi_align_vjp(fm, box, image_extents, cfg: RoiConfig, grad_output) -> np.ndarray:
-    """Scatter bin gradients back through the bilinear sample weights onto fm.
-
-    Box coordinates receive no gradient.
-    """
-    fm = np.asarray(fm, dtype=np.float64)
-    h, w, d = fm.shape
-    grad_output = np.asarray(grad_output, dtype=np.float64)
-    if grad_output.shape != (cfg.grid, cfg.grid, d):
-        raise CacheMismatch(
-            f"grad shape {grad_output.shape} != {(cfg.grid, cfg.grid, d)}")
-    _check_box(box, *image_extents)
-    ys, xs = _sample_grid((h, w), box, image_extents, cfg)
-    yi0, yi1, wy = _corner_weights(ys, h)
-    xi0, xi1, wx = _corner_weights(xs, w)
-    # each sample point in bin (gy, gx) receives grad_output[gy, gx] / samples^2
-    g, s = cfg.grid, cfg.samples
-    gpt = np.repeat(np.repeat(grad_output, s, axis=0), s, axis=1) / (s * s)
-    wy = wy[:, None, None]
-    wx = wx[None, :, None]
-    grad_fm = np.zeros((h, w, d))
-    np.add.at(grad_fm, np.ix_(yi0, xi0), (1.0 - wy) * (1.0 - wx) * gpt)
-    np.add.at(grad_fm, np.ix_(yi0, xi1), (1.0 - wy) * wx * gpt)
-    np.add.at(grad_fm, np.ix_(yi1, xi0), wy * (1.0 - wx) * gpt)
-    np.add.at(grad_fm, np.ix_(yi1, xi1), wy * wx * gpt)
-    return grad_fm
+    y0, x0, y1, x1 = box
+    return (_cell_weights(y0, y1, fm.shape[0], image_extents[0], cfg),
+            _cell_weights(x0, x1, fm.shape[1], image_extents[1], cfg))
 
 
 def roi_feature(fm, box, image_extents, cfg: RoiConfig = RoiConfig()) -> np.ndarray:
-    """Mean over the grid x grid bins of roi_align: the RoI feature vector."""
-    return roi_align(fm, box, image_extents, cfg).mean(axis=(0, 1))
+    """Mean over the grid x grid bins of bin-averaged bilinear samples."""
+    fm = np.asarray(fm, dtype=np.float64)
+    ay, ax = _roi_weights(fm, box, image_extents, cfg)
+    return np.einsum("i,ijd,j->d", ay, fm, ax)
 
 
 def roi_feature_vjp(fm, box, image_extents, cfg: RoiConfig, grad_vector) -> np.ndarray:
+    """Gradient of roi_feature . grad_vector w.r.t. fm; boxes get none."""
+    fm = np.asarray(fm, dtype=np.float64)
     grad_vector = np.asarray(grad_vector, dtype=np.float64)
-    bins = np.broadcast_to(grad_vector / (cfg.grid * cfg.grid),
-                           (cfg.grid, cfg.grid, grad_vector.shape[0]))
-    return roi_align_vjp(fm, box, image_extents, cfg, bins)
-
+    ay, ax = _roi_weights(fm, box, image_extents, cfg)
+    if grad_vector.shape != fm.shape[2:]:
+        raise CacheMismatch(f"grad shape {grad_vector.shape} != {fm.shape[2:]}")
+    return np.outer(ay, ax)[:, :, None] * grad_vector

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from protoloc import dataset as ds
-from protoloc.dataset import DatasetSpec, InsufficientData
+from protoloc.dataset import CorruptDataset, DatasetSpec, InsufficientData
 
 
 def small_spec(**kw):
@@ -133,6 +133,15 @@ class TestGenerateDataset:
                     np.testing.assert_array_equal(split.boxes[row],
                                                   np.asarray(sample.gt_box))
                     row += 1
+
+    def test_flipped_bit_raises_corrupt_dataset(self, tmp_path):
+        ds.generate_dataset(small_spec(per_class_count=2), 3, tmp_path)
+        path = tmp_path / "test" / "boxes.tns"
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 1                         # lowest bit of the last box value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptDataset, match="boxes.tns"):
+            ds.load_dataset(tmp_path)
 
 
 class TestSampleEpisode:

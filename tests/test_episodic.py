@@ -6,7 +6,7 @@ from protoloc import episodic as ep
 from protoloc.encoder import EncoderArch
 from protoloc.episodic import (EmptyClass, Episode, LossConfig, NegativeLambda,
                                NonPositiveTemperature, distance_logit_loss,
-                               nearest_class)
+                               nearest_class, softmax_cross_entropy)
 from protoloc.kernels import global_avg_pool_batch
 from protoloc.localization import BoundingBox, propose_box
 from protoloc.roi import RoiConfig
@@ -177,6 +177,24 @@ class TestCrossEntropy:
             p_minus_y = d_reps[:, 0] * 0.5 / (2.0 * (e[0, 0] - reps[:, 0]))
             assert abs(p_minus_y.sum()) <= 1e-12
 
+    def test_softmax_cross_entropy_matches_row_loop(self):
+        # per-row loop oracle; logits up to ~100 in size test the max shift
+        rng = np.random.default_rng(7)
+        for scale in (1.0, 100.0):
+            logits = rng.normal(scale=scale, size=(5, 4))
+            labels = rng.integers(0, 4, size=5)
+            loss, dlogits = softmax_cross_entropy(logits, labels)
+            want_loss, want_grad = 0.0, np.zeros((5, 4))
+            for i in range(5):
+                top = max(logits[i])
+                total = sum(np.exp(v - top) for v in logits[i])
+                want_loss += (top + np.log(total) - logits[i, labels[i]]) / 5
+                for j in range(4):
+                    want_grad[i, j] = (np.exp(logits[i, j] - top) / total
+                                       - (j == labels[i])) / 5
+            assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+            assert np.max(np.abs(dlogits - want_grad)) <= 1e-15
+
     def test_bad_index(self):
         # query labels reach the loss only through an Episode, which rejects
         # a class index outside 0..N-1
@@ -213,15 +231,15 @@ class TestLosses:
             per_query.append(np.log(sum(np.exp(v) for v in logit)) - logit[y])
         assert abs(got - np.mean(per_query)) <= 1e-12
 
-    def test_loss_roi_equals_base_when_reps_coincide(self):
+    def test_loss_roi_equals_base_when_reps_coincide(self, fix_boxes):
         # full-image boxes sampled at every cell center: RoI features are
         # the support embeddings, so the RoI term repeats the base term
         params = enc.init_params(SMALL, 7)
         episode = tiny_episode(seed=7, n_way=3, k_shot=1, queries=2)
-        boxes = [BoundingBox(0, 0, 15, 15)] * 3
         base = loss_value(params, episode, "prototype", LossConfig(64.0, 0.0))
+        fix_boxes([BoundingBox(0, 0, 15, 15)] * 3)
         both = loss_value(params, episode, "refined", LossConfig(64.0, 1.0),
-                            roi_cfg=RoiConfig(4, 1), frozen_boxes=boxes)
+                          roi_cfg=RoiConfig(4, 1))
         assert abs(both - 2.0 * base) <= 1e-12
 
     def test_loss_ours_arithmetic(self):
@@ -270,7 +288,7 @@ class TestEpisodeGradient:
             params, episode, "prototype", LossConfig(temperature=1e-4, lambda_roi=0.0))
         assert np.linalg.norm(grad) <= 1e-8
 
-    def test_refined_mode_matches_finite_differences_with_frozen_boxes(self):
+    def test_refined_mode_matches_finite_differences_at_fixed_boxes(self, fix_boxes):
         params = enc.init_params(SMALL, 43)
         episode = tiny_episode(seed=43)
         cfg = LossConfig(temperature=8.0, lambda_roi=0.7)
@@ -283,15 +301,16 @@ class TestEpisodeGradient:
         boxes = [propose_box(fms[i], protos[episode.support_labels[i]], 0.5, 16, 16)
                  for i in range(2)]
 
-        _, grad = ep.episode_loss_and_gradient(params, episode, "refined", cfg,
-                                               roi_cfg=roi_cfg, frozen_boxes=boxes)
         _, live = ep.episode_loss_and_gradient(params, episode, "refined", cfg,
                                                roi_cfg=roi_cfg, tau=0.5)
+        fix_boxes(boxes)
+        _, grad = ep.episode_loss_and_gradient(params, episode, "refined", cfg,
+                                               roi_cfg=roi_cfg)
         np.testing.assert_array_equal(grad, live)   # same boxes either way
 
         def loss(flat):
             return loss_value(enc.EncoderParams(SMALL, flat), episode, "refined", cfg,
-                                roi_cfg=roi_cfg, frozen_boxes=boxes)
+                              roi_cfg=roi_cfg)
 
         assert rel_err(grad, fd_grad(loss, params.flat)) <= 1e-5
 

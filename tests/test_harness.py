@@ -6,7 +6,7 @@ from protoloc import encoder as enc
 from protoloc import harness
 from protoloc.config import RunConfig
 from protoloc.encoder import EncoderArch
-from protoloc.harness import ArchMismatch
+from protoloc.harness import ArchMismatch, NonFiniteLoss
 
 SMALL = dict(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size=16)
 
@@ -60,3 +60,25 @@ def test_localize_cmd_rejects_arch_mismatch(tmp_path):
     with pytest.raises(ArchMismatch):
         harness.localize_cmd(cfg, params, [0], out_dir=out_dir)
     assert not out_dir.exists()
+
+
+def test_diverging_run_raises_before_stepping_on_nan(tmp_path, monkeypatch):
+    # default arch, 5-way 1-shot 15-query at lr=1e6: the loss overflows to
+    # nan on the fourth episode
+    cfg = RunConfig(per_class_count=20, n_way=5, lr=1e6, epochs_base=1,
+                    episodes_per_epoch=8)
+    ds.generate_dataset(harness.dataset_spec_from_config(cfg), 0, tmp_path)
+    real_step = enc.sgd_step
+    stepped = []
+
+    def sgd_step(params, grads, lr):
+        stepped.append(real_step(params, grads, lr))
+        return stepped[-1]
+
+    monkeypatch.setattr(enc, "sgd_step", sgd_step)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteLoss, match="base phase, epoch 0, episode 3"):
+        harness.train_episodic(cfg, enc.init_params(cfg.arch, 0), "base",
+                               ds.load_dataset(tmp_path)[1]["train"])
+    assert len(stepped) == 3
+    assert all(np.isfinite(p.flat).all() for p in stepped)

@@ -22,25 +22,35 @@ def test_config_validation():
         RoiConfig(samples=0)
 
 
+def bin_mean_reference(fm, box, image_extents, cfg):
+    """The RoI feature as the mean over the loop oracle's grid x grid bins."""
+    return roi_align_reference(fm, box, image_extents, cfg.grid, cfg.samples).mean(axis=(0, 1))
+
+
 class TestRoiAlign:
+    """roi_feature against the bin-level loop oracles, averaged over bins."""
+
     def test_constant_fm_any_box(self):
         fm = np.full((4, 4, 3), 2.5)
         for box in [BoundingBox(0, 0, 31, 31), BoundingBox(5, 9, 12, 20),
                     BoundingBox(3, 3, 3, 3)]:
-            out = roi.roi_align(fm, box, (32, 32), RoiConfig(3, 2))
+            out = roi.roi_feature(fm, box, (32, 32), RoiConfig(3, 2))
             np.testing.assert_allclose(out, 2.5, rtol=0, atol=1e-12)
 
     def test_linear_field_analytic_means(self):
-        # fm value = column index; bilinear sampling is exact on linear
-        # fields, so each bin equals the mean of its sample x-coordinates
-        fm = np.tile(np.arange(8, dtype=np.float64)[None, :, None], (8, 1, 2))
+        # channel 0 = column index, channel 1 = row index; bilinear sampling
+        # is exact on linear fields, so the feature is the mean sample
+        # coordinate in the cell-center frame
+        cols, rows = np.meshgrid(np.arange(8.0), np.arange(8.0))
+        fm = np.stack([cols, rows], axis=2)
         cfg = RoiConfig(grid=2, samples=2)
-        box = BoundingBox(0, 0, 31, 31)     # full image, 32x32 -> feature [0, 8)
-        out = roi.roi_align(fm, box, (32, 32), cfg)
-        # bins span x in [0,4) and [4,8); sample centers at 1,3 and 5,7 in
-        # continuous coords -> 0.5,2.5 and 4.5,6.5 in cell-center coords
-        np.testing.assert_allclose(out[:, 0], 1.5, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out[:, 1], 5.5, rtol=0, atol=1e-12)
+        # full image, 32x32 -> feature [0, 8): sample centers 1,3,5,7 -> 0.5..6.5
+        full = roi.roi_feature(fm, BoundingBox(0, 0, 31, 31), (32, 32), cfg)
+        np.testing.assert_allclose(full, [3.5, 3.5], rtol=0, atol=1e-12)
+        # right half, top quarter: x in [4, 8) samples 4, 5, 6, 7; y in
+        # [0, 2) samples -0.25 (clamped to 0), 0.25, 0.75, 1.25
+        part = roi.roi_feature(fm, BoundingBox(0, 16, 7, 31), (32, 32), cfg)
+        np.testing.assert_allclose(part, [5.5, 2.25 / 4], rtol=0, atol=1e-12)
 
     def test_matches_stated_position_reference(self):
         rng = np.random.default_rng(0)
@@ -48,8 +58,8 @@ class TestRoiAlign:
         for box in [BoundingBox(2, 5, 17, 26), BoundingBox(0, 0, 31, 31),
                     BoundingBox(10, 10, 12, 14)]:
             for cfg in [RoiConfig(3, 2), RoiConfig(2, 3), RoiConfig(1, 1)]:
-                got = roi.roi_align(fm, box, (32, 32), cfg)
-                want = roi_align_reference(fm, box, (32, 32), cfg.grid, cfg.samples)
+                got = roi.roi_feature(fm, box, (32, 32), cfg)
+                want = bin_mean_reference(fm, box, (32, 32), cfg)
                 assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_matches_dense_oversampling_oracle(self):
@@ -58,16 +68,19 @@ class TestRoiAlign:
         for _ in range(3):
             fm = rng.uniform(size=(6, 6, 3))
             box = BoundingBox(3, 4, 20, 27)
-            got = roi.roi_align(fm, box, (32, 32), RoiConfig(3, 2))
-            dense = roi_align_dense(fm, box, (32, 32), grid=3, samples=64)
+            got = roi.roi_feature(fm, box, (32, 32), RoiConfig(3, 2))
+            dense = roi_align_dense(fm, box, (32, 32), grid=3, samples=64).mean(axis=(0, 1))
             assert np.max(np.abs(got - dense)) <= 0.05
 
     def test_box_outside_image_raises(self):
         fm = np.zeros((4, 4, 1))
+        for box in [BoundingBox(0, 0, 32, 31), BoundingBox(-1, 0, 3, 3)]:
+            with pytest.raises(ShapeError):
+                roi.roi_feature(fm, box, (32, 32))
+            with pytest.raises(ShapeError):
+                roi.roi_feature_vjp(fm, box, (32, 32), RoiConfig(), np.ones(1))
         with pytest.raises(ShapeError):
-            roi.roi_align(fm, BoundingBox(0, 0, 32, 31), (32, 32))
-        with pytest.raises(ShapeError):
-            roi.roi_align(fm, BoundingBox(-1, 0, 3, 3), (32, 32))
+            roi.roi_feature(np.zeros((4, 4)), BoundingBox(0, 0, 3, 3), (32, 32))
 
 
 class TestRoiFeature:
@@ -85,12 +98,13 @@ class TestRoiFeature:
         np.testing.assert_allclose(out, fm[2, 3], rtol=0, atol=1e-15)
 
     def test_mean_of_bins_oracle(self):
+        # non-square map and image: rows and columns scale independently
         rng = np.random.default_rng(3)
-        fm = rng.normal(size=(5, 5, 4))
-        box = BoundingBox(4, 4, 27, 24)
+        fm = rng.normal(size=(5, 3, 4))
+        box = BoundingBox(4, 4, 27, 20)
         cfg = RoiConfig(3, 2)
-        want = roi.roi_align(fm, box, (32, 32), cfg).mean(axis=(0, 1))
-        np.testing.assert_array_equal(roi.roi_feature(fm, box, (32, 32), cfg), want)
+        want = bin_mean_reference(fm, box, (32, 24), cfg)
+        assert np.max(np.abs(roi.roi_feature(fm, box, (32, 24), cfg) - want)) <= 1e-12
 
     def test_full_box_aligned_grid_equals_gap(self):
         # same-size geometry, grid = h, samples = 1: sample points land on
@@ -119,8 +133,11 @@ class TestRefineRepresentation:
     """Refined representations are per-class means of RoI features; with
     lambda = 1 the episode loss is the base term plus the loss against them."""
 
-    @staticmethod
-    def losses(seed, n_way, k_shot, boxes, images=None):
+    @pytest.fixture(autouse=True)
+    def _fix_boxes(self, fix_boxes):
+        self.fix_boxes = fix_boxes
+
+    def losses(self, seed, n_way, k_shot, boxes, images=None):
         params = enc.init_params(SMALL, seed)
         rng = np.random.default_rng(seed)
         ns, nq = n_way * k_shot, 2 * n_way
@@ -132,8 +149,8 @@ class TestRefineRepresentation:
             support_boxes=np.tile([2, 2, 10, 10], (ns, 1)),
             query_images=images[ns:], query_labels=np.repeat(np.arange(n_way), 2),
             query_boxes=np.tile([2, 2, 10, 10], (nq, 1)))
-        got, grad = episode_loss_and_gradient(params, episode, "refined",
-                                              LossConfig(8.0, 1.0), frozen_boxes=boxes)
+        self.fix_boxes(boxes)
+        got, grad = episode_loss_and_gradient(params, episode, "refined", LossConfig(8.0, 1.0))
         fms, _ = enc.forward_batch(params, images)
         emb = global_avg_pool_batch(fms)
         feats = [roi.roi_feature(fms[i], boxes[i], (16, 16)) for i in range(ns)]
@@ -177,8 +194,8 @@ class TestRefineRepresentation:
 class TestRoiAlignVjp:
     def test_zero_grad(self):
         fm = np.random.default_rng(7).normal(size=(4, 4, 2))
-        g = roi.roi_align_vjp(fm, BoundingBox(0, 0, 31, 31), (32, 32),
-                              RoiConfig(3, 2), np.zeros((3, 3, 2)))
+        g = roi.roi_feature_vjp(fm, BoundingBox(0, 0, 31, 31), (32, 32),
+                                RoiConfig(3, 2), np.zeros(2))
         assert not g.any()
 
     def test_partition_of_unity_single_sample(self):
@@ -186,28 +203,31 @@ class TestRoiAlignVjp:
         cfg = RoiConfig(1, 1)
         for box in [BoundingBox(5, 9, 12, 20), BoundingBox(0, 0, 31, 31),
                     BoundingBox(0, 0, 2, 2), BoundingBox(29, 29, 31, 31)]:
-            g = roi.roi_align_vjp(fm, box, (32, 32), cfg, np.ones((1, 1, 1)))
+            g = roi.roi_feature_vjp(fm, box, (32, 32), cfg, np.ones(1))
             assert np.count_nonzero(g) <= 4
             assert abs(g.sum() - 1.0) <= 1e-12
 
     def test_grad_shape_mismatch(self):
+        # a length-1 grad would broadcast to an (h, w, 1) gradient
         fm = np.zeros((4, 4, 2))
-        with pytest.raises(CacheMismatch):
-            roi.roi_align_vjp(fm, BoundingBox(0, 0, 31, 31), (32, 32),
-                              RoiConfig(3, 2), np.zeros((2, 2, 2)))
+        for grad in [np.zeros(1), np.zeros(3), np.zeros((3, 3, 2))]:
+            with pytest.raises(CacheMismatch):
+                roi.roi_feature_vjp(fm, BoundingBox(0, 0, 31, 31), (32, 32),
+                                    RoiConfig(3, 2), grad)
 
     def test_finite_differences(self):
+        # non-square geometry, box on the image edges: the outer samples
+        # fall on the clamped border cells
         rng = np.random.default_rng(8)
-        fm = rng.normal(size=(5, 5, 3))
-        box = BoundingBox(3, 6, 22, 28)
-        cfg = RoiConfig(3, 2)
-        gout = rng.normal(size=(3, 3, 3))
+        fm = rng.normal(size=(5, 4, 3))
+        box = BoundingBox(0, 6, 31, 23)
+        cfg = RoiConfig(2, 3)
+        g = rng.normal(size=3)
 
         def loss(flat):
-            out = roi.roi_align(flat.reshape(fm.shape), box, (32, 32), cfg)
-            return float((out * gout).sum())
+            return float(roi.roi_feature(flat.reshape(fm.shape), box, (32, 24), cfg) @ g)
 
-        grad = roi.roi_align_vjp(fm, box, (32, 32), cfg, gout)
+        grad = roi.roi_feature_vjp(fm, box, (32, 24), cfg, g)
         assert rel_err(grad.ravel(), fd_grad(loss, fm.ravel())) <= 1e-6
 
     def test_feature_vjp_finite_differences(self):
