@@ -17,8 +17,8 @@ from .encoder import (CacheMismatch, EncoderArch, EncoderParams,
 from .episodic import (EmptyClass, Episode, LossConfig, NegativeLambda,
                        NonPositiveTemperature, distance_logit_loss,
                        episode_loss_and_gradient, nearest_class)
-from .harness import (ArchMismatch, EvalReport, NonFiniteLoss, UnknownId,
-                      evaluate, localize_cmd, pretrain, report_emit,
+from .harness import (ArchMismatch, DeadEncoder, EvalReport, NonFiniteLoss,
+                      UnknownId, evaluate, localize_cmd, pretrain, report_emit,
                       train_episodic)
 from .kernels import ShapeError, bilinear_resize, relu, relu_vjp
 from .localization import (BoundingBox, DegenerateMap,

@@ -4,7 +4,9 @@ The network is a stack of conv(stride 1, pad (k-1)/2) -> relu -> maxpool(2)
 blocks. The final block's post-pool activation is the feature map; global
 average pooling of that map is the embedding. Parameters live in a single
 flat float64 vector with a deterministic layout, which keeps checkpoints
-and finite-difference checks simple.
+and finite-difference checks simple. The forward cache keeps each block's
+input and relu output only; the backward pass recomputes im2col columns and
+window maxima from them, and never forms the gradient w.r.t. the images.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import ShapeError
-from .tns_io import read_tns, write_tns
+from .tns_io import read_tns, replacing, write_tns
 
 
 class CacheMismatch(ValueError):
@@ -187,8 +189,8 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
         g = kernels.maxpool2d_vjp_batch(cache.post_relu[blk], g, window=2)
         # relu(t) > 0 exactly where t > 0, so the relu output masks alike
         g = kernels.relu_vjp(cache.post_relu[blk], g)
-        g, gw, gb = kernels.conv2d_vjp_batch(cache.block_inputs[blk], w,
-                                             stride=1, pad=arch.pad, grad_out=g)
+        g, gw, gb = kernels.conv2d_vjp_batch(cache.block_inputs[blk], w, 1, arch.pad, g,
+                                             need_input_grad=blk > 0)
         _, koff, kshape = layout[2 * blk]
         _, boff, bshape = layout[2 * blk + 1]
         grad_flat[koff:koff + int(np.prod(kshape))] = gw.ravel()
@@ -205,12 +207,14 @@ def sgd_step(params: EncoderParams, grads: np.ndarray, lr: float) -> EncoderPara
 
 
 def save_checkpoint(path, params: EncoderParams, seed: int) -> None:
-    """Write the flat vector as TNS1 plus a JSON sidecar with arch fields and seed."""
+    """Write the flat vector as TNS1 plus a JSON sidecar with arch fields and seed.
+    Both go to temporary files first, so a failed write leaves the old pair."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_tns(path, params.flat)
     manifest = {"arch": params.arch.to_dict(), "seed": int(seed)}
-    path.with_suffix(".json").write_text(json.dumps(manifest, indent=2) + "\n")
+    with replacing(path) as tmp, replacing(path.with_suffix(".json")) as tmp_json:
+        write_tns(tmp, params.flat)
+        tmp_json.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def load_checkpoint(path):

@@ -26,6 +26,7 @@ from .episodic import (LossConfig, episode_loss_and_gradient, nearest_class,
                        softmax_cross_entropy)
 from .localization import BoundingBox, iou, propose_box
 from .roi import RoiConfig, roi_feature
+from .tns_io import replacing
 
 # RNG stream tags; episodic training shares one stream across phases so a
 # zero-weight RoI phase replays the base phase's episode sequence exactly.
@@ -45,6 +46,10 @@ class ArchMismatch(ValueError):
 
 class NonFiniteLoss(FloatingPointError):
     """An episode's loss or gradient is not finite; no step is taken on it."""
+
+
+class DeadEncoder(FloatingPointError):
+    """An episode's gradient is identically zero: every embedding is equal."""
 
 
 def _check_arch(cfg: RunConfig, params: enc.EncoderParams) -> None:
@@ -124,7 +129,7 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
     """Seeded episodic SGD; phase "base" uses prototype loss, "ours" adds the
     RoI term with boxes proposed at the training threshold. Returns
     (params, per-episode losses); raises NonFiniteLoss before stepping on a
-    non-finite loss or gradient."""
+    non-finite loss or gradient, and DeadEncoder on an all-zero gradient."""
     if phase not in ("base", "ours"):
         raise ValueError(f"unknown phase {phase!r}")
     if split is None:
@@ -144,9 +149,11 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
                 params, episode, mode, loss_cfg,
                 tau=cfg.tau_train_resolved, roi_cfg=roi_cfg,
                 connectivity=cfg.connectivity)
+            where = f"{phase} phase, epoch {epoch}, episode {j} (index {len(losses)})"
             if not (np.isfinite(loss) and np.isfinite(grad).all()):
-                raise NonFiniteLoss(f"{phase} phase, epoch {epoch}, episode {j} "
-                                    f"(index {len(losses)}): loss {loss}")
+                raise NonFiniteLoss(f"{where}: loss {loss}")
+            if not grad.any():
+                raise DeadEncoder(f"{where}: zero gradient at loss {loss}")
             params = enc.sgd_step(params, grad, cfg.lr)
             losses.append(loss)
     return params, losses
@@ -317,8 +324,10 @@ def render_report(report: EvalReport) -> str:
 
 
 def report_emit(report: EvalReport, path) -> None:
+    """Write the rendered report through a temporary file and os.replace."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(render_report(report))
+    with replacing(path) as tmp:
+        tmp.write_text(render_report(report))
 
 
 # ---------------------------------------------------------------------------

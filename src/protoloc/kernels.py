@@ -4,11 +4,16 @@ Spatial layout is height x width x channels throughout. Every operation is
 a pure function over numpy arrays and is deterministic: identical inputs
 produce bit-identical outputs. The convolution, pooling and global-average
 kernels take a batch with a leading N axis, the shape the encoder and the
-episode code run them at; a single image is a batch of one. Bilinear resize
-and RoIAlign share one clamped corner-weight helper.
+episode code run them at; a single image is a batch of one. The convolution
+adjoint forms the input gradient as one transposed-convolution matmul, or
+skips it on request; the max-pool adjoint recomputes each window max from
+strided views of the input. Bilinear resize and RoIAlign share one clamped
+corner-weight helper.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -77,11 +82,11 @@ def conv2d_batch(x, kernels, bias, stride=1, pad=0):
     return out.reshape(n, out_h, out_w, cout)
 
 
-def conv2d_vjp_batch(x, kernels, stride, pad, grad_out, cols=None):
+def conv2d_vjp_batch(x, kernels, stride, pad, grad_out, need_input_grad=True):
     """Adjoint of conv2d_batch: returns (grad_x, grad_kernels, grad_bias).
 
-    grad_bias sums over the batch. `cols` may pass the forward's im2col
-    buffer to skip recomputing it.
+    grad_bias sums over the batch. grad_x is None unless need_input_grad; it is
+    a transposed convolution (Dumoulin & Visin, arXiv:1603.07285).
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -94,23 +99,20 @@ def conv2d_vjp_batch(x, kernels, stride, pad, grad_out, cols=None):
         raise ShapeError(
             f"grad_out shape {grad_out.shape} != {(n, out_h, out_w, cout)}")
 
-    if cols is None:
-        xp = _pad_hw(x, pad)
-        cols = _im2col(xp, k, stride, out_h, out_w).reshape(n * out_h * out_w, k * k * cin)
     g = grad_out.reshape(n * out_h * out_w, cout)
-
     grad_bias = g.sum(axis=0)
+    cols = _im2col(_pad_hw(x, pad), k, stride, out_h, out_w).reshape(n * out_h * out_w, -1)
     grad_kernels = (cols.T @ g).reshape(k, k, cin, cout)
+    del cols  # freed before the input-gradient columns are built, for peak memory
+    if not need_input_grad:
+        return None, grad_kernels, grad_bias
 
-    gcols = (g @ kernels.reshape(k * k * cin, cout).T)
-    gcols = gcols.reshape(n, out_h, out_w, k, k, cin)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    grad_xp = np.zeros((n, hp, wp, cin))
-    for a in range(k):
-        for b in range(k):
-            grad_xp[:, a:a + out_h * stride:stride,
-                    b:b + out_w * stride:stride, :] += gcols[:, :, :, a, b, :]
-    grad_x = grad_xp[:, pad:pad + h, pad:pad + w, :] if pad else grad_xp
+    # grad_out row i zero-dilated to row k-1+i*stride, correlated with the flipped kernel
+    gd = np.zeros((n, h + 2 * pad + k - 1, w + 2 * pad + k - 1, cout))
+    gd[:, k - 1:k - 1 + out_h * stride:stride, k - 1:k - 1 + out_w * stride:stride] = grad_out
+    gcols = _im2col(gd[:, pad:, pad:], k, 1, h, w).reshape(n * h * w, k * k * cout)
+    flipped = kernels[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
+    grad_x = (gcols @ flipped).reshape(n, h, w, cin)
     return grad_x, grad_kernels, grad_bias
 
 
@@ -152,19 +154,20 @@ def maxpool2d_batch(x, window=2):
 
 
 def maxpool2d_vjp_batch(x, grad_out, window=2):
-    """Routes gradient to each window's argmax cell (first in scan order on ties)."""
+    """Routes gradient to each window's max cell (first in scan order on ties)."""
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    win = _pool_windows(x, window)
-    n, h2, w2, ww, c = win.shape
-    if grad_out.shape != (n, h2, w2, c):
-        raise ShapeError(f"grad_out shape {grad_out.shape} != {(n, h2, w2, c)}")
-    # argmax returns the first max in scan order, which fixes tie routing
-    idx = win.argmax(axis=3)
-    grad_win = np.zeros_like(win)
-    np.put_along_axis(grad_win, idx[:, :, :, None, :], grad_out[:, :, :, None, :], axis=3)
-    grad_x = grad_win.reshape(n, h2, w2, window, window, c)
-    grad_x = grad_x.transpose(0, 1, 3, 2, 4, 5).reshape(x.shape)
+    n, h, w, c = x.shape
+    if h % window or w % window or grad_out.shape != (n, h // window, w // window, c):
+        raise ShapeError(f"extents {(h, w)} or grad_out {grad_out.shape} misfit window {window}")
+    views = {(a, b): x[:, a::window, b::window] for a in range(window) for b in range(window)}
+    pooled = functools.reduce(np.maximum, views.values())
+    grad_x = np.zeros_like(x)
+    unrouted = np.ones(pooled.shape, dtype=bool)
+    for (a, b), view in views.items():
+        hit = unrouted & (view == pooled)
+        grad_x[:, a::window, b::window] = np.where(hit, grad_out, 0.0)
+        unrouted &= ~hit
     return grad_x
 
 

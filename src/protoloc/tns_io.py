@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +40,19 @@ def write_tns(path, arr: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(header)
         f.write(payload)
+
+
+@contextmanager
+def replacing(path):
+    """Yield a temporary path beside `path`; a clean exit moves it onto `path`
+    with os.replace, an exception deletes it and leaves `path` as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_tns(path) -> np.ndarray:

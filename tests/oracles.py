@@ -32,6 +32,23 @@ def conv2d_loops(x, kernels, bias, stride=1, pad=0):
     return out
 
 
+def maxpool2d_vjp_loops(x, grad_out, window):
+    """Max-pool adjoint over one batch, cell by cell: each window's gradient
+    goes to its first cell in row-major scan order holding the window max."""
+    n, h, w, c = x.shape
+    grad_x = np.zeros_like(x)
+    for i in range(n):
+        for ch in range(c):
+            for oy in range(h // window):
+                for ox in range(w // window):
+                    cells = [(oy * window + a, ox * window + b)
+                             for a in range(window) for b in range(window)]
+                    best = max(x[i, y, xx, ch] for y, xx in cells)
+                    y, xx = next(cell for cell in cells if x[i, cell[0], cell[1], ch] == best)
+                    grad_x[i, y, xx, ch] = grad_out[i, oy, ox, ch]
+    return grad_x
+
+
 def flood_fill_components(mask, connectivity=4):
     """All connected components of a boolean mask via BFS, as pixel lists
     in discovery (row-major seed) order."""

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,29 @@ class TestCheckpoint:
         assert seed == 33
         assert loaded.arch == SMALL
         np.testing.assert_array_equal(loaded.flat, params.flat)
+
+    @pytest.mark.parametrize("failing", ["tns", "json"])
+    def test_failed_write_keeps_previous_pair(self, tmp_path, monkeypatch, failing):
+        path = tmp_path / "ckpt.tns"
+        enc.save_checkpoint(path, enc.init_params(SMALL, 1), seed=1)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_write_tns, real_write_text = enc.write_tns, Path.write_text
+
+        def write_tns(target, arr):
+            real_write_tns(target, arr[:arr.size // 2])
+            if failing == "tns":
+                raise OSError("disk full")
+
+        def write_text(self, text, *args, **kwargs):
+            real_write_text(self, text[:len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(enc, "write_tns", write_tns)
+        if failing == "json":
+            monkeypatch.setattr(Path, "write_text", write_text)
+        with pytest.raises(OSError, match="disk full"):
+            enc.save_checkpoint(path, enc.init_params(SMALL, 2), seed=2)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_sidecar_manifest_fields(self, tmp_path):
         import json

@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from protoloc import encoder as enc
 from protoloc import harness
 from protoloc.config import RunConfig
 from protoloc.encoder import EncoderArch
-from protoloc.harness import ArchMismatch, NonFiniteLoss
+from protoloc.harness import ArchMismatch, DeadEncoder, NonFiniteLoss
 
 SMALL = dict(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size=16)
 
@@ -82,3 +85,45 @@ def test_diverging_run_raises_before_stepping_on_nan(tmp_path, monkeypatch):
                                ds.load_dataset(tmp_path)[1]["train"])
     assert len(stepped) == 3
     assert all(np.isfinite(p.flat).all() for p in stepped)
+
+
+def test_dead_encoder_raises_before_stepping(tmp_path, monkeypatch):
+    # 3-way at lr=1e6 the loss climbs to ~1e112, then every embedding is
+    # equal: the loss is exactly log 3 and the gradient exactly zero
+    cfg = RunConfig(per_class_count=20, n_way=3, lr=1e6, epochs_base=1,
+                    episodes_per_epoch=8)
+    ds.generate_dataset(harness.dataset_spec_from_config(cfg), 0, tmp_path)
+    real_step = enc.sgd_step
+    stepped = []
+
+    def sgd_step(params, grads, lr):
+        stepped.append(real_step(params, grads, lr))
+        return stepped[-1]
+
+    monkeypatch.setattr(enc, "sgd_step", sgd_step)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DeadEncoder, match="base phase, epoch 0, episode 3"):
+        harness.train_episodic(cfg, enc.init_params(cfg.arch, 0), "base",
+                               ds.load_dataset(tmp_path)[1]["train"])
+    assert len(stepped) == 3
+    assert all(np.isfinite(p.flat).all() for p in stepped)
+
+
+def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch):
+    report = harness.EvalReport(seed=1, mode="prototype", n_tasks=2, mean_accuracy=0.5,
+                                ci95=0.1, mean_iou=0.25, corloc_at_50=0.0,
+                                task_accuracies=[0.4, 0.6], config={"seed": 1})
+    path = tmp_path / "report.json"
+    harness.report_emit(report, path)
+    before = path.read_bytes()
+    real_write_text = Path.write_text
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        real_write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        harness.report_emit(dataclasses.replace(report, seed=2), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -5,7 +5,7 @@ from protoloc import kernels, roi
 from protoloc.kernels import ShapeError
 from protoloc.localization import BoundingBox
 
-from oracles import conv2d_loops, fd_grad, rel_err
+from oracles import conv2d_loops, fd_grad, maxpool2d_vjp_loops, rel_err
 
 SINGLE = roi.RoiConfig(grid=1, samples=1)
 
@@ -102,7 +102,9 @@ class TestConv2dVjp:
         _, _, gb = kernels.conv2d_vjp_batch(x, k, 1, 1, g)
         np.testing.assert_array_equal(gb, np.full(3, 72.0))
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
+    # (3, 0): no window reaches the last two rows and columns, whose
+    # gradient must come out zero; (2, 2): the edge windows see one input row
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (3, 0), (2, 2)])
     def test_finite_differences(self, stride, pad):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, 5, 5, 2))
@@ -127,6 +129,19 @@ class TestConv2dVjp:
         assert rel_err(gx.ravel(), fd_grad(loss_x, x.ravel())) <= 1e-6
         assert rel_err(gk.ravel(), fd_grad(loss_k, k.ravel())) <= 1e-6
         assert rel_err(gb, fd_grad(loss_b, bias)) <= 1e-6
+
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (3, 0)])
+    def test_without_input_grad_parameter_grads_bitwise_equal(self, stride, pad):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(2, 7, 5, 3))
+        k = rng.normal(size=(3, 3, 3, 4))
+        gout = rng.normal(size=kernels.conv2d_batch(x, k, np.zeros(4), stride, pad).shape)
+        _, gk, gb = kernels.conv2d_vjp_batch(x, k, stride, pad, gout)
+        gx, gk_only, gb_only = kernels.conv2d_vjp_batch(x, k, stride, pad, gout,
+                                                        need_input_grad=False)
+        assert gx is None
+        assert gk_only.tobytes() == gk.tobytes()
+        assert gb_only.tobytes() == gb.tobytes()
 
 
 class TestRelu:
@@ -174,6 +189,19 @@ class TestMaxPool:
     def test_indivisible_extent_raises(self):
         with pytest.raises(ShapeError):
             kernels.maxpool2d_batch(np.zeros((1, 5, 4, 1)))
+        with pytest.raises(ShapeError):
+            kernels.maxpool2d_vjp_batch(np.zeros((1, 5, 4, 1)), np.zeros((1, 2, 2, 1)))
+        with pytest.raises(ShapeError):
+            kernels.maxpool2d_vjp_batch(np.zeros((1, 4, 4, 1)), np.zeros((1, 2, 2, 2)))
+
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_tie_routing_matches_loop_oracle(self, window):
+        # values from {0, 1, 2}: most windows hold their max more than once
+        rng = np.random.default_rng(16)
+        x = rng.integers(0, 3, size=(2, 4 * window, 3 * window, 3)).astype(np.float64)
+        g = rng.normal(size=(2, 4, 3, 3))
+        gx = kernels.maxpool2d_vjp_batch(x, g, window)
+        assert gx.tobytes() == maxpool2d_vjp_loops(x, g, window).tobytes()
 
     def test_finite_differences_off_ties(self):
         rng = np.random.default_rng(9)
