@@ -18,8 +18,8 @@ from .episodic import (EmptyClass, Episode, LossConfig, NegativeLambda,
                        NonPositiveTemperature, distance_logit_loss,
                        episode_loss_and_gradient, nearest_class)
 from .harness import (ArchMismatch, DeadEncoder, EvalReport, NonFiniteLoss,
-                      UnknownId, evaluate, localize_cmd, pretrain, report_emit,
-                      train_episodic)
+                      SpecMismatch, UnknownId, evaluate, localize_cmd, pretrain,
+                      report_emit, train_episodic)
 from .kernels import ShapeError, bilinear_resize, relu, relu_vjp
 from .localization import (BoundingBox, DegenerateMap,
                            DegenerateRepresentation, EmptyComponent,

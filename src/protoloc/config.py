@@ -1,8 +1,9 @@
 """Run configuration: flat ``key = value`` config files plus defaults.
 
-Unset keys fall back to the published defaults; the RoI-loss weight and
-the training threshold default by shot count (1.0 and 0.5 for 1-shot,
-0.5 and 0.7 for 5-shot) unless set explicitly.
+Values are read as text and converted by the type of the ``RunConfig``
+field their key names. Unset keys fall back to the published defaults; the
+RoI-loss weight and the training threshold default by shot count (1.0 and
+0.5 for 1-shot, 0.5 and 0.7 for 5-shot) unless set explicitly.
 """
 
 from __future__ import annotations
@@ -12,21 +13,18 @@ from pathlib import Path
 
 from .encoder import EncoderArch
 
-
-def _coerce(raw: str):
-    raw = raw.strip()
-    for caster in (int, float):
-        try:
-            return caster(raw)
-        except ValueError:
-            pass
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    return raw
+# text -> value, keyed by the RunConfig field annotations (kept as strings)
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "float | None": float,
+    "str": str,
+    "tuple": lambda raw: tuple(int(c) for c in raw.split(",")),
+}
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines; ``#`` starts a comment."""
+    """Parse flat ``key = value`` lines into key -> text; ``#`` starts a comment."""
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -35,7 +33,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
-        out[key.strip()] = _coerce(raw)
+        out[key.strip()] = raw.strip()
     return out
 
 
@@ -50,7 +48,7 @@ def apply_overrides(mapping: dict, sets) -> dict:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form key=value")
         key, _, raw = item.partition("=")
-        merged[key.strip()] = _coerce(raw)
+        merged[key.strip()] = raw.strip()
     return merged
 
 
@@ -121,10 +119,7 @@ class RunConfig:
     }
 
     def __post_init__(self):
-        if isinstance(self.arch_channels, str):
-            self.arch_channels = tuple(int(c) for c in self.arch_channels.split(","))
-        else:
-            self.arch_channels = tuple(int(c) for c in self.arch_channels)
+        self.arch_channels = tuple(int(c) for c in self.arch_channels)
         for name in ("tau_eval", "tau_train"):
             v = getattr(self, name)
             if v is not None and not 0.0 < v <= 1.0:
@@ -140,11 +135,18 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":
+        """Build from key -> value, reading each value's text as its field's type."""
+        types = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for key, value in mapping.items():
             if key not in cls._KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[cls._KEYS[key]] = value
+            name = cls._KEYS[key]
+            try:
+                kwargs[name] = _PARSERS[types[name]](str(value).strip())
+            except ValueError:
+                raise ValueError(
+                    f"config key {key!r}: cannot read {value!r} as {types[name]}") from None
         return cls(**kwargs)
 
     @property

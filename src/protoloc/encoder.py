@@ -1,12 +1,14 @@
 """Convolutional embedding network with a manual backward pass.
 
-The network is a stack of conv(stride 1, pad (k-1)/2) -> relu -> maxpool(2)
-blocks. The final block's post-pool activation is the feature map; global
-average pooling of that map is the embedding. Parameters live in a single
-flat float64 vector with a deterministic layout, which keeps checkpoints
-and finite-difference checks simple. The forward cache keeps each block's
-input and relu output only; the backward pass recomputes im2col columns and
-window maxima from them, and never forms the gradient w.r.t. the images.
+The network is a stack of conv(stride 1, pad (k-1)/2) -> maxpool(2) -> relu
+blocks: relu is monotone, so this equals conv -> relu -> maxpool exactly,
+with relu on the pooled grid. The last block's output is the feature map;
+its global average pool is the embedding. Parameters live in one flat
+float64 vector with a deterministic layout, which keeps checkpoints and
+finite-difference checks simple. The forward cache keeps each block's input
+and conv output plus the feature map; the backward pass masks by each block
+output, routes through the pool on the conv output, and never forms the
+gradient w.r.t. the images.
 """
 
 from __future__ import annotations
@@ -142,8 +144,8 @@ class ForwardCache:
     """Per-block activations retained for the backward pass of one forward call."""
     arch: EncoderArch
     block_inputs: list       # conv input per block, (N, H, W, Cin)
-    post_relu: list          # relu output (pool input) per block, (N, H, W, Cout)
-    fm_shape: tuple          # (N, h, w, D)
+    conv_outputs: list       # conv output (pool input) per block, (N, H, W, Cout)
+    fm: np.ndarray           # final feature map, (N, h, w, D)
 
 
 def forward_batch(params: EncoderParams, images: np.ndarray, keep_cache: bool = True):
@@ -156,14 +158,14 @@ def forward_batch(params: EncoderParams, images: np.ndarray, keep_cache: bool = 
             f"image batch shape {images.shape} does not match arch input "
             f"{(arch.input_size, arch.input_size, arch.input_channels)}")
     x = images
-    block_inputs, post_relu = [], []
+    block_inputs, conv_outputs = [], []
     for w, b in params.block_views():
-        act = kernels.relu(kernels.conv2d_batch(x, w, b, stride=1, pad=arch.pad))
+        t = kernels.conv2d_batch(x, w, b, stride=1, pad=arch.pad)
         if keep_cache:
             block_inputs.append(x)
-            post_relu.append(act)
-        x = kernels.maxpool2d_batch(act, window=2)
-    cache = ForwardCache(arch, block_inputs, post_relu, x.shape) if keep_cache else None
+            conv_outputs.append(t)
+        x = kernels.relu(kernels.maxpool2d_batch(t, window=2))
+    cache = ForwardCache(arch, block_inputs, conv_outputs, x) if keep_cache else None
     return x, cache
 
 
@@ -176,19 +178,20 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
     if len(cache.block_inputs) != arch.blocks:
         raise CacheMismatch("cache holds a different number of blocks")
     grad_fms = np.asarray(grad_fms, dtype=np.float64)
-    if grad_fms.shape != cache.fm_shape:
+    if grad_fms.shape != cache.fm.shape:
         raise CacheMismatch(
-            f"grad shape {grad_fms.shape} != cached feature map shape {cache.fm_shape}")
+            f"grad shape {grad_fms.shape} != cached feature map shape {cache.fm.shape}")
 
     grad_flat = np.zeros_like(params.flat)
     layout, _ = param_layout(arch)
     views = params.block_views()
+    block_outputs = cache.block_inputs[1:] + [cache.fm]
     g = grad_fms
     for blk in reversed(range(arch.blocks)):
         w, _ = views[blk]
-        g = kernels.maxpool2d_vjp_batch(cache.post_relu[blk], g, window=2)
-        # relu(t) > 0 exactly where t > 0, so the relu output masks alike
-        g = kernels.relu_vjp(cache.post_relu[blk], g)
+        # relu(t) > 0 exactly where t > 0, so the block output masks like the pooled map
+        g = kernels.relu_vjp(block_outputs[blk], g)
+        g = kernels.maxpool2d_vjp_batch(cache.conv_outputs[blk], g, window=2)
         g, gw, gb = kernels.conv2d_vjp_batch(cache.block_inputs[blk], w, 1, arch.pad, g,
                                              need_input_grad=blk > 0)
         _, koff, kshape = layout[2 * blk]

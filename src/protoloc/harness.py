@@ -44,6 +44,10 @@ class ArchMismatch(ValueError):
     """The config's encoder architecture differs from the checkpoint's."""
 
 
+class SpecMismatch(ValueError):
+    """The dataset manifest's spec differs from the one the config describes."""
+
+
 class NonFiniteLoss(FloatingPointError):
     """An episode's loss or gradient is not finite; no step is taken on it."""
 
@@ -67,6 +71,18 @@ def dataset_spec_from_config(cfg: RunConfig) -> DatasetSpec:
     )
 
 
+def _load_splits(cfg: RunConfig) -> dict:
+    """Load cfg.data_dir; raises SpecMismatch unless its manifest spec is the config's."""
+    manifest, splits = load_dataset(cfg.data_dir)
+    found = DatasetSpec.from_dict(manifest["spec"]).to_dict()
+    wanted = dataset_spec_from_config(cfg).to_dict()
+    if found != wanted:
+        diff = {k: (v, wanted[k]) for k, v in found.items() if v != wanted[k]}
+        raise SpecMismatch(f"{cfg.data_dir}: manifest spec differs from config "
+                           f"(key: (manifest, config)): {diff}")
+    return splits
+
+
 # ---------------------------------------------------------------------------
 # Pretraining: encoder + throwaway linear head on the train split
 # ---------------------------------------------------------------------------
@@ -83,8 +99,8 @@ def pretrain(cfg: RunConfig, data=None) -> PretrainResult:
     """Train encoder plus a single-layer classifier over all train-split
     classes with cross-entropy; the head is discarded by the caller."""
     if data is None:
-        _, splits = load_dataset(cfg.data_dir)
-        data = (splits["train"].images, splits["train"].labels)
+        train = _load_splits(cfg)["train"]
+        data = (train.images, train.labels)
     images, labels = data
     if images.shape[0] == 0:
         raise InsufficientData("train split is empty")
@@ -133,8 +149,7 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
     if phase not in ("base", "ours"):
         raise ValueError(f"unknown phase {phase!r}")
     if split is None:
-        _, splits = load_dataset(cfg.data_dir)
-        split = splits["train"]
+        split = _load_splits(cfg)["train"]
     epochs = cfg.epochs_base if phase == "base" else cfg.epochs_ours
     mode = "prototype" if phase == "base" else "refined"
     loss_cfg = LossConfig(cfg.temperature, cfg.lambda_roi_resolved)
@@ -226,8 +241,7 @@ def evaluate(cfg: RunConfig, params: enc.EncoderParams, reps_mode: str,
         raise ValueError(f"unknown reps_mode {reps_mode!r}")
     _check_arch(cfg, params)
     if split is None:
-        _, splits = load_dataset(cfg.data_dir)
-        split = splits["test"]
+        split = _load_splits(cfg)["test"]
 
     start = time.perf_counter()
     indices = range(cfg.tasks)
@@ -366,7 +380,7 @@ def localize_cmd(cfg: RunConfig, params: enc.EncoderParams, ids,
     """
     _check_arch(cfg, params)
     if splits is None:
-        _, splits = load_dataset(cfg.data_dir)
+        splits = _load_splits(cfg)
     if split_name not in splits:
         raise UnknownId(f"unknown split {split_name!r}")
     split = splits[split_name]

@@ -6,9 +6,10 @@ produce bit-identical outputs. The convolution, pooling and global-average
 kernels take a batch with a leading N axis, the shape the encoder and the
 episode code run them at; a single image is a batch of one. The convolution
 adjoint forms the input gradient as one transposed-convolution matmul, or
-skips it on request; the max-pool adjoint recomputes each window max from
-strided views of the input. Bilinear resize and RoIAlign share one clamped
-corner-weight helper.
+skips it on request. Max pooling and its adjoint share one helper, the
+window x window strided views of the input: their elementwise max is the
+pooled map, and the adjoint routes each gradient against it. Bilinear
+resize and RoIAlign share one clamped corner-weight helper.
 """
 
 from __future__ import annotations
@@ -137,36 +138,32 @@ def relu_vjp(t, g):
 # Max pooling
 # ---------------------------------------------------------------------------
 
-def _pool_windows(x, window):
-    n, h, w, c = x.shape
+def _window_views(x, window):
+    """The window x window strided views x[:, a::window, b::window], in row-major scan order."""
+    _, h, w, _ = x.shape
     if h % window or w % window:
         raise ShapeError(f"extents {(h, w)} not divisible by pool window {window}")
-    h2, w2 = h // window, w // window
-    win = x.reshape(n, h2, window, w2, window, c)
-    # window cells in row-major scan order on axis 3
-    return win.transpose(0, 1, 3, 2, 4, 5).reshape(n, h2, w2, window * window, c)
+    return [x[:, a::window, b::window] for a in range(window) for b in range(window)]
 
 
 def maxpool2d_batch(x, window=2):
     """Per-window max over non-overlapping window x window blocks."""
-    x = np.asarray(x, dtype=np.float64)
-    return _pool_windows(x, window).max(axis=3)
+    return functools.reduce(np.maximum, _window_views(np.asarray(x, dtype=np.float64), window))
 
 
 def maxpool2d_vjp_batch(x, grad_out, window=2):
     """Routes gradient to each window's max cell (first in scan order on ties)."""
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    n, h, w, c = x.shape
-    if h % window or w % window or grad_out.shape != (n, h // window, w // window, c):
-        raise ShapeError(f"extents {(h, w)} or grad_out {grad_out.shape} misfit window {window}")
-    views = {(a, b): x[:, a::window, b::window] for a in range(window) for b in range(window)}
-    pooled = functools.reduce(np.maximum, views.values())
+    views = _window_views(x, window)
+    pooled = functools.reduce(np.maximum, views)
+    if grad_out.shape != pooled.shape:
+        raise ShapeError(f"grad_out {grad_out.shape} misfits pooled shape {pooled.shape}")
     grad_x = np.zeros_like(x)
     unrouted = np.ones(pooled.shape, dtype=bool)
-    for (a, b), view in views.items():
+    for i, view in enumerate(views):
         hit = unrouted & (view == pooled)
-        grad_x[:, a::window, b::window] = np.where(hit, grad_out, 0.0)
+        grad_x[:, i // window::window, i % window::window] = np.where(hit, grad_out, 0.0)
         unrouted &= ~hit
     return grad_x
 

@@ -30,7 +30,7 @@ _NATIVE = {0: np.float32, 1: np.float64, 2: np.uint32}
 
 
 def write_tns(path, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr)
+    arr = np.asarray(arr)
     code = _KIND_TO_CODE.get(arr.dtype.newbyteorder("="))
     if code is None:
         raise ValueError(f"unsupported dtype for TNS1: {arr.dtype}")

@@ -1,8 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import settings
 
 from protoloc import episodic
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic; no deadline, since timing varies across machines.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

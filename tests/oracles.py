@@ -9,6 +9,8 @@ from collections import deque
 
 import numpy as np
 
+from protoloc import kernels
+
 
 def conv2d_loops(x, kernels, bias, stride=1, pad=0):
     """Direct triple-nested-loop convolution over one image."""
@@ -47,6 +49,27 @@ def maxpool2d_vjp_loops(x, grad_out, window):
                     y, xx = next(cell for cell in cells if x[i, cell[0], cell[1], ch] == best)
                     grad_x[i, y, xx, ch] = grad_out[i, oy, ox, ch]
     return grad_x
+
+
+def relu_first_encoder(params, images, grad_fms):
+    """Feature maps and flat parameter gradient of the textbook block order,
+    conv -> relu -> max-pool with relu on the full-size conv output, forward
+    and backward as plain kernel calls."""
+    pad = params.arch.pad
+    block_inputs, activations = [], []
+    x = images
+    for w, b in params.block_views():
+        block_inputs.append(x)
+        activations.append(kernels.relu(kernels.conv2d_batch(x, w, b, 1, pad)))
+        x = kernels.maxpool2d_batch(activations[-1])
+    grads = []
+    g = grad_fms
+    for (w, _), x_in, act in reversed(list(zip(params.block_views(), block_inputs,
+                                                activations))):
+        g = kernels.relu_vjp(act, kernels.maxpool2d_vjp_batch(act, g))
+        g, gw, gb = kernels.conv2d_vjp_batch(x_in, w, 1, pad, g)
+        grads[:0] = [gw.ravel(), gb]
+    return x, np.concatenate(grads)
 
 
 def flood_fill_components(mask, connectivity=4):

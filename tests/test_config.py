@@ -1,0 +1,63 @@
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from protoloc.config import RunConfig, apply_overrides, parse_config_text
+
+
+def _render(echo: dict) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in echo.items())
+
+
+def test_one_block_channel_list():
+    cfg = RunConfig.from_mapping(parse_config_text("arch.blocks = 1\narch.channels = 8\n"))
+    assert cfg.arch_channels == (8,)
+    assert cfg.arch.channels == (8,)
+
+
+def test_numeric_path_stays_text():
+    cfg = RunConfig.from_mapping(apply_overrides({}, ["dataset.path=2024"]))
+    assert cfg.data_dir == "2024"
+
+
+def test_values_take_their_field_type():
+    cfg = RunConfig.from_mapping(parse_config_text("train.lr = 1\nloss.lambda_roi = 2\n"
+                                                   "eval.tasks = 7\nseed = 3\n"))
+    assert (type(cfg.lr), type(cfg.lambda_roi), type(cfg.tasks)) == (float, float, int)
+    assert (cfg.lr, cfg.lambda_roi, cfg.tasks, cfg.seed) == (1.0, 2.0, 7, 3)
+
+
+@pytest.mark.parametrize("line", ["eval.tasks = 1.5", "train.lr = fast", "arch.channels = 8,x"])
+def test_unreadable_value_names_its_key(line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        RunConfig.from_mapping(parse_config_text(line))
+
+
+_TEXT = st.one_of(
+    st.integers(0, 10**6).map(str),                            # numeric-looking
+    st.floats(allow_nan=False).map(repr),
+    st.text("abcXYZ0129_./-", max_size=12),
+)
+_BY_TYPE = {
+    "int": st.integers(1, 10**9),
+    "float": st.floats(0.0, 1.0, exclude_min=True),
+    "float | None": st.none() | st.floats(0.0, 1.0, exclude_min=True),
+    "str": _TEXT,
+    "tuple": st.lists(st.integers(1, 512), min_size=1, max_size=4).map(tuple),
+}
+
+
+@st.composite
+def _configs(draw):
+    return RunConfig(**{f.name: draw(_BY_TYPE[f.type])
+                        for f in dataclasses.fields(RunConfig)})
+
+
+@settings(max_examples=100)
+@given(cfg=_configs())
+def test_echo_round_trips_through_config_text(cfg):
+    again = RunConfig.from_mapping(parse_config_text(_render(cfg.echo())))
+    assert again.echo() == cfg.echo()

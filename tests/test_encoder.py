@@ -8,7 +8,7 @@ from protoloc import kernels
 from protoloc.encoder import CacheMismatch, EncoderArch
 from protoloc.kernels import ShapeError
 
-from oracles import fd_grad, rel_err
+from oracles import fd_grad, rel_err, relu_first_encoder
 
 SMALL = EncoderArch(blocks=2, channels=(4, 6), kernel=3, input_size=16)
 
@@ -151,6 +151,24 @@ class TestBackward:
             return float((kernels.global_avg_pool_batch(out) * g).sum())
 
         assert rel_err(grad, fd_grad(loss, params.flat)) <= 1e-5
+
+    def test_bitwise_equal_to_relu_first_oracle(self):
+        # negative biases leave many pooling windows with no positive cell,
+        # where the textbook order routes a gradient that its relu mask zeroes
+        params = enc.init_params(SMALL, 23)
+        rng = np.random.default_rng(23)
+        for _, bias in params.block_views():
+            bias[:] = rng.normal(-0.2, 0.2, size=bias.shape)
+        images = rng.uniform(size=(3, 16, 16, 3))
+        fms, cache = enc.forward_batch(params, images)
+        grad_fms = rng.normal(size=fms.shape)
+        grad = enc.backward_batch(params, cache, grad_fms)
+
+        fms_ref, grad_ref = relu_first_encoder(params, images, grad_fms)
+        assert 0.2 < (fms == 0).mean() < 0.8
+        assert all(0.1 < (x == 0).mean() < 0.9 for x in cache.block_inputs[1:])
+        assert fms.tobytes() == fms_ref.tobytes()
+        assert grad.tobytes() == grad_ref.tobytes()
 
     def test_cache_mismatch(self):
         params = enc.init_params(SMALL, 2)

@@ -9,17 +9,22 @@ from protoloc import encoder as enc
 from protoloc import harness
 from protoloc.config import RunConfig
 from protoloc.encoder import EncoderArch
-from protoloc.harness import ArchMismatch, DeadEncoder, NonFiniteLoss
+from protoloc.harness import ArchMismatch, DeadEncoder, NonFiniteLoss, SpecMismatch
 
 SMALL = dict(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size=16)
 
 
 @pytest.fixture(scope="module")
-def splits(tmp_path_factory):
+def data_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
     cfg = RunConfig(per_class_count=8, **SMALL)
     ds.generate_dataset(harness.dataset_spec_from_config(cfg), 5, root)
-    return ds.load_dataset(root)[1]
+    return root
+
+
+@pytest.fixture(scope="module")
+def splits(data_root):
+    return ds.load_dataset(data_root)[1]
 
 
 def small_config(**kw):
@@ -62,6 +67,24 @@ def test_localize_cmd_rejects_arch_mismatch(tmp_path):
     out_dir = tmp_path / "overlays"
     with pytest.raises(ArchMismatch):
         harness.localize_cmd(cfg, params, [0], out_dir=out_dir)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("entry", ["pretrain", "train_episodic", "evaluate", "localize_cmd"])
+def test_entry_points_reject_dataset_spec_mismatch(data_root, tmp_path, entry):
+    # the dataset holds 8 solid-noise images per class with at most 3 distractors
+    cfg = small_config(data_dir=str(data_root), per_class_count=500,
+                       background="gradient", distractors_max=9)
+    params = enc.init_params(cfg.arch, 0)
+    out_dir = tmp_path / "overlays"
+    run = {
+        "pretrain": lambda: harness.pretrain(cfg),
+        "train_episodic": lambda: harness.train_episodic(cfg, params, "base"),
+        "evaluate": lambda: harness.evaluate(cfg, params, "refined"),
+        "localize_cmd": lambda: harness.localize_cmd(cfg, params, [0], out_dir=out_dir),
+    }[entry]
+    with pytest.raises(SpecMismatch, match="'per_class_count': \\(8, 500\\)"):
+        run()
     assert not out_dir.exists()
 
 

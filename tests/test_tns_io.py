@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from protoloc.tns_io import read_tns, write_tns
 
@@ -65,3 +68,31 @@ def test_rejects_non_finite_payload(tmp_path):
     path.write_bytes(header + arr.astype("<f8").tobytes())
     with pytest.raises(ValueError, match="non-finite"):
         read_tns(path)
+
+
+_FINITE = {
+    np.dtype("float32"): st.floats(allow_nan=False, allow_infinity=False, width=32),
+    np.dtype("float64"): st.floats(allow_nan=False, allow_infinity=False),
+    np.dtype("uint32"): st.integers(0, 2**32 - 1),
+}
+
+
+@st.composite
+def _tensors(draw):
+    dtype = draw(st.sampled_from(list(_FINITE)))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3))
+    return draw(hnp.arrays(dtype, shape, elements=_FINITE[dtype]))
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("tns") / "t.tns"
+
+
+@settings(max_examples=150)
+@given(arr=_tensors())
+def test_round_trip_is_bitwise(scratch_file, arr):
+    write_tns(scratch_file, arr)
+    back = read_tns(scratch_file)
+    assert (back.dtype, back.shape) == (arr.dtype, arr.shape)
+    assert back.tobytes() == arr.tobytes()
