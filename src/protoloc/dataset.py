@@ -306,4 +306,6 @@ def sample_episode(split: SplitData, n_way: int, k_shot: int,
         query_labels=np.repeat(np.arange(n_way), queries_per_class),
         query_boxes=split.boxes[qry],
         split=split.name,
+        support_ids=sup,
+        query_ids=qry,
     )

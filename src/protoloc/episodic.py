@@ -62,6 +62,8 @@ class Episode:
     query_labels: np.ndarray     # (N*Q,)
     query_boxes: np.ndarray      # (N*Q, 4)
     split: str = ""
+    support_ids: np.ndarray | None = None   # (N*K,) split rows the items came from
+    query_ids: np.ndarray | None = None     # (N*Q,)
 
     def __post_init__(self):
         n, k = self.n_way, self.k_shot

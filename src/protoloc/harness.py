@@ -5,12 +5,18 @@ Everything is seeded. Per-task and per-episode generators derive from
 (seed, stream, index), so results are byte-reproducible and independent of
 evaluation parallelism: tasks may run on any number of workers, but their
 results are reduced in task-index order.
+
+An image's feature map does not depend on the task that draws it, nor on
+the batch it is encoded in, so one ``evaluate`` call encodes each test
+image at most once: tasks gather their maps by split row from a cache that
+is filled on first request, under a lock shared by the workers.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -192,7 +198,25 @@ class EvalReport:
     wall_time_s: float = 0.0   # diagnostic only; never serialized
 
 
-def _eval_task(cfg, params, split, task_index, mode):
+def _split_features(params, images):
+    """fetch(ids) -> feature maps of those split rows. A row is encoded on
+    its first request, in one forward batch with the request's other new
+    rows, and never again."""
+    maps = {}
+    lock = threading.Lock()
+
+    def fetch(ids):
+        ids = ids.tolist()
+        with lock:
+            new = [i for i in ids if i not in maps]
+            if new:
+                fms, _ = enc.forward_batch(params, images[new], keep_cache=False)
+                maps.update(zip(new, fms))
+            return np.stack([maps[i] for i in ids])
+    return fetch
+
+
+def _eval_task(cfg, features, split, task_index, mode):
     rng = np.random.default_rng((cfg.seed, _EVAL_STREAM, task_index))
     episode = sample_episode(split, cfg.n_way, cfg.k_shot, cfg.queries, rng)
     n, k = episode.n_way, episode.k_shot
@@ -200,8 +224,7 @@ def _eval_task(cfg, params, split, task_index, mode):
     image_hw = (cfg.arch_input_size, cfg.arch_input_size)
     roi_cfg = RoiConfig(cfg.roi_grid, cfg.roi_samples)
 
-    fms, _ = enc.forward_batch(params, np.concatenate(
-        [episode.support_images, episode.query_images], axis=0), keep_cache=False)
+    fms = features(np.concatenate([episode.support_ids, episode.query_ids]))
     d = fms.shape[3]
     s_fms, q_fms = fms[:ns], fms[ns:]
     s_emb = kernels.global_avg_pool_batch(s_fms)
@@ -244,14 +267,15 @@ def evaluate(cfg: RunConfig, params: enc.EncoderParams, reps_mode: str,
         split = _load_splits(cfg)["test"]
 
     start = time.perf_counter()
+    features = _split_features(params, split.images)
     indices = range(cfg.tasks)
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(
-                lambda t: _eval_task(cfg, params, split, t, reps_mode),
+                lambda t: _eval_task(cfg, features, split, t, reps_mode),
                 indices))
     else:
-        results = [_eval_task(cfg, params, split, t, reps_mode)
+        results = [_eval_task(cfg, features, split, t, reps_mode)
                    for t in indices]
     wall = time.perf_counter() - start
 
@@ -384,23 +408,24 @@ def localize_cmd(cfg: RunConfig, params: enc.EncoderParams, ids,
     if split_name not in splits:
         raise UnknownId(f"unknown split {split_name!r}")
     split = splits[split_name]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    image_hw = (cfg.arch_input_size, cfg.arch_input_size)
-
-    records = []
-    lines = []
+    ids = list(ids)
     for image_id in ids:
         if not 0 <= image_id < split.images.shape[0]:
             raise UnknownId(f"id {image_id} outside split {split_name!r} "
                             f"(size {split.images.shape[0]})")
-        image = split.images[image_id]
-        fms, _ = enc.forward_batch(params, image[None], keep_cache=False)
-        rep = kernels.global_avg_pool_batch(fms)[0]
-        box = propose_box(fms[0], rep, cfg.tau_eval, *image_hw, cfg.connectivity)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    image_hw = (cfg.arch_input_size, cfg.arch_input_size)
+    fms, _ = enc.forward_batch(params, split.images[ids], keep_cache=False)
+    reps = kernels.global_avg_pool_batch(fms)
+
+    records = []
+    lines = []
+    for image_id, fm, rep in zip(ids, fms, reps):
+        box = propose_box(fm, rep, cfg.tau_eval, *image_hw, cfg.connectivity)
         gt = BoundingBox(*split.boxes[image_id])
         score = iou(box, gt)
-        overlay = draw_box_border(image, box)
+        overlay = draw_box_border(split.images[image_id], box)
         write_ppm(out / f"overlay_{split_name}_{image_id:05d}.ppm", overlay)
         lines.append(f"{image_id} {box.y0} {box.x0} {box.y1} {box.x1} {score:.17g}")
         records.append({"id": image_id, "box": box, "iou": score})

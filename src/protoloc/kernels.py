@@ -197,19 +197,28 @@ def _corner_weights(v, n: int):
     return i0, i1, w
 
 
+@functools.lru_cache(maxsize=64)
+def _resize_axis(n: int, out: int):
+    """Read-only (i0, i1, w) of the half-pixel-center resize of an n-cell axis to out cells."""
+    arrays = _corner_weights((np.arange(out) + 0.5) * (n / out) - 0.5, n)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def bilinear_resize(m, out_h: int, out_w: int):
     """Resize an h x w map with the half-pixel-center convention.
 
     Source coordinate for output row y is (y + 0.5) * h / out_h - 0.5,
     clamped to [0, h - 1]; same for columns. Same-size resize is an exact
-    identity.
+    identity. Columns are blended first, then rows: the same products and
+    sums, in the same order, as gathering the four corners per pixel.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"expected 2-D map, got shape {m.shape}")
     h, w = m.shape
-    ri0, ri1, rw = _corner_weights((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, h)
-    ci0, ci1, cw = _corner_weights((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, w)
-    top = m[np.ix_(ri0, ci0)] * (1.0 - cw) + m[np.ix_(ri0, ci1)] * cw
-    bot = m[np.ix_(ri1, ci0)] * (1.0 - cw) + m[np.ix_(ri1, ci1)] * cw
-    return top * (1.0 - rw)[:, None] + bot * rw[:, None]
+    ri0, ri1, rw = _resize_axis(h, out_h)
+    ci0, ci1, cw = _resize_axis(w, out_w)
+    cols = m[:, ci0] * (1.0 - cw) + m[:, ci1] * cw
+    return cols[ri0] * (1.0 - rw)[:, None] + cols[ri1] * rw[:, None]

@@ -132,6 +132,23 @@ def bilinear_at(fm, y, x):
     return out
 
 
+def bilinear_resize_gathers(m, out_h, out_w):
+    """Half-pixel-center resize as four corner gathers per output pixel:
+    blend the top and bottom corner pairs across columns, then the two
+    across rows."""
+    def axis(n, out):
+        v = np.clip((np.arange(out) + 0.5) * (n / out) - 0.5, 0.0, float(n - 1))
+        i0 = np.clip(np.floor(v).astype(np.int64), 0, max(n - 2, 0))
+        return i0, np.minimum(i0 + 1, n - 1), v - i0
+
+    h, w = m.shape
+    ri0, ri1, rw = axis(h, out_h)
+    ci0, ci1, cw = axis(w, out_w)
+    top = m[np.ix_(ri0, ci0)] * (1.0 - cw) + m[np.ix_(ri0, ci1)] * cw
+    bot = m[np.ix_(ri1, ci0)] * (1.0 - cw) + m[np.ix_(ri1, ci1)] * cw
+    return top * (1.0 - rw)[:, None] + bot * rw[:, None]
+
+
 def roi_align_reference(fm, box, image_extents, grid, samples):
     """Literal loop re-implementation of the stated sample positions.
 

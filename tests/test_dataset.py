@@ -170,14 +170,19 @@ class TestSampleEpisode:
 
     def test_items_in_ascending_index_order(self, splits):
         # each class's supports, and its queries, come in ascending
-        # dataset-index order, which fixes the summation order of prototypes
+        # dataset-index order, which fixes the summation order of prototypes;
+        # the recorded ids are the split rows of the items
         split = splits["train"]
-        rows = {split.images[i].tobytes(): i for i in range(split.images.shape[0])}
         for seed in range(5):
             episode = ds.sample_episode(split, 5, 3, 4, np.random.default_rng(seed))
-            for images, labels, per in ((episode.support_images, episode.support_labels, 3),
-                                        (episode.query_images, episode.query_labels, 4)):
-                idx = np.array([rows[img.tobytes()] for img in images]).reshape(5, per)
+            for images, boxes, ids, labels, per in (
+                    (episode.support_images, episode.support_boxes, episode.support_ids,
+                     episode.support_labels, 3),
+                    (episode.query_images, episode.query_boxes, episode.query_ids,
+                     episode.query_labels, 4)):
+                np.testing.assert_array_equal(split.images[ids], images)
+                np.testing.assert_array_equal(split.boxes[ids], boxes)
+                idx = ids.reshape(5, per)
                 assert np.all(np.diff(idx, axis=1) > 0)
                 assert np.all(labels.reshape(5, per) == np.arange(5)[:, None])
                 assert all(np.unique(split.labels[r]).size == 1 for r in idx)

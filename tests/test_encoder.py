@@ -80,6 +80,18 @@ class TestForward:
             single, _ = enc.forward_batch(params, images[i:i + 1])
             np.testing.assert_allclose(fms[i], single[0], rtol=0, atol=1e-12)
 
+    def test_rows_do_not_depend_on_batch_composition(self):
+        # evaluation encodes each image once, in whichever batch first needs
+        # it, and relies on these bits being the same in every batch
+        params = enc.init_params(EncoderArch(), 10)
+        rng = np.random.default_rng(10)
+        images = rng.uniform(size=(40, 32, 32, 3))
+        fms, _ = enc.forward_batch(params, images, keep_cache=False)
+        for size in (1, 2, 7, 16, 40):
+            ids = rng.permutation(40)[:size]
+            sub, _ = enc.forward_batch(params, images[ids], keep_cache=False)
+            np.testing.assert_array_equal(sub, fms[ids])
+
     def test_wrong_image_size_raises(self):
         params = enc.init_params(SMALL, 0)
         with pytest.raises(ShapeError):

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,8 @@ from protoloc import encoder as enc
 from protoloc import harness
 from protoloc.config import RunConfig
 from protoloc.encoder import EncoderArch
-from protoloc.harness import ArchMismatch, DeadEncoder, NonFiniteLoss, SpecMismatch
+from protoloc.harness import (ArchMismatch, DeadEncoder, NonFiniteLoss, SpecMismatch,
+                              UnknownId)
 
 SMALL = dict(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size=16)
 
@@ -43,13 +46,52 @@ def test_zero_lambda_ours_replays_base(splits):
     assert not np.array_equal(base_params.flat, params.flat)
 
 
+# sha256 of the rendered reports below, recorded before evaluation shared
+# feature maps between tasks; a change to any eval bit changes them
+REPORT_SHA256 = {
+    "prototype": "ce55c65cef9206476d6b01ab6de4960cd1e2ec3b0e462eb5e17b4fa77938a344",
+    "refined": "433bf9d3f56e444e68e5588dc7d1a558115ffa6fed55602350d57eec6f90104c",
+}
+
+
 @pytest.mark.parametrize("mode", ["prototype", "refined"])
 def test_report_bytes_identical_across_workers(splits, mode):
+    # 6 tasks of 12 images over a 40-image split: tasks share images
     params = enc.init_params(small_config().arch, 4)
     texts = [harness.render_report(harness.evaluate(small_config(tasks=6, workers=w),
                                                     params, mode, splits["test"]))
              for w in (1, 2)]
     assert texts[0] == texts[1]
+    assert hashlib.sha256(texts[0].encode()).hexdigest() == REPORT_SHA256[mode]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_evaluate_encodes_each_drawn_image_once(splits, monkeypatch, workers):
+    split = splits["test"]
+    rows = {split.images[i].tobytes(): i for i in range(split.images.shape[0])}
+    encoded, drawn = [], []
+    real_forward, real_sample = enc.forward_batch, harness.sample_episode
+
+    def forward_batch(params, images, keep_cache=True):
+        encoded.extend(rows[image.tobytes()] for image in images)
+        return real_forward(params, images, keep_cache)
+
+    def sample_episode(*args):
+        episode = real_sample(*args)
+        drawn.extend(np.concatenate([episode.support_ids, episode.query_ids]).tolist())
+        return episode
+
+    monkeypatch.setattr(enc, "forward_batch", forward_batch)
+    monkeypatch.setattr(harness, "sample_episode", sample_episode)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # many thread switches inside a fill
+    try:
+        harness.evaluate(small_config(tasks=12, workers=workers),
+                         enc.init_params(small_config().arch, 4), "refined", split)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(drawn) == 12 * 12 > split.images.shape[0]
+    assert sorted(encoded) == sorted(set(drawn))
 
 
 def test_evaluate_rejects_arch_mismatch(tmp_path):
@@ -67,6 +109,23 @@ def test_localize_cmd_rejects_arch_mismatch(tmp_path):
     out_dir = tmp_path / "overlays"
     with pytest.raises(ArchMismatch):
         harness.localize_cmd(cfg, params, [0], out_dir=out_dir)
+    assert not out_dir.exists()
+
+
+def test_localize_cmd_boxes_unchanged(splits, tmp_path):
+    # recorded when every id was encoded in a batch of its own
+    out_dir = tmp_path / "overlays"
+    harness.localize_cmd(small_config(), enc.init_params(small_config().arch, 4),
+                         [7, 0, 39, 12, 7], splits=splits, out_dir=out_dir)
+    digest = hashlib.sha256((out_dir / "boxes.txt").read_bytes()).hexdigest()
+    assert digest == "5e8df8b3a765fd9eade8d00362c43cbd05b97509d2b8a43261a6858d87040089"
+
+
+def test_localize_cmd_rejects_late_unknown_id_before_writing(splits, tmp_path):
+    out_dir = tmp_path / "overlays"
+    with pytest.raises(UnknownId, match="id 1000000 outside split 'test'"):
+        harness.localize_cmd(small_config(), enc.init_params(small_config().arch, 4),
+                             [0, 10**6], splits=splits, out_dir=out_dir)
     assert not out_dir.exists()
 
 

@@ -5,7 +5,8 @@ from protoloc import kernels, roi
 from protoloc.kernels import ShapeError
 from protoloc.localization import BoundingBox
 
-from oracles import conv2d_loops, fd_grad, maxpool2d_vjp_loops, rel_err
+from oracles import (bilinear_resize_gathers, conv2d_loops, fd_grad, maxpool2d_vjp_loops,
+                     rel_err)
 
 SINGLE = roi.RoiConfig(grid=1, samples=1)
 
@@ -284,6 +285,20 @@ class TestBilinearResize:
         for x in range(3, 9):
             sx = (x + 0.5) * 6 / 12 - 0.5
             assert abs(out[6, x] - sx) <= 1e-12
+
+    def test_bitwise_equal_to_four_gathers(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            h, w, out_h, out_w = rng.integers(1, 40, size=4)
+            m = rng.normal(size=(h, w))
+            np.testing.assert_array_equal(kernels.bilinear_resize(m, out_h, out_w),
+                                          bilinear_resize_gathers(m, out_h, out_w))
+
+    def test_cached_axis_weights_are_read_only(self):
+        kernels.bilinear_resize(np.ones((4, 4)), 32, 32)
+        for a in kernels._resize_axis(4, 32):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestBilinearSample:
