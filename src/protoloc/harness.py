@@ -10,6 +10,11 @@ An image's feature map does not depend on the task that draws it, nor on
 the batch it is encoded in, so one ``evaluate`` call encodes each test
 image at most once: tasks gather their maps by split row from a cache that
 is filled on first request, under a lock shared by the workers.
+
+A refined eval task proposes one box per support map with ``propose_box``,
+then localizes all its query maps against their predicted classes in one
+batched ``propose_boxes`` call; ``localize_cmd`` likewise proposes every
+box in one call after its one forward batch.
 """
 
 from __future__ import annotations
@@ -25,12 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder as enc
-from . import kernels, localization
+from . import kernels
 from .config import RunConfig
 from .dataset import DatasetSpec, InsufficientData, load_dataset, sample_episode
 from .episodic import (LossConfig, episode_loss_and_gradient, nearest_class,
                        softmax_cross_entropy)
-from .localization import BoundingBox, iou, propose_box
+from .localization import BoundingBox, iou, propose_box, propose_boxes
 from .roi import RoiConfig, roi_feature
 from .tns_io import replacing
 
@@ -244,16 +249,9 @@ def _eval_task(cfg, features, split, task_index, mode):
     pred = nearest_class(q_emb, reps)
     accuracy = float((pred == episode.query_labels).mean())
 
-    iou_sum = 0.0
-    hits = 0
-    for i in range(q_emb.shape[0]):
-        # module lookup, so tracing tells query boxes from support boxes
-        box = localization.propose_box(q_fms[i], reps[pred[i]], cfg.tau_eval,
-                                       *image_hw, cfg.connectivity)
-        v = iou(box, BoundingBox(*episode.query_boxes[i]))
-        iou_sum += v
-        hits += v >= 0.5
-    return accuracy, iou_sum, hits, q_emb.shape[0]
+    boxes = propose_boxes(q_fms, reps[pred], cfg.tau_eval, *image_hw, cfg.connectivity)
+    ious = [iou(box, BoundingBox(*gt)) for box, gt in zip(boxes, episode.query_boxes)]
+    return accuracy, sum(ious, 0.0), sum(v >= 0.5 for v in ious), len(ious)
 
 
 def evaluate(cfg: RunConfig, params: enc.EncoderParams, reps_mode: str,
@@ -417,12 +415,12 @@ def localize_cmd(cfg: RunConfig, params: enc.EncoderParams, ids,
     out.mkdir(parents=True, exist_ok=True)
     image_hw = (cfg.arch_input_size, cfg.arch_input_size)
     fms, _ = enc.forward_batch(params, split.images[ids], keep_cache=False)
-    reps = kernels.global_avg_pool_batch(fms)
+    boxes = propose_boxes(fms, kernels.global_avg_pool_batch(fms), cfg.tau_eval,
+                          *image_hw, cfg.connectivity)
 
     records = []
     lines = []
-    for image_id, fm, rep in zip(ids, fms, reps):
-        box = propose_box(fm, rep, cfg.tau_eval, *image_hw, cfg.connectivity)
+    for image_id, box in zip(ids, boxes):
         gt = BoundingBox(*split.boxes[image_id])
         score = iou(box, gt)
         overlay = draw_box_border(split.images[image_id], box)

@@ -9,7 +9,8 @@ adjoint forms the input gradient as one transposed-convolution matmul, or
 skips it on request. Max pooling and its adjoint share one helper, the
 window x window strided views of the input: their elementwise max is the
 pooled map, and the adjoint routes each gradient against it. Bilinear
-resize and RoIAlign share one clamped corner-weight helper.
+resize takes a stack of planes and shares one clamped corner-weight helper
+with RoIAlign.
 """
 
 from __future__ import annotations
@@ -207,18 +208,19 @@ def _resize_axis(n: int, out: int):
 
 
 def bilinear_resize(m, out_h: int, out_w: int):
-    """Resize an h x w map with the half-pixel-center convention.
+    """Resize each h x w plane of an (..., h, w) stack with the half-pixel-center convention.
 
     Source coordinate for output row y is (y + 0.5) * h / out_h - 0.5,
     clamped to [0, h - 1]; same for columns. Same-size resize is an exact
     identity. Columns are blended first, then rows: the same products and
-    sums, in the same order, as gathering the four corners per pixel.
+    sums, in the same order, as gathering the four corners per pixel. Every
+    step is elementwise, so each plane of a stack is bitwise its own resize.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected 2-D map, got shape {m.shape}")
-    h, w = m.shape
+    if m.ndim < 2:
+        raise ShapeError(f"expected (..., h, w) map, got shape {m.shape}")
+    h, w = m.shape[-2:]
     ri0, ri1, rw = _resize_axis(h, out_h)
     ci0, ci1, cw = _resize_axis(w, out_w)
-    cols = m[:, ci0] * (1.0 - cw) + m[:, ci1] * cw
-    return cols[ri0] * (1.0 - rw)[:, None] + cols[ri1] * rw[:, None]
+    cols = m[..., ci0] * (1.0 - cw) + m[..., ci1] * cw
+    return cols[..., ri0, :] * (1.0 - rw)[:, None] + cols[..., ri1, :] * rw[:, None]

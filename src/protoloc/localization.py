@@ -4,6 +4,12 @@ A similarity map is the spatial decomposition of the dot product between a
 normalized class representation and every feature-map cell. Upsampled to
 image size, thresholded relative to its max, the largest connected
 component's bounding box is the proposed object location.
+
+``propose_boxes`` runs this chain once over a stack of maps, each with its
+own representation: every stage takes the maps along a leading axis, and
+each plane's result is bitwise the one a single-map chain gives. Eval
+localizes all the queries of a task in one call; ``propose_box`` is the
+one-map call of the same chain.
 """
 
 from __future__ import annotations
@@ -20,18 +26,6 @@ class DegenerateRepresentation(ValueError):
     """Representation vector has (near-)zero norm; signals a dead encoder."""
 
 
-class DegenerateMap(ValueError):
-    """Similarity map has no positive value; no region can be segmented."""
-
-
-class EmptyMask(ValueError):
-    """Binary mask holds no true pixel."""
-
-
-class EmptyComponent(ValueError):
-    """Component holds no pixel."""
-
-
 class BoundingBox(NamedTuple):
     """Inclusive pixel rectangle in image coordinates."""
     y0: int
@@ -40,86 +34,126 @@ class BoundingBox(NamedTuple):
     x1: int
 
 
-_STRUCTURE_4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-_STRUCTURE_8 = np.ones((3, 3), dtype=bool)
+# Label structures over a stack of planes: the 2-D 4- or 8-structure in the
+# middle slice and no links across planes, so each plane is labelled as if alone
+_STRUCTURES = {c: np.pad(ndimage.generate_binary_structure(2, rank)[None],
+                         ((1, 1), (0, 0), (0, 0)))
+               for c, rank in ((4, 1), (8, 2))}
+
+
+def _check_tau(tau) -> None:
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau must lie in (0, 1], got {tau}")
+
+
+def _structure(connectivity) -> np.ndarray:
+    if connectivity not in _STRUCTURES:
+        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+    return _STRUCTURES[connectivity]
 
 
 def similarity_map(fm: np.ndarray, rep_vector: np.ndarray) -> np.ndarray:
-    """Project the normalized representation onto every feature-map cell.
+    """Project each normalized representation onto every cell of its map.
 
-    Returns the h x w map of dot products (rep / ||rep||) . FM(i, j).
+    (..., h, w, D) maps against (..., D) representations give the
+    (..., h, w) maps of dot products (rep / ||rep||) . FM(i, j). Every norm
+    is checked before any map is computed. Each map is its own matmul:
+    a batched einsum or matmul changes low bits, and a 1-ulp change can
+    flip a pixel at the threshold.
     """
     fm = np.asarray(fm, dtype=np.float64)
     rep = np.asarray(rep_vector, dtype=np.float64)
-    if fm.ndim != 3 or rep.ndim != 1 or fm.shape[2] != rep.shape[0]:
+    if fm.ndim < 3 or fm.shape[:-3] + fm.shape[-1:] != rep.shape:
         raise ShapeError(f"fm {fm.shape} incompatible with representation {rep.shape}")
-    norm = np.linalg.norm(rep)
-    if norm <= 1e-12:
-        raise DegenerateRepresentation(f"representation norm {norm} <= 1e-12")
-    return fm @ (rep / norm)
+    fms = fm.reshape(-1, *fm.shape[-3:])
+    reps = rep.reshape(-1, rep.shape[-1])
+    norms = [np.linalg.norm(r) for r in reps]
+    for i, norm in enumerate(norms):
+        if norm <= 1e-12:
+            raise DegenerateRepresentation(f"representation row {i} has norm {norm} <= 1e-12")
+    out = np.empty(fms.shape[:-1])
+    for i, norm in enumerate(norms):
+        out[i] = fms[i] @ (reps[i] / norm)
+    return out.reshape(fm.shape[:-1])
 
 
 def segment_mask(upsampled: np.ndarray, tau: float) -> np.ndarray:
-    """Keep pixels at or above tau times the map's max value.
+    """Per plane of an (..., H, W) stack, keep pixels at or above tau times its max.
 
-    >= (not >) so the max pixel itself is always kept. Raises DegenerateMap
-    when the max is not positive; callers fall back to the full-image box.
+    >= (not >) so the max pixel itself is always kept. A plane whose max is
+    not positive has no region to segment and comes back all false.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
+    _check_tau(tau)
     upsampled = np.asarray(upsampled, dtype=np.float64)
-    mx = upsampled.max()
-    if mx <= 0.0:
-        raise DegenerateMap(f"similarity map max {mx} <= 0")
-    return upsampled >= tau * mx
+    mx = upsampled.max(axis=(-2, -1), keepdims=True)
+    return (upsampled >= tau * mx) & (mx > 0.0)
 
 
 def largest_component(mask: np.ndarray, connectivity: int = 4) -> np.ndarray:
-    """Pixels of the largest connected true region, as an (M, 2) row-major array.
+    """Per plane of an (..., H, W) mask, its largest connected true region, as a mask.
 
     Size ties go to the component containing the earliest true pixel in
-    row-major scan order.
+    row-major scan order. A plane with no true pixel stays all false. All
+    planes are labelled in one call.
     """
+    structure = _structure(connectivity)
     mask = np.asarray(mask, dtype=bool)
-    if connectivity == 4:
-        structure = _STRUCTURE_4
-    elif connectivity == 8:
-        structure = _STRUCTURE_8
-    else:
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    labels, n = ndimage.label(mask, structure=structure)
-    if n == 0:
-        raise EmptyMask("mask holds no true pixel")
-    sizes = np.bincount(labels.ravel())
+    if mask.ndim < 2:
+        raise ShapeError(f"expected (..., H, W) mask, got shape {mask.shape}")
+    labels, _ = ndimage.label(mask.reshape(-1, *mask.shape[-2:]), structure=structure,
+                              output=np.intp)
+    flat = labels.reshape(labels.shape[0], -1)
+    sizes = np.bincount(flat.ravel(), minlength=1)
     sizes[0] = 0
-    flat = labels.ravel()
-    winners = np.nonzero(sizes[flat] == sizes.max())[0]
-    chosen = flat[winners[0]]
-    return np.argwhere(labels == chosen)
+    size_at = sizes[flat]                       # component size per pixel, 0 off the mask
+    first = (size_at == size_at.max(axis=1, keepdims=True)).argmax(axis=1)
+    chosen = flat[np.arange(flat.shape[0]), first][:, None]   # 0 on an empty plane
+    return ((flat == chosen) & (chosen > 0)).reshape(mask.shape)
 
 
-def bbox_of(component: np.ndarray) -> BoundingBox:
-    """Tight inclusive box (min row, min col, max row, max col) over the pixels."""
-    component = np.asarray(component)
-    if component.size == 0:
-        raise EmptyComponent("component holds no pixel")
-    ys = component[:, 0]
-    xs = component[:, 1]
-    return BoundingBox(int(ys.min()), int(xs.min()), int(ys.max()), int(xs.max()))
+def bbox_of(component: np.ndarray) -> list[BoundingBox]:
+    """Tight inclusive box (min row, min col, max row, max col) of each plane
+    of an (N, H, W) component stack.
+
+    A plane with no true pixel, the trace of a map with no positive value,
+    gets the whole plane: the full-image fallback.
+    """
+    component = np.asarray(component, dtype=bool)
+    if component.ndim != 3:
+        raise ShapeError(f"expected (N, H, W) components, got shape {component.shape}")
+    _, h, w = component.shape
+    rows = component.any(axis=2)
+    cols = component.any(axis=1)
+    corners = np.stack([rows.argmax(axis=1), cols.argmax(axis=1),
+                        h - 1 - rows[:, ::-1].argmax(axis=1),
+                        w - 1 - cols[:, ::-1].argmax(axis=1)], axis=1)
+    return [BoundingBox(*box) for box in corners.tolist()]
+
+
+def propose_boxes(fms, reps, tau, image_h, image_w,
+                  connectivity: int = 4) -> list[BoundingBox]:
+    """One box per map of an (N, h, w, D) stack, against its row of the
+    (N, D) representations:
+    similarity_map -> bilinear_resize -> segment_mask -> largest_component -> bbox_of.
+
+    A degenerate (all-nonpositive) map falls back to the full-image box.
+    Every input is checked before any map is computed.
+    """
+    fms = np.asarray(fms, dtype=np.float64)
+    reps = np.asarray(reps, dtype=np.float64)
+    if fms.ndim != 4 or reps.ndim != 2 or (fms.shape[0], fms.shape[3]) != reps.shape:
+        raise ShapeError(f"fms {fms.shape} and representations {reps.shape} "
+                         f"are not an (N, h, w, D) stack and its (N, D) rows")
+    _check_tau(tau)
+    _structure(connectivity)
+    up = bilinear_resize(similarity_map(fms, reps), image_h, image_w)
+    return bbox_of(largest_component(segment_mask(up, tau), connectivity))
 
 
 def propose_box(fm, rep_vector, tau, image_h, image_w, connectivity: int = 4) -> BoundingBox:
-    """similarity_map -> bilinear_resize -> segment_mask -> largest_component -> bbox_of.
-
-    A degenerate (all-nonpositive) map falls back to the full-image box.
-    """
-    sm = similarity_map(fm, rep_vector)
-    up = bilinear_resize(sm, image_h, image_w)
-    try:
-        mask = segment_mask(up, tau)
-    except DegenerateMap:
-        return BoundingBox(0, 0, image_h - 1, image_w - 1)
-    return bbox_of(largest_component(mask, connectivity))
+    """The box of one h x w x D map: ``propose_boxes`` over a stack of one."""
+    return propose_boxes(np.asarray(fm)[None], np.asarray(rep_vector)[None],
+                         tau, image_h, image_w, connectivity)[0]
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

@@ -149,6 +149,19 @@ def bilinear_resize_gathers(m, out_h, out_w):
     return top * (1.0 - rw)[:, None] + bot * rw[:, None]
 
 
+def propose_box_oracle(fm, rep, tau, image_h, image_w, connectivity=4):
+    """One map's box, stage by stage: similarity as one matmul against the
+    unit representation, the four-gather resize, the threshold against the
+    map's max (full-image box when that max is not positive), the BFS
+    largest component and its min/max box."""
+    up = bilinear_resize_gathers(fm @ (rep / np.linalg.norm(rep)), image_h, image_w)
+    mx = up.max()
+    if mx <= 0.0:
+        return (0, 0, image_h - 1, image_w - 1)
+    ys, xs = zip(*largest_component_oracle(up >= tau * mx, connectivity))
+    return (min(ys), min(xs), max(ys), max(xs))
+
+
 def roi_align_reference(fm, box, image_extents, grid, samples):
     """Literal loop re-implementation of the stated sample positions.
 

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from protoloc import encoder as enc
-from protoloc import kernels
+from protoloc import harness, kernels
+from protoloc.config import RunConfig
+from protoloc.dataset import SplitData
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -44,3 +46,29 @@ def test_backward_makes_one_conv_vjp_call_per_block(monkeypatch):
     fms, cache = enc.forward_batch(params, images)
     enc.backward_batch(params, cache, np.ones(fms.shape))
     assert sorted(calls) == [(8, True), (16, True), (32, False)]
+
+
+def test_refined_eval_task_localizes_queries_in_one_call(monkeypatch):
+    # the tracer scores support boxes per harness.propose_box call; the
+    # queries of a task go through one batched propose_boxes call
+    calls = {"propose_box": 0, "propose_boxes": []}
+    real_box, real_boxes = harness.propose_box, harness.propose_boxes
+
+    def propose_box(*args):
+        calls["propose_box"] += 1
+        return real_box(*args)
+
+    def propose_boxes(fms, *args):
+        calls["propose_boxes"].append(len(fms))
+        return real_boxes(fms, *args)
+
+    monkeypatch.setattr(harness, "propose_box", propose_box)
+    monkeypatch.setattr(harness, "propose_boxes", propose_boxes)
+    cfg = RunConfig(n_way=3, k_shot=2, queries=4, arch_blocks=2, arch_channels=(4, 6),
+                    arch_input_size=16, image_size=16)
+    rng = np.random.default_rng(0)
+    split = SplitData("test", rng.uniform(size=(24, 16, 16, 3)), np.repeat(np.arange(4), 6),
+                      np.tile([2, 3, 11, 12], (24, 1)))
+    features = harness._split_features(enc.init_params(cfg.arch, 0), split.images)
+    harness._eval_task(cfg, features, split, 0, "refined")
+    assert calls == {"propose_box": 3 * 2, "propose_boxes": [3 * 4]}

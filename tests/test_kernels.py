@@ -293,6 +293,15 @@ class TestBilinearResize:
             m = rng.normal(size=(h, w))
             np.testing.assert_array_equal(kernels.bilinear_resize(m, out_h, out_w),
                                           bilinear_resize_gathers(m, out_h, out_w))
+        # a stack resizes each plane bitwise as if alone
+        for lead in [(1,), (7,), (80,), (2, 3), (0,)]:
+            h, w, out_h, out_w = rng.integers(1, 40, size=4)
+            m = rng.normal(size=(*lead, h, w))
+            got = kernels.bilinear_resize(m, out_h, out_w)
+            assert got.shape == (*lead, out_h, out_w)
+            for index in np.ndindex(*lead):
+                np.testing.assert_array_equal(got[index],
+                                              bilinear_resize_gathers(m[index], out_h, out_w))
 
     def test_cached_axis_weights_are_read_only(self):
         kernels.bilinear_resize(np.ones((4, 4)), 32, 32)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from protoloc import localization as loc
-from protoloc.kernels import bilinear_resize
-from protoloc.localization import (BoundingBox, DegenerateMap,
-                                   DegenerateRepresentation, EmptyComponent,
-                                   EmptyMask)
+from protoloc.kernels import ShapeError, bilinear_resize
+from protoloc.localization import BoundingBox, DegenerateRepresentation
 
-from oracles import largest_component_oracle
+from oracles import flood_fill_components, largest_component_oracle, propose_box_oracle
+
+
+def pixels(component):
+    return np.argwhere(component)
 
 
 class TestSimilarityMap:
@@ -57,8 +59,11 @@ class TestSegmentMask:
         assert mask.all()
 
     def test_all_zero_degenerate(self):
-        with pytest.raises(DegenerateMap):
-            loc.segment_mask(np.zeros((3, 3)), 0.5)
+        assert not loc.segment_mask(np.zeros((3, 3)), 0.5).any()
+        # in a stack, only the nonpositive plane comes back empty
+        m = np.stack([np.full((3, 3), 0.7), np.full((3, 3), -0.2), np.zeros((3, 3))])
+        np.testing.assert_array_equal(loc.segment_mask(m, 0.5).any(axis=(1, 2)),
+                                      [True, False, False])
 
     def test_bad_tau(self):
         with pytest.raises(ValueError):
@@ -79,27 +84,25 @@ class TestLargestComponent:
     def test_single_pixel(self):
         mask = np.zeros((4, 4), dtype=bool)
         mask[2, 1] = True
-        np.testing.assert_array_equal(loc.largest_component(mask), [[2, 1]])
+        np.testing.assert_array_equal(loc.largest_component(mask), mask)
 
     def test_picks_bigger_of_two(self):
         mask = np.zeros((5, 5), dtype=bool)
         mask[0, 0] = mask[1, 0] = mask[1, 1] = True     # L-shape, size 3
         mask[3, 3] = mask[3, 4] = True                   # pair, size 2
-        got = {tuple(p) for p in loc.largest_component(mask)}
+        got = {tuple(p) for p in pixels(loc.largest_component(mask))}
         assert got == {(0, 0), (1, 0), (1, 1)}
 
     def test_diagonal_is_disconnected_at_4(self):
         mask = np.zeros((3, 3), dtype=bool)
         mask[0, 0] = mask[1, 1] = mask[2, 2] = True
-        got = loc.largest_component(mask, connectivity=4)
-        assert got.shape == (1, 2)
+        got = pixels(loc.largest_component(mask, connectivity=4))
         np.testing.assert_array_equal(got, [[0, 0]])     # earliest-pixel tie rule
-        got8 = loc.largest_component(mask, connectivity=8)
+        got8 = pixels(loc.largest_component(mask, connectivity=8))
         assert got8.shape == (3, 2)
 
     def test_empty_mask(self):
-        with pytest.raises(EmptyMask):
-            loc.largest_component(np.zeros((3, 3), dtype=bool))
+        assert not loc.largest_component(np.zeros((3, 3), dtype=bool)).any()
 
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_matches_flood_fill_oracle(self, connectivity):
@@ -109,30 +112,41 @@ class TestLargestComponent:
             mask = rng.uniform(size=(h, w)) < 0.45
             if not mask.any():
                 continue
-            got = sorted(tuple(p) for p in loc.largest_component(mask, connectivity))
+            got = sorted(tuple(p) for p in pixels(loc.largest_component(mask, connectivity)))
             want = largest_component_oracle(mask, connectivity)
             assert got == want
 
 
 class TestBboxOf:
     def test_single_pixel(self):
-        assert loc.bbox_of(np.array([[3, 5]])) == BoundingBox(3, 5, 3, 5)
+        comp = np.zeros((1, 10, 10), dtype=bool)
+        comp[0, 3, 5] = True
+        assert loc.bbox_of(comp) == [BoundingBox(3, 5, 3, 5)]
 
     def test_full_image(self):
-        mask = np.ones((4, 6), dtype=bool)
+        mask = np.ones((1, 4, 6), dtype=bool)
         comp = loc.largest_component(mask)
-        assert loc.bbox_of(comp) == BoundingBox(0, 0, 3, 5)
+        assert loc.bbox_of(comp) == [BoundingBox(0, 0, 3, 5)]
 
     def test_min_max_oracle(self):
         rng = np.random.default_rng(4)
-        pixels = rng.integers(0, 20, size=(15, 2))
-        box = loc.bbox_of(pixels)
-        assert box == BoundingBox(pixels[:, 0].min(), pixels[:, 1].min(),
-                                  pixels[:, 0].max(), pixels[:, 1].max())
+        comps = np.zeros((6, 20, 23), dtype=bool)
+        want = []
+        for plane in comps:
+            ys, xs = rng.integers(0, 20, size=15), rng.integers(0, 23, size=15)
+            plane[ys, xs] = True
+            want.append(BoundingBox(ys.min(), xs.min(), ys.max(), xs.max()))
+        assert loc.bbox_of(comps) == want
 
     def test_empty_component(self):
-        with pytest.raises(EmptyComponent):
-            loc.bbox_of(np.zeros((0, 2), dtype=int))
+        # an empty plane is a map with no positive value: full-image fallback
+        comps = np.zeros((3, 4, 6), dtype=bool)
+        comps[0, 1, 2] = comps[2, 3, 0] = True
+        assert loc.bbox_of(comps) == [BoundingBox(1, 2, 1, 2), BoundingBox(0, 0, 3, 5),
+                                      BoundingBox(3, 0, 3, 0)]
+        assert loc.bbox_of(np.zeros((0, 4, 6), dtype=bool)) == []
+        with pytest.raises(ShapeError):
+            loc.bbox_of(np.zeros((4, 6), dtype=bool))
 
 
 class TestProposeBox:
@@ -144,7 +158,7 @@ class TestProposeBox:
         sm = loc.similarity_map(fm, rep)
         up = bilinear_resize(sm, 32, 32)
         mask = loc.segment_mask(up, 0.5)
-        want = loc.bbox_of(loc.largest_component(mask))
+        want, = loc.bbox_of(loc.largest_component(mask)[None])
         assert got == want
 
     def test_dominant_cell(self):
@@ -156,7 +170,7 @@ class TestProposeBox:
         got = loc.propose_box(fm, rep, 0.5, 32, 32)
         # compositional oracle: chain the public steps directly
         up = bilinear_resize(loc.similarity_map(fm, rep), 32, 32)
-        want = loc.bbox_of(loc.largest_component(loc.segment_mask(up, 0.5)))
+        want, = loc.bbox_of(loc.largest_component(loc.segment_mask(up, 0.5))[None])
         assert got == want
         # frozen: the hot cell upsamples to triangular lobes peaked at
         # (11.5, 19.5); the half-max region spans rows 8..15, cols 16..23
@@ -185,10 +199,101 @@ class TestProposeBox:
             up = bilinear_resize(sm, 24, 24)
             mask = loc.segment_mask(up, 0.6)
             comp = loc.largest_component(mask)
-            box = loc.bbox_of(comp)
-            ys, xs = comp[:, 0], comp[:, 1]
+            box, = loc.bbox_of(comp[None])
+            ys, xs = pixels(comp).T
             assert box.y0 == ys.min() and box.y1 == ys.max()
             assert box.x0 == xs.min() and box.x1 == xs.max()
+
+
+def _stack(rng, n, h, w, integer):
+    """n maps and their representations. Integer maps use d = 1 and a unit
+    representation, so similarity maps are integer-valued and component
+    sizes tie; every fourth plane has no positive similarity."""
+    if integer:
+        fms = rng.integers(-1, 3, size=(n, h, w, 1)).astype(np.float64)
+        reps = np.ones((n, 1))
+    else:
+        d = int(rng.integers(1, 65))
+        fms = rng.normal(size=(n, h, w, d)) + 0.5
+        reps = rng.normal(size=(n, d))
+    for i in range(0, n, 4):
+        fms[i] = 0.0 if i % 8 else -np.abs(fms[i]) * np.sign(reps[i])
+    return fms, reps
+
+
+class TestProposeBoxes:
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("tau", [0.3, 0.5, 1.0])
+    def test_matches_per_map_oracle_chain(self, monkeypatch, tau, connectivity):
+        real = {name: getattr(loc, name) for name in ("similarity_map", "bilinear_resize")}
+        seen = {}
+
+        def recorder(name):
+            def recording(*args):
+                seen[name] = real[name](*args)
+                return seen[name]
+            return recording
+
+        for name in real:
+            monkeypatch.setattr(loc, name, recorder(name))
+        rng = np.random.default_rng(int(10 * tau) + connectivity)
+        ties = fallbacks = 0
+        for n, integer in [(1, False), (2, True), (5, True), (13, False), (31, True), (80, False)]:
+            h, w = (int(v) for v in rng.integers(1, 7, size=2))
+            # a same-size resize keeps integer maps integer-valued
+            image_h, image_w = (h, w) if integer else (int(v) for v in rng.integers(1, 33, size=2))
+            fms, reps = _stack(rng, n, h, w, integer)
+            boxes = loc.propose_boxes(fms, reps, tau, image_h, image_w, connectivity)
+            assert len(boxes) == n
+            for i in range(n):
+                # today's one-map formula; an einsum over the stack changes its low bits
+                sm = fms[i] @ (reps[i] / np.linalg.norm(reps[i]))
+                up = real["bilinear_resize"](sm, image_h, image_w)
+                np.testing.assert_array_equal(real["similarity_map"](fms[i], reps[i]), sm)
+                np.testing.assert_array_equal(seen["similarity_map"][i], sm)
+                np.testing.assert_array_equal(seen["bilinear_resize"][i], up)
+                assert boxes[i] == propose_box_oracle(fms[i], reps[i], tau, image_h, image_w,
+                                                      connectivity)
+                if up.max() <= 0.0:
+                    fallbacks += 1
+                    continue
+                sizes = [len(c) for c in flood_fill_components(up >= tau * up.max(),
+                                                               connectivity)]
+                ties += sizes.count(max(sizes)) > 1
+        assert ties and fallbacks
+
+    BASE = dict(fms=np.ones((2, 4, 4, 3)), reps=np.ones((2, 3)), tau=0.5,
+                image_h=8, image_w=8, connectivity=4)
+
+    @pytest.mark.parametrize("change, error, match", [
+        (dict(fms=np.ones((4, 4, 3)), reps=np.ones((1, 3))), ShapeError, "not an"),
+        (dict(reps=np.ones(3)), ShapeError, "not an"),
+        (dict(reps=np.ones((3, 3))), ShapeError, "not an"),
+        (dict(reps=np.ones((2, 4))), ShapeError, "not an"),
+        (dict(reps=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])),
+         DegenerateRepresentation, "row 1 has norm"),
+        (dict(tau=0.0), ValueError, "tau"),
+        (dict(tau=1.5), ValueError, "tau"),
+        (dict(connectivity=6), ValueError, "connectivity"),
+    ], ids=["fms-ndim", "reps-ndim", "count", "depth", "zero-row", "tau-0", "tau-1.5",
+            "connectivity"])
+    def test_rejects_bad_input_before_any_work(self, monkeypatch, change, error, match):
+        stages = []
+
+        def entering(name, fn=None):
+            def stage(*args):
+                stages.append(name)
+                return fn(*args)
+            return stage
+
+        monkeypatch.setattr(loc, "similarity_map", entering("similarity_map", loc.similarity_map))
+        for name in ("bilinear_resize", "segment_mask", "largest_component"):
+            monkeypatch.setattr(loc, name, entering(name))
+        with pytest.raises(error, match=match) as excinfo:
+            loc.propose_boxes(**{**self.BASE, **change})
+        assert excinfo.type is error
+        # similarity_map checks every norm before it computes any map
+        assert stages == (["similarity_map"] if error is DegenerateRepresentation else [])
 
 
 class TestLocalizeQuery:
