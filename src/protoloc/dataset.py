@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -219,38 +221,47 @@ def _digest(path: Path) -> str:
 
 
 def generate_dataset(spec: DatasetSpec, seed: int, out_dir) -> dict:
-    """Render all splits to TNS1 files plus a JSON manifest; returns the manifest."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Render all splits to TNS1 files plus a JSON manifest; returns the manifest.
+    Files render into a sibling temporary directory and move into out_dir once
+    complete, so a failed render leaves the previous dataset as it was."""
+    out = Path(out_dir).absolute()
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     manifest = {
         "format": "protoloc-dataset-v1",
         "seed": int(seed),
         "spec": spec.to_dict(),
         "splits": {},
     }
-    for name, class_indices in spec.splits:
-        images, labels, boxes = [], [], []
-        for c in class_indices:
-            for i in range(spec.per_class_count):
-                sample = render_sample(spec, c, _sample_rng(seed, c, i))
-                images.append(sample.image)
-                labels.append(c)
-                boxes.append(tuple(sample.gt_box))
-        split_dir = out / name
-        split_dir.mkdir(exist_ok=True)
-        write_tns(split_dir / "images.tns", np.stack(images))
-        write_tns(split_dir / "labels.tns", np.asarray(labels, dtype=np.uint32))
-        write_tns(split_dir / "boxes.tns", np.asarray(boxes, dtype=np.uint32))
-        manifest["splits"][name] = {
-            "count": len(labels),
-            "classes": list(class_indices),
-            "digests": {
-                "images.tns": _digest(split_dir / "images.tns"),
-                "labels.tns": _digest(split_dir / "labels.tns"),
-                "boxes.tns": _digest(split_dir / "boxes.tns"),
-            },
-        }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    try:
+        for name, class_indices in spec.splits:
+            images, labels, boxes = [], [], []
+            for c in class_indices:
+                for i in range(spec.per_class_count):
+                    sample = render_sample(spec, c, _sample_rng(seed, c, i))
+                    images.append(sample.image)
+                    labels.append(c)
+                    boxes.append(tuple(sample.gt_box))
+            split_dir = tmp / name
+            split_dir.mkdir(parents=True, exist_ok=True)
+            write_tns(split_dir / "images.tns", np.stack(images))
+            write_tns(split_dir / "labels.tns", np.asarray(labels, dtype=np.uint32))
+            write_tns(split_dir / "boxes.tns", np.asarray(boxes, dtype=np.uint32))
+            manifest["splits"][name] = {
+                "count": len(labels),
+                "classes": list(class_indices),
+                "digests": {f: _digest(split_dir / f)
+                            for f in ("images.tns", "labels.tns", "boxes.tns")},
+            }
+        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        out.mkdir(exist_ok=True)
+        # no manifest while splits are swapped: a half-moved dataset fails to load
+        (out / "manifest.json").unlink(missing_ok=True)
+        for name, _ in spec.splits:
+            shutil.rmtree(out / name, ignore_errors=True)
+            os.replace(tmp / name, out / name)
+        os.replace(tmp / "manifest.json", out / "manifest.json")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     return manifest
 
 
@@ -276,9 +287,9 @@ def load_dataset(data_dir):
 
 def sample_episode(split: SplitData, n_way: int, k_shot: int,
                    queries_per_class: int, task_rng) -> Episode:
-    """Draw an N-way K-shot episode without replacement, relabeling classes
-    0..N-1 in sampled order. Within a class, items are stored in ascending
-    dataset-index order, which keeps downstream reductions canonical."""
+    """Draw an N-way K-shot episode of split rows (no copies) without
+    replacement, relabeling classes 0..N-1 in sampled order. Within a class,
+    rows come in ascending index order, which keeps reductions canonical."""
     classes = np.unique(split.labels)
     if classes.size < n_way:
         raise InsufficientData(
@@ -296,16 +307,4 @@ def sample_episode(split: SplitData, n_way: int, k_shot: int,
         qry_idx.append(np.sort(pick[k_shot:]))
     sup = np.concatenate(sup_idx)
     qry = np.concatenate(qry_idx)
-    return Episode(
-        n_way=n_way,
-        k_shot=k_shot,
-        support_images=split.images[sup],
-        support_labels=np.repeat(np.arange(n_way), k_shot),
-        support_boxes=split.boxes[sup],
-        query_images=split.images[qry],
-        query_labels=np.repeat(np.arange(n_way), queries_per_class),
-        query_boxes=split.boxes[qry],
-        split=split.name,
-        support_ids=sup,
-        query_ids=qry,
-    )
+    return Episode(split, n_way, k_shot, sup, qry)

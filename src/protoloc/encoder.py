@@ -80,24 +80,15 @@ class EncoderArch:
         )
 
 
-def param_layout(arch: EncoderArch):
-    """Stable (offset, shape) table: per block, kernels then bias."""
-    layout = []
-    offset = 0
-    cin = arch.input_channels
+def _block_shapes(arch: EncoderArch):
+    """(kernel shape, bias length) per block, in the flat vector's order."""
+    cins = (arch.input_channels,) + arch.channels[:-1]
     k = arch.kernel
-    for cout in arch.channels:
-        kshape = (k, k, cin, cout)
-        layout.append(("kernels", offset, kshape))
-        offset += k * k * cin * cout
-        layout.append(("bias", offset, (cout,)))
-        offset += cout
-        cin = cout
-    return layout, offset
+    return [((k, k, cin, cout), cout) for cin, cout in zip(cins, arch.channels)]
 
 
 def param_count(arch: EncoderArch) -> int:
-    return param_layout(arch)[1]
+    return sum(int(np.prod(kshape)) + cout for kshape, cout in _block_shapes(arch))
 
 
 @dataclass
@@ -113,30 +104,26 @@ class EncoderParams:
                 f"flat vector length {self.flat.size} != {param_count(self.arch)}")
 
     def block_views(self):
-        """Per-block (kernels, bias) views into the flat vector (no copies)."""
-        layout, _ = param_layout(self.arch)
-        views = []
-        for i in range(0, len(layout), 2):
-            _, koff, kshape = layout[i]
-            _, boff, bshape = layout[i + 1]
-            w = self.flat[koff:koff + int(np.prod(kshape))].reshape(kshape)
-            b = self.flat[boff:boff + bshape[0]]
-            views.append((w, b))
+        """Per-block (kernels, bias) views into the flat vector (no copies),
+        laid out block by block, kernels then bias."""
+        views, offset = [], 0
+        for kshape, cout in _block_shapes(self.arch):
+            n = int(np.prod(kshape))
+            views.append((self.flat[offset:offset + n].reshape(kshape),
+                          self.flat[offset + n:offset + n + cout]))
+            offset += n + cout
         return views
 
 
 def init_params(arch: EncoderArch, seed: int) -> EncoderParams:
     """He-uniform kernels: uniform(-a, a) with a = sqrt(6 / (k*k*Cin)); biases 0."""
     rng = np.random.default_rng(seed)
-    flat = np.zeros(param_count(arch))
-    layout, _ = param_layout(arch)
-    for kind, offset, shape in layout:
-        if kind == "kernels":
-            k, _, cin, _ = shape
-            a = np.sqrt(6.0 / (k * k * cin))
-            n = int(np.prod(shape))
-            flat[offset:offset + n] = rng.uniform(-a, a, size=n)
-    return EncoderParams(arch, flat)
+    params = EncoderParams(arch, np.zeros(param_count(arch)))
+    for w, _ in params.block_views():
+        k, _, cin, _ = w.shape
+        a = np.sqrt(6.0 / (k * k * cin))
+        w[...] = rng.uniform(-a, a, size=w.shape)
+    return params
 
 
 @dataclass
@@ -182,8 +169,8 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
         raise CacheMismatch(
             f"grad shape {grad_fms.shape} != cached feature map shape {cache.fm.shape}")
 
-    grad_flat = np.zeros_like(params.flat)
-    layout, _ = param_layout(arch)
+    grads = EncoderParams(arch, np.zeros_like(params.flat))
+    grad_views = grads.block_views()
     views = params.block_views()
     block_outputs = cache.block_inputs[1:] + [cache.fm]
     g = grad_fms
@@ -194,11 +181,10 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
         g = kernels.maxpool2d_vjp_batch(cache.conv_outputs[blk], g, window=2)
         g, gw, gb = kernels.conv2d_vjp_batch(cache.block_inputs[blk], w, 1, arch.pad, g,
                                              need_input_grad=blk > 0)
-        _, koff, kshape = layout[2 * blk]
-        _, boff, bshape = layout[2 * blk + 1]
-        grad_flat[koff:koff + int(np.prod(kshape))] = gw.ravel()
-        grad_flat[boff:boff + bshape[0]] = gb
-    return grad_flat
+        grad_w, grad_b = grad_views[blk]
+        grad_w[...] = gw
+        grad_b[...] = gb
+    return grads.flat
 
 
 def sgd_step(params: EncoderParams, grads: np.ndarray, lr: float) -> EncoderParams:

@@ -3,6 +3,9 @@ distance-logit loss, the nearest-representation classifier, and the
 episode loss with exact gradients through the whole episode graph, all as
 matrix code: class c's representation is row c.
 
+An episode is rows of its split: labels and boxes follow from the row ids
+and are never stored, and no image is copied out of the split.
+
 Logits are negated squared Euclidean distances divided by a temperature;
 the base loss is mean cross-entropy against prototypes (per-class means of
 support embeddings), the RoI loss is the same form against refined
@@ -16,6 +19,7 @@ treated as constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +27,9 @@ from . import encoder as enc
 from . import kernels, roi
 from .kernels import ShapeError
 from .localization import propose_box
+
+if TYPE_CHECKING:
+    from .dataset import SplitData
 
 
 class EmptyClass(ValueError):
@@ -49,43 +56,47 @@ class LossConfig:
             raise NegativeLambda(f"lambda_roi must be >= 0, got {self.lambda_roi}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Episode:
-    """One N-way K-shot task. Support items are stored grouped by class
-    label (class c occupies rows c*K .. (c+1)*K-1)."""
+    """One N-way K-shot task as rows of ``split``. Supports are grouped by
+    class: class c is support_ids[c*K:(c+1)*K], so support i has class
+    i // K; the queries come Q per class in the same way."""
+    split: SplitData
     n_way: int
     k_shot: int
-    support_images: np.ndarray   # (N*K, H, W, 3)
-    support_labels: np.ndarray   # (N*K,)
-    support_boxes: np.ndarray    # (N*K, 4) ground-truth boxes
-    query_images: np.ndarray     # (N*Q, H, W, 3)
-    query_labels: np.ndarray     # (N*Q,)
-    query_boxes: np.ndarray      # (N*Q, 4)
-    split: str = ""
-    support_ids: np.ndarray | None = None   # (N*K,) split rows the items came from
-    query_ids: np.ndarray | None = None     # (N*Q,)
+    support_ids: np.ndarray   # (N*K,) split rows
+    query_ids: np.ndarray     # (N*Q,)
 
     def __post_init__(self):
         n, k = self.n_way, self.k_shot
         if n < 1 or k < 1:
             raise EmptyClass(f"need n_way >= 1 and k_shot >= 1, got {n}-way {k}-shot")
-        self.support_labels = np.asarray(self.support_labels, dtype=np.int64)
-        self.query_labels = np.asarray(self.query_labels, dtype=np.int64)
-        if self.support_labels.shape != (n * k,):
-            raise ShapeError(f"expected {n * k} support labels, got {self.support_labels.shape}")
-        expected = np.repeat(np.arange(n), k)
-        if not np.array_equal(self.support_labels, expected):
-            raise ValueError("support items must be grouped by class label 0..N-1")
-        nq = self.query_labels.size
+        if len(self.support_ids) != n * k:
+            raise ShapeError(f"expected {n * k} support rows, got {len(self.support_ids)}")
+        nq = len(self.query_ids)
         if nq == 0 or nq % n:
             raise ValueError(f"query count {nq} is not a positive multiple of {n}")
-        counts = np.bincount(self.query_labels, minlength=n)
-        if not np.all(counts == nq // n):
-            raise ValueError("queries must be balanced across classes")
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Support rows, then query rows."""
+        return np.concatenate([self.support_ids, self.query_ids])
 
     @property
     def queries_per_class(self) -> int:
-        return self.query_labels.size // self.n_way
+        return len(self.query_ids) // self.n_way
+
+    @property
+    def query_labels(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n_way), self.queries_per_class)
+
+    @property
+    def support_boxes(self) -> np.ndarray:
+        return self.split.boxes[self.support_ids]
+
+    @property
+    def query_boxes(self) -> np.ndarray:
+        return self.split.boxes[self.query_ids]
 
 
 def softmax_cross_entropy(logits, labels):
@@ -140,18 +151,17 @@ def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
     arch = params.arch
     n, k = episode.n_way, episode.k_shot
     ns = n * k
+    labels = episode.query_labels
     image_hw = (arch.input_size, arch.input_size)
 
-    images = np.concatenate([episode.support_images, episode.query_images], axis=0)
-    fms, cache = enc.forward_batch(params, images)
-    _, h, w, d = fms.shape
+    fms, cache = enc.forward_batch(params, episode.split.images[episode.ids])
+    d = fms.shape[3]
     s_fms = fms[:ns]
     s_emb = kernels.global_avg_pool_batch(s_fms)
     q_emb = kernels.global_avg_pool_batch(fms[ns:])
 
     protos = s_emb.reshape(n, k, d).mean(axis=1)
-    loss_b, dq, dproto = distance_logit_loss(q_emb, episode.query_labels, protos,
-                                             loss_cfg.temperature)
+    loss_b, dq, dproto = distance_logit_loss(q_emb, labels, protos, loss_cfg.temperature)
     loss = loss_b
     ds_emb = np.repeat(dproto / k, k, axis=0)            # (N*K, D)
     grad_fms = np.empty_like(fms)
@@ -159,18 +169,17 @@ def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
 
     if reps_mode == "refined" and loss_cfg.lambda_roi != 0.0:
         lam = loss_cfg.lambda_roi
-        boxes = [propose_box(s_fms[i], protos[episode.support_labels[i]],
-                             tau, *image_hw, connectivity)
+        boxes = [propose_box(s_fms[i], protos[i // k], tau, *image_hw, connectivity)
                  for i in range(ns)]
         feats = np.stack([roi.roi_feature(s_fms[i], boxes[i], image_hw, roi_cfg)
                           for i in range(ns)])
         refined = feats.reshape(n, k, d).mean(axis=1)
-        loss_r, dq_r, dref = distance_logit_loss(q_emb, episode.query_labels,
-                                                 refined, loss_cfg.temperature)
+        loss_r, dq_r, dref = distance_logit_loss(q_emb, labels, refined,
+                                                 loss_cfg.temperature)
         loss = loss_b + lam * loss_r
         dq = dq + lam * dq_r
         for i in range(ns):
-            dfeat = lam * dref[episode.support_labels[i]] / k
+            dfeat = lam * dref[i // k] / k
             grad_fms[i] += roi.roi_feature_vjp(s_fms[i], boxes[i], image_hw,
                                                roi_cfg, dfeat)
 

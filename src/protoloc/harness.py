@@ -6,10 +6,11 @@ Everything is seeded. Per-task and per-episode generators derive from
 evaluation parallelism: tasks may run on any number of workers, but their
 results are reduced in task-index order.
 
-An image's feature map does not depend on the task that draws it, nor on
-the batch it is encoded in, so one ``evaluate`` call encodes each test
-image at most once: tasks gather their maps by split row from a cache that
-is filled on first request, under a lock shared by the workers.
+An episode is rows of its split, never copies. An image's feature map
+does not depend on the task that draws it, nor on the batch it is encoded
+in, so one ``evaluate`` call encodes each test image at most once: tasks
+gather their maps by row (``Episode.ids``) from a cache that is filled on
+first request, under a lock shared by the workers.
 
 A refined eval task proposes one box per support map with ``propose_box``,
 then localizes all its query maps against their predicted classes in one
@@ -229,7 +230,7 @@ def _eval_task(cfg, features, split, task_index, mode):
     image_hw = (cfg.arch_input_size, cfg.arch_input_size)
     roi_cfg = RoiConfig(cfg.roi_grid, cfg.roi_samples)
 
-    fms = features(np.concatenate([episode.support_ids, episode.query_ids]))
+    fms = features(episode.ids)
     d = fms.shape[3]
     s_fms, q_fms = fms[:ns], fms[ns:]
     s_emb = kernels.global_avg_pool_batch(s_fms)
@@ -239,8 +240,8 @@ def _eval_task(cfg, features, split, task_index, mode):
     if mode == "refined":
         feats = np.empty((ns, d))
         for i in range(ns):
-            box = propose_box(s_fms[i], protos[episode.support_labels[i]],
-                              cfg.tau_eval, *image_hw, cfg.connectivity)
+            box = propose_box(s_fms[i], protos[i // k], cfg.tau_eval, *image_hw,
+                              cfg.connectivity)
             feats[i] = roi_feature(s_fms[i], box, image_hw, roi_cfg)
         reps = feats.reshape(n, k, d).mean(axis=1)
     else:

@@ -57,8 +57,10 @@ def similarity_map(fm: np.ndarray, rep_vector: np.ndarray) -> np.ndarray:
 
     (..., h, w, D) maps against (..., D) representations give the
     (..., h, w) maps of dot products (rep / ||rep||) . FM(i, j). Every norm
-    is checked before any map is computed. Each map is its own matmul:
-    a batched einsum or matmul changes low bits, and a 1-ulp change can
+    is checked before any map is computed. All maps go through one
+    broadcast matmul that keeps each map's (w, D) @ (D, 1) core, so every
+    plane is bitwise the map's own ``fm @ unit``; an einsum, or a norm
+    taken over all rows at once, changes low bits, and a 1-ulp change can
     flip a pixel at the threshold.
     """
     fm = np.asarray(fm, dtype=np.float64)
@@ -71,10 +73,8 @@ def similarity_map(fm: np.ndarray, rep_vector: np.ndarray) -> np.ndarray:
     for i, norm in enumerate(norms):
         if norm <= 1e-12:
             raise DegenerateRepresentation(f"representation row {i} has norm {norm} <= 1e-12")
-    out = np.empty(fms.shape[:-1])
-    for i, norm in enumerate(norms):
-        out[i] = fms[i] @ (reps[i] / norm)
-    return out.reshape(fm.shape[:-1])
+    units = reps / np.array(norms)[:, None]
+    return (fms @ units[:, None, :, None])[..., 0].reshape(fm.shape[:-1])
 
 
 def segment_mask(upsampled: np.ndarray, tau: float) -> np.ndarray:

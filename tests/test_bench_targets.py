@@ -10,17 +10,23 @@ from pathlib import Path
 import numpy as np
 
 from protoloc import encoder as enc
-from protoloc import harness, kernels
+from protoloc import episodic, harness, kernels
 from protoloc.config import RunConfig
 from protoloc.dataset import SplitData
+from protoloc.localization import BoundingBox, iou
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def test_every_trace_target_resolves():
+def load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_trace_target_resolves():
+    spans = load_spans()
     assert spans.TARGETS
     missing = [f"{module}.{attr}" for module, attr, *_ in spans.TARGETS
                if not callable(getattr(importlib.import_module(module), attr, None))]
@@ -72,3 +78,42 @@ def test_refined_eval_task_localizes_queries_in_one_call(monkeypatch):
     features = harness._split_features(enc.init_params(cfg.arch, 0), split.images)
     harness._eval_task(cfg, features, split, 0, "refined")
     assert calls == {"propose_box": 3 * 2, "propose_boxes": [3 * 4]}
+
+
+def test_tracer_scores_each_support_box_against_its_split_row(monkeypatch):
+    # the tracer reads the drawn episode's support_boxes; record the episodes
+    # and support boxes under its wrappers and recompute every IoU from the rows
+    episodes, boxes = [], []
+    real_sample = harness.sample_episode
+
+    def sample_episode(*args):
+        episodes.append(real_sample(*args))
+        boxes.append([])
+        return episodes[-1]
+
+    def recording(real):
+        def propose_box(*args):
+            boxes[-1].append(real(*args))
+            return boxes[-1][-1]
+        return propose_box
+
+    monkeypatch.setattr(harness, "sample_episode", sample_episode)
+    for module in (harness, episodic):
+        monkeypatch.setattr(module, "propose_box", recording(module.propose_box))
+    cfg = RunConfig(n_way=3, k_shot=2, queries=2, arch_blocks=2, arch_channels=(4, 6),
+                    arch_input_size=16, image_size=16, tasks=2, workers=1,
+                    epochs_ours=1, episodes_per_epoch=2)
+    rng = np.random.default_rng(1)
+    split = SplitData("train", rng.uniform(size=(24, 16, 16, 3)), np.repeat(np.arange(4), 6),
+                      rng.integers(0, 8, size=(24, 4)) + [0, 0, 8, 8])
+    params = enc.init_params(cfg.arch, 0)
+    tracer = load_spans().Tracer(cfg.arch_input_size)
+    with tracer.installed():
+        harness.evaluate(cfg, params, "refined", split)
+        harness.train_episodic(cfg, params, "ours", split)
+    assert tracer.missing == []
+    assert len(episodes) == 4
+    want = [iou(box, BoundingBox(*split.boxes[episode.support_ids[i]]))
+            for episode, drawn in zip(episodes, boxes) for i, box in enumerate(drawn)]
+    assert [len(drawn) for drawn in boxes] == [3 * 2] * 4
+    assert tracer.support_ious == want

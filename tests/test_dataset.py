@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +144,44 @@ class TestGenerateDataset:
         with pytest.raises(CorruptDataset, match="boxes.tns"):
             ds.load_dataset(tmp_path)
 
+    def test_failed_write_keeps_previous_dataset(self, tmp_path, monkeypatch):
+        out = tmp_path / "data"
+        spec = small_spec(per_class_count=2)
+        ds.generate_dataset(spec, 3, out)
+        (out / "notes.txt").write_text("kept\n")
+
+        def snapshot():
+            return {p.relative_to(out): p.read_bytes()
+                    for p in sorted(out.rglob("*")) if p.is_file()}
+
+        before = snapshot()
+        real_write_tns = ds.write_tns
+        calls = []
+
+        def write_part_then_fail(path, arr):
+            # the fifth file is the second split's labels: one split is done
+            calls.append(path)
+            if len(calls) == 5:
+                real_write_tns(path, arr)
+                Path(path).write_bytes(Path(path).read_bytes()[:10])
+                raise OSError("disk full")
+            real_write_tns(path, arr)
+
+        monkeypatch.setattr(ds, "write_tns", write_part_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            ds.generate_dataset(spec, 4, out)
+        assert snapshot() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
+        monkeypatch.undo()
+        ds.generate_dataset(spec, 4, out)
+        after = snapshot()
+        assert after[Path("notes.txt")] == b"kept\n"
+        assert after[Path("test/images.tns")] != before[Path("test/images.tns")]
+        assert [p.name for p in tmp_path.iterdir()] == ["data"]
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 4
+        ds.load_dataset(out)
+
 
 class TestSampleEpisode:
     @pytest.fixture(scope="class")
@@ -154,45 +193,44 @@ class TestSampleEpisode:
     def test_five_way_one_shot_fifteen_queries(self, splits):
         episode = ds.sample_episode(splits["test"], 5, 1, 15,
                                     np.random.default_rng(0))
-        assert episode.support_labels.size == 5
+        assert episode.support_ids.size == 5
         assert episode.query_labels.size == 75
 
     def test_support_and_queries_disjoint(self, splits):
         # items are drawn without replacement: identical images cannot
         # appear on both sides of a class
-        episode = ds.sample_episode(splits["train"], 5, 3, 5,
-                                    np.random.default_rng(1))
-        for c in range(5):
-            sup = episode.support_images[episode.support_labels == c]
-            qry = episode.query_images[episode.query_labels == c]
+        split = splits["train"]
+        episode = ds.sample_episode(split, 5, 3, 5, np.random.default_rng(1))
+        sups = split.images[episode.support_ids].reshape(5, 3, *split.images.shape[1:])
+        qrys = split.images[episode.query_ids].reshape(5, 5, *split.images.shape[1:])
+        for sup, qry in zip(sups, qrys):
             for s in sup:
                 assert not any(np.array_equal(s, q) for q in qry)
 
     def test_items_in_ascending_index_order(self, splits):
         # each class's supports, and its queries, come in ascending
         # dataset-index order, which fixes the summation order of prototypes;
-        # the recorded ids are the split rows of the items
+        # support group c and query group c are rows of one split class
         split = splits["train"]
         for seed in range(5):
             episode = ds.sample_episode(split, 5, 3, 4, np.random.default_rng(seed))
-            for images, boxes, ids, labels, per in (
-                    (episode.support_images, episode.support_boxes, episode.support_ids,
-                     episode.support_labels, 3),
-                    (episode.query_images, episode.query_boxes, episode.query_ids,
-                     episode.query_labels, 4)):
-                np.testing.assert_array_equal(split.images[ids], images)
+            classes = []
+            for boxes, ids, per in ((episode.support_boxes, episode.support_ids, 3),
+                                    (episode.query_boxes, episode.query_ids, 4)):
                 np.testing.assert_array_equal(split.boxes[ids], boxes)
                 idx = ids.reshape(5, per)
                 assert np.all(np.diff(idx, axis=1) > 0)
-                assert np.all(labels.reshape(5, per) == np.arange(5)[:, None])
                 assert all(np.unique(split.labels[r]).size == 1 for r in idx)
+                classes.append(split.labels[idx[:, 0]])
+            np.testing.assert_array_equal(classes[0], classes[1])
+            assert np.unique(classes[0]).size == 5
+            assert np.all(episode.query_labels.reshape(5, 4) == np.arange(5)[:, None])
 
     def test_same_task_rng_identical_episode(self, splits):
         a = ds.sample_episode(splits["test"], 5, 1, 5, np.random.default_rng(7))
         b = ds.sample_episode(splits["test"], 5, 1, 5, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.support_images, b.support_images)
-        np.testing.assert_array_equal(a.query_images, b.query_images)
-        np.testing.assert_array_equal(a.query_boxes, b.query_boxes)
+        np.testing.assert_array_equal(a.support_ids, b.support_ids)
+        np.testing.assert_array_equal(a.query_ids, b.query_ids)
 
     def test_insufficient_classes(self, splits):
         with pytest.raises(InsufficientData):

@@ -3,11 +3,12 @@ import pytest
 
 from protoloc import encoder as enc
 from protoloc import episodic as ep
+from protoloc.dataset import SplitData
 from protoloc.encoder import EncoderArch
 from protoloc.episodic import (EmptyClass, Episode, LossConfig, NegativeLambda,
                                NonPositiveTemperature, distance_logit_loss,
                                nearest_class, softmax_cross_entropy)
-from protoloc.kernels import global_avg_pool_batch
+from protoloc.kernels import ShapeError, global_avg_pool_batch
 from protoloc.localization import BoundingBox, propose_box
 from protoloc.roi import RoiConfig
 
@@ -28,25 +29,25 @@ def loss_value(params, episode, mode, cfg, **kwargs):
 
 def embeddings(params, episode):
     """(support, query) embeddings from one forward pass over the episode's
-    images in the order the episode loss runs it."""
-    images = np.concatenate([episode.support_images, episode.query_images])
+    rows in the order the episode loss runs it."""
+    images = episode.split.images[np.concatenate([episode.support_ids, episode.query_ids])]
     emb = global_avg_pool_batch(enc.forward_batch(params, images)[0])
-    ns = episode.support_labels.size
+    ns = len(episode.support_ids)
     return emb[:ns], emb[ns:]
 
 
+def split_of(images):
+    """A split whose rows are the given images, one class per row."""
+    n = len(images)
+    return SplitData("tiny", images, np.arange(n), np.tile([2, 2, 10, 10], (n, 1)))
+
+
 def tiny_episode(seed=0, n_way=2, k_shot=1, queries=2, size=16):
+    """The supports are the split's first N*K rows, the queries the rest."""
     rng = np.random.default_rng(seed)
     ns, nq = n_way * k_shot, n_way * queries
-    return Episode(
-        n_way=n_way, k_shot=k_shot,
-        support_images=rng.uniform(size=(ns, size, size, 3)),
-        support_labels=np.repeat(np.arange(n_way), k_shot),
-        support_boxes=np.tile([2, 2, 10, 10], (ns, 1)),
-        query_images=rng.uniform(size=(nq, size, size, 3)),
-        query_labels=np.repeat(np.arange(n_way), queries),
-        query_boxes=np.tile([2, 2, 10, 10], (nq, 1)),
-    )
+    split = split_of(rng.uniform(size=(ns + nq, size, size, 3)))
+    return Episode(split, n_way, k_shot, np.arange(ns), np.arange(ns, ns + nq))
 
 
 class TestEpisodeInvariants:
@@ -55,27 +56,25 @@ class TestEpisodeInvariants:
         assert epi.query_labels.size == 75
         assert epi.queries_per_class == 15
 
-    def test_rejects_ungrouped_support(self):
-        with pytest.raises(ValueError):
-            Episode(n_way=2, k_shot=1,
-                    support_images=np.zeros((2, 16, 16, 3)),
-                    support_labels=np.array([1, 0]),
-                    support_boxes=np.zeros((2, 4)),
-                    query_images=np.zeros((2, 16, 16, 3)),
-                    query_labels=np.array([0, 1]),
-                    query_boxes=np.zeros((2, 4)))
+    def test_labels_and_boxes_follow_the_rows(self):
+        epi = tiny_episode(n_way=3, k_shot=2, queries=2)
+        np.testing.assert_array_equal(epi.ids, np.arange(12))
+        np.testing.assert_array_equal(epi.query_labels, [0, 0, 1, 1, 2, 2])
+        np.testing.assert_array_equal(epi.support_boxes, epi.split.boxes[:6])
+        np.testing.assert_array_equal(epi.query_boxes, epi.split.boxes[6:])
+
+    def test_rejects_wrong_support_count(self):
+        split = split_of(np.zeros((4, 16, 16, 3)))
+        for sup in ([0], [0, 1, 2]):
+            with pytest.raises(ShapeError):
+                Episode(split, 2, 1, np.array(sup), np.array([2, 3]))
 
     def test_rejects_unbalanced_queries(self):
-        with pytest.raises(ValueError):
-            Episode(n_way=2, k_shot=1,
-                    support_images=np.zeros((2, 16, 16, 3)),
-                    support_labels=np.array([0, 1]),
-                    support_boxes=np.zeros((2, 4)),
-                    query_images=np.zeros((3, 16, 16, 3)),
-                    query_labels=np.array([0, 0, 1]),
-                    query_boxes=np.zeros((3, 4)))
-
-
+        # 3 queries cannot split evenly over 2 classes; none is no task
+        split = split_of(np.zeros((5, 16, 16, 3)))
+        for qry in ([2, 3, 4], []):
+            with pytest.raises(ValueError):
+                Episode(split, 2, 1, np.array([0, 1]), np.array(qry, dtype=np.int64))
 
 
 class TestComputePrototypes:
@@ -195,19 +194,6 @@ class TestCrossEntropy:
             assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
             assert np.max(np.abs(dlogits - want_grad)) <= 1e-15
 
-    def test_bad_index(self):
-        # query labels reach the loss only through an Episode, which rejects
-        # a class index outside 0..N-1
-        for labels in ([0, 2], [-1, 1]):
-            with pytest.raises(ValueError):
-                Episode(n_way=2, k_shot=1,
-                        support_images=np.zeros((2, 16, 16, 3)),
-                        support_labels=np.array([0, 1]),
-                        support_boxes=np.zeros((2, 4)),
-                        query_images=np.zeros((2, 16, 16, 3)),
-                        query_labels=np.array(labels),
-                        query_boxes=np.zeros((2, 4)))
-
 
 class TestLosses:
     def test_query_on_own_prototype_far_from_rest(self):
@@ -276,14 +262,8 @@ class TestEpisodeGradient:
         # prototypes; a tiny temperature saturates the class probabilities
         params = enc.init_params(SMALL, 42)
         rng = np.random.default_rng(42)
-        sup = rng.uniform(size=(2, 16, 16, 3))
-        episode = Episode(
-            n_way=2, k_shot=1,
-            support_images=sup, support_labels=np.array([0, 1]),
-            support_boxes=np.tile([2, 2, 10, 10], (2, 1)),
-            query_images=sup.copy(), query_labels=np.array([0, 1]),
-            query_boxes=np.tile([2, 2, 10, 10], (2, 1)),
-        )
+        rows = np.arange(2)
+        episode = Episode(split_of(rng.uniform(size=(2, 16, 16, 3))), 2, 1, rows, rows)
         _, grad = ep.episode_loss_and_gradient(
             params, episode, "prototype", LossConfig(temperature=1e-4, lambda_roi=0.0))
         assert np.linalg.norm(grad) <= 1e-8
@@ -295,11 +275,10 @@ class TestEpisodeGradient:
         roi_cfg = RoiConfig(2, 2)
 
         # freeze boxes at their forward-pass values (stop-gradient convention)
-        fms, _ = enc.forward_batch(params, episode.support_images)
+        fms, _ = enc.forward_batch(params, episode.split.images[episode.support_ids])
         embeds = global_avg_pool_batch(fms)
         protos = embeds.reshape(2, 1, -1).mean(axis=1)
-        boxes = [propose_box(fms[i], protos[episode.support_labels[i]], 0.5, 16, 16)
-                 for i in range(2)]
+        boxes = [propose_box(fms[i], protos[i], 0.5, 16, 16) for i in range(2)]
 
         _, live = ep.episode_loss_and_gradient(params, episode, "refined", cfg,
                                                roi_cfg=roi_cfg, tau=0.5)

@@ -46,6 +46,25 @@ def test_zero_lambda_ours_replays_base(splits):
     assert not np.array_equal(base_params.flat, params.flat)
 
 
+# sha256 of the losses (repr) and of the final parameter bytes of the run
+# below, recorded while episodes still held copies of their images; a change
+# to any training bit changes them
+TRAIN_SHA256 = {
+    "losses": "8e67a25e202f945666c714d557455728e6b28165a60feb2d083741735b9eed7b",
+    "params": "15a5d3c9ea33a8017a8ff4923aa49cd93dd9c79575d191726548ee790da2ffe0",
+}
+
+
+def test_base_then_ours_training_bits_unchanged(splits):
+    cfg = small_config(epochs_base=1, epochs_ours=1, episodes_per_epoch=3, lr=0.05)
+    params = enc.init_params(cfg.arch, 3)
+    params, base_losses = harness.train_episodic(cfg, params, "base", splits["train"])
+    params, ours_losses = harness.train_episodic(cfg, params, "ours", splits["train"])
+    losses = repr(base_losses + ours_losses).encode()
+    assert hashlib.sha256(losses).hexdigest() == TRAIN_SHA256["losses"]
+    assert hashlib.sha256(params.flat.tobytes()).hexdigest() == TRAIN_SHA256["params"]
+
+
 # sha256 of the rendered reports below, recorded before evaluation shared
 # feature maps between tasks; a change to any eval bit changes them
 REPORT_SHA256 = {

@@ -3,6 +3,7 @@ import pytest
 
 from protoloc import encoder as enc
 from protoloc import roi
+from protoloc.dataset import SplitData
 from protoloc.encoder import CacheMismatch, EncoderArch
 from protoloc.episodic import (EmptyClass, Episode, LossConfig,
                                distance_logit_loss, episode_loss_and_gradient)
@@ -143,12 +144,10 @@ class TestRefineRepresentation:
         ns, nq = n_way * k_shot, 2 * n_way
         if images is None:
             images = rng.uniform(size=(ns + nq, 16, 16, 3))
-        episode = Episode(
-            n_way=n_way, k_shot=k_shot,
-            support_images=images[:ns], support_labels=np.repeat(np.arange(n_way), k_shot),
-            support_boxes=np.tile([2, 2, 10, 10], (ns, 1)),
-            query_images=images[ns:], query_labels=np.repeat(np.arange(n_way), 2),
-            query_boxes=np.tile([2, 2, 10, 10], (nq, 1)))
+        # the supports are the split's first N*K rows, the queries the rest
+        split = SplitData("tiny", images, np.arange(ns + nq),
+                          np.tile([2, 2, 10, 10], (ns + nq, 1)))
+        episode = Episode(split, n_way, k_shot, np.arange(ns), np.arange(ns, ns + nq))
         self.fix_boxes(boxes)
         got, grad = episode_loss_and_gradient(params, episode, "refined", LossConfig(8.0, 1.0))
         fms, _ = enc.forward_batch(params, images)
