@@ -132,6 +132,13 @@ class RunConfig:
                      "queries", "tasks", "workers", "roi_grid", "roi_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.lambda_roi is not None and self.lambda_roi < 0:
+            raise ValueError(f"loss.lambda_roi must be >= 0, got {self.lambda_roi}")
+        if self.connectivity not in (4, 8):
+            raise ValueError(f"loc.connectivity must be 4 or 8, got {self.connectivity}")
+        if self.image_size != self.arch_input_size:
+            raise ValueError(f"data.image_size {self.image_size} != "
+                             f"arch.input_size {self.arch_input_size}")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":

@@ -3,7 +3,9 @@
 Every image holds one colored class shape over a dim background, plus a
 few neutral-gray distractors (bars, dots, crosses) drawn from a family
 disjoint from the class colors. The class shape's tight pixel box is the
-ground-truth annotation. All randomness is driven by generators derived
+ground-truth annotation. The 12 classes (CLASSES) and their split into
+train, val and test (SPLITS) are fixed; the manifest records them with the
+settable DatasetSpec fields. All randomness is driven by generators derived
 from (seed, class, sample index), so a (spec, seed) pair fully determines
 every byte on disk.
 """
@@ -24,23 +26,22 @@ from .episodic import Episode
 from .localization import BoundingBox
 from .tns_io import read_tns, write_tns
 
-SHAPES = ("circle", "square", "triangle", "plus", "diamond")
-
-_DEFAULT_COLORS = (
+_COLORS = (
     (0.85, 0.10, 0.10),   # red
     (0.10, 0.80, 0.15),   # green
     (0.15, 0.25, 0.90),   # blue
 )
 
 # 12 classes: 4 shapes x 3 colors, shape-major order
-_DEFAULT_CLASSES = tuple(
-    (shape, color) for shape in SHAPES[:4] for color in _DEFAULT_COLORS)
+CLASSES = tuple((shape, color) for shape in ("circle", "square", "triangle", "plus")
+                for color in _COLORS)
 
-# every shape appears in the train split; test pairs differ in color or shape
-_DEFAULT_SPLITS = {
+# class indices per split, in the manifest's (sorted) order; every shape
+# appears in the train split, and test pairs differ in color or shape
+SPLITS = {
+    "test": (1, 2, 4, 6, 9),
     "train": (0, 3, 5, 7, 11),
     "val": (8, 10),
-    "test": (1, 2, 4, 6, 9),
 }
 
 
@@ -54,13 +55,13 @@ class CorruptDataset(ValueError):
 
 @dataclass(frozen=True)
 class DatasetSpec:
+    """The settable part of a dataset; the class table and the splits are
+    the fixed CLASSES and SPLITS, recorded in the manifest with the rest."""
     image_size: int = 32
-    classes: tuple = _DEFAULT_CLASSES
     per_class_count: int = 200
     distractors_min: int = 1
     distractors_max: int = 3
     background: str = "solid-noise"   # or "gradient"
-    splits: tuple = tuple(sorted(_DEFAULT_SPLITS.items()))
 
     def __post_init__(self):
         if self.image_size < 8:
@@ -72,51 +73,22 @@ class DatasetSpec:
                 f"bad distractor range [{self.distractors_min}, {self.distractors_max}]")
         if self.background not in ("solid-noise", "gradient"):
             raise ValueError(f"unknown background {self.background!r}")
-        seen = []
-        for shape, color in self.classes:
-            if shape not in SHAPES:
-                raise ValueError(f"unknown shape {shape!r}")
-            color = tuple(float(v) for v in color)
-            if max(color) - min(color) < 0.2:
-                raise ValueError(
-                    f"class color {color} too gray; it would collide with distractors")
-            seen.append((shape, color))
-        covered = sorted(c for _, idxs in self.splits for c in idxs)
-        if covered != list(range(len(self.classes))):
-            raise ValueError("splits must disjointly cover all class indices")
-
-    @property
-    def split_map(self) -> dict:
-        return {name: tuple(idxs) for name, idxs in self.splits}
 
     def to_dict(self) -> dict:
         return {
             "image_size": self.image_size,
-            "classes": [[shape, list(color)] for shape, color in self.classes],
+            "classes": [[shape, list(color)] for shape, color in CLASSES],
             "per_class_count": self.per_class_count,
             "distractors_min": self.distractors_min,
             "distractors_max": self.distractors_max,
             "background": self.background,
-            "splits": {name: list(idxs) for name, idxs in self.splits},
+            "splits": {name: list(idxs) for name, idxs in SPLITS.items()},
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "DatasetSpec":
-        return DatasetSpec(
-            image_size=int(d["image_size"]),
-            classes=tuple((shape, tuple(color)) for shape, color in d["classes"]),
-            per_class_count=int(d["per_class_count"]),
-            distractors_min=int(d["distractors_min"]),
-            distractors_max=int(d["distractors_max"]),
-            background=d["background"],
-            splits=tuple(sorted((name, tuple(idxs)) for name, idxs in d["splits"].items())),
-        )
 
 
 @dataclass
 class Sample:
     image: np.ndarray          # (S, S, 3) float64 in [0, 1]
-    class_index: int
     gt_box: BoundingBox
 
 
@@ -141,13 +113,9 @@ def _shape_mask(shape: str, size: int, cy: float, cx: float, r: float) -> np.nda
     if shape == "triangle":
         # upward triangle: apex at cy - r, base at cy + r spanning [cx - r, cx + r]
         return (dy >= -r) & (dy <= r) & (np.abs(dx) <= (dy + r) / 2.0)
-    if shape == "plus":
-        arm = r / 3.0
-        return ((np.abs(dx) <= arm) & (np.abs(dy) <= r)) | \
-               ((np.abs(dy) <= arm) & (np.abs(dx) <= r))
-    if shape == "diamond":
-        return np.abs(dy) + np.abs(dx) <= r
-    raise ValueError(f"unknown shape {shape!r}")
+    arm = r / 3.0   # plus: two crossed bars
+    return ((np.abs(dx) <= arm) & (np.abs(dy) <= r)) | \
+           ((np.abs(dy) <= arm) & (np.abs(dx) <= r))
 
 
 def _draw_background(spec: DatasetSpec, rng) -> np.ndarray:
@@ -189,13 +157,12 @@ def _draw_distractor(img: np.ndarray, rng) -> None:
 
 
 def render_sample(spec: DatasetSpec, class_index: int, rng) -> Sample:
-    """Render one sample; fully determined by the generator's state."""
-    if not 0 <= class_index < len(spec.classes):
-        raise ValueError(f"class index {class_index} out of range")
+    """Render one sample of CLASSES[class_index]; fully determined by the
+    generator's state."""
     s = spec.image_size
     img = _draw_background(spec, rng)
 
-    shape, color = spec.classes[class_index]
+    shape, color = CLASSES[class_index]
     scale = rng.uniform(0.2, 0.45) * s
     r = scale / 2.0
     cy = rng.uniform(r + 1.0, s - 2.0 - r)
@@ -209,7 +176,7 @@ def render_sample(spec: DatasetSpec, class_index: int, rng) -> Sample:
     img[mask] = np.asarray(color, dtype=np.float64)
     ys, xs = np.nonzero(mask)
     box = BoundingBox(int(ys.min()), int(xs.min()), int(ys.max()), int(xs.max()))
-    return Sample(img, class_index, box)
+    return Sample(img, box)
 
 
 def _sample_rng(seed: int, class_index: int, item: int):
@@ -233,7 +200,7 @@ def generate_dataset(spec: DatasetSpec, seed: int, out_dir) -> dict:
         "splits": {},
     }
     try:
-        for name, class_indices in spec.splits:
+        for name, class_indices in SPLITS.items():
             images, labels, boxes = [], [], []
             for c in class_indices:
                 for i in range(spec.per_class_count):
@@ -256,7 +223,7 @@ def generate_dataset(spec: DatasetSpec, seed: int, out_dir) -> dict:
         out.mkdir(exist_ok=True)
         # no manifest while splits are swapped: a half-moved dataset fails to load
         (out / "manifest.json").unlink(missing_ok=True)
-        for name, _ in spec.splits:
+        for name in SPLITS:
             shutil.rmtree(out / name, ignore_errors=True)
             os.replace(tmp / name, out / name)
         os.replace(tmp / "manifest.json", out / "manifest.json")

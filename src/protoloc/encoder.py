@@ -14,7 +14,7 @@ gradient w.r.t. the images.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,35 +49,12 @@ class EncoderArch:
                 f"input_size {self.input_size} not divisible by 2^{self.blocks}")
 
     @property
-    def feature_hw(self) -> int:
-        return self.input_size // (2 ** self.blocks)
-
-    @property
     def embed_dim(self) -> int:
         return self.channels[-1]
 
     @property
     def pad(self) -> int:
         return (self.kernel - 1) // 2
-
-    def to_dict(self) -> dict:
-        return {
-            "blocks": self.blocks,
-            "channels": list(self.channels),
-            "kernel": self.kernel,
-            "input_size": self.input_size,
-            "input_channels": self.input_channels,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "EncoderArch":
-        return EncoderArch(
-            blocks=int(d["blocks"]),
-            channels=tuple(d["channels"]),
-            kernel=int(d["kernel"]),
-            input_size=int(d["input_size"]),
-            input_channels=int(d["input_channels"]),
-        )
 
 
 def _block_shapes(arch: EncoderArch):
@@ -200,7 +177,7 @@ def save_checkpoint(path, params: EncoderParams, seed: int) -> None:
     Both go to temporary files first, so a failed write leaves the old pair."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    manifest = {"arch": params.arch.to_dict(), "seed": int(seed)}
+    manifest = {"arch": asdict(params.arch), "seed": int(seed)}
     with replacing(path) as tmp, replacing(path.with_suffix(".json")) as tmp_json:
         write_tns(tmp, params.flat)
         tmp_json.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -211,5 +188,5 @@ def load_checkpoint(path):
     path = Path(path)
     flat = read_tns(path)
     manifest = json.loads(path.with_suffix(".json").read_text())
-    arch = EncoderArch.from_dict(manifest["arch"])
+    arch = EncoderArch(**manifest["arch"])
     return EncoderParams(arch, flat), int(manifest["seed"])

@@ -9,11 +9,12 @@ and are never stored, and no image is copied out of the split.
 Logits are negated squared Euclidean distances divided by a temperature;
 the base loss is mean cross-entropy against prototypes (per-class means of
 support embeddings), the RoI loss is the same form against refined
-representations (per-class means of RoI features), and the combined loss
-adds them with a balancing weight. Gradients flow through query
-embeddings, support embeddings (via the prototype mean) and, in refined
-mode, through the RoIAlign sampling weights; proposed box coordinates are
-treated as constants.
+representations (per-class means of RoI features), and the episode loss is
+base + lambda * RoI. The base loss is lambda = 0: then no box is proposed
+and no RoI feature taken. Gradients flow through query embeddings, support
+embeddings (via the prototype mean) and, for lambda > 0, through the
+RoIAlign sampling weights; proposed box coordinates are treated as
+constants.
 """
 
 from __future__ import annotations
@@ -135,19 +136,18 @@ def nearest_class(embeds, reps) -> np.ndarray:
 
 
 def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
-                              reps_mode: str, loss_cfg: LossConfig, *,
+                              loss_cfg: LossConfig, *,
                               tau: float = 0.5,
                               roi_cfg: roi.RoiConfig = roi.RoiConfig(),
                               connectivity: int = 4):
     """Loss value and its exact parameter gradient for one episode.
 
-    reps_mode "prototype" optimizes the base loss; "refined" optimizes the
-    combined loss, proposing boxes at threshold tau and building refined
-    representations from RoI features. Box coordinates are stop-gradient:
-    only the bilinear sampling weights carry gradient into the feature maps.
+    The loss is base + lambda * RoI with lambda = loss_cfg.lambda_roi. The
+    RoI term proposes boxes at threshold tau and builds refined
+    representations from RoI features; it runs only when lambda != 0. Box
+    coordinates are stop-gradient: only the bilinear sampling weights carry
+    gradient into the feature maps.
     """
-    if reps_mode not in ("prototype", "refined"):
-        raise ValueError(f"unknown reps_mode {reps_mode!r}")
     arch = params.arch
     n, k = episode.n_way, episode.k_shot
     ns = n * k
@@ -167,7 +167,7 @@ def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
     grad_fms = np.empty_like(fms)
     grad_fms[:ns] = kernels.gap_vjp_batch(s_fms.shape, ds_emb)
 
-    if reps_mode == "refined" and loss_cfg.lambda_roi != 0.0:
+    if loss_cfg.lambda_roi != 0.0:
         lam = loss_cfg.lambda_roi
         boxes = [propose_box(s_fms[i], protos[i // k], tau, *image_hw, connectivity)
                  for i in range(ns)]

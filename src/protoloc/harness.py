@@ -12,6 +12,9 @@ in, so one ``evaluate`` call encodes each test image at most once: tasks
 gather their maps by row (``Episode.ids``) from a cache that is filled on
 first request, under a lock shared by the workers.
 
+Pretraining returns the encoder and its losses; its linear head stays
+internal. The base training phase is the episode loss at lambda = 0.
+
 A refined eval task proposes one box per support map with ``propose_box``,
 then localizes all its query maps against their predicted classes in one
 batched ``propose_boxes`` call; ``localize_cmd`` likewise proposes every
@@ -33,7 +36,7 @@ import numpy as np
 from . import encoder as enc
 from . import kernels
 from .config import RunConfig
-from .dataset import DatasetSpec, InsufficientData, load_dataset, sample_episode
+from .dataset import DatasetSpec, load_dataset, sample_episode
 from .episodic import (LossConfig, episode_loss_and_gradient, nearest_class,
                        softmax_cross_entropy)
 from .localization import BoundingBox, iou, propose_box, propose_boxes
@@ -86,10 +89,11 @@ def dataset_spec_from_config(cfg: RunConfig) -> DatasetSpec:
 def _load_splits(cfg: RunConfig) -> dict:
     """Load cfg.data_dir; raises SpecMismatch unless its manifest spec is the config's."""
     manifest, splits = load_dataset(cfg.data_dir)
-    found = DatasetSpec.from_dict(manifest["spec"]).to_dict()
+    found = manifest["spec"]
     wanted = dataset_spec_from_config(cfg).to_dict()
     if found != wanted:
-        diff = {k: (v, wanted[k]) for k, v in found.items() if v != wanted[k]}
+        diff = {k: (found.get(k), wanted.get(k)) for k in {**wanted, **found}
+                if found.get(k) != wanted.get(k)}
         raise SpecMismatch(f"{cfg.data_dir}: manifest spec differs from config "
                            f"(key: (manifest, config)): {diff}")
     return splits
@@ -102,20 +106,14 @@ def _load_splits(cfg: RunConfig) -> dict:
 @dataclass
 class PretrainResult:
     params: enc.EncoderParams
-    head_weights: np.ndarray   # (D, train classes)
-    head_bias: np.ndarray
     losses: list               # per-batch cross-entropy
 
 
-def pretrain(cfg: RunConfig, data=None) -> PretrainResult:
+def pretrain(cfg: RunConfig) -> PretrainResult:
     """Train encoder plus a single-layer classifier over all train-split
-    classes with cross-entropy; the head is discarded by the caller."""
-    if data is None:
-        train = _load_splits(cfg)["train"]
-        data = (train.images, train.labels)
-    images, labels = data
-    if images.shape[0] == 0:
-        raise InsufficientData("train split is empty")
+    classes with cross-entropy; the head is discarded."""
+    train = _load_splits(cfg)["train"]
+    images, labels = train.images, train.labels
     classes = np.unique(labels)
     y = np.searchsorted(classes, labels)
 
@@ -145,7 +143,7 @@ def pretrain(cfg: RunConfig, data=None) -> PretrainResult:
             weights = weights - cfg.pretrain_lr * grad_w
             bias = bias - cfg.pretrain_lr * grad_b
             losses.append(loss)
-    return PretrainResult(params, weights, bias, losses)
+    return PretrainResult(params, losses)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +152,8 @@ def pretrain(cfg: RunConfig, data=None) -> PretrainResult:
 
 def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
                    split=None):
-    """Seeded episodic SGD; phase "base" uses prototype loss, "ours" adds the
-    RoI term with boxes proposed at the training threshold. Returns
+    """Seeded episodic SGD; phase "base" is the episode loss at lambda = 0,
+    "ours" adds the RoI term with boxes proposed at the training threshold. Returns
     (params, per-episode losses); raises NonFiniteLoss before stepping on a
     non-finite loss or gradient, and DeadEncoder on an all-zero gradient."""
     if phase not in ("base", "ours"):
@@ -163,8 +161,7 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
     if split is None:
         split = _load_splits(cfg)["train"]
     epochs = cfg.epochs_base if phase == "base" else cfg.epochs_ours
-    mode = "prototype" if phase == "base" else "refined"
-    loss_cfg = LossConfig(cfg.temperature, cfg.lambda_roi_resolved)
+    loss_cfg = LossConfig(cfg.temperature, cfg.lambda_roi_resolved if phase == "ours" else 0.0)
     roi_cfg = RoiConfig(cfg.roi_grid, cfg.roi_samples)
 
     losses = []
@@ -173,7 +170,7 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
             rng = np.random.default_rng((cfg.seed, _EPISODE_STREAM, epoch, j))
             episode = sample_episode(split, cfg.n_way, cfg.k_shot, cfg.queries, rng)
             loss, grad = episode_loss_and_gradient(
-                params, episode, mode, loss_cfg,
+                params, episode, loss_cfg,
                 tau=cfg.tau_train_resolved, roi_cfg=roi_cfg,
                 connectivity=cfg.connectivity)
             where = f"{phase} phase, epoch {epoch}, episode {j} (index {len(losses)})"
@@ -380,20 +377,22 @@ def write_ppm(path, image01: np.ndarray) -> None:
         f.write(data.tobytes())
 
 
-def draw_box_border(image01: np.ndarray, box: BoundingBox,
-                    color=(1.0, 0.0, 0.0)) -> np.ndarray:
-    """Copy of the image with a 1-pixel border along the box perimeter."""
+_BOX_COLOR = (1.0, 0.0, 0.0)   # red
+
+
+def draw_box_border(image01: np.ndarray, box: BoundingBox) -> np.ndarray:
+    """Copy of the image with a 1-pixel red border along the box perimeter."""
     img = image01.copy()
     y0, x0, y1, x1 = box
-    img[y0, x0:x1 + 1] = color
-    img[y1, x0:x1 + 1] = color
-    img[y0:y1 + 1, x0] = color
-    img[y0:y1 + 1, x1] = color
+    img[y0, x0:x1 + 1] = _BOX_COLOR
+    img[y1, x0:x1 + 1] = _BOX_COLOR
+    img[y0:y1 + 1, x0] = _BOX_COLOR
+    img[y0:y1 + 1, x1] = _BOX_COLOR
     return img
 
 
 def localize_cmd(cfg: RunConfig, params: enc.EncoderParams, ids,
-                 split_name: str = "test", out_dir="overlays", splits=None):
+                 split_name: str = "test", out_dir="overlays"):
     """Self-embedding localization for the given split image ids.
 
     Each image acts as its own one-shot support: the box is proposed from
@@ -402,8 +401,7 @@ def localize_cmd(cfg: RunConfig, params: enc.EncoderParams, ids,
     ``id y0 x0 y1 x1 iou`` lines; returns the records.
     """
     _check_arch(cfg, params)
-    if splits is None:
-        splits = _load_splits(cfg)
+    splits = _load_splits(cfg)
     if split_name not in splits:
         raise UnknownId(f"unknown split {split_name!r}")
     split = splits[split_name]

@@ -5,6 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protoloc.config import RunConfig, apply_overrides, parse_config_text
+from protoloc.dataset import DatasetSpec
+from protoloc.encoder import EncoderArch
+from protoloc.episodic import LossConfig
+from protoloc.harness import dataset_spec_from_config
+from protoloc.roi import RoiConfig
 
 
 def _render(echo: dict) -> str:
@@ -36,6 +41,23 @@ def test_unreadable_value_names_its_key(line):
         RunConfig.from_mapping(parse_config_text(line))
 
 
+@pytest.mark.parametrize("line, key", [("loss.lambda_roi = -1", "loss.lambda_roi"),
+                                       ("loc.connectivity = 5", "loc.connectivity"),
+                                       ("data.image_size = 64", "data.image_size")])
+def test_inconsistent_value_names_its_key(line, key):
+    # each would otherwise pass silently or fail only once a run has started
+    with pytest.raises(ValueError, match=key):
+        RunConfig.from_mapping(parse_config_text(line))
+
+
+def test_defaults_build_the_component_defaults():
+    cfg = RunConfig()
+    assert cfg.arch == EncoderArch()
+    assert dataset_spec_from_config(cfg) == DatasetSpec()
+    assert RoiConfig(cfg.roi_grid, cfg.roi_samples) == RoiConfig()
+    assert LossConfig(cfg.temperature, cfg.lambda_roi_resolved) == LossConfig()
+
+
 _TEXT = st.one_of(
     st.integers(0, 10**6).map(str),                            # numeric-looking
     st.floats(allow_nan=False).map(repr),
@@ -52,8 +74,10 @@ _BY_TYPE = {
 
 @st.composite
 def _configs(draw):
-    return RunConfig(**{f.name: draw(_BY_TYPE[f.type])
-                        for f in dataclasses.fields(RunConfig)})
+    values = {f.name: draw(_BY_TYPE[f.type]) for f in dataclasses.fields(RunConfig)}
+    values["connectivity"] = draw(st.sampled_from([4, 8]))
+    values["arch_input_size"] = values["image_size"]
+    return RunConfig(**values)
 
 
 @settings(max_examples=100)

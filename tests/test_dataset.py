@@ -16,32 +16,29 @@ def small_spec(**kw):
 
 class TestSpecValidation:
     def test_default_is_twelve_classes_five_two_five(self):
-        spec = DatasetSpec()
-        assert len(spec.classes) == 12
-        shapes = {s for s, _ in spec.classes}
-        colors = {c for _, c in spec.classes}
+        assert len(ds.CLASSES) == 12
+        shapes = {s for s, _ in ds.CLASSES}
+        colors = {c for _, c in ds.CLASSES}
         assert len(shapes) == 4 and len(colors) == 3
-        split_map = spec.split_map
-        assert sorted(len(v) for v in split_map.values()) == [2, 5, 5]
-        assert len(split_map["train"]) == 5 and len(split_map["test"]) == 5
+        # no class color is near gray, so none collides with a distractor
+        assert all(max(c) - min(c) >= 0.2 for c in colors)
+        assert list(ds.SPLITS) == ["test", "train", "val"]
+        assert sorted(len(v) for v in ds.SPLITS.values()) == [2, 5, 5]
+        assert len(ds.SPLITS["train"]) == 5 and len(ds.SPLITS["test"]) == 5
+        # the splits cover every class index exactly once
+        assert sorted(c for v in ds.SPLITS.values() for c in v) == list(range(12))
         # every shape is seen during training
-        train_shapes = {spec.classes[i][0] for i in split_map["train"]}
+        train_shapes = {ds.CLASSES[i][0] for i in ds.SPLITS["train"]}
         assert train_shapes == shapes
 
-    def test_rejects_gray_class_color(self):
-        with pytest.raises(ValueError, match="gray"):
-            DatasetSpec(classes=(("circle", (0.5, 0.5, 0.55)),),
-                        splits=(("train", (0,)),))
-
-    def test_rejects_split_gaps(self):
-        with pytest.raises(ValueError, match="cover"):
-            DatasetSpec(classes=(("circle", (0.9, 0.1, 0.1)),
-                                 ("square", (0.1, 0.9, 0.1))),
-                        splits=(("train", (0,)),))
-
     def test_round_trips_through_dict(self):
-        spec = DatasetSpec()
-        assert DatasetSpec.from_dict(spec.to_dict()) == spec
+        # a manifest's spec, read back from its JSON text, equals the spec
+        spec = DatasetSpec(image_size=16, per_class_count=7, background="gradient")
+        d = spec.to_dict()
+        assert json.loads(json.dumps(d)) == d
+        assert d["classes"][1] == ["circle", [0.1, 0.8, 0.15]]
+        assert d["splits"] == {"test": [1, 2, 4, 6, 9], "train": [0, 3, 5, 7, 11],
+                               "val": [8, 10]}
 
 
 class TestRenderSample:
@@ -64,8 +61,8 @@ class TestRenderSample:
     def test_class_color_inside_box_and_distractors_disjoint(self):
         spec = small_spec()
         rng_index = 0
-        for c in range(len(spec.classes)):
-            color = np.asarray(spec.classes[c][1])
+        for c in range(len(ds.CLASSES)):
+            color = np.asarray(ds.CLASSES[c][1])
             for i in range(84):          # ~1000 renders across all classes
                 rng_index += 1
                 s = ds.render_sample(spec, c, np.random.default_rng((7, c, i)))
@@ -78,7 +75,7 @@ class TestRenderSample:
                 flat = s.image.reshape(-1, 3)
                 gray = (flat[:, 0] == flat[:, 1]) & (flat[:, 1] == flat[:, 2])
                 colored = flat[~gray]
-                for _, other_color in spec.classes:
+                for _, other_color in ds.CLASSES:
                     other = np.asarray(other_color)
                     matches = np.all(colored == other, axis=1)
                     if not np.array_equal(other, color):
@@ -111,7 +108,7 @@ class TestGenerateDataset:
         import hashlib
         spec = small_spec(per_class_count=3)
         manifest = ds.generate_dataset(spec, 5, tmp_path)
-        for name, idxs in spec.split_map.items():
+        for name, idxs in ds.SPLITS.items():
             assert manifest["splits"][name]["count"] == 3 * len(idxs)
             digest = manifest["splits"][name]["digests"]["images.tns"]
             raw = (tmp_path / name / "images.tns").read_bytes()
@@ -123,7 +120,7 @@ class TestGenerateDataset:
         spec = small_spec(per_class_count=3)
         ds.generate_dataset(spec, 9, tmp_path)
         _, splits = ds.load_dataset(tmp_path)
-        for name, idxs in spec.split_map.items():
+        for name, idxs in ds.SPLITS.items():
             split = splits[name]
             row = 0
             for c in idxs:
@@ -134,6 +131,17 @@ class TestGenerateDataset:
                     np.testing.assert_array_equal(split.boxes[row],
                                                   np.asarray(sample.gt_box))
                     row += 1
+
+    def test_default_spec_render_bytes_unchanged(self, tmp_path):
+        # sha256 over the manifest and every split file, in path order,
+        # recorded while the class table and splits were DatasetSpec fields
+        import hashlib
+        ds.generate_dataset(DatasetSpec(per_class_count=2), 7, tmp_path)
+        digest = hashlib.sha256()
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == \
+            "ffa91b3578e651790f59e6532eecafe6988149cd7cf6b66955e676af5e9b4fd2"
 
     def test_flipped_bit_raises_corrupt_dataset(self, tmp_path):
         ds.generate_dataset(small_spec(per_class_count=2), 3, tmp_path)

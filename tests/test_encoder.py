@@ -24,8 +24,8 @@ def test_arch_validation():
 
 def test_arch_output_contract():
     arch = EncoderArch()
-    assert arch.feature_hw == 4
     assert arch.embed_dim == 32
+    assert arch.pad == 1
 
 
 class TestInitParams:
@@ -260,3 +260,10 @@ class TestCheckpoint:
         manifest = json.loads((tmp_path / "c.json").read_text())
         assert manifest["seed"] == 7
         assert manifest["arch"]["channels"] == [8, 16, 32]
+
+    def test_reference_checkpoint_saves_back_byte_identical(self, tmp_path):
+        reference = Path(__file__).resolve().parents[1] / "bench" / "reference"
+        params, seed = enc.load_checkpoint(reference / "encoder.tns")
+        enc.save_checkpoint(tmp_path / "encoder.tns", params, seed)
+        for name in ("encoder.tns", "encoder.json"):
+            assert (tmp_path / name).read_bytes() == (reference / name).read_bytes(), name

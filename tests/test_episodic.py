@@ -23,8 +23,8 @@ def loss_of(embeds, labels, reps, temperature):
                                temperature)[0]
 
 
-def loss_value(params, episode, mode, cfg, **kwargs):
-    return ep.episode_loss_and_gradient(params, episode, mode, cfg, **kwargs)[0]
+def loss_value(params, episode, cfg, **kwargs):
+    return ep.episode_loss_and_gradient(params, episode, cfg, **kwargs)[0]
 
 
 def embeddings(params, episode):
@@ -86,7 +86,7 @@ class TestComputePrototypes:
         cfg = LossConfig(temperature=8.0, lambda_roi=0.0)
         s_emb, q_emb = embeddings(params, episode)
         want = loss_of(q_emb, episode.query_labels, s_emb, 8.0)
-        assert loss_value(params, episode, "prototype", cfg) == want
+        assert loss_value(params, episode, cfg) == want
 
     def test_arithmetic_mean(self):
         params = enc.init_params(SMALL, 31)
@@ -95,7 +95,7 @@ class TestComputePrototypes:
         s_emb, q_emb = embeddings(params, episode)
         protos = np.stack([(s_emb[2 * c] + s_emb[2 * c + 1]) / 2 for c in range(2)])
         want = loss_of(q_emb, episode.query_labels, protos, 8.0)
-        assert loss_value(params, episode, "prototype", cfg) == want
+        assert loss_value(params, episode, cfg) == want
 
     def test_empty_class(self):
         # a mean over no supports would turn the loss and gradient into NaN
@@ -222,9 +222,9 @@ class TestLosses:
         # the support embeddings, so the RoI term repeats the base term
         params = enc.init_params(SMALL, 7)
         episode = tiny_episode(seed=7, n_way=3, k_shot=1, queries=2)
-        base = loss_value(params, episode, "prototype", LossConfig(64.0, 0.0))
+        base = loss_value(params, episode, LossConfig(64.0, 0.0))
         fix_boxes([BoundingBox(0, 0, 15, 15)] * 3)
-        both = loss_value(params, episode, "refined", LossConfig(64.0, 1.0),
+        both = loss_value(params, episode, LossConfig(64.0, 1.0),
                           roi_cfg=RoiConfig(4, 1))
         assert abs(both - 2.0 * base) <= 1e-12
 
@@ -233,10 +233,9 @@ class TestLosses:
         params = enc.init_params(SMALL, 8)
         episode = tiny_episode(seed=8)
         kw = dict(roi_cfg=RoiConfig(2, 2), tau=0.5)
-        base = loss_value(params, episode, "prototype", LossConfig(64.0, 0.0))
-        ours = {lam: loss_value(params, episode, "refined", LossConfig(64.0, lam), **kw)
-                for lam in (0.0, 0.5, 1.0)}
-        assert ours[0.0] == base
+        base = loss_value(params, episode, LossConfig(64.0, 0.0))
+        ours = {lam: loss_value(params, episode, LossConfig(64.0, lam), **kw)
+                for lam in (0.5, 1.0)}
         assert abs((ours[0.5] - base) - 0.5 * (ours[1.0] - base)) <= 1e-12
         assert ours[1.0] > base
 
@@ -250,10 +249,10 @@ class TestEpisodeGradient:
         params = enc.init_params(SMALL, 41)
         episode = tiny_episode(seed=41)
         cfg = LossConfig(temperature=8.0, lambda_roi=0.0)
-        _, grad = ep.episode_loss_and_gradient(params, episode, "prototype", cfg)
+        _, grad = ep.episode_loss_and_gradient(params, episode, cfg)
 
         def loss(flat):
-            return loss_value(enc.EncoderParams(SMALL, flat), episode, "prototype", cfg)
+            return loss_value(enc.EncoderParams(SMALL, flat), episode, cfg)
 
         assert rel_err(grad, fd_grad(loss, params.flat)) <= 1e-5
 
@@ -265,7 +264,7 @@ class TestEpisodeGradient:
         rows = np.arange(2)
         episode = Episode(split_of(rng.uniform(size=(2, 16, 16, 3))), 2, 1, rows, rows)
         _, grad = ep.episode_loss_and_gradient(
-            params, episode, "prototype", LossConfig(temperature=1e-4, lambda_roi=0.0))
+            params, episode, LossConfig(temperature=1e-4, lambda_roi=0.0))
         assert np.linalg.norm(grad) <= 1e-8
 
     def test_refined_mode_matches_finite_differences_at_fixed_boxes(self, fix_boxes):
@@ -280,28 +279,24 @@ class TestEpisodeGradient:
         protos = embeds.reshape(2, 1, -1).mean(axis=1)
         boxes = [propose_box(fms[i], protos[i], 0.5, 16, 16) for i in range(2)]
 
-        _, live = ep.episode_loss_and_gradient(params, episode, "refined", cfg,
+        _, live = ep.episode_loss_and_gradient(params, episode, cfg,
                                                roi_cfg=roi_cfg, tau=0.5)
         fix_boxes(boxes)
-        _, grad = ep.episode_loss_and_gradient(params, episode, "refined", cfg,
-                                               roi_cfg=roi_cfg)
+        _, grad = ep.episode_loss_and_gradient(params, episode, cfg, roi_cfg=roi_cfg)
         np.testing.assert_array_equal(grad, live)   # same boxes either way
 
         def loss(flat):
-            return loss_value(enc.EncoderParams(SMALL, flat), episode, "refined", cfg,
-                              roi_cfg=roi_cfg)
+            return loss_value(enc.EncoderParams(SMALL, flat), episode, cfg, roi_cfg=roi_cfg)
 
         assert rel_err(grad, fd_grad(loss, params.flat)) <= 1e-5
 
-    def test_refined_with_zero_lambda_equals_prototype_bitwise(self):
+    def test_zero_lambda_proposes_no_box(self, monkeypatch):
+        # lambda = 0 is the base loss alone: no box is proposed, no RoI taken
+        def no_box(*args):
+            raise AssertionError("propose_box called at lambda = 0")
+
+        monkeypatch.setattr(ep, "propose_box", no_box)
         params = enc.init_params(SMALL, 44)
         episode = tiny_episode(seed=44)
-        cfg = LossConfig(temperature=64.0, lambda_roi=0.0)
-        _, a = ep.episode_loss_and_gradient(params, episode, "prototype", cfg)
-        _, b = ep.episode_loss_and_gradient(params, episode, "refined", cfg)
-        np.testing.assert_array_equal(a, b)
-
-    def test_unknown_mode(self):
-        params = enc.init_params(SMALL, 45)
-        with pytest.raises(ValueError):
-            ep.episode_loss_and_gradient(params, tiny_episode(), "other", LossConfig())
+        loss, grad = ep.episode_loss_and_gradient(params, episode, LossConfig(64.0, 0.0))
+        assert np.isfinite(loss) and grad.any()

@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import json
+import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -117,7 +120,7 @@ def test_evaluate_rejects_arch_mismatch(tmp_path):
     # the checkpoint is 32 px; a 64 px config would propose boxes in the
     # wrong frame. The check runs before the (missing) dataset is read.
     params = enc.init_params(EncoderArch(), 0)
-    cfg = RunConfig(data_dir=str(tmp_path / "missing"), arch_input_size=64)
+    cfg = RunConfig(data_dir=str(tmp_path / "missing"), arch_input_size=64, image_size=64)
     with pytest.raises(ArchMismatch):
         harness.evaluate(cfg, params, "refined")
 
@@ -131,20 +134,22 @@ def test_localize_cmd_rejects_arch_mismatch(tmp_path):
     assert not out_dir.exists()
 
 
-def test_localize_cmd_boxes_unchanged(splits, tmp_path):
+def test_localize_cmd_boxes_unchanged(data_root, tmp_path):
     # recorded when every id was encoded in a batch of its own
     out_dir = tmp_path / "overlays"
-    harness.localize_cmd(small_config(), enc.init_params(small_config().arch, 4),
-                         [7, 0, 39, 12, 7], splits=splits, out_dir=out_dir)
+    cfg = small_config(data_dir=str(data_root), per_class_count=8)
+    harness.localize_cmd(cfg, enc.init_params(cfg.arch, 4), [7, 0, 39, 12, 7],
+                         out_dir=out_dir)
     digest = hashlib.sha256((out_dir / "boxes.txt").read_bytes()).hexdigest()
     assert digest == "5e8df8b3a765fd9eade8d00362c43cbd05b97509d2b8a43261a6858d87040089"
 
 
-def test_localize_cmd_rejects_late_unknown_id_before_writing(splits, tmp_path):
+def test_localize_cmd_rejects_late_unknown_id_before_writing(data_root, tmp_path):
     out_dir = tmp_path / "overlays"
+    cfg = small_config(data_dir=str(data_root), per_class_count=8)
     with pytest.raises(UnknownId, match="id 1000000 outside split 'test'"):
-        harness.localize_cmd(small_config(), enc.init_params(small_config().arch, 4),
-                             [0, 10**6], splits=splits, out_dir=out_dir)
+        harness.localize_cmd(cfg, enc.init_params(cfg.arch, 4), [0, 10**6],
+                             out_dir=out_dir)
     assert not out_dir.exists()
 
 
@@ -164,6 +169,33 @@ def test_entry_points_reject_dataset_spec_mismatch(data_root, tmp_path, entry):
     with pytest.raises(SpecMismatch, match="'per_class_count': \\(8, 500\\)"):
         run()
     assert not out_dir.exists()
+
+
+def _recolor_first_class(spec):
+    spec["classes"][0][1] = [0.5, 0.5, 0.5]
+
+
+def _move_val_class_to_test(spec):
+    spec["splits"]["test"].append(spec["splits"]["val"].pop())
+
+
+def _drop_distractors_min(spec):
+    del spec["distractors_min"]
+
+
+@pytest.mark.parametrize("edit, key", [(_recolor_first_class, "classes"),
+                                       (_move_val_class_to_test, "splits"),
+                                       (_drop_distractors_min, "distractors_min")])
+def test_edited_manifest_spec_names_its_key(data_root, tmp_path, edit, key):
+    root = tmp_path / "data"
+    shutil.copytree(data_root, root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    edit(manifest["spec"])
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    cfg = small_config(data_dir=str(root), per_class_count=8)
+    with pytest.raises(SpecMismatch) as info:
+        harness.evaluate(cfg, enc.init_params(cfg.arch, 0), "refined")
+    assert re.findall(r"'(\w+)': \(", str(info.value)) == [key]
 
 
 def test_diverging_run_raises_before_stepping_on_nan(tmp_path, monkeypatch):

@@ -149,7 +149,7 @@ class TestRefineRepresentation:
                           np.tile([2, 2, 10, 10], (ns + nq, 1)))
         episode = Episode(split, n_way, k_shot, np.arange(ns), np.arange(ns, ns + nq))
         self.fix_boxes(boxes)
-        got, grad = episode_loss_and_gradient(params, episode, "refined", LossConfig(8.0, 1.0))
+        got, grad = episode_loss_and_gradient(params, episode, LossConfig(8.0, 1.0))
         fms, _ = enc.forward_batch(params, images)
         emb = global_avg_pool_batch(fms)
         feats = [roi.roi_feature(fms[i], boxes[i], (16, 16)) for i in range(ns)]
