@@ -139,6 +139,8 @@ class RunConfig:
         if self.image_size != self.arch_input_size:
             raise ValueError(f"data.image_size {self.image_size} != "
                              f"arch.input_size {self.arch_input_size}")
+        self.arch = EncoderArch(blocks=self.arch_blocks, channels=self.arch_channels,
+                                kernel=self.arch_kernel, input_size=self.arch_input_size)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":
@@ -155,11 +157,6 @@ class RunConfig:
                 raise ValueError(
                     f"config key {key!r}: cannot read {value!r} as {types[name]}") from None
         return cls(**kwargs)
-
-    @property
-    def arch(self) -> EncoderArch:
-        return EncoderArch(blocks=self.arch_blocks, channels=self.arch_channels,
-                           kernel=self.arch_kernel, input_size=self.arch_input_size)
 
     @property
     def lambda_roi_resolved(self) -> float:

@@ -152,12 +152,13 @@ def pretrain(cfg: RunConfig) -> PretrainResult:
 
 def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
                    split=None):
-    """Seeded episodic SGD; phase "base" is the episode loss at lambda = 0,
-    "ours" adds the RoI term with boxes proposed at the training threshold. Returns
-    (params, per-episode losses); raises NonFiniteLoss before stepping on a
-    non-finite loss or gradient, and DeadEncoder on an all-zero gradient."""
+    """Seeded episodic SGD; phase "base" is the episode loss at lambda = 0, "ours"
+    adds the RoI term with boxes proposed at the training threshold. Returns
+    (params, per-episode losses); raises ArchMismatch before any work, NonFiniteLoss
+    before stepping on a non-finite loss or gradient, DeadEncoder on a zero gradient."""
     if phase not in ("base", "ours"):
         raise ValueError(f"unknown phase {phase!r}")
+    _check_arch(cfg, params)
     if split is None:
         split = _load_splits(cfg)["train"]
     epochs = cfg.epochs_base if phase == "base" else cfg.epochs_ours

@@ -5,8 +5,9 @@ a pure function over numpy arrays and is deterministic: identical inputs
 produce bit-identical outputs. The convolution, pooling and global-average
 kernels take a batch with a leading N axis, the shape the encoder and the
 episode code run them at; a single image is a batch of one. The convolution
-adjoint forms the input gradient as one transposed-convolution matmul, or
-skips it on request. Max pooling and its adjoint share one helper, the
+adjoint is one matmul per kernel tap on a strided view of the padded input,
+scatter-added into the input gradient (skipped on request); it builds no
+im2col columns. Max pooling and its adjoint share one helper, the
 window x window strided views of the input: their elementwise max is the
 pooled map, and the adjoint routes each gradient against it. Bilinear
 resize takes a stack of planes and shares one clamped corner-weight helper
@@ -80,15 +81,18 @@ def conv2d_batch(x, kernels, bias, stride=1, pad=0):
     out_h, out_w = _conv_geometry(h, w, k, stride, pad)
     xp = _pad_hw(x, pad)
     cols = _im2col(xp, k, stride, out_h, out_w).reshape(n * out_h * out_w, k * k * cin)
-    out = cols @ kernels.reshape(k * k * cin, cout) + bias
+    out = cols @ kernels.reshape(k * k * cin, cout)
+    out += bias  # in place: the same elementwise add, one output-sized buffer fewer
     return out.reshape(n, out_h, out_w, cout)
 
 
 def conv2d_vjp_batch(x, kernels, stride, pad, grad_out, need_input_grad=True):
     """Adjoint of conv2d_batch: returns (grad_x, grad_kernels, grad_bias).
 
-    grad_bias sums over the batch. grad_x is None unless need_input_grad; it is
-    a transposed convolution (Dumoulin & Visin, arXiv:1603.07285).
+    grad_bias sums over the batch; grad_x is None unless need_input_grad.
+    Kernel tap (a, b) meets the strided view xp[:, a::stride, b::stride] of the
+    padded input: view^T @ grad_out is its weight gradient, and grad_out @ W[a, b]^T
+    is scatter-added into the view's cells of the padded input gradient.
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -103,18 +107,16 @@ def conv2d_vjp_batch(x, kernels, stride, pad, grad_out, need_input_grad=True):
 
     g = grad_out.reshape(n * out_h * out_w, cout)
     grad_bias = g.sum(axis=0)
-    cols = _im2col(_pad_hw(x, pad), k, stride, out_h, out_w).reshape(n * out_h * out_w, -1)
-    grad_kernels = (cols.T @ g).reshape(k, k, cin, cout)
-    del cols  # freed before the input-gradient columns are built, for peak memory
-    if not need_input_grad:
-        return None, grad_kernels, grad_bias
-
-    # grad_out row i zero-dilated to row k-1+i*stride, correlated with the flipped kernel
-    gd = np.zeros((n, h + 2 * pad + k - 1, w + 2 * pad + k - 1, cout))
-    gd[:, k - 1:k - 1 + out_h * stride:stride, k - 1:k - 1 + out_w * stride:stride] = grad_out
-    gcols = _im2col(gd[:, pad:, pad:], k, 1, h, w).reshape(n * h * w, k * k * cout)
-    flipped = kernels[::-1, ::-1].transpose(0, 1, 3, 2).reshape(k * k * cout, cin)
-    grad_x = (gcols @ flipped).reshape(n, h, w, cin)
+    xp = _pad_hw(x, pad)
+    grad_kernels = np.empty_like(kernels)
+    gxp = np.zeros_like(xp) if need_input_grad else None
+    for a in range(k):
+        for b in range(k):
+            cells = np.s_[:, a:a + stride * out_h:stride, b:b + stride * out_w:stride]
+            grad_kernels[a, b] = xp[cells].reshape(-1, cin).T @ g
+            if need_input_grad:
+                gxp[cells] += (g @ kernels[a, b].T).reshape(n, out_h, out_w, cin)
+    grad_x = gxp[:, pad:pad + h, pad:pad + w] if need_input_grad else None
     return grad_x, grad_kernels, grad_bias
 
 

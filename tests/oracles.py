@@ -34,6 +34,33 @@ def conv2d_loops(x, kernels, bias, stride=1, pad=0):
     return out
 
 
+def conv2d_vjp_loops(x, kernels, stride, pad, grad_out):
+    """Adjoint of conv2d_loops over one image, term by term: every product
+    xp[y, x, c] * kernels[a, b, c, o] of output cell (i, j, o) sends
+    grad_out[i, j, o] back to both factors. Returns (grad_x, grad_kernels,
+    grad_bias)."""
+    h, w, cin = x.shape
+    k = kernels.shape[0]
+    cout = kernels.shape[3]
+    xp = np.zeros((h + 2 * pad, w + 2 * pad, cin))
+    xp[pad:pad + h, pad:pad + w] = x
+    grad_xp = np.zeros_like(xp)
+    grad_kernels = np.zeros_like(kernels)
+    grad_bias = np.zeros(cout)
+    out_h, out_w = grad_out.shape[:2]
+    for i in range(out_h):
+        for j in range(out_w):
+            for o in range(cout):
+                g = grad_out[i, j, o]
+                grad_bias[o] += g
+                for a in range(k):
+                    for b in range(k):
+                        for c in range(cin):
+                            grad_kernels[a, b, c, o] += xp[i * stride + a, j * stride + b, c] * g
+                            grad_xp[i * stride + a, j * stride + b, c] += kernels[a, b, c, o] * g
+    return grad_xp[pad:pad + h, pad:pad + w], grad_kernels, grad_bias
+
+
 def maxpool2d_vjp_loops(x, grad_out, window):
     """Max-pool adjoint over one batch, cell by cell: each window's gradient
     goes to its first cell in row-major scan order holding the window max."""

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protoloc import cli
 from protoloc.config import RunConfig, apply_overrides, parse_config_text
 from protoloc.dataset import DatasetSpec
 from protoloc.encoder import EncoderArch
@@ -50,6 +51,19 @@ def test_inconsistent_value_names_its_key(line, key):
         RunConfig.from_mapping(parse_config_text(line))
 
 
+def test_inconsistent_arch_fails_at_config_time():
+    with pytest.raises(ValueError, match="channels \\(8, 16\\) must list 3 entries"):
+        RunConfig(arch_channels=(8, 16))
+
+
+def test_cli_reports_arch_error_before_reading_the_dataset(tmp_path):
+    argv = ["pretrain", "--set", "arch.channels=8,16",
+            "--set", f"dataset.path={tmp_path / 'missing'}", "--out", str(tmp_path / "pre.tns")]
+    with pytest.raises(ValueError, match="channels \\(8, 16\\) must list 3 entries"):
+        cli.main(argv)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_defaults_build_the_component_defaults():
     cfg = RunConfig()
     assert cfg.arch == EncoderArch()
@@ -76,6 +90,11 @@ _BY_TYPE = {
 def _configs(draw):
     values = {f.name: draw(_BY_TYPE[f.type]) for f in dataclasses.fields(RunConfig)}
     values["connectivity"] = draw(st.sampled_from([4, 8]))
+    # a consistent arch: one channel count per block, an odd kernel, and
+    # an input size divisible by 2^blocks
+    values["arch_blocks"] = len(values["arch_channels"])
+    values["arch_kernel"] = 2 * draw(st.integers(0, 4)) + 1
+    values["image_size"] = 2 ** values["arch_blocks"] * draw(st.integers(1, 64))
     values["arch_input_size"] = values["image_size"]
     return RunConfig(**values)
 

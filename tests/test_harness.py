@@ -50,11 +50,12 @@ def test_zero_lambda_ours_replays_base(splits):
 
 
 # sha256 of the losses (repr) and of the final parameter bytes of the run
-# below, recorded while episodes still held copies of their images; a change
-# to any training bit changes them
+# below; the losses were recorded while episodes still held copies of their
+# images, the parameters once the conv adjoint summed its input gradient per
+# kernel tap; a change to any training bit changes them
 TRAIN_SHA256 = {
     "losses": "8e67a25e202f945666c714d557455728e6b28165a60feb2d083741735b9eed7b",
-    "params": "15a5d3c9ea33a8017a8ff4923aa49cd93dd9c79575d191726548ee790da2ffe0",
+    "params": "8b0b4f24a81927b971632055fb42ef34102d0dcc4603ebb624069e1900c6d415",
 }
 
 
@@ -151,6 +152,18 @@ def test_localize_cmd_rejects_late_unknown_id_before_writing(data_root, tmp_path
         harness.localize_cmd(cfg, enc.init_params(cfg.arch, 4), [0, 10**6],
                              out_dir=out_dir)
     assert not out_dir.exists()
+
+
+def test_train_rejects_checkpoint_arch_before_loading_or_stepping(tmp_path, monkeypatch):
+    # the config asks for channels (4, 6); the checkpoint holds (4, 8), and
+    # the dataset directory does not exist
+    cfg = small_config(data_dir=str(tmp_path / "missing"))
+    params = enc.init_params(EncoderArch(blocks=2, channels=(4, 8), input_size=16), 0)
+    stepped = []
+    monkeypatch.setattr(enc, "sgd_step", lambda *args: stepped.append(args))
+    with pytest.raises(ArchMismatch, match="channels=\\(4, 8\\)"):
+        harness.train_episodic(cfg, params, "base")
+    assert not stepped
 
 
 @pytest.mark.parametrize("entry", ["pretrain", "train_episodic", "evaluate", "localize_cmd"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from protoloc import kernels, roi
 from protoloc.kernels import ShapeError
 from protoloc.localization import BoundingBox
 
-from oracles import (bilinear_resize_gathers, conv2d_loops, fd_grad, maxpool2d_vjp_loops,
-                     rel_err)
+from oracles import (bilinear_resize_gathers, conv2d_loops, conv2d_vjp_loops, fd_grad,
+                     maxpool2d_vjp_loops, rel_err)
 
 SINGLE = roi.RoiConfig(grid=1, samples=1)
 
@@ -143,6 +145,49 @@ class TestConv2dVjp:
         assert gx is None
         assert gk_only.tobytes() == gk.tobytes()
         assert gb_only.tobytes() == gb.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_loop_oracle(self, stride, pad, k):
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(2, 7, 5, 2))
+        w = rng.normal(size=(k, k, 2, 3))
+        gout = rng.normal(size=kernels.conv2d_batch(x, w, np.zeros(3), stride, pad).shape)
+        want = [conv2d_vjp_loops(xi, w, stride, pad, gi) for xi, gi in zip(x, gout)]
+        want_gx = np.stack([gx for gx, _, _ in want])
+        want_gk = sum(gk for _, gk, _ in want)
+        want_gb = sum(gb for _, _, gb in want)
+        for need_input_grad in (True, False):
+            gx, gk, gb = kernels.conv2d_vjp_batch(x, w, stride, pad, gout, need_input_grad)
+            if need_input_grad:
+                assert np.max(np.abs(gx - want_gx)) <= 1e-12
+            else:
+                assert gx is None
+            assert np.max(np.abs(gk - want_gk)) <= 1e-12
+            assert np.max(np.abs(gb - want_gb)) <= 1e-12
+
+    # the 80-image shapes of the default encoder's three blocks; training
+    # never takes block 0's input gradient
+    @pytest.mark.parametrize("shape, cout, need_input_grad", [((80, 32, 32, 3), 8, False),
+                                                              ((80, 16, 16, 8), 16, True),
+                                                              ((80, 8, 8, 16), 32, True)])
+    def test_peak_memory_stays_near_operand_size(self, shape, cout, need_input_grad):
+        # a buffer k^2 times the input or the gradient (im2col columns) breaks the bound
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(3, 3, shape[3], cout))
+        gout = rng.normal(size=shape[:3] + (cout,))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        kernels.conv2d_vjp_batch(x, w, 1, 1, gout, need_input_grad)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        if started:
+            tracemalloc.stop()
+        assert peak <= 2 * (x.nbytes + gout.nbytes)
 
 
 class TestRelu:
