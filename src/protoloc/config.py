@@ -24,8 +24,9 @@ _PARSERS = {
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines into key -> text; ``#`` starts a comment."""
-    out = {}
+    """Parse flat ``key = value`` lines into key -> text; ``#`` starts a
+    comment, and a key may be set once per file."""
+    out, where = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -33,7 +34,11 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
-        out[key.strip()] = raw.strip()
+        key = key.strip()
+        if key in where:
+            raise ValueError(f"line {lineno}: key {key!r} already set on line {where[key]}")
+        where[key] = lineno
+        out[key] = raw.strip()
     return out
 
 
@@ -132,6 +137,8 @@ class RunConfig:
                      "queries", "tasks", "workers", "roi_grid", "roi_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.lambda_roi is not None and self.lambda_roi < 0:
             raise ValueError(f"loss.lambda_roi must be >= 0, got {self.lambda_roi}")
         if self.connectivity not in (4, 8):

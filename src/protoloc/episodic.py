@@ -9,8 +9,9 @@ and are never stored, and no image is copied out of the split.
 Logits are negated squared Euclidean distances divided by a temperature;
 the base loss is mean cross-entropy against prototypes (per-class means of
 support embeddings), the RoI loss is the same form against refined
-representations (per-class means of RoI features), and the episode loss is
-base + lambda * RoI. The base loss is lambda = 0: then no box is proposed
+representations (per-class means of RoI features; ``refined_reps`` builds
+them for this loss and for refined evaluation alike), and the episode loss
+is base + lambda * RoI. The base loss is lambda = 0: then no box is proposed
 and no RoI feature taken. Gradients flow through query embeddings, support
 embeddings (via the prototype mean) and, for lambda > 0, through the
 RoIAlign sampling weights; proposed box coordinates are treated as
@@ -135,6 +136,17 @@ def nearest_class(embeds, reps) -> np.ndarray:
     return d2.argmin(axis=1)
 
 
+def refined_reps(s_fms, protos, k, tau, image_hw, roi_cfg, connectivity):
+    """((N, D) refined representations, N*K support boxes): support map i is
+    boxed against prototype i // k at threshold tau, and class c's
+    representation is the mean of its supports' RoI features."""
+    boxes = [propose_box(fm, protos[i // k], tau, *image_hw, connectivity)
+             for i, fm in enumerate(s_fms)]
+    feats = np.stack([roi.roi_feature(fm, box, image_hw, roi_cfg)
+                      for fm, box in zip(s_fms, boxes)])
+    return feats.reshape(-1, k, feats.shape[1]).mean(axis=1), boxes
+
+
 def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
                               loss_cfg: LossConfig, *,
                               tau: float = 0.5,
@@ -148,41 +160,31 @@ def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
     coordinates are stop-gradient: only the bilinear sampling weights carry
     gradient into the feature maps.
     """
-    arch = params.arch
     n, k = episode.n_way, episode.k_shot
     ns = n * k
     labels = episode.query_labels
-    image_hw = (arch.input_size, arch.input_size)
+    image_hw = (params.arch.input_size,) * 2
 
     fms, cache = enc.forward_batch(params, episode.split.images[episode.ids])
-    d = fms.shape[3]
-    s_fms = fms[:ns]
-    s_emb = kernels.global_avg_pool_batch(s_fms)
-    q_emb = kernels.global_avg_pool_batch(fms[ns:])
+    emb = kernels.global_avg_pool_batch(fms)
+    q_emb = emb[ns:]
+    protos = emb[:ns].reshape(n, k, -1).mean(axis=1)
+    loss, dq, dproto = distance_logit_loss(q_emb, labels, protos, loss_cfg.temperature)
 
-    protos = s_emb.reshape(n, k, d).mean(axis=1)
-    loss_b, dq, dproto = distance_logit_loss(q_emb, labels, protos, loss_cfg.temperature)
-    loss = loss_b
-    ds_emb = np.repeat(dproto / k, k, axis=0)            # (N*K, D)
-    grad_fms = np.empty_like(fms)
-    grad_fms[:ns] = kernels.gap_vjp_batch(s_fms.shape, ds_emb)
-
-    if loss_cfg.lambda_roi != 0.0:
-        lam = loss_cfg.lambda_roi
-        boxes = [propose_box(s_fms[i], protos[i // k], tau, *image_hw, connectivity)
-                 for i in range(ns)]
-        feats = np.stack([roi.roi_feature(s_fms[i], boxes[i], image_hw, roi_cfg)
-                          for i in range(ns)])
-        refined = feats.reshape(n, k, d).mean(axis=1)
+    lam = loss_cfg.lambda_roi
+    boxes = []
+    if lam != 0.0:
+        refined, boxes = refined_reps(fms[:ns], protos, k, tau, image_hw, roi_cfg,
+                                      connectivity)
         loss_r, dq_r, dref = distance_logit_loss(q_emb, labels, refined,
                                                  loss_cfg.temperature)
-        loss = loss_b + lam * loss_r
+        loss = loss + lam * loss_r
         dq = dq + lam * dq_r
-        for i in range(ns):
-            dfeat = lam * dref[i // k] / k
-            grad_fms[i] += roi.roi_feature_vjp(s_fms[i], boxes[i], image_hw,
-                                               roi_cfg, dfeat)
 
-    grad_fms[ns:] = kernels.gap_vjp_batch(fms[ns:].shape, dq)
+    grad_fms = kernels.gap_vjp_batch(
+        fms.shape, np.concatenate([np.repeat(dproto / k, k, axis=0), dq]))
+    for i, box in enumerate(boxes):
+        grad_fms[i] += roi.roi_feature_vjp(fms[i], box, image_hw, roi_cfg,
+                                           lam * dref[i // k] / k)
     grad_flat = enc.backward_batch(params, cache, grad_fms)
     return loss, grad_flat

@@ -15,8 +15,9 @@ first request, under a lock shared by the workers.
 Pretraining returns the encoder and its losses; its linear head stays
 internal. The base training phase is the episode loss at lambda = 0.
 
-A refined eval task proposes one box per support map with ``propose_box``,
-then localizes all its query maps against their predicted classes in one
+A refined eval task builds its class representations with
+``episodic.refined_reps``, the path the RoI loss trains through, then
+localizes all its query maps against their predicted classes in one
 batched ``propose_boxes`` call; ``localize_cmd`` likewise proposes every
 box in one call after its one forward batch.
 """
@@ -38,7 +39,8 @@ from . import kernels
 from .config import RunConfig
 from .dataset import DatasetSpec, load_dataset, sample_episode
 from .episodic import (LossConfig, episode_loss_and_gradient, nearest_class,
-                       softmax_cross_entropy)
+                       refined_reps, softmax_cross_entropy)
+# propose_box and roi_feature are unused here; bench/spans.py traces them as harness names
 from .localization import BoundingBox, iou, propose_box, propose_boxes
 from .roi import RoiConfig, roi_feature
 from .tns_io import replacing
@@ -87,10 +89,10 @@ def dataset_spec_from_config(cfg: RunConfig) -> DatasetSpec:
 
 
 def _load_splits(cfg: RunConfig) -> dict:
-    """Load cfg.data_dir; raises SpecMismatch unless its manifest spec is the config's."""
+    """Build the config's spec, then load cfg.data_dir; SpecMismatch if its manifest differs."""
+    wanted = dataset_spec_from_config(cfg).to_dict()
     manifest, splits = load_dataset(cfg.data_dir)
     found = manifest["spec"]
-    wanted = dataset_spec_from_config(cfg).to_dict()
     if found != wanted:
         diff = {k: (found.get(k), wanted.get(k)) for k in {**wanted, **found}
                 if found.get(k) != wanted.get(k)}
@@ -226,24 +228,14 @@ def _eval_task(cfg, features, split, task_index, mode):
     n, k = episode.n_way, episode.k_shot
     ns = n * k
     image_hw = (cfg.arch_input_size, cfg.arch_input_size)
-    roi_cfg = RoiConfig(cfg.roi_grid, cfg.roi_samples)
 
     fms = features(episode.ids)
-    d = fms.shape[3]
-    s_fms, q_fms = fms[:ns], fms[ns:]
-    s_emb = kernels.global_avg_pool_batch(s_fms)
-    q_emb = kernels.global_avg_pool_batch(q_fms)
-    protos = s_emb.reshape(n, k, d).mean(axis=1)
-
+    emb = kernels.global_avg_pool_batch(fms)
+    q_fms, q_emb = fms[ns:], emb[ns:]
+    reps = protos = emb[:ns].reshape(n, k, -1).mean(axis=1)
     if mode == "refined":
-        feats = np.empty((ns, d))
-        for i in range(ns):
-            box = propose_box(s_fms[i], protos[i // k], cfg.tau_eval, *image_hw,
-                              cfg.connectivity)
-            feats[i] = roi_feature(s_fms[i], box, image_hw, roi_cfg)
-        reps = feats.reshape(n, k, d).mean(axis=1)
-    else:
-        reps = protos
+        reps, _ = refined_reps(fms[:ns], protos, k, cfg.tau_eval, image_hw,
+                               RoiConfig(cfg.roi_grid, cfg.roi_samples), cfg.connectivity)
 
     pred = nearest_class(q_emb, reps)
     accuracy = float((pred == episode.query_labels).mean())
@@ -276,10 +268,7 @@ def evaluate(cfg: RunConfig, params: enc.EncoderParams, reps_mode: str,
                    for t in indices]
     wall = time.perf_counter() - start
 
-    accuracies = [r[0] for r in results]
-    total_iou = sum(r[1] for r in results)
-    total_hits = sum(r[2] for r in results)
-    total_q = sum(r[3] for r in results)
+    accuracies, iou_sums, hits, counts = (list(column) for column in zip(*results))
     mean_acc = float(np.mean(accuracies))
     if len(accuracies) > 1:
         ci95 = float(1.96 * np.std(accuracies, ddof=1) / np.sqrt(len(accuracies)))
@@ -291,8 +280,8 @@ def evaluate(cfg: RunConfig, params: enc.EncoderParams, reps_mode: str,
         n_tasks=cfg.tasks,
         mean_accuracy=mean_acc,
         ci95=ci95,
-        mean_iou=total_iou / total_q,
-        corloc_at_50=total_hits / total_q,
+        mean_iou=sum(iou_sums) / sum(counts),
+        corloc_at_50=sum(hits) / sum(counts),
         task_accuracies=accuracies,
         config=cfg.echo(),
         wall_time_s=wall,

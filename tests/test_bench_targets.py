@@ -55,10 +55,11 @@ def test_backward_makes_one_conv_vjp_call_per_block(monkeypatch):
 
 
 def test_refined_eval_task_localizes_queries_in_one_call(monkeypatch):
-    # the tracer scores support boxes per harness.propose_box call; the
+    # the tracer scores support boxes per episodic.propose_box call (refined
+    # eval builds its representations with episodic.refined_reps); the
     # queries of a task go through one batched propose_boxes call
     calls = {"propose_box": 0, "propose_boxes": []}
-    real_box, real_boxes = harness.propose_box, harness.propose_boxes
+    real_box, real_boxes = episodic.propose_box, harness.propose_boxes
 
     def propose_box(*args):
         calls["propose_box"] += 1
@@ -68,7 +69,7 @@ def test_refined_eval_task_localizes_queries_in_one_call(monkeypatch):
         calls["propose_boxes"].append(len(fms))
         return real_boxes(fms, *args)
 
-    monkeypatch.setattr(harness, "propose_box", propose_box)
+    monkeypatch.setattr(episodic, "propose_box", propose_box)
     monkeypatch.setattr(harness, "propose_boxes", propose_boxes)
     cfg = RunConfig(n_way=3, k_shot=2, queries=4, arch_blocks=2, arch_channels=(4, 6),
                     arch_input_size=16, image_size=16)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protoloc import cli
+from protoloc import cli, harness
 from protoloc.config import RunConfig, apply_overrides, parse_config_text
 from protoloc.dataset import DatasetSpec
 from protoloc.encoder import EncoderArch
@@ -62,6 +62,31 @@ def test_cli_reports_arch_error_before_reading_the_dataset(tmp_path):
     with pytest.raises(ValueError, match="channels \\(8, 16\\) must list 3 entries"):
         cli.main(argv)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_seed_fails_at_config_time():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        RunConfig(seed=-1)
+
+
+def test_cli_reports_negative_seed_before_reading_anything(tmp_path, monkeypatch):
+    def unread(*args):
+        raise AssertionError("read before the config was checked")
+
+    monkeypatch.setattr(cli.enc, "load_checkpoint", unread)
+    monkeypatch.setattr(harness, "load_dataset", unread)
+    argv = ["train", "--seed", "-1", "--phase", "base", "--checkpoint",
+            str(tmp_path / "pre.tns"), "--out", str(tmp_path / "base.tns")]
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        cli.main(argv)
+
+
+def test_key_given_twice_in_one_file_names_both_lines():
+    text = "eval.k_shot = 1\n# five-shot\neval.k_shot = 5\n"
+    with pytest.raises(ValueError, match="line 3: key 'eval.k_shot' already set on line 1"):
+        parse_config_text(text)
+    mapping = apply_overrides(parse_config_text("eval.k_shot = 1\n"), ["eval.k_shot=5"])
+    assert RunConfig.from_mapping(mapping).k_shot == 5
 
 
 def test_defaults_build_the_component_defaults():

@@ -16,6 +16,7 @@ from protoloc.config import RunConfig
 from protoloc.encoder import EncoderArch
 from protoloc.harness import (ArchMismatch, DeadEncoder, NonFiniteLoss, SpecMismatch,
                               UnknownId)
+from protoloc.localization import BoundingBox
 
 SMALL = dict(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size=16)
 
@@ -86,6 +87,18 @@ def test_report_bytes_identical_across_workers(splits, mode):
              for w in (1, 2)]
     assert texts[0] == texts[1]
     assert hashlib.sha256(texts[0].encode()).hexdigest() == REPORT_SHA256[mode]
+
+
+def test_refined_eval_with_full_image_boxes_replays_prototype_eval(splits, fix_boxes):
+    # on a 4 x 4 map with one RoI sample per cell center, the full-image
+    # RoI feature is the global average, i.e. the support embedding
+    fix_boxes([BoundingBox(0, 0, 15, 15)])
+    cfg = RunConfig(n_way=3, k_shot=2, queries=3, tasks=6, roi_grid=4, roi_samples=1,
+                    **SMALL)
+    params = enc.init_params(cfg.arch, 4)
+    prototype, refined = (harness.evaluate(cfg, params, mode, splits["test"]).task_accuracies
+                          for mode in ("prototype", "refined"))
+    assert refined == prototype
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
@@ -182,6 +195,16 @@ def test_entry_points_reject_dataset_spec_mismatch(data_root, tmp_path, entry):
     with pytest.raises(SpecMismatch, match="'per_class_count': \\(8, 500\\)"):
         run()
     assert not out_dir.exists()
+
+
+def test_invalid_config_spec_fails_before_reading_the_dataset(data_root, monkeypatch):
+    def unread(*args):
+        raise AssertionError("dataset read before the config spec was checked")
+
+    monkeypatch.setattr(harness, "load_dataset", unread)
+    cfg = small_config(data_dir=str(data_root), distractors_min=5, distractors_max=1)
+    with pytest.raises(ValueError, match="bad distractor range \\[5, 1\\]"):
+        harness.pretrain(cfg)
 
 
 def _recolor_first_class(spec):
