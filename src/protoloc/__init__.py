@@ -20,7 +20,7 @@ from .episodic import (EmptyClass, Episode, LossConfig, NegativeLambda,
 from .harness import (ArchMismatch, DeadEncoder, EvalReport, NonFiniteLoss,
                       SpecMismatch, UnknownId, evaluate, localize_cmd, pretrain,
                       report_emit, train_episodic)
-from .kernels import ShapeError, bilinear_resize, relu, relu_vjp
+from .kernels import ShapeError, bilinear_resize
 from .localization import (BoundingBox, DegenerateRepresentation, bbox_of,
                            iou, largest_component, propose_box, propose_boxes,
                            segment_mask, similarity_map)

@@ -3,11 +3,14 @@
 Values are read as text and converted by the type of the ``RunConfig``
 field their key names. Unset keys fall back to the published defaults; the
 RoI-loss weight and the training threshold default by shot count (1.0 and
-0.5 for 1-shot, 0.5 and 0.7 for 5-shot) unless set explicitly.
+0.5 for 1-shot, 0.5 and 0.7 for 5-shot) unless set explicitly, and are
+resolved to floats when the config is built. Evaluation runs on one thread:
+``eval.workers`` accepts only 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -125,22 +128,31 @@ class RunConfig:
 
     def __post_init__(self):
         self.arch_channels = tuple(int(c) for c in self.arch_channels)
+        if self.lambda_roi is None:
+            self.lambda_roi = 1.0 if self.k_shot == 1 else 0.5
+        if self.tau_train is None:
+            self.tau_train = 0.5 if self.k_shot == 1 else 0.7
+        self.lambda_roi, self.tau_train = float(self.lambda_roi), float(self.tau_train)
         for name in ("tau_eval", "tau_train"):
             v = getattr(self, name)
-            if v is not None and not 0.0 < v <= 1.0:
+            if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {v}")
-        for name in ("lr", "pretrain_lr", "temperature"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for key in ("train.lr", "train.pretrain_lr", "loss.T"):
+            v = getattr(self, self._KEYS[key])
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{key} must be finite and positive, got {v}")
+        if not (math.isfinite(self.lambda_roi) and self.lambda_roi >= 0):
+            raise ValueError(f"loss.lambda_roi must be finite and >= 0, got {self.lambda_roi}")
         for name in ("epochs_base", "epochs_ours", "episodes_per_epoch",
                      "pretrain_epochs", "pretrain_batch", "n_way", "k_shot",
-                     "queries", "tasks", "workers", "roi_grid", "roi_samples"):
+                     "queries", "tasks", "roi_grid", "roi_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.workers != 1:
+            raise ValueError(f"eval.workers must be 1, got {self.workers}: "
+                             f"evaluation runs on one thread")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.lambda_roi is not None and self.lambda_roi < 0:
-            raise ValueError(f"loss.lambda_roi must be >= 0, got {self.lambda_roi}")
         if self.connectivity not in (4, 8):
             raise ValueError(f"loc.connectivity must be 4 or 8, got {self.connectivity}")
         if self.image_size != self.arch_input_size:
@@ -165,23 +177,11 @@ class RunConfig:
                     f"config key {key!r}: cannot read {value!r} as {types[name]}") from None
         return cls(**kwargs)
 
-    @property
-    def lambda_roi_resolved(self) -> float:
-        if self.lambda_roi is not None:
-            return float(self.lambda_roi)
-        return 1.0 if self.k_shot == 1 else 0.5
-
-    @property
-    def tau_train_resolved(self) -> float:
-        if self.tau_train is not None:
-            return float(self.tau_train)
-        return 0.5 if self.k_shot == 1 else 0.7
-
     def echo(self) -> dict:
         """Canonical key -> value view for report embedding.
 
-        Worker count is execution machinery, not experiment identity, and
-        is left out so reports are byte-identical across worker counts.
+        ``eval.workers`` is left out: it can only be 1 and names no part of
+        the experiment.
         """
         by_field = {f: k for k, f in self._KEYS.items()}
         out = {}
@@ -192,9 +192,5 @@ class RunConfig:
             value = getattr(self, f.name)
             if f.name == "arch_channels":
                 value = ",".join(str(c) for c in value)
-            if f.name == "lambda_roi":
-                value = self.lambda_roi_resolved
-            if f.name == "tau_train":
-                value = self.tau_train_resolved
             out[key] = value
         return out

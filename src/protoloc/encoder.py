@@ -6,9 +6,10 @@ with relu on the pooled grid. The last block's output is the feature map;
 its global average pool is the embedding. Parameters live in one flat
 float64 vector with a deterministic layout, which keeps checkpoints and
 finite-difference checks simple. The forward cache keeps each block's input
-and conv output plus the feature map; the backward pass masks by each block
-output, routes through the pool on the conv output, and never forms the
-gradient w.r.t. the images.
+and conv output plus the feature map. The backward pass makes one max-pool
+adjoint call per block, routing against the cached block output (the next
+block's input, or the feature map), and never forms the gradient w.r.t. the
+images.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def forward_batch(params: EncoderParams, images: np.ndarray, keep_cache: bool = 
         if keep_cache:
             block_inputs.append(x)
             conv_outputs.append(t)
-        x = kernels.relu(kernels.maxpool2d_batch(t, window=2))
+        x = np.maximum(kernels.maxpool2d_batch(t, window=2), 0.0)
     cache = ForwardCache(arch, block_inputs, conv_outputs, x) if keep_cache else None
     return x, cache
 
@@ -153,9 +154,8 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
     g = grad_fms
     for blk in reversed(range(arch.blocks)):
         w, _ = views[blk]
-        # relu(t) > 0 exactly where t > 0, so the block output masks like the pooled map
-        g = kernels.relu_vjp(block_outputs[blk], g)
-        g = kernels.maxpool2d_vjp_batch(cache.conv_outputs[blk], g, window=2)
+        g = kernels.maxpool2d_vjp_batch(cache.conv_outputs[blk], block_outputs[blk], g,
+                                        window=2)
         g, gw, gb = kernels.conv2d_vjp_batch(cache.block_inputs[blk], w, 1, arch.pad, g,
                                              need_input_grad=blk > 0)
         grad_w, grad_b = grad_views[blk]

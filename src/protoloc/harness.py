@@ -2,15 +2,14 @@
 with confidence intervals, localization benchmarking, and report emission.
 
 Everything is seeded. Per-task and per-episode generators derive from
-(seed, stream, index), so results are byte-reproducible and independent of
-evaluation parallelism: tasks may run on any number of workers, but their
-results are reduced in task-index order.
+(seed, stream, index), so results are byte-reproducible. Evaluation runs
+its tasks one after another on one thread, in task-index order.
 
 An episode is rows of its split, never copies. An image's feature map
 does not depend on the task that draws it, nor on the batch it is encoded
 in, so one ``evaluate`` call encodes each test image at most once: tasks
 gather their maps by row (``Episode.ids``) from a cache that is filled on
-first request, under a lock shared by the workers.
+first request.
 
 Pretraining returns the encoder and its losses; its linear head stays
 internal. The base training phase is the episode loss at lambda = 0.
@@ -26,9 +25,7 @@ from __future__ import annotations
 
 import io
 import json
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,7 +161,7 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
     if split is None:
         split = _load_splits(cfg)["train"]
     epochs = cfg.epochs_base if phase == "base" else cfg.epochs_ours
-    loss_cfg = LossConfig(cfg.temperature, cfg.lambda_roi_resolved if phase == "ours" else 0.0)
+    loss_cfg = LossConfig(cfg.temperature, cfg.lambda_roi if phase == "ours" else 0.0)
     roi_cfg = RoiConfig(cfg.roi_grid, cfg.roi_samples)
 
     losses = []
@@ -174,7 +171,7 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
             episode = sample_episode(split, cfg.n_way, cfg.k_shot, cfg.queries, rng)
             loss, grad = episode_loss_and_gradient(
                 params, episode, loss_cfg,
-                tau=cfg.tau_train_resolved, roi_cfg=roi_cfg,
+                tau=cfg.tau_train, roi_cfg=roi_cfg,
                 connectivity=cfg.connectivity)
             where = f"{phase} phase, epoch {epoch}, episode {j} (index {len(losses)})"
             if not (np.isfinite(loss) and np.isfinite(grad).all()):
@@ -209,16 +206,14 @@ def _split_features(params, images):
     its first request, in one forward batch with the request's other new
     rows, and never again."""
     maps = {}
-    lock = threading.Lock()
 
     def fetch(ids):
         ids = ids.tolist()
-        with lock:
-            new = [i for i in ids if i not in maps]
-            if new:
-                fms, _ = enc.forward_batch(params, images[new], keep_cache=False)
-                maps.update(zip(new, fms))
-            return np.stack([maps[i] for i in ids])
+        new = [i for i in ids if i not in maps]
+        if new:
+            fms, _ = enc.forward_batch(params, images[new], keep_cache=False)
+            maps.update(zip(new, fms))
+        return np.stack([maps[i] for i in ids])
     return fetch
 
 
@@ -257,15 +252,7 @@ def evaluate(cfg: RunConfig, params: enc.EncoderParams, reps_mode: str,
 
     start = time.perf_counter()
     features = _split_features(params, split.images)
-    indices = range(cfg.tasks)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(
-                lambda t: _eval_task(cfg, features, split, t, reps_mode),
-                indices))
-    else:
-        results = [_eval_task(cfg, features, split, t, reps_mode)
-                   for t in indices]
+    results = [_eval_task(cfg, features, split, t, reps_mode) for t in range(cfg.tasks)]
     wall = time.perf_counter() - start
 
     accuracies, iou_sums, hits, counts = (list(column) for column in zip(*results))

@@ -8,10 +8,12 @@ episode code run them at; a single image is a batch of one. The convolution
 adjoint is one matmul per kernel tap on a strided view of the padded input,
 scatter-added into the input gradient (skipped on request); it builds no
 im2col columns. Max pooling and its adjoint share one helper, the
-window x window strided views of the input: their elementwise max is the
-pooled map, and the adjoint routes each gradient against it. Bilinear
-resize takes a stack of planes and shares one clamped corner-weight helper
-with RoIAlign.
+window x window strided views of the input. Their elementwise max is the
+pooled map. The adjoint is that of relu on the pooled map, the encoder's
+block output: it routes each gradient against that cached output, so the
+backward pass recomputes no window max and runs no separate relu pass.
+Bilinear resize takes a stack of planes and shares one clamped
+corner-weight helper with RoIAlign.
 """
 
 from __future__ import annotations
@@ -121,23 +123,6 @@ def conv2d_vjp_batch(x, kernels, stride, pad, grad_out, need_input_grad=True):
 
 
 # ---------------------------------------------------------------------------
-# ReLU
-# ---------------------------------------------------------------------------
-
-def relu(t):
-    return np.maximum(np.asarray(t, dtype=np.float64), 0.0)
-
-
-def relu_vjp(t, g):
-    """Pass g where t > 0; subgradient at exactly 0 is defined as 0."""
-    t = np.asarray(t, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if t.shape != g.shape:
-        raise ShapeError(f"relu_vjp shapes differ: {t.shape} vs {g.shape}")
-    return np.where(t > 0.0, g, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # Max pooling
 # ---------------------------------------------------------------------------
 
@@ -154,18 +139,23 @@ def maxpool2d_batch(x, window=2):
     return functools.reduce(np.maximum, _window_views(np.asarray(x, dtype=np.float64), window))
 
 
-def maxpool2d_vjp_batch(x, grad_out, window=2):
-    """Routes gradient to each window's max cell (first in scan order on ties)."""
+def maxpool2d_vjp_batch(x, out, grad_out, window=2):
+    """Adjoint of relu(maxpool2d_batch(x)) given its output out; recomputes no window max.
+
+    Where out > 0 it is the window max, and the window's gradient goes to its
+    first cell in scan order equal to out. Every other cell gets +0.0.
+    """
     x = np.asarray(x, dtype=np.float64)
+    out = np.asarray(out, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     views = _window_views(x, window)
-    pooled = functools.reduce(np.maximum, views)
-    if grad_out.shape != pooled.shape:
-        raise ShapeError(f"grad_out {grad_out.shape} misfits pooled shape {pooled.shape}")
-    grad_x = np.zeros_like(x)
-    unrouted = np.ones(pooled.shape, dtype=bool)
+    if out.shape != views[0].shape or grad_out.shape != out.shape:
+        raise ShapeError(f"out {out.shape} and grad_out {grad_out.shape} "
+                         f"must both fit pooled shape {views[0].shape}")
+    grad_x = np.empty_like(x)   # the views tile x, so every cell is written below
+    unrouted = out > 0.0
     for i, view in enumerate(views):
-        hit = unrouted & (view == pooled)
+        hit = unrouted & (view == out)
         grad_x[:, i // window::window, i % window::window] = np.where(hit, grad_out, 0.0)
         unrouted &= ~hit
     return grad_x

@@ -94,7 +94,42 @@ def test_defaults_build_the_component_defaults():
     assert cfg.arch == EncoderArch()
     assert dataset_spec_from_config(cfg) == DatasetSpec()
     assert RoiConfig(cfg.roi_grid, cfg.roi_samples) == RoiConfig()
-    assert LossConfig(cfg.temperature, cfg.lambda_roi_resolved) == LossConfig()
+    assert LossConfig(cfg.temperature, cfg.lambda_roi) == LossConfig()
+
+
+@pytest.mark.parametrize("k_shot, lambda_roi, tau_train", [(1, 1.0, 0.5), (5, 0.5, 0.7)])
+def test_shot_dependent_defaults_resolve_to_floats(k_shot, lambda_roi, tau_train):
+    cfg = RunConfig(k_shot=k_shot)
+    assert (cfg.lambda_roi, cfg.tau_train) == (lambda_roi, tau_train)
+    assert (type(cfg.lambda_roi), type(cfg.tau_train)) == (float, float)
+    set_ = RunConfig.from_mapping(parse_config_text(
+        f"eval.k_shot = {k_shot}\nloss.lambda_roi = 0\nloc.tau_train = 1\n"))
+    assert (set_.lambda_roi, set_.tau_train) == (0.0, 1.0)
+    assert set_.echo()["loss.lambda_roi"] == 0.0
+
+
+@pytest.mark.parametrize("key", ["train.lr", "train.pretrain_lr", "loss.T", "loss.lambda_roi"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_real_fails_at_config_time(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        RunConfig.from_mapping(parse_config_text(f"{key} = {value}\n"))
+
+
+def test_cli_rejects_non_finite_pretrain_lr_before_writing_a_checkpoint(tmp_path, monkeypatch):
+    def unread(*args):
+        raise AssertionError("read before the config was checked")
+
+    monkeypatch.setattr(harness, "load_dataset", unread)
+    argv = ["pretrain", "--set", "train.pretrain_lr=nan", "--out", str(tmp_path / "pre.tns")]
+    with pytest.raises(ValueError, match="train.pretrain_lr must be finite and positive, got nan"):
+        cli.main(argv)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_workers_other_than_one_fail_at_config_time():
+    assert RunConfig.from_mapping(parse_config_text("eval.workers = 1\n")).workers == 1
+    with pytest.raises(ValueError, match="eval.workers must be 1, got 2"):
+        RunConfig.from_mapping(parse_config_text("eval.workers = 2\n"))
 
 
 _TEXT = st.one_of(
@@ -115,6 +150,7 @@ _BY_TYPE = {
 def _configs(draw):
     values = {f.name: draw(_BY_TYPE[f.type]) for f in dataclasses.fields(RunConfig)}
     values["connectivity"] = draw(st.sampled_from([4, 8]))
+    values["workers"] = 1   # evaluation runs on one thread
     # a consistent arch: one channel count per block, an odd kernel, and
     # an input size divisible by 2^blocks
     values["arch_blocks"] = len(values["arch_channels"])

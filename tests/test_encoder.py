@@ -69,7 +69,7 @@ class TestForward:
         x = images
         for w, b in params.block_views():
             x = kernels.conv2d_batch(x, w, b, 1, SMALL.pad)
-            x = kernels.maxpool2d_batch(kernels.relu(x))
+            x = kernels.maxpool2d_batch(np.maximum(x, 0.0))
         np.testing.assert_array_equal(fms, x)
 
     def test_batch_matches_single(self):

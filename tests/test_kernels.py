@@ -190,38 +190,17 @@ class TestConv2dVjp:
         assert peak <= 2 * (x.nbytes + gout.nbytes)
 
 
-class TestRelu:
-    def test_all_negative(self):
-        assert not kernels.relu(-np.ones((3, 3))).any()
-
-    def test_all_positive_identity(self):
-        x = np.abs(np.random.default_rng(7).normal(size=(3, 3))) + 0.1
-        np.testing.assert_array_equal(kernels.relu(x), x)
-
-    def test_vjp_gate(self):
-        t = np.array([-1.0, 0.0, 2.0])
-        g = np.array([5.0, 5.0, 5.0])
-        np.testing.assert_array_equal(kernels.relu_vjp(t, g), [0.0, 0.0, 5.0])
-
-    def test_finite_differences_away_from_zero(self):
-        rng = np.random.default_rng(8)
-        t = rng.normal(size=20)
-        t = np.where(np.abs(t) < 0.05, 0.2, t)     # keep the step off the kink
-        g = rng.normal(size=20)
-
-        def loss(v):
-            return float((kernels.relu(v) * g).sum())
-
-        assert rel_err(kernels.relu_vjp(t, g), fd_grad(loss, t)) <= 1e-6
-
-
 class TestMaxPool:
+    @staticmethod
+    def _relu_pool(x, window=2):
+        return np.maximum(kernels.maxpool2d_batch(x, window), 0.0)
+
     def test_constant_routes_to_first_cell(self):
         x = np.full((1, 4, 4, 2), 3.0)
-        out = kernels.maxpool2d_batch(x)
+        out = self._relu_pool(x)
         np.testing.assert_array_equal(out, np.full((1, 2, 2, 2), 3.0))
         g = np.ones((1, 2, 2, 2))
-        gx = kernels.maxpool2d_vjp_batch(x, g)
+        gx = kernels.maxpool2d_vjp_batch(x, out, g)
         # gradient lands on each window's top-left cell only
         expect = np.zeros((1, 4, 4, 2))
         expect[:, ::2, ::2] = 1.0
@@ -236,28 +215,48 @@ class TestMaxPool:
         with pytest.raises(ShapeError):
             kernels.maxpool2d_batch(np.zeros((1, 5, 4, 1)))
         with pytest.raises(ShapeError):
-            kernels.maxpool2d_vjp_batch(np.zeros((1, 5, 4, 1)), np.zeros((1, 2, 2, 1)))
-        with pytest.raises(ShapeError):
-            kernels.maxpool2d_vjp_batch(np.zeros((1, 4, 4, 1)), np.zeros((1, 2, 2, 2)))
+            kernels.maxpool2d_vjp_batch(np.zeros((1, 5, 4, 1)), np.zeros((1, 2, 2, 1)),
+                                        np.zeros((1, 2, 2, 1)))
+
+    def test_misfit_output_raises(self):
+        x, fits = np.zeros((1, 4, 4, 1)), np.zeros((1, 2, 2, 1))
+        with pytest.raises(ShapeError, match="out \\(1, 2, 2, 2\\)"):
+            kernels.maxpool2d_vjp_batch(x, np.zeros((1, 2, 2, 2)), fits)
+        with pytest.raises(ShapeError, match="grad_out \\(1, 2, 3, 1\\)"):
+            kernels.maxpool2d_vjp_batch(x, fits, np.zeros((1, 2, 3, 1)))
 
     @pytest.mark.parametrize("window", [2, 3])
     def test_tie_routing_matches_loop_oracle(self, window):
-        # values from {0, 1, 2}: most windows hold their max more than once
+        # values from {1, 2, 3}: every window is positive, most hold their max more than once
         rng = np.random.default_rng(16)
-        x = rng.integers(0, 3, size=(2, 4 * window, 3 * window, 3)).astype(np.float64)
+        x = rng.integers(1, 4, size=(2, 4 * window, 3 * window, 3)).astype(np.float64)
         g = rng.normal(size=(2, 4, 3, 3))
-        gx = kernels.maxpool2d_vjp_batch(x, g, window)
+        gx = kernels.maxpool2d_vjp_batch(x, self._relu_pool(x, window), g, window)
         assert gx.tobytes() == maxpool2d_vjp_loops(x, g, window).tobytes()
 
-    def test_finite_differences_off_ties(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(2, 6, 6, 2))
+    def test_nonpositive_windows_get_positive_zero(self):
+        # a window whose max is 0 or below sends nothing: negative windows,
+        # windows of zeros (a four-way tie) and windows with one zero
+        rng = np.random.default_rng(17)
+        x = -np.abs(rng.normal(size=(2, 6, 6, 2)))
+        x[:, :2, :, 0] = 0.0
+        x[:, ::2, ::2, 1] = 0.0
         g = rng.normal(size=(2, 3, 3, 2))
+        gx = kernels.maxpool2d_vjp_batch(x, self._relu_pool(x), g)
+        assert gx.tobytes() == np.zeros_like(x).tobytes()
+
+    def test_finite_differences_off_ties(self):
+        # about half the windows have a negative max, where relu zeroes the gradient
+        rng = np.random.default_rng(9)
+        x = rng.normal(-0.5, 1.0, size=(2, 6, 6, 2))
+        g = rng.normal(size=(2, 3, 3, 2))
+        out = self._relu_pool(x)
+        assert 0.2 < (out == 0).mean() < 0.8
 
         def loss(v):
-            return float((kernels.maxpool2d_batch(v.reshape(x.shape)) * g).sum())
+            return float((self._relu_pool(v.reshape(x.shape)) * g).sum())
 
-        gx = kernels.maxpool2d_vjp_batch(x, g)
+        gx = kernels.maxpool2d_vjp_batch(x, out, g)
         assert rel_err(gx.ravel(), fd_grad(loss, x.ravel())) <= 1e-6
 
 
