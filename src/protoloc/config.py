@@ -133,21 +133,22 @@ class RunConfig:
         if self.tau_train is None:
             self.tau_train = 0.5 if self.k_shot == 1 else 0.7
         self.lambda_roi, self.tau_train = float(self.lambda_roi), float(self.tau_train)
-        for name in ("tau_eval", "tau_train"):
-            v = getattr(self, name)
+        for key in ("loc.tau_eval", "loc.tau_train"):
+            v = getattr(self, self._KEYS[key])
             if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {v}")
+                raise ValueError(f"{key} must lie in (0, 1], got {v}")
         for key in ("train.lr", "train.pretrain_lr", "loss.T"):
             v = getattr(self, self._KEYS[key])
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{key} must be finite and positive, got {v}")
         if not (math.isfinite(self.lambda_roi) and self.lambda_roi >= 0):
             raise ValueError(f"loss.lambda_roi must be finite and >= 0, got {self.lambda_roi}")
-        for name in ("epochs_base", "epochs_ours", "episodes_per_epoch",
-                     "pretrain_epochs", "pretrain_batch", "n_way", "k_shot",
-                     "queries", "tasks", "roi_grid", "roi_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for key in ("train.epochs_base", "train.epochs_ours", "train.episodes_per_epoch",
+                    "train.pretrain_epochs", "train.pretrain_batch", "eval.n_way",
+                    "eval.k_shot", "eval.queries", "eval.tasks", "roi.grid", "roi.samples"):
+            v = getattr(self, self._KEYS[key])
+            if v < 1:
+                raise ValueError(f"{key} must be >= 1, got {v}")
         if self.workers != 1:
             raise ValueError(f"eval.workers must be 1, got {self.workers}: "
                              f"evaluation runs on one thread")
@@ -158,8 +159,11 @@ class RunConfig:
         if self.image_size != self.arch_input_size:
             raise ValueError(f"data.image_size {self.image_size} != "
                              f"arch.input_size {self.arch_input_size}")
-        self.arch = EncoderArch(blocks=self.arch_blocks, channels=self.arch_channels,
-                                kernel=self.arch_kernel, input_size=self.arch_input_size)
+        try:
+            self.arch = EncoderArch(blocks=self.arch_blocks, channels=self.arch_channels,
+                                    kernel=self.arch_kernel, input_size=self.arch_input_size)
+        except ValueError as e:   # its errors open with the field, an arch.* key's suffix
+            raise ValueError(f"arch.{e}") from None
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":

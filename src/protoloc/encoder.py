@@ -5,11 +5,19 @@ blocks: relu is monotone, so this equals conv -> relu -> maxpool exactly,
 with relu on the pooled grid. The last block's output is the feature map;
 its global average pool is the embedding. Parameters live in one flat
 float64 vector with a deterministic layout, which keeps checkpoints and
-finite-difference checks simple. The forward cache keeps each block's input
-and conv output plus the feature map. The backward pass makes one max-pool
-adjoint call per block, routing against the cached block output (the next
-block's input, or the feature map), and never forms the gradient w.r.t. the
-images.
+finite-difference checks simple.
+
+A batch runs in chunks of CHUNK images: the whole block stack runs over
+images[i:i + CHUNK] before the next chunk starts, so a chunk's activations
+are still in cache when the next block reads them. A row's feature map
+therefore never depends on how many images share its batch. The forward
+cache keeps, per chunk, each block's input and conv output plus the
+chunk's feature map; nothing is concatenated. The backward pass walks the
+same chunks in order and makes one max-pool adjoint call per block,
+routing against the cached block output (the next block's input, or the
+feature map), and never forms the gradient w.r.t. the images. The
+parameter gradient is the first chunk's gradient plus each later chunk's,
+in chunk order, so a batch of at most CHUNK images sums nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +31,9 @@ import numpy as np
 from . import kernels
 from .kernels import ShapeError
 from .tns_io import read_tns, replacing, write_tns
+
+
+CHUNK = 16   # images per pass of the block stack
 
 
 class CacheMismatch(ValueError):
@@ -42,7 +53,7 @@ class EncoderArch:
         if len(self.channels) != self.blocks:
             raise ValueError(f"channels {self.channels} must list {self.blocks} entries")
         if any(c < 1 for c in self.channels):
-            raise ValueError("channel counts must be positive")
+            raise ValueError(f"channels {self.channels} must all be positive")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ValueError(f"kernel must be odd and positive, got {self.kernel}")
         if self.input_size % (2 ** self.blocks):
@@ -106,15 +117,16 @@ def init_params(arch: EncoderArch, seed: int) -> EncoderParams:
 
 @dataclass
 class ForwardCache:
-    """Per-block activations retained for the backward pass of one forward call."""
+    """Activations retained for the backward pass of one forward call."""
     arch: EncoderArch
-    block_inputs: list       # conv input per block, (N, H, W, Cin)
-    conv_outputs: list       # conv output (pool input) per block, (N, H, W, Cout)
-    fm: np.ndarray           # final feature map, (N, h, w, D)
+    fm_shape: tuple          # feature map shape of the whole batch, (N, h, w, D)
+    chunks: list             # per chunk: (acts, conv_outputs); acts[b] is block b's
+                             # input and acts[b + 1] its output, acts[-1] the chunk's map
 
 
 def forward_batch(params: EncoderParams, images: np.ndarray, keep_cache: bool = True):
-    """Run the block stack over a batch of images: (N, S, S, C) -> (N, h, w, D)."""
+    """Run the block stack over a batch of images, CHUNK images at a time:
+    (N, S, S, C) -> (N, h, w, D)."""
     arch = params.arch
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or images.shape[1:] != (arch.input_size, arch.input_size,
@@ -122,46 +134,52 @@ def forward_batch(params: EncoderParams, images: np.ndarray, keep_cache: bool = 
         raise ShapeError(
             f"image batch shape {images.shape} does not match arch input "
             f"{(arch.input_size, arch.input_size, arch.input_channels)}")
-    x = images
-    block_inputs, conv_outputs = [], []
-    for w, b in params.block_views():
-        t = kernels.conv2d_batch(x, w, b, stride=1, pad=arch.pad)
+    side = arch.input_size >> arch.blocks
+    fms = np.empty((len(images), side, side, arch.embed_dim))
+    views = params.block_views()
+    chunks = []
+    for i in range(0, len(images), CHUNK):
+        x = images[i:i + CHUNK]
+        acts, conv_outputs = [x], []
+        for w, b in views:
+            t = kernels.conv2d_batch(x, w, b, stride=1, pad=arch.pad)
+            x = np.maximum(kernels.maxpool2d_batch(t, window=2), 0.0)
+            if keep_cache:
+                acts.append(x)
+                conv_outputs.append(t)
+        fms[i:i + CHUNK] = x
         if keep_cache:
-            block_inputs.append(x)
-            conv_outputs.append(t)
-        x = np.maximum(kernels.maxpool2d_batch(t, window=2), 0.0)
-    cache = ForwardCache(arch, block_inputs, conv_outputs, x) if keep_cache else None
-    return x, cache
+            chunks.append((acts, conv_outputs))
+    return fms, ForwardCache(arch, fms.shape, chunks) if keep_cache else None
 
 
 def backward_batch(params: EncoderParams, cache: ForwardCache,
                    grad_fms: np.ndarray) -> np.ndarray:
-    """Adjoint of forward_batch w.r.t. params; gradients sum over the batch."""
+    """Adjoint of forward_batch w.r.t. params; gradients sum over the batch,
+    chunk by chunk in order."""
     arch = params.arch
     if cache is None or cache.arch != arch:
         raise CacheMismatch("cache does not match encoder architecture")
-    if len(cache.block_inputs) != arch.blocks:
-        raise CacheMismatch("cache holds a different number of blocks")
     grad_fms = np.asarray(grad_fms, dtype=np.float64)
-    if grad_fms.shape != cache.fm.shape:
+    if grad_fms.shape != cache.fm_shape:
         raise CacheMismatch(
-            f"grad shape {grad_fms.shape} != cached feature map shape {cache.fm.shape}")
+            f"grad shape {grad_fms.shape} != cached feature map shape {cache.fm_shape}")
 
-    grads = EncoderParams(arch, np.zeros_like(params.flat))
-    grad_views = grads.block_views()
     views = params.block_views()
-    block_outputs = cache.block_inputs[1:] + [cache.fm]
-    g = grad_fms
-    for blk in reversed(range(arch.blocks)):
-        w, _ = views[blk]
-        g = kernels.maxpool2d_vjp_batch(cache.conv_outputs[blk], block_outputs[blk], g,
-                                        window=2)
-        g, gw, gb = kernels.conv2d_vjp_batch(cache.block_inputs[blk], w, 1, arch.pad, g,
-                                             need_input_grad=blk > 0)
-        grad_w, grad_b = grad_views[blk]
-        grad_w[...] = gw
-        grad_b[...] = gb
-    return grads.flat
+    grad = np.zeros_like(params.flat)   # an empty batch has no chunk
+    for c, (acts, conv_outputs) in enumerate(cache.chunks):
+        g = grad_fms[c * CHUNK:(c + 1) * CHUNK]
+        parts = []
+        for blk in reversed(range(arch.blocks)):
+            g = kernels.maxpool2d_vjp_batch(conv_outputs[blk], acts[blk + 1], g, window=2)
+            g, gw, gb = kernels.conv2d_vjp_batch(acts[blk], views[blk][0], 1, arch.pad, g,
+                                                 need_input_grad=blk > 0)
+            parts[:0] = [gw.ravel(), gb]
+        chunk_grad = np.concatenate(parts)
+        # the first chunk's gradient is the total, not added to +0.0, which
+        # would turn its -0.0 entries into +0.0
+        grad = chunk_grad if c == 0 else grad + chunk_grad
+    return grad
 
 
 def sgd_step(params: EncoderParams, grads: np.ndarray, lr: float) -> EncoderParams:

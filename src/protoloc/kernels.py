@@ -34,7 +34,10 @@ class ShapeError(ValueError):
 def _pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
     if pad == 0:
         return x
-    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    n, h, w, c = x.shape
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x
+    return xp
 
 
 def _conv_geometry(h, w, k, stride, pad):

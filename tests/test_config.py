@@ -51,6 +51,29 @@ def test_inconsistent_value_names_its_key(line, key):
         RunConfig.from_mapping(parse_config_text(line))
 
 
+_COUNT_KEYS = ("train.epochs_base", "train.epochs_ours", "train.episodes_per_epoch",
+               "train.pretrain_epochs", "train.pretrain_batch", "eval.n_way", "eval.k_shot",
+               "eval.queries", "eval.tasks", "roi.grid", "roi.samples")
+
+
+_INVALID = [
+    ("loc.tau_eval = 0", "loc.tau_eval must lie in (0, 1], got 0.0"),
+    ("loc.tau_train = 1.5", "loc.tau_train must lie in (0, 1], got 1.5"),
+    *[(f"{key} = 0", f"{key} must be >= 1, got 0") for key in _COUNT_KEYS],
+    ("arch.channels = 8,0,32", "arch.channels (8, 0, 32) must all be positive"),
+    ("arch.kernel = 4", "arch.kernel must be odd and positive, got 4"),
+    ("arch.input_size = 20\ndata.image_size = 20", "arch.input_size 20 not divisible by 2^3"),
+]
+
+
+@pytest.mark.parametrize("text, message", _INVALID,
+                         ids=[text.split(" = ")[0] for text, _ in _INVALID])
+def test_invalid_value_error_names_its_key_and_value(text, message):
+    with pytest.raises(ValueError) as info:
+        RunConfig.from_mapping(parse_config_text(text))
+    assert str(info.value) == message
+
+
 def test_inconsistent_arch_fails_at_config_time():
     with pytest.raises(ValueError, match="channels \\(8, 16\\) must list 3 entries"):
         RunConfig(arch_channels=(8, 16))

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -80,17 +81,34 @@ class TestForward:
             single, _ = enc.forward_batch(params, images[i:i + 1])
             np.testing.assert_allclose(fms[i], single[0], rtol=0, atol=1e-12)
 
-    def test_rows_do_not_depend_on_batch_composition(self):
+    @pytest.mark.parametrize("arch", [EncoderArch(), SMALL], ids=["default", "small"])
+    def test_rows_do_not_depend_on_batch_composition(self, arch):
         # evaluation encodes each image once, in whichever batch first needs
         # it, and relies on these bits being the same in every batch
-        params = enc.init_params(EncoderArch(), 10)
+        params = enc.init_params(arch, 10)
         rng = np.random.default_rng(10)
-        images = rng.uniform(size=(40, 32, 32, 3))
+        images = rng.uniform(size=(40, arch.input_size, arch.input_size, 3))
         fms, _ = enc.forward_batch(params, images, keep_cache=False)
         for size in (1, 2, 7, 16, 40):
             ids = rng.permutation(40)[:size]
             sub, _ = enc.forward_batch(params, images[ids], keep_cache=False)
             np.testing.assert_array_equal(sub, fms[ids])
+
+    def test_peak_memory_stays_near_input_size(self):
+        # one pass of the block stack over all 80 images of an episode would
+        # hold block 0's im2col columns for all of them (25 MB)
+        params = enc.init_params(EncoderArch(), 11)
+        images = np.random.default_rng(11).uniform(size=(80, 32, 32, 3))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        enc.forward_batch(params, images, keep_cache=False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        if started:
+            tracemalloc.stop()
+        assert peak <= 4 * images.nbytes
 
     def test_wrong_image_size_raises(self):
         params = enc.init_params(SMALL, 0)
@@ -178,9 +196,48 @@ class TestBackward:
 
         fms_ref, grad_ref = relu_first_encoder(params, images, grad_fms)
         assert 0.2 < (fms == 0).mean() < 0.8
-        assert all(0.1 < (x == 0).mean() < 0.9 for x in cache.block_inputs[1:])
+        (acts, _), = cache.chunks
+        assert all(0.1 < (x == 0).mean() < 0.9 for x in acts[1:-1])
         assert fms.tobytes() == fms_ref.tobytes()
         assert grad.tobytes() == grad_ref.tobytes()
+
+    def test_sums_chunk_gradients_in_chunk_order(self):
+        # 40 images run as chunks of 16 + 16 + 8
+        params = enc.init_params(SMALL, 24)
+        rng = np.random.default_rng(24)
+        images = rng.uniform(size=(40, 16, 16, 3))
+        fms, cache = enc.forward_batch(params, images)
+        grad_fms = rng.normal(size=fms.shape)
+        grad = enc.backward_batch(params, cache, grad_fms)
+
+        chunk_grads = []
+        for i in range(0, 40, enc.CHUNK):
+            chunk_fms, chunk_cache = enc.forward_batch(params, images[i:i + enc.CHUNK])
+            assert chunk_fms.tobytes() == fms[i:i + enc.CHUNK].tobytes()
+            chunk_grads.append(enc.backward_batch(params, chunk_cache,
+                                                  grad_fms[i:i + enc.CHUNK]))
+        assert len(chunk_grads) == len(cache.chunks) == 3
+        assert grad.tobytes() == ((chunk_grads[0] + chunk_grads[1]) + chunk_grads[2]).tobytes()
+        _, grad_ref = relu_first_encoder(params, images, grad_fms)
+        assert rel_err(grad, grad_ref) <= 1e-12
+
+    def test_two_chunk_batch_matches_finite_differences(self):
+        params = enc.init_params(SMALL, 25)
+        rng = np.random.default_rng(25)
+        images = rng.uniform(size=(20, 16, 16, 3))
+        g = rng.normal(size=(20, 4, 4, SMALL.embed_dim))
+        fms, cache = enc.forward_batch(params, images)
+        assert len(cache.chunks) == 2
+        grad = enc.backward_batch(params, cache, g)
+
+        def loss(flat):
+            out, _ = enc.forward_batch(enc.EncoderParams(SMALL, flat), images,
+                                       keep_cache=False)
+            return float((out * g).sum())
+
+        # 20 images hold enough pooling windows that a 1e-5 step flips one
+        # window's max (a kink, where the difference quotient is not the slope)
+        assert rel_err(grad, fd_grad(loss, params.flat, step=1e-6)) <= 1e-5
 
     def test_cache_mismatch(self):
         params = enc.init_params(SMALL, 2)
