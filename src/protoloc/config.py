@@ -1,7 +1,8 @@
 """Run configuration: flat ``key = value`` config files plus defaults.
 
-Values are read as text and converted by the type of the ``RunConfig``
-field their key names. Unset keys fall back to the published defaults; the
+Each ``RunConfig`` field declares its dotted key once, in its metadata.
+Values are read as text and converted by the type of the field their key
+names. Unset keys fall back to the published defaults; the
 RoI-loss weight and the training threshold default by shot count (1.0 and
 0.5 for 1-shot, 0.5 and 0.7 for 5-shot) unless set explicitly, and are
 resolved to floats when the config is built. Evaluation runs on one thread:
@@ -11,7 +12,7 @@ resolved to floats when the config is built. Evaluation runs on one thread:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .encoder import EncoderArch
@@ -60,71 +61,43 @@ def apply_overrides(mapping: dict, sets) -> dict:
     return merged
 
 
+def _key(key: str, default):
+    """A RunConfig field with its default and its dotted config key."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class RunConfig:
-    data_dir: str = "data/shapes"
-    arch_blocks: int = 3
-    arch_channels: tuple = (8, 16, 32)
-    arch_kernel: int = 3
-    arch_input_size: int = 32
-    image_size: int = 32
-    per_class_count: int = 200
-    distractors_min: int = 1
-    distractors_max: int = 3
-    background: str = "solid-noise"
-    lr: float = 1e-4
-    epochs_base: int = 200
-    epochs_ours: int = 100
-    episodes_per_epoch: int = 50
-    pretrain_epochs: int = 15
-    pretrain_lr: float = 0.05
-    pretrain_batch: int = 64
-    temperature: float = 64.0
-    lambda_roi: float | None = None
-    tau_eval: float = 0.5
-    tau_train: float | None = None
-    connectivity: int = 4
-    roi_grid: int = 3
-    roi_samples: int = 2
-    n_way: int = 5
-    k_shot: int = 1
-    queries: int = 15
-    tasks: int = 10000
-    workers: int = 1
-    seed: int = 0
-
-    _KEYS = {
-        "dataset.path": "data_dir",
-        "arch.blocks": "arch_blocks",
-        "arch.channels": "arch_channels",
-        "arch.kernel": "arch_kernel",
-        "arch.input_size": "arch_input_size",
-        "data.image_size": "image_size",
-        "data.per_class_count": "per_class_count",
-        "data.distractors_min": "distractors_min",
-        "data.distractors_max": "distractors_max",
-        "data.background": "background",
-        "train.lr": "lr",
-        "train.epochs_base": "epochs_base",
-        "train.epochs_ours": "epochs_ours",
-        "train.episodes_per_epoch": "episodes_per_epoch",
-        "train.pretrain_epochs": "pretrain_epochs",
-        "train.pretrain_lr": "pretrain_lr",
-        "train.pretrain_batch": "pretrain_batch",
-        "loss.T": "temperature",
-        "loss.lambda_roi": "lambda_roi",
-        "loc.tau_eval": "tau_eval",
-        "loc.tau_train": "tau_train",
-        "loc.connectivity": "connectivity",
-        "roi.grid": "roi_grid",
-        "roi.samples": "roi_samples",
-        "eval.n_way": "n_way",
-        "eval.k_shot": "k_shot",
-        "eval.queries": "queries",
-        "eval.tasks": "tasks",
-        "eval.workers": "workers",
-        "seed": "seed",
-    }
+    data_dir: str = _key("dataset.path", "data/shapes")
+    arch_blocks: int = _key("arch.blocks", 3)
+    arch_channels: tuple = _key("arch.channels", (8, 16, 32))
+    arch_kernel: int = _key("arch.kernel", 3)
+    arch_input_size: int = _key("arch.input_size", 32)
+    image_size: int = _key("data.image_size", 32)
+    per_class_count: int = _key("data.per_class_count", 200)
+    distractors_min: int = _key("data.distractors_min", 1)
+    distractors_max: int = _key("data.distractors_max", 3)
+    background: str = _key("data.background", "solid-noise")
+    lr: float = _key("train.lr", 1e-4)
+    epochs_base: int = _key("train.epochs_base", 200)
+    epochs_ours: int = _key("train.epochs_ours", 100)
+    episodes_per_epoch: int = _key("train.episodes_per_epoch", 50)
+    pretrain_epochs: int = _key("train.pretrain_epochs", 15)
+    pretrain_lr: float = _key("train.pretrain_lr", 0.05)
+    pretrain_batch: int = _key("train.pretrain_batch", 64)
+    temperature: float = _key("loss.T", 64.0)
+    lambda_roi: float | None = _key("loss.lambda_roi", None)
+    tau_eval: float = _key("loc.tau_eval", 0.5)
+    tau_train: float | None = _key("loc.tau_train", None)
+    connectivity: int = _key("loc.connectivity", 4)
+    roi_grid: int = _key("roi.grid", 3)
+    roi_samples: int = _key("roi.samples", 2)
+    n_way: int = _key("eval.n_way", 5)
+    k_shot: int = _key("eval.k_shot", 1)
+    queries: int = _key("eval.queries", 15)
+    tasks: int = _key("eval.tasks", 10000)
+    workers: int = _key("eval.workers", 1)
+    seed: int = _key("seed", 0)
 
     def __post_init__(self):
         self.arch_channels = tuple(int(c) for c in self.arch_channels)
@@ -134,11 +107,11 @@ class RunConfig:
             self.tau_train = 0.5 if self.k_shot == 1 else 0.7
         self.lambda_roi, self.tau_train = float(self.lambda_roi), float(self.tau_train)
         for key in ("loc.tau_eval", "loc.tau_train"):
-            v = getattr(self, self._KEYS[key])
+            v = getattr(self, _KEYS[key].name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{key} must lie in (0, 1], got {v}")
         for key in ("train.lr", "train.pretrain_lr", "loss.T"):
-            v = getattr(self, self._KEYS[key])
+            v = getattr(self, _KEYS[key].name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{key} must be finite and positive, got {v}")
         if not (math.isfinite(self.lambda_roi) and self.lambda_roi >= 0):
@@ -146,7 +119,7 @@ class RunConfig:
         for key in ("train.epochs_base", "train.epochs_ours", "train.episodes_per_epoch",
                     "train.pretrain_epochs", "train.pretrain_batch", "eval.n_way",
                     "eval.k_shot", "eval.queries", "eval.tasks", "roi.grid", "roi.samples"):
-            v = getattr(self, self._KEYS[key])
+            v = getattr(self, _KEYS[key].name)
             if v < 1:
                 raise ValueError(f"{key} must be >= 1, got {v}")
         if self.workers != 1:
@@ -168,17 +141,16 @@ class RunConfig:
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":
         """Build from key -> value, reading each value's text as its field's type."""
-        types = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for key, value in mapping.items():
-            if key not in cls._KEYS:
+            if key not in _KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            name = cls._KEYS[key]
+            f = _KEYS[key]
             try:
-                kwargs[name] = _PARSERS[types[name]](str(value).strip())
+                kwargs[f.name] = _PARSERS[f.type](str(value).strip())
             except ValueError:
                 raise ValueError(
-                    f"config key {key!r}: cannot read {value!r} as {types[name]}") from None
+                    f"config key {key!r}: cannot read {value!r} as {f.type}") from None
         return cls(**kwargs)
 
     def echo(self) -> dict:
@@ -187,14 +159,15 @@ class RunConfig:
         ``eval.workers`` is left out: it can only be 1 and names no part of
         the experiment.
         """
-        by_field = {f: k for k, f in self._KEYS.items()}
         out = {}
         for f in fields(self):
-            if f.name.startswith("_") or f.name == "workers":
+            if f.name == "workers":
                 continue
-            key = by_field[f.name]
             value = getattr(self, f.name)
             if f.name == "arch_channels":
                 value = ",".join(str(c) for c in value)
-            out[key] = value
+            out[f.metadata["key"]] = value
         return out
+
+
+_KEYS = {f.metadata["key"]: f for f in fields(RunConfig)}   # config key -> its field

@@ -1,11 +1,12 @@
 """Convolutional embedding network with a manual backward pass.
 
-The network is a stack of conv(stride 1, pad (k-1)/2) -> maxpool(2) -> relu
-blocks: relu is monotone, so this equals conv -> relu -> maxpool exactly,
-with relu on the pooled grid. The last block's output is the feature map;
-its global average pool is the embedding. Parameters live in one flat
-float64 vector with a deterministic layout, which keeps checkpoints and
-finite-difference checks simple.
+The network is a stack of conv -> maxpool(2 x 2) -> relu blocks. The
+convolution keeps the map's size: stride 1 and zero padding k // 2 for the
+odd kernel size k that EncoderArch requires. relu is monotone, so a block
+equals conv -> relu -> maxpool exactly, with relu on the pooled grid. The
+last block's output is the feature map; its global average pool is the
+embedding. Parameters live in one flat float64 vector with a deterministic
+layout, which keeps checkpoints and finite-difference checks simple.
 
 A batch runs in chunks of CHUNK images: the whole block stack runs over
 images[i:i + CHUNK] before the next chunk starts, so a chunk's activations
@@ -63,10 +64,6 @@ class EncoderArch:
     @property
     def embed_dim(self) -> int:
         return self.channels[-1]
-
-    @property
-    def pad(self) -> int:
-        return (self.kernel - 1) // 2
 
 
 def _block_shapes(arch: EncoderArch):
@@ -142,8 +139,8 @@ def forward_batch(params: EncoderParams, images: np.ndarray, keep_cache: bool = 
         x = images[i:i + CHUNK]
         acts, conv_outputs = [x], []
         for w, b in views:
-            t = kernels.conv2d_batch(x, w, b, stride=1, pad=arch.pad)
-            x = np.maximum(kernels.maxpool2d_batch(t, window=2), 0.0)
+            t = kernels.conv2d_batch(x, w, b)
+            x = np.maximum(kernels.maxpool2d_batch(t), 0.0)
             if keep_cache:
                 acts.append(x)
                 conv_outputs.append(t)
@@ -171,8 +168,8 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
         g = grad_fms[c * CHUNK:(c + 1) * CHUNK]
         parts = []
         for blk in reversed(range(arch.blocks)):
-            g = kernels.maxpool2d_vjp_batch(conv_outputs[blk], acts[blk + 1], g, window=2)
-            g, gw, gb = kernels.conv2d_vjp_batch(acts[blk], views[blk][0], 1, arch.pad, g,
+            g = kernels.maxpool2d_vjp_batch(conv_outputs[blk], acts[blk + 1], g)
+            g, gw, gb = kernels.conv2d_vjp_batch(acts[blk], views[blk][0], g,
                                                  need_input_grad=blk > 0)
             parts[:0] = [gw.ravel(), gb]
         chunk_grad = np.concatenate(parts)

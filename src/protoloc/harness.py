@@ -34,7 +34,7 @@ import numpy as np
 from . import encoder as enc
 from . import kernels
 from .config import RunConfig
-from .dataset import DatasetSpec, load_dataset, sample_episode
+from .dataset import SPLITS, DatasetSpec, load_dataset, sample_episode
 from .episodic import (LossConfig, episode_loss_and_gradient, nearest_class,
                        refined_reps, softmax_cross_entropy)
 # propose_box and roi_feature are unused here; bench/spans.py traces them as harness names
@@ -378,11 +378,12 @@ def localize_cmd(cfg: RunConfig, params: enc.EncoderParams, ids,
     ``id y0 x0 y1 x1 iou`` lines; returns the records.
     """
     _check_arch(cfg, params)
-    splits = _load_splits(cfg)
-    if split_name not in splits:
-        raise UnknownId(f"unknown split {split_name!r}")
-    split = splits[split_name]
     ids = list(ids)
+    if not ids:
+        raise UnknownId("no image ids given")
+    if split_name not in SPLITS:
+        raise UnknownId(f"unknown split {split_name!r}")
+    split = _load_splits(cfg)[split_name]
     for image_id in ids:
         if not 0 <= image_id < split.images.shape[0]:
             raise UnknownId(f"id {image_id} outside split {split_name!r} "

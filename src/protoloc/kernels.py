@@ -4,13 +4,15 @@ Spatial layout is height x width x channels throughout. Every operation is
 a pure function over numpy arrays and is deterministic: identical inputs
 produce bit-identical outputs. The convolution, pooling and global-average
 kernels take a batch with a leading N axis, the shape the encoder and the
-episode code run them at; a single image is a batch of one. The convolution
-adjoint is one matmul per kernel tap on a strided view of the padded input,
-scatter-added into the input gradient (skipped on request); it builds no
-im2col columns. Max pooling and its adjoint share one helper, the
-window x window strided views of the input. Their elementwise max is the
-pooled map. The adjoint is that of relu on the pooled map, the encoder's
-block output: it routes each gradient against that cached output, so the
+episode code run them at; a single image is a batch of one. They serve the
+encoder's one block geometry and no other. The convolution is same-size:
+stride 1, an odd square kernel, zero padding k // 2. Its adjoint is one
+matmul per kernel tap on that tap's shifted view of the padded input,
+added into the input gradient (skipped on request); it builds no im2col
+columns. Max pooling is 2 x 2; it and its adjoint share one helper, the
+four strided views of the windows. Their elementwise max is the pooled
+map. The adjoint is that of relu on the pooled map, the encoder's block
+output: it routes each gradient against that cached output, so the
 backward pass recomputes no window max and runs no separate relu pass.
 Bilinear resize takes a stack of planes and shares one clamped
 corner-weight helper with RoIAlign.
@@ -31,97 +33,83 @@ class ShapeError(ValueError):
 # Convolution
 # ---------------------------------------------------------------------------
 
-def _pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
+def _pad_same(x: np.ndarray, k: int) -> np.ndarray:
+    """Zero-pad height and width by k // 2 on each side."""
+    p = k // 2
+    if p == 0:
         return x
     n, h, w, c = x.shape
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = x
+    xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+    xp[:, p:p + h, p:p + w] = x
     return xp
 
 
-def _conv_geometry(h, w, k, stride, pad):
-    if stride < 1:
-        raise ShapeError(f"stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ShapeError(f"pad must be >= 0, got {pad}")
-    if k > h + 2 * pad or k > w + 2 * pad:
-        raise ShapeError(f"kernel {k} exceeds padded extent ({h}+2*{pad}, {w}+2*{pad})")
-    out_h = (h + 2 * pad - k) // stride + 1
-    out_w = (w + 2 * pad - k) // stride + 1
-    return out_h, out_w
-
-
-def _im2col(x_pad: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
-    """Window view (N, out_h, out_w, k, k, C) over the padded input."""
+def _im2col(x_pad: np.ndarray, k: int) -> np.ndarray:
+    """Window view (N, H, W, k, k, C) over the padded input, H = its height - k + 1."""
     n, hp, wp, c = x_pad.shape
     sn, sh, sw, sc = x_pad.strides
-    shape = (n, out_h, out_w, k, k, c)
-    strides = (sn, sh * stride, sw * stride, sh, sw, sc)
+    shape = (n, hp - k + 1, wp - k + 1, k, k, c)
+    strides = (sn, sh, sw, sh, sw, sc)
     return np.lib.stride_tricks.as_strided(x_pad, shape=shape, strides=strides)
 
 
-def _check_conv_args(x, kernels, bias):
+def _check_conv_args(x, kernels):
     if x.ndim != 4:
         raise ShapeError(f"expected N x H x W x C input, got shape {x.shape}")
-    if kernels.ndim != 4 or kernels.shape[0] != kernels.shape[1]:
-        raise ShapeError(f"expected k x k x Cin x Cout kernels, got shape {kernels.shape}")
+    if kernels.ndim != 4 or kernels.shape[0] != kernels.shape[1] or kernels.shape[0] % 2 == 0:
+        raise ShapeError(f"expected k x k x Cin x Cout kernels, k odd, got {kernels.shape}")
     if kernels.shape[2] != x.shape[3]:
         raise ShapeError(
             f"kernel input channels {kernels.shape[2]} != input channels {x.shape[3]}")
-    if bias.shape != (kernels.shape[3],):
-        raise ShapeError(f"bias shape {bias.shape} != ({kernels.shape[3]},)")
 
 
-def conv2d_batch(x, kernels, bias, stride=1, pad=0):
-    """2-D convolution (cross-correlation) over a batch, zero padding:
-    N x H x W x Cin -> N x H' x W' x Cout, H' = (H + 2*pad - k) // stride + 1."""
+def conv2d_batch(x, kernels, bias):
+    """Same-size 2-D convolution (cross-correlation) over a batch, stride 1 and
+    zero padding k // 2: N x H x W x Cin -> N x H x W x Cout."""
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
-    _check_conv_args(x, kernels, bias)
+    _check_conv_args(x, kernels)
     n, h, w, cin = x.shape
-    k = kernels.shape[0]
-    cout = kernels.shape[3]
-    out_h, out_w = _conv_geometry(h, w, k, stride, pad)
-    xp = _pad_hw(x, pad)
-    cols = _im2col(xp, k, stride, out_h, out_w).reshape(n * out_h * out_w, k * k * cin)
+    k, cout = kernels.shape[0], kernels.shape[3]
+    if bias.shape != (cout,):
+        raise ShapeError(f"bias shape {bias.shape} != ({cout},)")
+    cols = _im2col(_pad_same(x, k), k).reshape(n * h * w, k * k * cin)
     out = cols @ kernels.reshape(k * k * cin, cout)
     out += bias  # in place: the same elementwise add, one output-sized buffer fewer
-    return out.reshape(n, out_h, out_w, cout)
+    return out.reshape(n, h, w, cout)
 
 
-def conv2d_vjp_batch(x, kernels, stride, pad, grad_out, need_input_grad=True):
+def conv2d_vjp_batch(x, kernels, grad_out, need_input_grad=True):
     """Adjoint of conv2d_batch: returns (grad_x, grad_kernels, grad_bias).
 
     grad_bias sums over the batch; grad_x is None unless need_input_grad.
-    Kernel tap (a, b) meets the strided view xp[:, a::stride, b::stride] of the
+    Kernel tap (a, b) meets the shifted view xp[:, a:a + H, b:b + W] of the
     padded input: view^T @ grad_out is its weight gradient, and grad_out @ W[a, b]^T
-    is scatter-added into the view's cells of the padded input gradient.
+    is added into the view's cells of the padded input gradient.
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
+    _check_conv_args(x, kernels)
     n, h, w, cin = x.shape
-    k = kernels.shape[0]
-    cout = kernels.shape[3]
-    out_h, out_w = _conv_geometry(h, w, k, stride, pad)
-    if grad_out.shape != (n, out_h, out_w, cout):
-        raise ShapeError(
-            f"grad_out shape {grad_out.shape} != {(n, out_h, out_w, cout)}")
+    k, cout = kernels.shape[0], kernels.shape[3]
+    if grad_out.shape != (n, h, w, cout):
+        raise ShapeError(f"grad_out shape {grad_out.shape} != {(n, h, w, cout)}")
 
-    g = grad_out.reshape(n * out_h * out_w, cout)
+    g = grad_out.reshape(n * h * w, cout)
     grad_bias = g.sum(axis=0)
-    xp = _pad_hw(x, pad)
+    xp = _pad_same(x, k)
     grad_kernels = np.empty_like(kernels)
     gxp = np.zeros_like(xp) if need_input_grad else None
     for a in range(k):
         for b in range(k):
-            cells = np.s_[:, a:a + stride * out_h:stride, b:b + stride * out_w:stride]
+            cells = np.s_[:, a:a + h, b:b + w]
             grad_kernels[a, b] = xp[cells].reshape(-1, cin).T @ g
             if need_input_grad:
-                gxp[cells] += (g @ kernels[a, b].T).reshape(n, out_h, out_w, cin)
-    grad_x = gxp[:, pad:pad + h, pad:pad + w] if need_input_grad else None
+                gxp[cells] += (g @ kernels[a, b].T).reshape(n, h, w, cin)
+    p = k // 2
+    grad_x = gxp[:, p:p + h, p:p + w] if need_input_grad else None
     return grad_x, grad_kernels, grad_bias
 
 
@@ -129,20 +117,20 @@ def conv2d_vjp_batch(x, kernels, stride, pad, grad_out, need_input_grad=True):
 # Max pooling
 # ---------------------------------------------------------------------------
 
-def _window_views(x, window):
-    """The window x window strided views x[:, a::window, b::window], in row-major scan order."""
+def _window_views(x):
+    """The four strided views x[:, a::2, b::2] of the 2 x 2 windows, in row-major scan order."""
     _, h, w, _ = x.shape
-    if h % window or w % window:
-        raise ShapeError(f"extents {(h, w)} not divisible by pool window {window}")
-    return [x[:, a::window, b::window] for a in range(window) for b in range(window)]
+    if h % 2 or w % 2:
+        raise ShapeError(f"extents {(h, w)} not divisible by the 2 x 2 pool window")
+    return [x[:, a::2, b::2] for a in (0, 1) for b in (0, 1)]
 
 
-def maxpool2d_batch(x, window=2):
-    """Per-window max over non-overlapping window x window blocks."""
-    return functools.reduce(np.maximum, _window_views(np.asarray(x, dtype=np.float64), window))
+def maxpool2d_batch(x):
+    """Per-window max over non-overlapping 2 x 2 blocks."""
+    return functools.reduce(np.maximum, _window_views(np.asarray(x, dtype=np.float64)))
 
 
-def maxpool2d_vjp_batch(x, out, grad_out, window=2):
+def maxpool2d_vjp_batch(x, out, grad_out):
     """Adjoint of relu(maxpool2d_batch(x)) given its output out; recomputes no window max.
 
     Where out > 0 it is the window max, and the window's gradient goes to its
@@ -151,15 +139,15 @@ def maxpool2d_vjp_batch(x, out, grad_out, window=2):
     x = np.asarray(x, dtype=np.float64)
     out = np.asarray(out, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    views = _window_views(x, window)
+    views = _window_views(x)
     if out.shape != views[0].shape or grad_out.shape != out.shape:
         raise ShapeError(f"out {out.shape} and grad_out {grad_out.shape} "
                          f"must both fit pooled shape {views[0].shape}")
     grad_x = np.empty_like(x)   # the views tile x, so every cell is written below
     unrouted = out > 0.0
-    for i, view in enumerate(views):
+    for view, grad_view in zip(views, _window_views(grad_x)):
         hit = unrouted & (view == out)
-        grad_x[:, i // window::window, i % window::window] = np.where(hit, grad_out, 0.0)
+        grad_view[...] = np.where(hit, grad_out, 0.0)
         unrouted &= ~hit
     return grad_x
 

@@ -83,19 +83,18 @@ def relu_first_encoder(params, images, grad_fms):
     conv -> relu -> max-pool with relu on the full-size conv output. The
     relu and its mask are inline and the pool adjoint is the loop oracle,
     so no code is shared with the encoder's fused pool-and-relu adjoint."""
-    pad = params.arch.pad
     block_inputs, activations = [], []
     x = images
     for w, b in params.block_views():
         block_inputs.append(x)
-        activations.append(np.maximum(kernels.conv2d_batch(x, w, b, 1, pad), 0.0))
+        activations.append(np.maximum(kernels.conv2d_batch(x, w, b), 0.0))
         x = kernels.maxpool2d_batch(activations[-1])
     grads = []
     g = grad_fms
     for (w, _), x_in, act in reversed(list(zip(params.block_views(), block_inputs,
                                                 activations))):
         g = np.where(act > 0.0, maxpool2d_vjp_loops(act, g, 2), 0.0)
-        g, gw, gb = kernels.conv2d_vjp_batch(x_in, w, 1, pad, g)
+        g, gw, gb = kernels.conv2d_vjp_batch(x_in, w, g)
         grads[:0] = [gw.ravel(), gb]
     return x, np.concatenate(grads)
 

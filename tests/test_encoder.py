@@ -26,7 +26,6 @@ def test_arch_validation():
 def test_arch_output_contract():
     arch = EncoderArch()
     assert arch.embed_dim == 32
-    assert arch.pad == 1
 
 
 class TestInitParams:
@@ -69,7 +68,7 @@ class TestForward:
 
         x = images
         for w, b in params.block_views():
-            x = kernels.conv2d_batch(x, w, b, 1, SMALL.pad)
+            x = kernels.conv2d_batch(x, w, b)
             x = kernels.maxpool2d_batch(np.maximum(x, 0.0))
         np.testing.assert_array_equal(fms, x)
 

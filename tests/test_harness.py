@@ -162,6 +162,22 @@ def test_localize_cmd_rejects_late_unknown_id_before_writing(data_root, tmp_path
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("ids, split, message", [([], "test", "no image ids given"),
+                                                  ([0], "tset", "unknown split 'tset'")],
+                         ids=["no-ids", "unknown-split"])
+def test_localize_cmd_rejects_no_ids_or_unknown_split_before_any_work(
+        data_root, tmp_path, monkeypatch, ids, split, message):
+    def unread(*args):
+        raise AssertionError("dataset read before the ids and split were checked")
+
+    monkeypatch.setattr(harness, "load_dataset", unread)
+    out_dir = tmp_path / "overlays"
+    cfg = small_config(data_dir=str(data_root), per_class_count=8)
+    with pytest.raises(UnknownId, match=message):
+        harness.localize_cmd(cfg, enc.init_params(cfg.arch, 4), ids, split, out_dir)
+    assert not out_dir.exists()
+
+
 def test_train_rejects_checkpoint_arch_before_loading_or_stepping(tmp_path, monkeypatch):
     # the config asks for channels (4, 6); the checkpoint holds (4, 8), and
     # the dataset directory does not exist

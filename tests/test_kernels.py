@@ -39,24 +39,24 @@ class TestConv2d:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 5, 3))
         k = np.eye(3)[None, None]           # 1x1xCxC identity over channels
-        out = kernels.conv2d_batch(x[None], k, np.zeros(3), stride=1, pad=0)
+        out = kernels.conv2d_batch(x[None], k, np.zeros(3))
         np.testing.assert_array_equal(out[0], x)
 
     def test_zero_input_gives_bias(self):
         k = np.random.default_rng(1).normal(size=(3, 3, 2, 4))
         bias = np.array([0.5, -1.0, 2.0, 0.0])
-        out = kernels.conv2d_batch(np.zeros((2, 6, 6, 2)), k, bias, stride=1, pad=1)
+        out = kernels.conv2d_batch(np.zeros((2, 6, 6, 2)), k, bias)
         assert out.shape == (2, 6, 6, 4)
         np.testing.assert_array_equal(out, np.broadcast_to(bias, (2, 6, 6, 4)))
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 5, 2))
-        k = rng.normal(size=(3, 3, 2, 4))
         bias = rng.normal(size=4)
-        for stride, pad in [(1, 0), (1, 1), (2, 1)]:
-            got = kernels.conv2d_batch(x[None], k, bias, stride=stride, pad=pad)[0]
-            want = conv2d_loops(x, k, bias, stride=stride, pad=pad)
+        for k in (1, 3, 5):
+            w = rng.normal(size=(k, k, 2, 4))
+            got = kernels.conv2d_batch(x[None], w, bias)[0]
+            want = conv2d_loops(x, w, bias, stride=1, pad=k // 2)
             assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_shape_errors(self):
@@ -67,16 +67,20 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             kernels.conv2d_batch(x, np.zeros((3, 3, 2, 4)), np.zeros(5))
         with pytest.raises(ShapeError):
-            kernels.conv2d_batch(x, np.zeros((5, 5, 2, 4)), np.zeros(4), pad=0)
-        with pytest.raises(ShapeError):
-            kernels.conv2d_batch(x, np.zeros((3, 3, 2, 4)), np.zeros(4), stride=0)
-        with pytest.raises(ShapeError):
             kernels.conv2d_batch(x[0], np.zeros((3, 3, 2, 4)), np.zeros(4))
+
+    def test_even_kernel_raises(self):
+        # an even kernel has no centre tap, so no padding keeps the map's size
+        x, w = np.zeros((1, 6, 6, 2)), np.zeros((4, 4, 2, 3))
+        with pytest.raises(ShapeError, match="k odd"):
+            kernels.conv2d_batch(x, w, np.zeros(3))
+        with pytest.raises(ShapeError, match="k odd"):
+            kernels.conv2d_vjp_batch(x, w, np.zeros((1, 6, 6, 3)))
 
     def test_nan_propagates(self):
         x = np.zeros((1, 4, 4, 1))
         x[0, 1, 1, 0] = np.nan
-        out = kernels.conv2d_batch(x, np.ones((3, 3, 1, 1)), np.zeros(1), pad=1)
+        out = kernels.conv2d_batch(x, np.ones((3, 3, 1, 1)), np.zeros(1))
         assert np.isnan(out).any()
 
     def test_deterministic(self):
@@ -84,8 +88,8 @@ class TestConv2d:
         x = rng.normal(size=(2, 6, 6, 3))
         k = rng.normal(size=(3, 3, 3, 5))
         b = rng.normal(size=5)
-        a = kernels.conv2d_batch(x, k, b, pad=1)
-        np.testing.assert_array_equal(a, kernels.conv2d_batch(x, k, b, pad=1))
+        a = kernels.conv2d_batch(x, k, b)
+        np.testing.assert_array_equal(a, kernels.conv2d_batch(x, k, b))
 
 
 class TestConv2dVjp:
@@ -93,7 +97,7 @@ class TestConv2dVjp:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(1, 5, 5, 2))
         k = rng.normal(size=(3, 3, 2, 3))
-        gx, gk, gb = kernels.conv2d_vjp_batch(x, k, 1, 1, np.zeros((1, 5, 5, 3)))
+        gx, gk, gb = kernels.conv2d_vjp_batch(x, k, np.zeros((1, 5, 5, 3)))
         assert not gx.any() and not gk.any() and not gb.any()
 
     def test_bias_grad_counts_positions(self):
@@ -102,64 +106,56 @@ class TestConv2dVjp:
         k = rng.normal(size=(3, 3, 2, 3))
         # loss = sum(output) puts a unit gradient on every output position
         g = np.ones((2, 6, 6, 3))
-        _, _, gb = kernels.conv2d_vjp_batch(x, k, 1, 1, g)
+        _, _, gb = kernels.conv2d_vjp_batch(x, k, g)
         np.testing.assert_array_equal(gb, np.full(3, 72.0))
 
-    # (3, 0): no window reaches the last two rows and columns, whose
-    # gradient must come out zero; (2, 2): the edge windows see one input row
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (3, 0), (2, 2)])
-    def test_finite_differences(self, stride, pad):
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    def test_finite_differences(self, ksize):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, 5, 5, 2))
-        k = rng.normal(size=(3, 3, 2, 3))
+        k = rng.normal(size=(ksize, ksize, 2, 3))
         bias = rng.normal(size=3)
-        out = kernels.conv2d_batch(x, k, bias, stride, pad)
-        gout = rng.normal(size=out.shape)
+        gout = rng.normal(size=(1, 5, 5, 3))
 
-        gx, gk, gb = kernels.conv2d_vjp_batch(x, k, stride, pad, gout)
+        gx, gk, gb = kernels.conv2d_vjp_batch(x, k, gout)
 
         def loss_x(v):
-            return float((kernels.conv2d_batch(v.reshape(x.shape), k, bias, stride, pad)
-                          * gout).sum())
+            return float((kernels.conv2d_batch(v.reshape(x.shape), k, bias) * gout).sum())
 
         def loss_k(v):
-            return float((kernels.conv2d_batch(x, v.reshape(k.shape), bias, stride, pad)
-                          * gout).sum())
+            return float((kernels.conv2d_batch(x, v.reshape(k.shape), bias) * gout).sum())
 
         def loss_b(v):
-            return float((kernels.conv2d_batch(x, k, v, stride, pad) * gout).sum())
+            return float((kernels.conv2d_batch(x, k, v) * gout).sum())
 
         assert rel_err(gx.ravel(), fd_grad(loss_x, x.ravel())) <= 1e-6
         assert rel_err(gk.ravel(), fd_grad(loss_k, k.ravel())) <= 1e-6
         assert rel_err(gb, fd_grad(loss_b, bias)) <= 1e-6
 
-    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (3, 0)])
-    def test_without_input_grad_parameter_grads_bitwise_equal(self, stride, pad):
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    def test_without_input_grad_parameter_grads_bitwise_equal(self, ksize):
         rng = np.random.default_rng(15)
         x = rng.normal(size=(2, 7, 5, 3))
-        k = rng.normal(size=(3, 3, 3, 4))
-        gout = rng.normal(size=kernels.conv2d_batch(x, k, np.zeros(4), stride, pad).shape)
-        _, gk, gb = kernels.conv2d_vjp_batch(x, k, stride, pad, gout)
-        gx, gk_only, gb_only = kernels.conv2d_vjp_batch(x, k, stride, pad, gout,
-                                                        need_input_grad=False)
+        k = rng.normal(size=(ksize, ksize, 3, 4))
+        gout = rng.normal(size=(2, 7, 5, 4))
+        _, gk, gb = kernels.conv2d_vjp_batch(x, k, gout)
+        gx, gk_only, gb_only = kernels.conv2d_vjp_batch(x, k, gout, need_input_grad=False)
         assert gx is None
         assert gk_only.tobytes() == gk.tobytes()
         assert gb_only.tobytes() == gb.tobytes()
 
     @pytest.mark.parametrize("k", [1, 3, 5])
-    @pytest.mark.parametrize("pad", [0, 1, 2])
-    @pytest.mark.parametrize("stride", [1, 2, 3])
-    def test_matches_loop_oracle(self, stride, pad, k):
+    def test_matches_loop_oracle(self, k):
         rng = np.random.default_rng(16)
         x = rng.normal(size=(2, 7, 5, 2))
         w = rng.normal(size=(k, k, 2, 3))
-        gout = rng.normal(size=kernels.conv2d_batch(x, w, np.zeros(3), stride, pad).shape)
-        want = [conv2d_vjp_loops(xi, w, stride, pad, gi) for xi, gi in zip(x, gout)]
+        gout = rng.normal(size=(2, 7, 5, 3))
+        want = [conv2d_vjp_loops(xi, w, 1, k // 2, gi) for xi, gi in zip(x, gout)]
         want_gx = np.stack([gx for gx, _, _ in want])
         want_gk = sum(gk for _, gk, _ in want)
         want_gb = sum(gb for _, _, gb in want)
         for need_input_grad in (True, False):
-            gx, gk, gb = kernels.conv2d_vjp_batch(x, w, stride, pad, gout, need_input_grad)
+            gx, gk, gb = kernels.conv2d_vjp_batch(x, w, gout, need_input_grad)
             if need_input_grad:
                 assert np.max(np.abs(gx - want_gx)) <= 1e-12
             else:
@@ -183,7 +179,7 @@ class TestConv2dVjp:
             tracemalloc.start()
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        kernels.conv2d_vjp_batch(x, w, 1, 1, gout, need_input_grad)
+        kernels.conv2d_vjp_batch(x, w, gout, need_input_grad)
         peak = tracemalloc.get_traced_memory()[1] - base
         if started:
             tracemalloc.stop()
@@ -192,8 +188,8 @@ class TestConv2dVjp:
 
 class TestMaxPool:
     @staticmethod
-    def _relu_pool(x, window=2):
-        return np.maximum(kernels.maxpool2d_batch(x, window), 0.0)
+    def _relu_pool(x):
+        return np.maximum(kernels.maxpool2d_batch(x), 0.0)
 
     def test_constant_routes_to_first_cell(self):
         x = np.full((1, 4, 4, 2), 3.0)
@@ -225,14 +221,13 @@ class TestMaxPool:
         with pytest.raises(ShapeError, match="grad_out \\(1, 2, 3, 1\\)"):
             kernels.maxpool2d_vjp_batch(x, fits, np.zeros((1, 2, 3, 1)))
 
-    @pytest.mark.parametrize("window", [2, 3])
-    def test_tie_routing_matches_loop_oracle(self, window):
+    def test_tie_routing_matches_loop_oracle(self):
         # values from {1, 2, 3}: every window is positive, most hold their max more than once
         rng = np.random.default_rng(16)
-        x = rng.integers(1, 4, size=(2, 4 * window, 3 * window, 3)).astype(np.float64)
+        x = rng.integers(1, 4, size=(2, 8, 6, 3)).astype(np.float64)
         g = rng.normal(size=(2, 4, 3, 3))
-        gx = kernels.maxpool2d_vjp_batch(x, self._relu_pool(x, window), g, window)
-        assert gx.tobytes() == maxpool2d_vjp_loops(x, g, window).tobytes()
+        gx = kernels.maxpool2d_vjp_batch(x, self._relu_pool(x), g)
+        assert gx.tobytes() == maxpool2d_vjp_loops(x, g, 2).tobytes()
 
     def test_nonpositive_windows_get_positive_zero(self):
         # a window whose max is 0 or below sends nothing: negative windows,
