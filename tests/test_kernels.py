@@ -109,7 +109,8 @@ class TestConv2dVjp:
         _, _, gb = kernels.conv2d_vjp_batch(x, k, g)
         np.testing.assert_array_equal(gb, np.full(3, 72.0))
 
-    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    # ids read stride-pad: stride 1 with pad k // 2, the same-size geometry
+    @pytest.mark.parametrize("ksize", [1, 3, 5], ids=["1-0", "1-1", "1-2"])
     def test_finite_differences(self, ksize):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(1, 5, 5, 2))
@@ -132,7 +133,7 @@ class TestConv2dVjp:
         assert rel_err(gk.ravel(), fd_grad(loss_k, k.ravel())) <= 1e-6
         assert rel_err(gb, fd_grad(loss_b, bias)) <= 1e-6
 
-    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    @pytest.mark.parametrize("ksize", [1, 3, 5], ids=["1-0", "1-1", "1-2"])
     def test_without_input_grad_parameter_grads_bitwise_equal(self, ksize):
         rng = np.random.default_rng(15)
         x = rng.normal(size=(2, 7, 5, 3))
@@ -144,13 +145,19 @@ class TestConv2dVjp:
         assert gk_only.tobytes() == gk.tobytes()
         assert gb_only.tobytes() == gb.tobytes()
 
-    @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_matches_loop_oracle(self, k):
+    # a stride-s convolution padded k // 2 is the same-size one read at every
+    # s-th cell, so its adjoint is the same-size adjoint of grad_out spread
+    # onto those cells with zeros between
+    @pytest.mark.parametrize("stride,pad,k", [(s, k // 2, k) for s in (1, 2, 3)
+                                              for k in (1, 3, 5)])
+    def test_matches_loop_oracle(self, stride, pad, k):
         rng = np.random.default_rng(16)
         x = rng.normal(size=(2, 7, 5, 2))
         w = rng.normal(size=(k, k, 2, 3))
-        gout = rng.normal(size=(2, 7, 5, 3))
-        want = [conv2d_vjp_loops(xi, w, 1, k // 2, gi) for xi, gi in zip(x, gout)]
+        gout = np.zeros((2, 7, 5, 3))
+        gout[:, ::stride, ::stride] = rng.normal(size=gout[:, ::stride, ::stride].shape)
+        want = [conv2d_vjp_loops(xi, w, stride, pad, gi[::stride, ::stride])
+                for xi, gi in zip(x, gout)]
         want_gx = np.stack([gx for gx, _, _ in want])
         want_gk = sum(gk for _, gk, _ in want)
         want_gb = sum(gb for _, _, gb in want)
@@ -221,13 +228,14 @@ class TestMaxPool:
         with pytest.raises(ShapeError, match="grad_out \\(1, 2, 3, 1\\)"):
             kernels.maxpool2d_vjp_batch(x, fits, np.zeros((1, 2, 3, 1)))
 
-    def test_tie_routing_matches_loop_oracle(self):
+    @pytest.mark.parametrize("window", [2])
+    def test_tie_routing_matches_loop_oracle(self, window):
         # values from {1, 2, 3}: every window is positive, most hold their max more than once
         rng = np.random.default_rng(16)
-        x = rng.integers(1, 4, size=(2, 8, 6, 3)).astype(np.float64)
+        x = rng.integers(1, 4, size=(2, 4 * window, 3 * window, 3)).astype(np.float64)
         g = rng.normal(size=(2, 4, 3, 3))
         gx = kernels.maxpool2d_vjp_batch(x, self._relu_pool(x), g)
-        assert gx.tobytes() == maxpool2d_vjp_loops(x, g, 2).tobytes()
+        assert gx.tobytes() == maxpool2d_vjp_loops(x, g, window).tobytes()
 
     def test_nonpositive_windows_get_positive_zero(self):
         # a window whose max is 0 or below sends nothing: negative windows,
