@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from . import encoder as enc
 from .config import RunConfig, apply_overrides, load_config_file
 from .dataset import generate_dataset
-from .harness import (dataset_spec_from_config, evaluate, localize_cmd,
-                      pretrain, report_emit, train_episodic)
+from .harness import evaluate, localize_cmd, pretrain, report_emit, train_episodic
 
 
 def _add_common(p):
@@ -65,9 +65,11 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     cfg = _build_config(args)
+    if args.command in ("pretrain", "train"):
+        enc.checkpoint_sidecar(args.out)   # a .json --out fails before any work
 
     if args.command == "gen-data":
-        manifest = generate_dataset(dataset_spec_from_config(cfg), cfg.seed, cfg.data_dir)
+        manifest = generate_dataset(cfg.spec, cfg.seed, cfg.data_dir)
         counts = {name: info["count"] for name, info in manifest["splits"].items()}
         print(f"wrote dataset to {cfg.data_dir}: {counts}")
     elif args.command == "pretrain":
@@ -84,12 +86,14 @@ def main(argv=None) -> int:
               f"loss {losses[0]:.4f} -> {losses[-1]:.4f}; checkpoint {args.out}")
     elif args.command == "eval":
         params, _ = enc.load_checkpoint(args.checkpoint)
+        start = time.perf_counter()
         report = evaluate(cfg, params, args.mode)
+        wall = time.perf_counter() - start
         report_emit(report, args.report)
         print(f"eval[{args.mode}]: accuracy {report.mean_accuracy:.4f} "
               f"+/- {report.ci95:.4f}, mean IoU {report.mean_iou:.4f}, "
               f"CorLoc@0.5 {report.corloc_at_50:.4f} over {report.n_tasks} tasks "
-              f"({report.wall_time_s:.1f}s); report {args.report}")
+              f"({wall:.1f}s); report {args.report}")
     elif args.command == "localize":
         params, _ = enc.load_checkpoint(args.checkpoint)
         ids = [int(t) for t in args.ids.split(",") if t.strip()]

@@ -7,6 +7,11 @@ RoI-loss weight and the training threshold default by shot count (1.0 and
 0.5 for 1-shot, 0.5 and 0.7 for 5-shot) unless set explicitly, and are
 resolved to floats when the config is built. Evaluation runs on one thread:
 ``eval.workers`` accepts only 1.
+
+Building a config builds the run's components once, each from the keys
+under its prefix: ``arch`` (``arch.*``), ``spec`` (``data.*``) and ``roi``
+(``roi.*``). Each checks its own fields, and its error is re-raised under the
+key's name. They are attributes, not fields, so ``echo()`` leaves them out.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .dataset import DatasetSpec
 from .encoder import EncoderArch
+from .roi import RoiConfig
 
 # text -> value, keyed by the RunConfig field annotations (kept as strings)
 _PARSERS = {
@@ -118,7 +125,7 @@ class RunConfig:
             raise ValueError(f"loss.lambda_roi must be finite and >= 0, got {self.lambda_roi}")
         for key in ("train.epochs_base", "train.epochs_ours", "train.episodes_per_epoch",
                     "train.pretrain_epochs", "train.pretrain_batch", "eval.n_way",
-                    "eval.k_shot", "eval.queries", "eval.tasks", "roi.grid", "roi.samples"):
+                    "eval.k_shot", "eval.queries", "eval.tasks"):
             v = getattr(self, _KEYS[key].name)
             if v < 1:
                 raise ValueError(f"{key} must be >= 1, got {v}")
@@ -132,11 +139,19 @@ class RunConfig:
         if self.image_size != self.arch_input_size:
             raise ValueError(f"data.image_size {self.image_size} != "
                              f"arch.input_size {self.arch_input_size}")
+        self.arch = self._build("arch", EncoderArch)
+        self.spec = self._build("data", DatasetSpec)
+        self.roi = self._build("roi", RoiConfig)
+
+    def _build(self, prefix: str, component):
+        """The component whose fields are the keys ``prefix.<field>``; its
+        errors open with the field, so the prefix makes them name the key."""
+        kwargs = {key.partition(".")[2]: getattr(self, f.name)
+                  for key, f in _KEYS.items() if key.startswith(prefix + ".")}
         try:
-            self.arch = EncoderArch(blocks=self.arch_blocks, channels=self.arch_channels,
-                                    kernel=self.arch_kernel, input_size=self.arch_input_size)
-        except ValueError as e:   # its errors open with the field, an arch.* key's suffix
-            raise ValueError(f"arch.{e}") from None
+            return component(**kwargs)
+        except ValueError as e:
+            raise ValueError(f"{prefix}.{e}") from None
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "RunConfig":

@@ -67,12 +67,13 @@ class DatasetSpec:
         if self.image_size < 8:
             raise ValueError(f"image_size must be >= 8, got {self.image_size}")
         if self.per_class_count < 1:
-            raise ValueError("per_class_count must be positive")
+            raise ValueError(f"per_class_count must be >= 1, got {self.per_class_count}")
         if not 0 <= self.distractors_min <= self.distractors_max:
-            raise ValueError(
-                f"bad distractor range [{self.distractors_min}, {self.distractors_max}]")
+            raise ValueError(f"distractors_min must lie in [0, distractors_max = "
+                             f"{self.distractors_max}], got {self.distractors_min}")
         if self.background not in ("solid-noise", "gradient"):
-            raise ValueError(f"unknown background {self.background!r}")
+            raise ValueError(f"background must be 'solid-noise' or 'gradient', "
+                             f"got {self.background!r}")
 
     def to_dict(self) -> dict:
         return {

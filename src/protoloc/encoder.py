@@ -187,13 +187,22 @@ def sgd_step(params: EncoderParams, grads: np.ndarray, lr: float) -> EncoderPara
     return EncoderParams(params.arch, params.flat - lr * grads)
 
 
+def checkpoint_sidecar(path) -> Path:
+    """The JSON sidecar beside a checkpoint; ValueError if it is the checkpoint."""
+    path = Path(path)
+    if path.suffix == ".json":
+        raise ValueError(f"checkpoint path {path} must not end in .json, its sidecar's suffix")
+    return path.with_suffix(".json")
+
+
 def save_checkpoint(path, params: EncoderParams, seed: int) -> None:
     """Write the flat vector as TNS1 plus a JSON sidecar with arch fields and seed.
     Both go to temporary files first, so a failed write leaves the old pair."""
+    sidecar = checkpoint_sidecar(path)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     manifest = {"arch": asdict(params.arch), "seed": int(seed)}
-    with replacing(path) as tmp, replacing(path.with_suffix(".json")) as tmp_json:
+    with replacing(path) as tmp, replacing(sidecar) as tmp_json:
         write_tns(tmp, params.flat)
         tmp_json.write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -202,6 +211,6 @@ def load_checkpoint(path):
     """Read a checkpoint pair; returns (EncoderParams, seed)."""
     path = Path(path)
     flat = read_tns(path)
-    manifest = json.loads(path.with_suffix(".json").read_text())
+    manifest = json.loads(checkpoint_sidecar(path).read_text())
     arch = EncoderArch(**manifest["arch"])
     return EncoderParams(arch, flat), int(manifest["seed"])

@@ -1,9 +1,12 @@
 """Run orchestration: pretraining, two-phase episodic training, evaluation
 with confidence intervals, localization benchmarking, and report emission.
 
-Everything is seeded. Per-task and per-episode generators derive from
-(seed, stream, index), so results are byte-reproducible. Evaluation runs
-its tasks one after another on one thread, in task-index order.
+The entry points use the components the config built and checked
+(``cfg.arch``, ``cfg.spec``, ``cfg.roi``) and check only the arch against the
+checkpoint's and the spec against the dataset manifest's. Everything is
+seeded. Per-task and per-episode generators derive from (seed, stream,
+index), so results are byte-reproducible. Evaluation runs its tasks one
+after another on one thread, in task-index order.
 
 An episode is rows of its split, never copies. An image's feature map
 does not depend on the task that draws it, nor on the batch it is encoded
@@ -25,8 +28,7 @@ from __future__ import annotations
 
 import io
 import json
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,7 @@ from .episodic import (LossConfig, episode_loss_and_gradient, nearest_class,
                        refined_reps, softmax_cross_entropy)
 # propose_box and roi_feature are unused here; bench/spans.py traces them as harness names
 from .localization import BoundingBox, iou, propose_box, propose_boxes
-from .roi import RoiConfig, roi_feature
+from .roi import roi_feature
 from .tns_io import replacing
 
 # RNG stream tags; episodic training shares one stream across phases so a
@@ -76,18 +78,13 @@ def _check_arch(cfg: RunConfig, params: enc.EncoderParams) -> None:
 
 
 def dataset_spec_from_config(cfg: RunConfig) -> DatasetSpec:
-    return DatasetSpec(
-        image_size=cfg.image_size,
-        per_class_count=cfg.per_class_count,
-        distractors_min=cfg.distractors_min,
-        distractors_max=cfg.distractors_max,
-        background=cfg.background,
-    )
+    """``cfg.spec``; only bench/workloads.py still calls this."""
+    return cfg.spec
 
 
 def _load_splits(cfg: RunConfig) -> dict:
-    """Build the config's spec, then load cfg.data_dir; SpecMismatch if its manifest differs."""
-    wanted = dataset_spec_from_config(cfg).to_dict()
+    """Load cfg.data_dir; SpecMismatch if its manifest's spec differs from cfg.spec."""
+    wanted = cfg.spec.to_dict()
     manifest, splits = load_dataset(cfg.data_dir)
     found = manifest["spec"]
     if found != wanted:
@@ -162,7 +159,6 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
         split = _load_splits(cfg)["train"]
     epochs = cfg.epochs_base if phase == "base" else cfg.epochs_ours
     loss_cfg = LossConfig(cfg.temperature, cfg.lambda_roi if phase == "ours" else 0.0)
-    roi_cfg = RoiConfig(cfg.roi_grid, cfg.roi_samples)
 
     losses = []
     for epoch in range(epochs):
@@ -171,7 +167,7 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
             episode = sample_episode(split, cfg.n_way, cfg.k_shot, cfg.queries, rng)
             loss, grad = episode_loss_and_gradient(
                 params, episode, loss_cfg,
-                tau=cfg.tau_train, roi_cfg=roi_cfg,
+                tau=cfg.tau_train, roi_cfg=cfg.roi,
                 connectivity=cfg.connectivity)
             where = f"{phase} phase, epoch {epoch}, episode {j} (index {len(losses)})"
             if not (np.isfinite(loss) and np.isfinite(grad).all()):
@@ -198,7 +194,6 @@ class EvalReport:
     corloc_at_50: float
     task_accuracies: list
     config: dict
-    wall_time_s: float = 0.0   # diagnostic only; never serialized
 
 
 def _split_features(params, images):
@@ -230,7 +225,7 @@ def _eval_task(cfg, features, split, task_index, mode):
     reps = protos = emb[:ns].reshape(n, k, -1).mean(axis=1)
     if mode == "refined":
         reps, _ = refined_reps(fms[:ns], protos, k, cfg.tau_eval, image_hw,
-                               RoiConfig(cfg.roi_grid, cfg.roi_samples), cfg.connectivity)
+                               cfg.roi, cfg.connectivity)
 
     pred = nearest_class(q_emb, reps)
     accuracy = float((pred == episode.query_labels).mean())
@@ -250,10 +245,8 @@ def evaluate(cfg: RunConfig, params: enc.EncoderParams, reps_mode: str,
     if split is None:
         split = _load_splits(cfg)["test"]
 
-    start = time.perf_counter()
     features = _split_features(params, split.images)
     results = [_eval_task(cfg, features, split, t, reps_mode) for t in range(cfg.tasks)]
-    wall = time.perf_counter() - start
 
     accuracies, iou_sums, hits, counts = (list(column) for column in zip(*results))
     mean_acc = float(np.mean(accuracies))
@@ -271,7 +264,6 @@ def evaluate(cfg: RunConfig, params: enc.EncoderParams, reps_mode: str,
         corloc_at_50=sum(hits) / sum(counts),
         task_accuracies=accuracies,
         config=cfg.echo(),
-        wall_time_s=wall,
     )
 
 
@@ -313,24 +305,11 @@ def _json_fragment(value, out: io.StringIO):
 
 
 def render_report(report: EvalReport) -> str:
-    """JSON text with stable key order and reals at 17 significant digits.
-
-    Wall time stays out of the payload: reports must be byte-identical
-    across equal-seed runs.
-    """
-    payload = {
-        "seed": report.seed,
-        "mode": report.mode,
-        "n_tasks": report.n_tasks,
-        "mean_accuracy": report.mean_accuracy,
-        "ci95": report.ci95,
-        "mean_iou": report.mean_iou,
-        "corloc_at_50": report.corloc_at_50,
-        "task_accuracies": report.task_accuracies,
-        "config": report.config,
-    }
+    """JSON text of the report's fields in declaration order, reals at 17
+    significant digits. No field depends on timing, so reports are
+    byte-identical across equal-seed runs."""
     out = io.StringIO()
-    _json_fragment(payload, out)
+    _json_fragment(asdict(report), out)
     return out.getvalue() + "\n"
 
 

@@ -25,8 +25,9 @@ class RoiConfig:
     samples: int = 2    # sample points per bin axis
 
     def __post_init__(self):
-        if self.grid < 1 or self.samples < 1:
-            raise ValueError(f"grid and samples must be >= 1, got {self}")
+        for name in ("grid", "samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _check_box(box, image_h, image_w):

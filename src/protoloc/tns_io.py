@@ -16,27 +16,17 @@ import numpy as np
 
 MAGIC = b"TNS1"
 
-_CODE_TO_DTYPE = {
-    0: np.dtype("<f4"),
-    1: np.dtype("<f8"),
-    2: np.dtype("<u4"),
-}
-_KIND_TO_CODE = {
-    np.dtype(np.float32): 0,
-    np.dtype(np.float64): 1,
-    np.dtype(np.uint32): 2,
-}
-_NATIVE = {0: np.float32, 1: np.float64, 2: np.uint32}
+_DTYPES = (np.dtype("<f4"), np.dtype("<f8"), np.dtype("<u4"))   # indexed by dtype code
 
 
 def write_tns(path, arr: np.ndarray) -> None:
     arr = np.asarray(arr)
-    code = _KIND_TO_CODE.get(arr.dtype.newbyteorder("="))
-    if code is None:
+    dtype = arr.dtype.newbyteorder("<")
+    if dtype not in _DTYPES:
         raise ValueError(f"unsupported dtype for TNS1: {arr.dtype}")
-    header = MAGIC + bytes([code, arr.ndim])
+    header = MAGIC + bytes([_DTYPES.index(dtype), arr.ndim])
     header += b"".join(struct.pack("<Q", e) for e in arr.shape)
-    payload = arr.astype(_CODE_TO_DTYPE[code], copy=False).tobytes()
+    payload = arr.astype(dtype, copy=False).tobytes()
     with open(path, "wb") as f:
         f.write(header)
         f.write(payload)
@@ -61,13 +51,13 @@ def read_tns(path) -> np.ndarray:
     if len(data) < 6 or data[:4] != MAGIC:
         raise ValueError(f"{os.fspath(path)}: not a TNS1 file")
     code, ndim = data[4], data[5]
-    if code not in _CODE_TO_DTYPE:
+    if code >= len(_DTYPES):
         raise ValueError(f"{os.fspath(path)}: unknown dtype code {code}")
     head_end = 6 + 8 * ndim
     if len(data) < head_end:
         raise ValueError(f"{os.fspath(path)}: truncated header")
     shape = struct.unpack(f"<{ndim}Q", data[6:head_end]) if ndim else ()
-    dtype = _CODE_TO_DTYPE[code]
+    dtype = _DTYPES[code]
     count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
     expected = head_end + count * dtype.itemsize
     if len(data) != expected:
@@ -75,7 +65,7 @@ def read_tns(path) -> np.ndarray:
             f"{os.fspath(path)}: payload size {len(data) - head_end} does not match "
             f"extents {shape}")
     arr = np.frombuffer(data, dtype=dtype, count=count, offset=head_end)
-    arr = arr.reshape(shape).astype(_NATIVE[code])
-    if code in (0, 1) and not np.all(np.isfinite(arr)):
+    arr = arr.reshape(shape).astype(dtype.newbyteorder("="))
+    if dtype.kind == "f" and not np.all(np.isfinite(arr)):
         raise ValueError(f"{os.fspath(path)}: non-finite values in tensor payload")
     return arr

@@ -1,7 +1,11 @@
 """The benchmark's layer tracer patches functions by (module, attribute);
 every name it lists must still resolve, or a refactor silently drops a
-layer from the benchmark. Reads bench/spans.py only."""
+layer from the benchmark. The workloads call the program by name; every
+name they read must resolve too. Reads bench/spans.py and bench/workloads.py
+only."""
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -15,7 +19,8 @@ from protoloc.config import RunConfig
 from protoloc.dataset import SplitData
 from protoloc.localization import BoundingBox, iou
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def load_spans():
@@ -31,6 +36,29 @@ def test_every_trace_target_resolves():
     missing = [f"{module}.{attr}" for module, attr, *_ in spans.TARGETS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def test_every_program_name_the_workloads_use_resolves():
+    # module attributes read through `from protoloc import x [as y]` names,
+    # and the keywords of every RunConfig(...) call
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    modules = {alias.asname or alias.name: importlib.import_module(f"protoloc.{alias.name}")
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "protoloc"
+               for alias in node.names}
+    assert set(modules) == {"cli", "harness", "ds", "enc"}
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id in modules}
+    missing = sorted(f"{name}.{attr}" for name, attr in read
+                     if not hasattr(modules[name], attr))
+    keywords = {kw.arg for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "RunConfig" for kw in node.keywords if kw.arg}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert read and keywords
+    assert missing == []
+    assert keywords - fields == set()
 
 
 def test_backward_makes_one_conv_vjp_call_per_block(monkeypatch):

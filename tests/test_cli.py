@@ -2,7 +2,9 @@
 
 from pathlib import Path
 
-from protoloc import cli
+import pytest
+
+from protoloc import cli, harness
 
 CONFIG = """\
 dataset.path = data
@@ -52,3 +54,20 @@ def test_chain_runs_and_reports_repeat_bytewise(tmp_path, monkeypatch, capsys):
     assert first == second
     assert b'"seed": 7' in first["refined"]
     assert "overlays in overlays" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["pretrain"],
+                                  ["train", "--phase", "base", "--checkpoint", "pre.tns"]],
+                         ids=["pretrain", "train"])
+def test_json_checkpoint_out_fails_before_any_work(tmp_path, monkeypatch, argv):
+    # model.json's sidecar is model.json itself: the write would destroy the checkpoint
+    def unrun(*args):
+        raise AssertionError("work started before --out was checked")
+
+    for module, name in [(cli.enc, "load_checkpoint"), (harness, "load_dataset"),
+                         (cli, "pretrain"), (cli, "train_episodic")]:
+        monkeypatch.setattr(module, name, unrun)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="must not end in .json"):
+        cli.main(argv + ["--out", "model.json"])
+    assert list(tmp_path.iterdir()) == []

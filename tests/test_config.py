@@ -9,7 +9,6 @@ from protoloc.config import RunConfig, apply_overrides, parse_config_text
 from protoloc.dataset import DatasetSpec
 from protoloc.encoder import EncoderArch
 from protoloc.episodic import LossConfig
-from protoloc.harness import dataset_spec_from_config
 from protoloc.roi import RoiConfig
 
 
@@ -63,6 +62,15 @@ _INVALID = [
     ("arch.channels = 8,0,32", "arch.channels (8, 0, 32) must all be positive"),
     ("arch.kernel = 4", "arch.kernel must be odd and positive, got 4"),
     ("arch.input_size = 20\ndata.image_size = 20", "arch.input_size 20 not divisible by 2^3"),
+    ("data.per_class_count = 0", "data.per_class_count must be >= 1, got 0"),
+    ("data.distractors_min = -1",
+     "data.distractors_min must lie in [0, distractors_max = 3], got -1"),
+    ("data.distractors_max = 4\ndata.distractors_min = 5",
+     "data.distractors_min must lie in [0, distractors_max = 4], got 5"),
+    ("data.background = foo",
+     "data.background must be 'solid-noise' or 'gradient', got 'foo'"),
+    ("data.image_size = 4\narch.input_size = 4\narch.blocks = 1\narch.channels = 8",
+     "data.image_size must be >= 8, got 4"),
 ]
 
 
@@ -104,6 +112,18 @@ def test_cli_reports_negative_seed_before_reading_anything(tmp_path, monkeypatch
         cli.main(argv)
 
 
+def test_cli_reports_dataset_spec_error_before_reading_the_checkpoint(tmp_path, monkeypatch):
+    def unread(*args):
+        raise AssertionError("read before the config was checked")
+
+    monkeypatch.setattr(cli.enc, "load_checkpoint", unread)
+    monkeypatch.setattr(harness, "load_dataset", unread)
+    argv = ["eval", "--set", "data.background=foo", "--checkpoint", str(tmp_path / "c.tns"),
+            "--report", str(tmp_path / "report.json")]
+    with pytest.raises(ValueError, match="data.background must be 'solid-noise' or 'gradient'"):
+        cli.main(argv)
+
+
 def test_key_given_twice_in_one_file_names_both_lines():
     text = "eval.k_shot = 1\n# five-shot\neval.k_shot = 5\n"
     with pytest.raises(ValueError, match="line 3: key 'eval.k_shot' already set on line 1"):
@@ -115,8 +135,8 @@ def test_key_given_twice_in_one_file_names_both_lines():
 def test_defaults_build_the_component_defaults():
     cfg = RunConfig()
     assert cfg.arch == EncoderArch()
-    assert dataset_spec_from_config(cfg) == DatasetSpec()
-    assert RoiConfig(cfg.roi_grid, cfg.roi_samples) == RoiConfig()
+    assert cfg.spec == DatasetSpec()
+    assert cfg.roi == RoiConfig()
     assert LossConfig(cfg.temperature, cfg.lambda_roi) == LossConfig()
 
 
@@ -176,10 +196,14 @@ def _configs(draw):
     values["workers"] = 1   # evaluation runs on one thread
     # a consistent arch: one channel count per block, an odd kernel, and
     # an input size divisible by 2^blocks
-    values["arch_blocks"] = len(values["arch_channels"])
+    values["arch_blocks"] = blocks = len(values["arch_channels"])
     values["arch_kernel"] = 2 * draw(st.integers(0, 4)) + 1
-    values["image_size"] = 2 ** values["arch_blocks"] * draw(st.integers(1, 64))
+    # a consistent dataset spec: images of at least 8 px at the arch's input
+    # size, a distractor range with min <= max, and one of the two backgrounds
+    values["image_size"] = 2 ** blocks * draw(st.integers(max(1, 8 // 2 ** blocks), 64))
     values["arch_input_size"] = values["image_size"]
+    values["distractors_min"] = draw(st.integers(0, values["distractors_max"]))
+    values["background"] = draw(st.sampled_from(["solid-noise", "gradient"]))
     return RunConfig(**values)
 
 

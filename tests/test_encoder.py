@@ -309,6 +309,13 @@ class TestCheckpoint:
             enc.save_checkpoint(path, enc.init_params(SMALL, 2), seed=2)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_json_path_raises_before_writing(self, tmp_path):
+        # model.json's sidecar is model.json itself
+        with pytest.raises(ValueError, match="must not end in .json"):
+            enc.save_checkpoint(tmp_path / "out" / "model.json", enc.init_params(SMALL, 1),
+                                seed=1)
+        assert list(tmp_path.iterdir()) == []
+
     def test_sidecar_manifest_fields(self, tmp_path):
         import json
         params = enc.init_params(EncoderArch(), 7)

@@ -24,7 +24,7 @@ SMALL = dict(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size
 def data_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
     cfg = RunConfig(per_class_count=8, **SMALL)
-    ds.generate_dataset(harness.dataset_spec_from_config(cfg), 5, root)
+    ds.generate_dataset(cfg.spec, 5, root)
     return root
 
 
@@ -208,14 +208,12 @@ def test_entry_points_reject_dataset_spec_mismatch(data_root, tmp_path, entry):
     assert not out_dir.exists()
 
 
-def test_invalid_config_spec_fails_before_reading_the_dataset(data_root, monkeypatch):
-    def unread(*args):
-        raise AssertionError("dataset read before the config spec was checked")
-
-    monkeypatch.setattr(harness, "load_dataset", unread)
-    cfg = small_config(data_dir=str(data_root), distractors_min=5, distractors_max=1)
-    with pytest.raises(ValueError, match="bad distractor range \\[5, 1\\]"):
-        harness.pretrain(cfg)
+def test_invalid_config_spec_fails_before_reading_the_dataset():
+    # the spec is checked while the config is built, so no entry point can
+    # reach the dataset with it
+    with pytest.raises(ValueError, match=re.escape(
+            "data.distractors_min must lie in [0, distractors_max = 1], got 5")):
+        small_config(distractors_min=5, distractors_max=1)
 
 
 def _recolor_first_class(spec):
@@ -250,7 +248,7 @@ def test_diverging_run_raises_before_stepping_on_nan(tmp_path, monkeypatch):
     # nan on the fourth episode
     cfg = RunConfig(per_class_count=20, n_way=5, lr=1e6, epochs_base=1,
                     episodes_per_epoch=8)
-    ds.generate_dataset(harness.dataset_spec_from_config(cfg), 0, tmp_path)
+    ds.generate_dataset(cfg.spec, 0, tmp_path)
     real_step = enc.sgd_step
     stepped = []
 
@@ -272,7 +270,7 @@ def test_dead_encoder_raises_before_stepping(tmp_path, monkeypatch):
     # equal: the loss is exactly log 3 and the gradient exactly zero
     cfg = RunConfig(per_class_count=20, n_way=3, lr=1e6, epochs_base=1,
                     episodes_per_epoch=8)
-    ds.generate_dataset(harness.dataset_spec_from_config(cfg), 0, tmp_path)
+    ds.generate_dataset(cfg.spec, 0, tmp_path)
     real_step = enc.sgd_step
     stepped = []
 
