@@ -64,8 +64,14 @@ class DatasetSpec:
     background: str = "solid-noise"   # or "gradient"
 
     def __post_init__(self):
-        if self.image_size < 8:
-            raise ValueError(f"image_size must be >= 8, got {self.image_size}")
+        # The class shape's radius is r >= 0.1 * size, and the pixel nearest
+        # its centre lies within 0.5 of it on each axis, inside the image. The
+        # thinnest shape, the plus, has arms of half-width r / 3, so it covers
+        # that pixel once r / 3 >= 0.5, that is at size >= 15; at 14 a plus
+        # with r near 1.4 and both centre fractions near .5 covers no pixel.
+        # Circle, square and triangle need less, and the distractors size >= 9.
+        if self.image_size < 15:
+            raise ValueError(f"image_size must be >= 15, got {self.image_size}")
         if self.per_class_count < 1:
             raise ValueError(f"per_class_count must be >= 1, got {self.per_class_count}")
         if not 0 <= self.distractors_min <= self.distractors_max:

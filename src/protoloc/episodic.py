@@ -39,11 +39,11 @@ class EmptyClass(ValueError):
 
 
 class NonPositiveTemperature(ValueError):
-    pass
+    """The loss temperature is not a finite positive number."""
 
 
 class NegativeLambda(ValueError):
-    pass
+    """The RoI-loss weight is not a finite non-negative number."""
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,11 @@ class LossConfig:
     lambda_roi: float = 1.0   # 1-shot convention; 0.5 is the 5-shot default
 
     def __post_init__(self):
-        if self.temperature <= 0.0:
-            raise NonPositiveTemperature(f"temperature must be > 0, got {self.temperature}")
-        if self.lambda_roi < 0.0:
-            raise NegativeLambda(f"lambda_roi must be >= 0, got {self.lambda_roi}")
+        if not (np.isfinite(self.temperature) and self.temperature > 0.0):
+            raise NonPositiveTemperature(
+                f"temperature must be finite and > 0, got {self.temperature}")
+        if not (np.isfinite(self.lambda_roi) and self.lambda_roi >= 0.0):
+            raise NegativeLambda(f"lambda_roi must be finite and >= 0, got {self.lambda_roi}")
 
 
 @dataclass(frozen=True, eq=False)

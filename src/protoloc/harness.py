@@ -20,13 +20,13 @@ internal. The base training phase is the episode loss at lambda = 0.
 A refined eval task builds its class representations with
 ``episodic.refined_reps``, the path the RoI loss trains through, then
 localizes all its query maps against their predicted classes in one
-batched ``propose_boxes`` call; ``localize_cmd`` likewise proposes every
-box in one call after its one forward batch.
+batched ``propose_boxes`` call and scores the (N, 4) box stack against the
+queries' ground-truth rows in one ``iou`` call; ``localize_cmd`` likewise
+proposes and scores every box in one call each after its one forward batch.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -231,8 +231,9 @@ def _eval_task(cfg, features, split, task_index, mode):
     accuracy = float((pred == episode.query_labels).mean())
 
     boxes = propose_boxes(q_fms, reps[pred], cfg.tau_eval, *image_hw, cfg.connectivity)
-    ious = [iou(box, BoundingBox(*gt)) for box, gt in zip(boxes, episode.query_boxes)]
-    return accuracy, sum(ious, 0.0), sum(v >= 0.5 for v in ious), len(ious)
+    ious = iou(boxes, episode.query_boxes)
+    # summed in order, as a pairwise ious.sum() would change mean_iou's low bits
+    return accuracy, sum(ious.tolist(), 0.0), int((ious >= 0.5).sum()), len(ious)
 
 
 def evaluate(cfg: RunConfig, params: enc.EncoderParams, reps_mode: str,
@@ -271,46 +272,25 @@ def evaluate(cfg: RunConfig, params: enc.EncoderParams, reps_mode: str,
 # Report emission
 # ---------------------------------------------------------------------------
 
-def _json_fragment(value, out: io.StringIO):
-    if isinstance(value, bool):
-        out.write("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.write(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not np.isfinite(v):
-            raise ValueError(f"cannot serialize non-finite real {v}")
-        out.write(f"{v:.17g}")
-    elif isinstance(value, str):
-        out.write(json.dumps(value))
-    elif isinstance(value, (list, tuple)):
-        out.write("[")
-        for i, item in enumerate(value):
-            if i:
-                out.write(", ")
-            _json_fragment(item, out)
-        out.write("]")
-    elif isinstance(value, dict):
-        out.write("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                out.write(", ")
-            out.write(json.dumps(str(key)) + ": ")
-            _json_fragment(item, out)
-        out.write("}")
-    elif value is None:
-        out.write("null")
-    else:
-        raise TypeError(f"cannot serialize {type(value)}")
+def _json(value) -> str:
+    """JSON text of a report value: reals at 17 significant digits, dicts and
+    lists element by element, anything else as json.dumps writes it."""
+    if isinstance(value, float):
+        if not np.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite real {value}")
+        return f"{value:.17g}"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    return json.dumps(value)
 
 
 def render_report(report: EvalReport) -> str:
     """JSON text of the report's fields in declaration order, reals at 17
     significant digits. No field depends on timing, so reports are
     byte-identical across equal-seed runs."""
-    out = io.StringIO()
-    _json_fragment(asdict(report), out)
-    return out.getvalue() + "\n"
+    return _json(asdict(report)) + "\n"
 
 
 def report_emit(report: EvalReport, path) -> None:
@@ -373,12 +353,12 @@ def localize_cmd(cfg: RunConfig, params: enc.EncoderParams, ids,
     fms, _ = enc.forward_batch(params, split.images[ids], keep_cache=False)
     boxes = propose_boxes(fms, kernels.global_avg_pool_batch(fms), cfg.tau_eval,
                           *image_hw, cfg.connectivity)
+    scores = iou(boxes, split.boxes[ids])
 
     records = []
     lines = []
-    for image_id, box in zip(ids, boxes):
-        gt = BoundingBox(*split.boxes[image_id])
-        score = iou(box, gt)
+    for image_id, box, score in zip(ids, boxes.tolist(), scores.tolist()):
+        box = BoundingBox(*box)
         overlay = draw_box_border(split.images[image_id], box)
         write_ppm(out / f"overlay_{split_name}_{image_id:05d}.ppm", overlay)
         lines.append(f"{image_id} {box.y0} {box.x0} {box.y1} {box.x1} {score:.17g}")

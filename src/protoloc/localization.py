@@ -10,6 +10,11 @@ own representation: every stage takes the maps along a leading axis, and
 each plane's result is bitwise the one a single-map chain gives. Eval
 localizes all the queries of a task in one call; ``propose_box`` is the
 one-map call of the same chain.
+
+A stack of boxes is an (N, 4) int64 array of (y0, x0, y1, x1) rows, laid
+out like a split's ground-truth boxes; ``bbox_of`` and ``propose_boxes``
+return one, and ``iou`` scores two stacks row by row in one expression.
+A single box is a ``BoundingBox``.
 """
 
 from __future__ import annotations
@@ -111,9 +116,9 @@ def largest_component(mask: np.ndarray, connectivity: int = 4) -> np.ndarray:
     return ((flat == chosen) & (chosen > 0)).reshape(mask.shape)
 
 
-def bbox_of(component: np.ndarray) -> list[BoundingBox]:
+def bbox_of(component: np.ndarray) -> np.ndarray:
     """Tight inclusive box (min row, min col, max row, max col) of each plane
-    of an (N, H, W) component stack.
+    of an (N, H, W) component stack, as an (N, 4) int64 array.
 
     A plane with no true pixel, the trace of a map with no positive value,
     gets the whole plane: the full-image fallback.
@@ -124,16 +129,15 @@ def bbox_of(component: np.ndarray) -> list[BoundingBox]:
     _, h, w = component.shape
     rows = component.any(axis=2)
     cols = component.any(axis=1)
-    corners = np.stack([rows.argmax(axis=1), cols.argmax(axis=1),
-                        h - 1 - rows[:, ::-1].argmax(axis=1),
-                        w - 1 - cols[:, ::-1].argmax(axis=1)], axis=1)
-    return [BoundingBox(*box) for box in corners.tolist()]
+    return np.stack([rows.argmax(axis=1), cols.argmax(axis=1),
+                     h - 1 - rows[:, ::-1].argmax(axis=1),
+                     w - 1 - cols[:, ::-1].argmax(axis=1)], axis=1).astype(np.int64)
 
 
 def propose_boxes(fms, reps, tau, image_h, image_w,
-                  connectivity: int = 4) -> list[BoundingBox]:
-    """One box per map of an (N, h, w, D) stack, against its row of the
-    (N, D) representations:
+                  connectivity: int = 4) -> np.ndarray:
+    """The (N, 4) boxes of an (N, h, w, D) stack of maps, each against its
+    row of the (N, D) representations:
     similarity_map -> bilinear_resize -> segment_mask -> largest_component -> bbox_of.
 
     A degenerate (all-nonpositive) map falls back to the full-image box.
@@ -152,18 +156,19 @@ def propose_boxes(fms, reps, tau, image_h, image_w,
 
 def propose_box(fm, rep_vector, tau, image_h, image_w, connectivity: int = 4) -> BoundingBox:
     """The box of one h x w x D map: ``propose_boxes`` over a stack of one."""
-    return propose_boxes(np.asarray(fm)[None], np.asarray(rep_vector)[None],
-                         tau, image_h, image_w, connectivity)[0]
+    box, = propose_boxes(np.asarray(fm)[None], np.asarray(rep_vector)[None],
+                         tau, image_h, image_w, connectivity).tolist()
+    return BoundingBox(*box)
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two inclusive pixel boxes."""
-    ay0, ax0, ay1, ax1 = a
-    by0, bx0, by1, bx1 = b
-    ih = min(ay1, by1) - max(ay0, by0) + 1
-    iw = min(ax1, bx1) - max(ax0, bx0) + 1
-    if ih <= 0 or iw <= 0:
-        return 0.0
+def iou(a, b):
+    """Intersection over union of inclusive pixel boxes, over (..., 4) stacks
+    that broadcast against each other: two (N, 4) stacks give their N
+    row-by-row scores, a pair of single boxes one float."""
+    ay0, ax0, ay1, ax1 = np.moveaxis(np.asarray(a), -1, 0)
+    by0, bx0, by1, bx1 = np.moveaxis(np.asarray(b), -1, 0)
+    ih = np.maximum(np.minimum(ay1, by1) - np.maximum(ay0, by0) + 1, 0)
+    iw = np.maximum(np.minimum(ax1, bx1) - np.maximum(ax0, bx0) + 1, 0)
     inter = ih * iw
     area_a = (ay1 - ay0 + 1) * (ax1 - ax0 + 1)
     area_b = (by1 - by0 + 1) * (bx1 - bx0 + 1)

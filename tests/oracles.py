@@ -189,6 +189,16 @@ def propose_box_oracle(fm, rep, tau, image_h, image_w, connectivity=4):
     return (min(ys), min(xs), max(ys), max(xs))
 
 
+def iou_oracle(a, b):
+    """IoU of two inclusive pixel boxes by painting each on a canvas that
+    holds both and counting the pixels of their intersection and union."""
+    size = max(a[2], a[3], b[2], b[3]) + 1
+    painted = np.zeros((2, size, size), dtype=bool)
+    for plane, (y0, x0, y1, x1) in zip(painted, (a, b)):
+        plane[y0:y1 + 1, x0:x1 + 1] = True
+    return int((painted[0] & painted[1]).sum()) / int((painted[0] | painted[1]).sum())
+
+
 def roi_align_reference(fm, box, image_extents, grid, samples):
     """Literal loop re-implementation of the stated sample positions.
 

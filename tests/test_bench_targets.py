@@ -9,6 +9,8 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -146,3 +148,9 @@ def test_tracer_scores_each_support_box_against_its_split_row(monkeypatch):
             for episode, drawn in zip(episodes, boxes) for i, box in enumerate(drawn)]
     assert [len(drawn) for drawn in boxes] == [3 * 2] * 4
     assert tracer.support_ious == want
+    # bench/layers.py writes these two figures to JSON; a 0-d array or an
+    # np.bool_ leaking out of iou would make json.dumps fail there
+    ious = tracer.support_ious
+    assert all(isinstance(v, float) for v in ious)
+    json.dumps({"localization.support_box_iou": statistics.fmean(ious),
+                "localization.support_corloc50": sum(v >= 0.5 for v in ious) / len(ious)})

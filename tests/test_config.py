@@ -70,7 +70,7 @@ _INVALID = [
     ("data.background = foo",
      "data.background must be 'solid-noise' or 'gradient', got 'foo'"),
     ("data.image_size = 4\narch.input_size = 4\narch.blocks = 1\narch.channels = 8",
-     "data.image_size must be >= 8, got 4"),
+     "data.image_size must be >= 15, got 4"),
 ]
 
 
@@ -198,9 +198,9 @@ def _configs(draw):
     # an input size divisible by 2^blocks
     values["arch_blocks"] = blocks = len(values["arch_channels"])
     values["arch_kernel"] = 2 * draw(st.integers(0, 4)) + 1
-    # a consistent dataset spec: images of at least 8 px at the arch's input
+    # a consistent dataset spec: images of at least 15 px at the arch's input
     # size, a distractor range with min <= max, and one of the two backgrounds
-    values["image_size"] = 2 ** blocks * draw(st.integers(max(1, 8 // 2 ** blocks), 64))
+    values["image_size"] = 2 ** blocks * draw(st.integers(-(-15 // 2 ** blocks), 64))
     values["arch_input_size"] = values["image_size"]
     values["distractors_min"] = draw(st.integers(0, values["distractors_max"]))
     values["background"] = draw(st.sampled_from(["solid-noise", "gradient"]))

@@ -40,8 +40,28 @@ class TestSpecValidation:
         assert d["splits"] == {"test": [1, 2, 4, 6, 9], "train": [0, 3, 5, 7, 11],
                                "val": [8, 10]}
 
+    def test_image_size_below_the_shape_bound_fails(self):
+        with pytest.raises(ValueError, match=r"image_size must be >= 15, got 14"):
+            DatasetSpec(image_size=14)
+        # the bound is tight: at 14 px the thinnest plus, centred between
+        # pixel centres, covers none of them
+        assert not ds._shape_mask("plus", 14, 7.5, 7.5, 0.1 * 14).any()
+        assert ds._shape_mask("plus", 15, 7.5, 7.5, 0.1 * 15).any()
+
 
 class TestRenderSample:
+    @pytest.mark.parametrize("distractors", [0, 3])
+    def test_every_class_renders_at_the_smallest_size(self, distractors):
+        spec = small_spec(image_size=15, distractors_min=distractors,
+                          distractors_max=distractors)
+        for c, (_, color) in enumerate(ds.CLASSES):
+            for i in range(300):
+                s = ds.render_sample(spec, c, np.random.default_rng((11, c, i)))
+                y0, x0, y1, x1 = s.gt_box
+                assert 0 <= y0 <= y1 < 15 and 0 <= x0 <= x1 < 15
+                crop = s.image[y0:y1 + 1, x0:x1 + 1]
+                assert np.all(crop == color, axis=2).any()
+
     def test_same_rng_state_bit_identical(self):
         spec = small_spec()
         a = ds.render_sample(spec, 3, np.random.default_rng(99))

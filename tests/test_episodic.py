@@ -243,6 +243,16 @@ class TestLosses:
         with pytest.raises(NegativeLambda):
             LossConfig(64.0, -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_values_fail_before_any_loss(self, bad):
+        # every comparison with nan is False, so sign checks alone let it through
+        with pytest.raises(NonPositiveTemperature, match="finite"):
+            LossConfig(bad, 1.0)
+        with pytest.raises(NegativeLambda, match="finite"):
+            LossConfig(64.0, bad)
+        with pytest.raises(NonPositiveTemperature):
+            LossConfig(bad, bad)
+
 
 class TestEpisodeGradient:
     def test_prototype_mode_matches_finite_differences(self):

@@ -287,6 +287,17 @@ def test_dead_encoder_raises_before_stepping(tmp_path, monkeypatch):
     assert all(np.isfinite(p.flat).all() for p in stepped)
 
 
+@pytest.mark.parametrize("field", ["mean_iou", "task_accuracies", "config"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_report_with_a_non_finite_real_does_not_render(field, bad):
+    value = {"mean_iou": bad, "task_accuracies": [0.5, bad], "config": {"loss.T": bad}}
+    report = harness.EvalReport(seed=1, mode="prototype", n_tasks=2, mean_accuracy=0.5,
+                                ci95=0.1, mean_iou=0.25, corloc_at_50=0.0,
+                                task_accuracies=[0.4, 0.6], config={"seed": 1})
+    with pytest.raises(ValueError, match="non-finite real"):
+        harness.render_report(dataclasses.replace(report, **{field: value[field]}))
+
+
 def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch):
     report = harness.EvalReport(seed=1, mode="prototype", n_tasks=2, mean_accuracy=0.5,
                                 ci95=0.1, mean_iou=0.25, corloc_at_50=0.0,

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from protoloc import localization as loc
 from protoloc.kernels import ShapeError, bilinear_resize
 from protoloc.localization import BoundingBox, DegenerateRepresentation
 
-from oracles import flood_fill_components, largest_component_oracle, propose_box_oracle
+from oracles import (flood_fill_components, iou_oracle, largest_component_oracle,
+                     propose_box_oracle)
 
 
 def pixels(component):
@@ -121,12 +124,12 @@ class TestBboxOf:
     def test_single_pixel(self):
         comp = np.zeros((1, 10, 10), dtype=bool)
         comp[0, 3, 5] = True
-        assert loc.bbox_of(comp) == [BoundingBox(3, 5, 3, 5)]
+        np.testing.assert_array_equal(loc.bbox_of(comp), [BoundingBox(3, 5, 3, 5)])
 
     def test_full_image(self):
         mask = np.ones((1, 4, 6), dtype=bool)
         comp = loc.largest_component(mask)
-        assert loc.bbox_of(comp) == [BoundingBox(0, 0, 3, 5)]
+        np.testing.assert_array_equal(loc.bbox_of(comp), [BoundingBox(0, 0, 3, 5)])
 
     def test_min_max_oracle(self):
         rng = np.random.default_rng(4)
@@ -136,15 +139,18 @@ class TestBboxOf:
             ys, xs = rng.integers(0, 20, size=15), rng.integers(0, 23, size=15)
             plane[ys, xs] = True
             want.append(BoundingBox(ys.min(), xs.min(), ys.max(), xs.max()))
-        assert loc.bbox_of(comps) == want
+        boxes = loc.bbox_of(comps)
+        assert boxes.shape == (6, 4) and boxes.dtype == np.int64
+        np.testing.assert_array_equal(boxes, want)
 
     def test_empty_component(self):
         # an empty plane is a map with no positive value: full-image fallback
         comps = np.zeros((3, 4, 6), dtype=bool)
         comps[0, 1, 2] = comps[2, 3, 0] = True
-        assert loc.bbox_of(comps) == [BoundingBox(1, 2, 1, 2), BoundingBox(0, 0, 3, 5),
-                                      BoundingBox(3, 0, 3, 0)]
-        assert loc.bbox_of(np.zeros((0, 4, 6), dtype=bool)) == []
+        np.testing.assert_array_equal(loc.bbox_of(comps), [
+            BoundingBox(1, 2, 1, 2), BoundingBox(0, 0, 3, 5), BoundingBox(3, 0, 3, 0)])
+        none = loc.bbox_of(np.zeros((0, 4, 6), dtype=bool))
+        assert none.shape == (0, 4) and none.dtype == np.int64
         with pytest.raises(ShapeError):
             loc.bbox_of(np.zeros((4, 6), dtype=bool))
 
@@ -159,7 +165,7 @@ class TestProposeBox:
         up = bilinear_resize(sm, 32, 32)
         mask = loc.segment_mask(up, 0.5)
         want, = loc.bbox_of(loc.largest_component(mask)[None])
-        assert got == want
+        np.testing.assert_array_equal(got, want)
 
     def test_dominant_cell(self):
         # one cell aligned with the representation, the rest orthogonal
@@ -171,10 +177,16 @@ class TestProposeBox:
         # compositional oracle: chain the public steps directly
         up = bilinear_resize(loc.similarity_map(fm, rep), 32, 32)
         want, = loc.bbox_of(loc.largest_component(loc.segment_mask(up, 0.5))[None])
-        assert got == want
+        np.testing.assert_array_equal(got, want)
         # frozen: the hot cell upsamples to triangular lobes peaked at
         # (11.5, 19.5); the half-max region spans rows 8..15, cols 16..23
         assert got == BoundingBox(8, 16, 15, 23)
+
+    def test_returns_one_bounding_box_of_ints(self):
+        # callers read the single box as a named tuple of plain ints
+        rng = np.random.default_rng(8)
+        box = loc.propose_box(np.abs(rng.normal(size=(4, 4, 3))), np.ones(3), 0.5, 16, 16)
+        assert type(box) is BoundingBox and all(type(v) is int for v in box)
 
     def test_degenerate_map_falls_back_to_full_image(self):
         fm = np.zeros((4, 4, 2))
@@ -201,8 +213,7 @@ class TestProposeBox:
             comp = loc.largest_component(mask)
             box, = loc.bbox_of(comp[None])
             ys, xs = pixels(comp).T
-            assert box.y0 == ys.min() and box.y1 == ys.max()
-            assert box.x0 == xs.min() and box.x1 == xs.max()
+            np.testing.assert_array_equal(box, [ys.min(), xs.min(), ys.max(), xs.max()])
 
 
 def _stack(rng, n, h, w, integer):
@@ -244,7 +255,7 @@ class TestProposeBoxes:
             image_h, image_w = (h, w) if integer else (int(v) for v in rng.integers(1, 33, size=2))
             fms, reps = _stack(rng, n, h, w, integer)
             boxes = loc.propose_boxes(fms, reps, tau, image_h, image_w, connectivity)
-            assert len(boxes) == n
+            assert boxes.shape == (n, 4) and boxes.dtype == np.int64
             for i in range(n):
                 # today's one-map formula; an einsum over the stack changes its low bits
                 sm = fms[i] @ (reps[i] / np.linalg.norm(reps[i]))
@@ -252,8 +263,8 @@ class TestProposeBoxes:
                 np.testing.assert_array_equal(real["similarity_map"](fms[i], reps[i]), sm)
                 np.testing.assert_array_equal(seen["similarity_map"][i], sm)
                 np.testing.assert_array_equal(seen["bilinear_resize"][i], up)
-                assert boxes[i] == propose_box_oracle(fms[i], reps[i], tau, image_h, image_w,
-                                                      connectivity)
+                np.testing.assert_array_equal(boxes[i], propose_box_oracle(
+                    fms[i], reps[i], tau, image_h, image_w, connectivity))
                 if up.max() <= 0.0:
                     fallbacks += 1
                     continue
@@ -308,6 +319,13 @@ class TestLocalizeQuery:
             assert 0 <= b.y0 <= b.y1 < 16 and 0 <= b.x0 <= b.x1 < 16
 
 
+@st.composite
+def _box(draw):
+    y0, y1 = sorted(draw(st.lists(st.integers(0, 12), min_size=2, max_size=2)))
+    x0, x1 = sorted(draw(st.lists(st.integers(0, 12), min_size=2, max_size=2)))
+    return BoundingBox(y0, x0, y1, x1)
+
+
 class TestIoU:
     def test_identical_boxes(self):
         assert loc.iou(BoundingBox(1, 1, 4, 4), BoundingBox(1, 1, 4, 4)) == 1.0
@@ -320,3 +338,27 @@ class TestIoU:
         a = BoundingBox(0, 0, 1, 1)
         b = BoundingBox(1, 0, 2, 1)
         assert abs(loc.iou(a, b) - 2.0 / 6.0) <= 1e-15
+
+    @given(a=_box(), b=_box())
+    @example(a=BoundingBox(0, 0, 1, 1), b=BoundingBox(5, 5, 6, 6))      # disjoint
+    @example(a=BoundingBox(0, 0, 1, 1), b=BoundingBox(2, 0, 3, 1))      # adjacent, no shared pixel
+    @example(a=BoundingBox(0, 0, 2, 2), b=BoundingBox(2, 2, 4, 4))      # corners share one pixel
+    @example(a=BoundingBox(1, 1, 8, 8), b=BoundingBox(3, 2, 5, 6))      # nested
+    @example(a=BoundingBox(4, 7, 4, 7), b=BoundingBox(4, 7, 4, 7))      # one pixel, twice
+    @example(a=BoundingBox(4, 7, 4, 7), b=BoundingBox(0, 0, 12, 12))    # one pixel inside
+    def test_matches_pixel_oracle(self, a, b):
+        score = loc.iou(a, b)
+        assert isinstance(score, float)
+        assert score == iou_oracle(a, b) == loc.iou(b, a)
+
+    @given(pairs=st.lists(st.tuples(_box(), _box()), max_size=20))
+    def test_stack_call_equals_per_pair_calls(self, pairs):
+        a = np.array([p for p, _ in pairs], dtype=np.int64).reshape(-1, 4)
+        b = np.array([q for _, q in pairs], dtype=np.int64).reshape(-1, 4)
+        scores = loc.iou(a, b)
+        assert scores.shape == (len(pairs),) and scores.dtype == np.float64
+        np.testing.assert_array_equal(scores, [loc.iou(p, q) for p, q in pairs])
+
+    def test_empty_stacks_give_no_scores(self):
+        none = np.zeros((0, 4), dtype=np.int64)
+        assert loc.iou(none, none).shape == (0,)
