@@ -8,10 +8,14 @@ train, val and test (SPLITS) are fixed; the manifest records them with the
 settable DatasetSpec fields. All randomness is driven by generators derived
 from (seed, class, sample index), so a (spec, seed) pair fully determines
 every byte on disk.
+
+Every shape mask and gradient background of one image size reads the same
+cached, read-only (2, S, S) pixel grid, built once per size.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -106,8 +110,12 @@ class SplitData(NamedTuple):
     boxes: np.ndarray
 
 
+@functools.lru_cache(maxsize=8)
 def _pixel_grid(size):
-    return np.mgrid[0:size, 0:size].astype(np.float64)
+    """Read-only float64 (row, column) coordinates of a size x size image."""
+    grid = np.mgrid[0:size, 0:size].astype(np.float64)
+    grid.flags.writeable = False
+    return grid
 
 
 def _shape_mask(shape: str, size: int, cy: float, cx: float, r: float) -> np.ndarray:

@@ -65,6 +65,12 @@ class EncoderArch:
     def embed_dim(self) -> int:
         return self.channels[-1]
 
+    @property
+    def map_shape(self) -> tuple:
+        """(h, w, D) of one image's feature map."""
+        side = self.input_size >> self.blocks
+        return side, side, self.embed_dim
+
 
 def _block_shapes(arch: EncoderArch):
     """(kernel shape, bias length) per block, in the flat vector's order."""
@@ -131,8 +137,7 @@ def forward_batch(params: EncoderParams, images: np.ndarray, keep_cache: bool = 
         raise ShapeError(
             f"image batch shape {images.shape} does not match arch input "
             f"{(arch.input_size, arch.input_size, arch.input_channels)}")
-    side = arch.input_size >> arch.blocks
-    fms = np.empty((len(images), side, side, arch.embed_dim))
+    fms = np.empty((len(images), *arch.map_shape))
     views = params.block_views()
     chunks = []
     for i in range(0, len(images), CHUNK):

@@ -200,15 +200,16 @@ def _split_features(params, images):
     """fetch(ids) -> feature maps of those split rows. A row is encoded on
     its first request, in one forward batch with the request's other new
     rows, and never again."""
-    maps = {}
+    maps = np.empty((len(images), *params.arch.map_shape))
+    encoded = np.zeros(len(images), dtype=bool)
 
     def fetch(ids):
-        ids = ids.tolist()
-        new = [i for i in ids if i not in maps]
-        if new:
+        new = ids[~encoded[ids]]
+        if new.size:
             fms, _ = enc.forward_batch(params, images[new], keep_cache=False)
-            maps.update(zip(new, fms))
-        return np.stack([maps[i] for i in ids])
+            maps[new] = fms
+            encoded[new] = True
+        return maps[ids]
     return fetch
 
 

@@ -15,6 +15,9 @@ A stack of boxes is an (N, 4) int64 array of (y0, x0, y1, x1) rows, laid
 out like a split's ground-truth boxes; ``bbox_of`` and ``propose_boxes``
 return one, and ``iou`` scores two stacks row by row in one expression.
 A single box is a ``BoundingBox``.
+
+Only ``largest_component`` labels, so scipy loads at the first labelling
+and not at import: a process that never localizes never imports it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .kernels import ShapeError, bilinear_resize
 
@@ -41,9 +43,9 @@ class BoundingBox(NamedTuple):
 
 # Label structures over a stack of planes: the 2-D 4- or 8-structure in the
 # middle slice and no links across planes, so each plane is labelled as if alone
-_STRUCTURES = {c: np.pad(ndimage.generate_binary_structure(2, rank)[None],
-                         ((1, 1), (0, 0), (0, 0)))
-               for c, rank in ((4, 1), (8, 2))}
+_STRUCTURES = {c: np.pad(np.array(plane, dtype=bool)[None], ((1, 1), (0, 0), (0, 0)))
+               for c, plane in ((4, [[0, 1, 0], [1, 1, 1], [0, 1, 0]]),
+                                (8, [[1, 1, 1], [1, 1, 1], [1, 1, 1]]))}
 
 
 def _check_tau(tau) -> None:
@@ -64,9 +66,11 @@ def similarity_map(fm: np.ndarray, rep_vector: np.ndarray) -> np.ndarray:
     (..., h, w) maps of dot products (rep / ||rep||) . FM(i, j). Every norm
     is checked before any map is computed. All maps go through one
     broadcast matmul that keeps each map's (w, D) @ (D, 1) core, so every
-    plane is bitwise the map's own ``fm @ unit``; an einsum, or a norm
-    taken over all rows at once, changes low bits, and a 1-ulp change can
-    flip a pixel at the threshold.
+    plane is bitwise the map's own ``fm @ unit``. The norms come from one
+    stacked matmul of (1, D) @ (D, 1) rows, the dot product that
+    ``np.linalg.norm`` takes of a single row. An einsum, or
+    ``np.linalg.norm(reps, axis=1)``, changes low bits, and a 1-ulp change
+    can flip a pixel at the threshold.
     """
     fm = np.asarray(fm, dtype=np.float64)
     rep = np.asarray(rep_vector, dtype=np.float64)
@@ -74,11 +78,12 @@ def similarity_map(fm: np.ndarray, rep_vector: np.ndarray) -> np.ndarray:
         raise ShapeError(f"fm {fm.shape} incompatible with representation {rep.shape}")
     fms = fm.reshape(-1, *fm.shape[-3:])
     reps = rep.reshape(-1, rep.shape[-1])
-    norms = [np.linalg.norm(r) for r in reps]
-    for i, norm in enumerate(norms):
-        if norm <= 1e-12:
-            raise DegenerateRepresentation(f"representation row {i} has norm {norm} <= 1e-12")
-    units = reps / np.array(norms)[:, None]
+    norms = np.sqrt((reps[:, None, :] @ reps[:, :, None]).ravel())
+    degenerate = np.flatnonzero(norms <= 1e-12)
+    if degenerate.size:
+        i = degenerate[0]
+        raise DegenerateRepresentation(f"representation row {i} has norm {norms[i]} <= 1e-12")
+    units = reps / norms[:, None]
     return (fms @ units[:, None, :, None])[..., 0].reshape(fm.shape[:-1])
 
 
@@ -101,6 +106,8 @@ def largest_component(mask: np.ndarray, connectivity: int = 4) -> np.ndarray:
     row-major scan order. A plane with no true pixel stays all false. All
     planes are labelled in one call.
     """
+    from scipy import ndimage
+
     structure = _structure(connectivity)
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim < 2:

@@ -46,26 +46,29 @@ def replacing(path):
 
 
 def read_tns(path) -> np.ndarray:
+    """Read a TNS1 file straight into its array; the payload size is checked
+    against the extents before anything is allocated."""
     with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 6 or data[:4] != MAGIC:
-        raise ValueError(f"{os.fspath(path)}: not a TNS1 file")
-    code, ndim = data[4], data[5]
-    if code >= len(_DTYPES):
-        raise ValueError(f"{os.fspath(path)}: unknown dtype code {code}")
-    head_end = 6 + 8 * ndim
-    if len(data) < head_end:
-        raise ValueError(f"{os.fspath(path)}: truncated header")
-    shape = struct.unpack(f"<{ndim}Q", data[6:head_end]) if ndim else ()
-    dtype = _DTYPES[code]
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-    expected = head_end + count * dtype.itemsize
-    if len(data) != expected:
-        raise ValueError(
-            f"{os.fspath(path)}: payload size {len(data) - head_end} does not match "
-            f"extents {shape}")
-    arr = np.frombuffer(data, dtype=dtype, count=count, offset=head_end)
-    arr = arr.reshape(shape).astype(dtype.newbyteorder("="))
+        head = f.read(6)
+        if len(head) < 6 or head[:4] != MAGIC:
+            raise ValueError(f"{os.fspath(path)}: not a TNS1 file")
+        code, ndim = head[4], head[5]
+        if code >= len(_DTYPES):
+            raise ValueError(f"{os.fspath(path)}: unknown dtype code {code}")
+        extents = f.read(8 * ndim)
+        if len(extents) < 8 * ndim:
+            raise ValueError(f"{os.fspath(path)}: truncated header")
+        shape = struct.unpack(f"<{ndim}Q", extents)
+        dtype = _DTYPES[code]
+        payload = os.fstat(f.fileno()).st_size - len(head) - len(extents)
+        if payload != int(np.prod(shape, dtype=np.int64)) * dtype.itemsize:
+            raise ValueError(
+                f"{os.fspath(path)}: payload size {payload} does not match "
+                f"extents {shape}")
+        arr = np.empty(shape, dtype=dtype)
+        if f.readinto(arr) != payload:
+            raise ValueError(f"{os.fspath(path)}: payload shorter than its extents {shape}")
+    arr = arr.astype(dtype.newbyteorder("="), copy=False)
     if dtype.kind == "f" and not np.all(np.isfinite(arr)):
         raise ValueError(f"{os.fspath(path)}: non-finite values in tensor payload")
     return arr

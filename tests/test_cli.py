@@ -1,10 +1,17 @@
 """End-to-end smoke test of the command line at a tiny scale."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import protoloc
 from protoloc import cli, harness
+from protoloc.localization import propose_boxes
 
 CONFIG = """\
 dataset.path = data
@@ -71,3 +78,37 @@ def test_json_checkpoint_out_fails_before_any_work(tmp_path, monkeypatch, argv):
     with pytest.raises(ValueError, match="must not end in .json"):
         cli.main(argv + ["--out", "model.json"])
     assert list(tmp_path.iterdir()) == []
+
+
+COLD_START = """\
+import json, sys
+import numpy as np
+from protoloc import cli
+assert cli.main(["gen-data", "--set", "dataset.path=data",
+                 "--set", "data.per_class_count=2", "--seed", "3"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from protoloc.localization import propose_boxes
+inputs = np.load("inputs.npz")
+boxes = propose_boxes(inputs["fms"], inputs["reps"], 0.5, 16, 16).tolist()
+print(json.dumps({"before": loaded, "boxes": boxes,
+                  "after": "scipy.ndimage" in sys.modules}))
+"""
+
+
+def test_gen_data_imports_no_scipy_until_the_first_localization(tmp_path):
+    # a fresh interpreter: this process has scipy loaded already
+    rng = np.random.default_rng(5)
+    fms = rng.normal(size=(3, 4, 4, 6))
+    reps = fms.mean(axis=(1, 2))
+    np.savez(tmp_path / "inputs.npz", fms=fms, reps=reps)
+    src = str(Path(protoloc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", COLD_START], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["before"] == []
+    assert (tmp_path / "data" / "manifest.json").is_file()
+    assert result["boxes"] == propose_boxes(fms, reps, 0.5, 16, 16).tolist()
+    assert result["after"]

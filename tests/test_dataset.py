@@ -107,6 +107,19 @@ class TestRenderSample:
         assert s.image.min() >= 0.0 and s.image.max() <= 1.0
 
 
+class TestPixelGrid:
+    @pytest.mark.parametrize("size", [15, 32])
+    def test_one_read_only_grid_per_size(self, size):
+        grid = ds._pixel_grid(size)
+        assert ds._pixel_grid(size) is grid
+        np.testing.assert_array_equal(grid, np.mgrid[0:size, 0:size])
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0, 0] = 1.0
+        yy, _ = grid
+        with pytest.raises(ValueError, match="read-only"):
+            yy -= 1.0
+
+
 class TestGenerateDataset:
     def test_same_seed_byte_identical(self, tmp_path):
         spec = small_spec(per_class_count=4)
@@ -162,6 +175,17 @@ class TestGenerateDataset:
             digest.update(path.read_bytes())
         assert digest.hexdigest() == \
             "ffa91b3578e651790f59e6532eecafe6988149cd7cf6b66955e676af5e9b4fd2"
+
+    def test_gradient_spec_render_bytes_unchanged(self, tmp_path):
+        # the same digest over a gradient-background dataset, recorded before
+        # the pixel grid was cached
+        import hashlib
+        ds.generate_dataset(DatasetSpec(per_class_count=2, background="gradient"), 7, tmp_path)
+        digest = hashlib.sha256()
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == \
+            "982239bd0a7ef04f4f65a70ddbde033d8ab5bddd1b82cb3c413a0229226bc5c5"
 
     def test_flipped_bit_raises_corrupt_dataset(self, tmp_path):
         ds.generate_dataset(small_spec(per_class_count=2), 3, tmp_path)

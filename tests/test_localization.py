@@ -46,6 +46,19 @@ class TestSimilarityMap:
         b = loc.similarity_map(fm, 2.5 * rep)
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 5, 75, 80])
+    @pytest.mark.parametrize("d", [1, 3, 32, 64])
+    def test_stack_planes_bitwise_equal_single_rep_oracle(self, n, d):
+        # the norms come from one stacked call; each plane must still be the
+        # map's own fm @ (rep / np.linalg.norm(rep)), bit for bit
+        rng = np.random.default_rng(n * 100 + d)
+        for scale in 10.0 ** np.arange(-6, 7, 3):
+            fms = rng.normal(size=(n, 2, 3, d))
+            reps = rng.normal(size=(n, d)) * scale
+            maps = loc.similarity_map(fms, reps)
+            for fm, rep, plane in zip(fms, reps, maps):
+                np.testing.assert_array_equal(plane, fm @ (rep / np.linalg.norm(rep)))
+
     def test_degenerate_representation(self):
         with pytest.raises(DegenerateRepresentation):
             loc.similarity_map(np.zeros((2, 2, 3)), np.zeros(3))

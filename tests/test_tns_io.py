@@ -54,6 +54,18 @@ def test_rejects_truncated_payload(tmp_path):
         read_tns(path)
 
 
+@pytest.mark.parametrize("extents, payload", [((4,), 5), ((2 ** 40,), 4)])
+def test_payload_size_is_checked_before_any_allocation(tmp_path, extents, payload):
+    # a longer payload than the extents, and extents of 8 TiB over 32 bytes:
+    # neither may allocate its array
+    import struct
+    path = tmp_path / "t.tns"
+    header = b"TNS1" + bytes([1, len(extents)]) + struct.pack(f"<{len(extents)}Q", *extents)
+    path.write_bytes(header + np.zeros(payload).tobytes())
+    with pytest.raises(ValueError, match=f"payload size {8 * payload} does not match"):
+        read_tns(path)
+
+
 def test_rejects_unsupported_dtype(tmp_path):
     with pytest.raises(ValueError, match="unsupported"):
         write_tns(tmp_path / "t.tns", np.zeros(3, dtype=np.int64))
