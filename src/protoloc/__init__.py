@@ -21,8 +21,8 @@ from .harness import (ArchMismatch, DeadEncoder, EvalReport, NonFiniteLoss,
                       SpecMismatch, UnknownId, evaluate, localize_cmd, pretrain,
                       report_emit, train_episodic)
 from .kernels import ShapeError, bilinear_resize
-from .localization import (BoundingBox, DegenerateRepresentation, bbox_of,
-                           iou, largest_component, propose_box, propose_boxes,
+from .localization import (BoundingBox, DegenerateRepresentation, iou,
+                           largest_component, propose_box, propose_boxes,
                            segment_mask, similarity_map)
 from .roi import RoiConfig, roi_feature
 from .tns_io import read_tns, write_tns

@@ -216,20 +216,20 @@ def generate_dataset(spec: DatasetSpec, seed: int, out_dir) -> dict:
     }
     try:
         for name, class_indices in SPLITS.items():
-            images, labels, boxes = [], [], []
-            for c in class_indices:
-                for i in range(spec.per_class_count):
-                    sample = render_sample(spec, c, _sample_rng(seed, c, i))
-                    images.append(sample.image)
-                    labels.append(c)
-                    boxes.append(tuple(sample.gt_box))
+            items = [(c, i) for c in class_indices for i in range(spec.per_class_count)]
+            # each sample renders into the one array that write_tns writes out
+            images = np.empty((len(items), spec.image_size, spec.image_size, 3))
+            boxes = np.empty((len(items), 4), dtype=np.uint32)
+            for j, (c, i) in enumerate(items):
+                sample = render_sample(spec, c, _sample_rng(seed, c, i))
+                images[j], boxes[j] = sample.image, sample.gt_box
             split_dir = tmp / name
             split_dir.mkdir(parents=True, exist_ok=True)
-            write_tns(split_dir / "images.tns", np.stack(images))
-            write_tns(split_dir / "labels.tns", np.asarray(labels, dtype=np.uint32))
-            write_tns(split_dir / "boxes.tns", np.asarray(boxes, dtype=np.uint32))
+            write_tns(split_dir / "images.tns", images)
+            write_tns(split_dir / "labels.tns", np.array([c for c, _ in items], dtype=np.uint32))
+            write_tns(split_dir / "boxes.tns", boxes)
             manifest["splits"][name] = {
-                "count": len(labels),
+                "count": len(items),
                 "classes": list(class_indices),
                 "digests": {f: _digest(split_dir / f)
                             for f in ("images.tns", "labels.tns", "boxes.tns")},

@@ -12,9 +12,9 @@ localizes all the queries of a task in one call; ``propose_box`` is the
 one-map call of the same chain.
 
 A stack of boxes is an (N, 4) int64 array of (y0, x0, y1, x1) rows, laid
-out like a split's ground-truth boxes; ``bbox_of`` and ``propose_boxes``
-return one, and ``iou`` scores two stacks row by row in one expression.
-A single box is a ``BoundingBox``.
+out like a split's ground-truth boxes; ``largest_component`` and
+``propose_boxes`` return one, and ``iou`` scores two stacks row by row in
+one expression. A single box is a ``BoundingBox``.
 
 Only ``largest_component`` labels, so scipy loads at the first labelling
 and not at import: a process that never localizes never imports it.
@@ -100,40 +100,35 @@ def segment_mask(upsampled: np.ndarray, tau: float) -> np.ndarray:
 
 
 def largest_component(mask: np.ndarray, connectivity: int = 4) -> np.ndarray:
-    """Per plane of an (..., H, W) mask, its largest connected true region, as a mask.
+    """Tight inclusive box (min row, min col, max row, max col) of the largest
+    connected true region of each plane of an (N, H, W) mask, as an (N, 4)
+    int64 array; a plane with no true pixel gets the full-image box.
 
     Size ties go to the component containing the earliest true pixel in
-    row-major scan order. A plane with no true pixel stays all false. All
-    planes are labelled in one call.
+    row-major scan order. All planes are labelled in one call; scipy numbers
+    components in the scan order of their first pixel, so plane p holds the
+    labels lo[p]..hi[p] and its lowest label of maximal size keeps the tie
+    rule. A lone component is its plane's whole mask: only planes with more
+    than one are counted.
     """
     from scipy import ndimage
 
     structure = _structure(connectivity)
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim < 2:
-        raise ShapeError(f"expected (..., H, W) mask, got shape {mask.shape}")
-    labels, _ = ndimage.label(mask.reshape(-1, *mask.shape[-2:]), structure=structure,
-                              output=np.intp)
-    flat = labels.reshape(labels.shape[0], -1)
-    sizes = np.bincount(flat.ravel(), minlength=1)
-    sizes[0] = 0
-    size_at = sizes[flat]                       # component size per pixel, 0 off the mask
-    first = (size_at == size_at.max(axis=1, keepdims=True)).argmax(axis=1)
-    chosen = flat[np.arange(flat.shape[0]), first][:, None]   # 0 on an empty plane
-    return ((flat == chosen) & (chosen > 0)).reshape(mask.shape)
-
-
-def bbox_of(component: np.ndarray) -> np.ndarray:
-    """Tight inclusive box (min row, min col, max row, max col) of each plane
-    of an (N, H, W) component stack, as an (N, 4) int64 array.
-
-    A plane with no true pixel, the trace of a map with no positive value,
-    gets the whole plane: the full-image fallback.
-    """
-    component = np.asarray(component, dtype=bool)
-    if component.ndim != 3:
-        raise ShapeError(f"expected (N, H, W) components, got shape {component.shape}")
-    _, h, w = component.shape
+    if mask.ndim != 3:
+        raise ShapeError(f"expected (N, H, W) mask, got shape {mask.shape}")
+    n, h, w = mask.shape
+    labels, _ = ndimage.label(mask, structure=structure, output=np.intp)
+    hi = np.maximum.accumulate(labels.reshape(n, h * w).max(axis=1, initial=0))
+    lo = hi - np.diff(hi, prepend=0) + 1
+    many = np.flatnonzero(hi > lo)
+    component = mask.copy()
+    if many.size:
+        crowded = labels[many]
+        sizes = np.bincount(crowded.ravel())
+        best = [lo[p] + np.argmax(sizes[lo[p]:hi[p] + 1]) for p in many]
+        component[many] = crowded == np.array(best)[:, None, None]
+    # an empty plane's argmaxes are all 0: the full-image box
     rows = component.any(axis=2)
     cols = component.any(axis=1)
     return np.stack([rows.argmax(axis=1), cols.argmax(axis=1),
@@ -145,7 +140,7 @@ def propose_boxes(fms, reps, tau, image_h, image_w,
                   connectivity: int = 4) -> np.ndarray:
     """The (N, 4) boxes of an (N, h, w, D) stack of maps, each against its
     row of the (N, D) representations:
-    similarity_map -> bilinear_resize -> segment_mask -> largest_component -> bbox_of.
+    similarity_map -> bilinear_resize -> segment_mask -> largest_component.
 
     A degenerate (all-nonpositive) map falls back to the full-image box.
     Every input is checked before any map is computed.
@@ -158,7 +153,7 @@ def propose_boxes(fms, reps, tau, image_h, image_w,
     _check_tau(tau)
     _structure(connectivity)
     up = bilinear_resize(similarity_map(fms, reps), image_h, image_w)
-    return bbox_of(largest_component(segment_mask(up, tau), connectivity))
+    return largest_component(segment_mask(up, tau), connectivity)
 
 
 def propose_box(fm, rep_vector, tau, image_h, image_w, connectivity: int = 4) -> BoundingBox:

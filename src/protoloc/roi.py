@@ -11,6 +11,7 @@ evaluation average a class's RoI features into its refined representation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +45,18 @@ def _sample_axis(lo: float, hi: float, grid: int, samples: int) -> np.ndarray:
     return (lo + g * bin_len + (s + 0.5) * (bin_len / samples)).ravel()
 
 
+@functools.lru_cache(maxsize=4096)
 def _cell_weights(p0: int, p1: int, n: int, size: int, cfg: RoiConfig) -> np.ndarray:
     """Mean bilinear weight per cell of an n-cell axis over the samples in the
     pixel span [p0, p1+1) of a size-pixel image axis, scaled by n/size; the
-    -0.5 shift maps the continuous frame onto cell centers."""
+    -0.5 shift maps the continuous frame onto cell centers. Cached per int
+    span and read-only."""
     v = _sample_axis(p0 * n / size, (p1 + 1) * n / size, cfg.grid, cfg.samples) - 0.5
     i0, i1, w = _corner_weights(v, n)
-    return (np.bincount(i0, weights=1.0 - w, minlength=n)
-            + np.bincount(i1, weights=w, minlength=n)) / v.size
+    weights = (np.bincount(i0, weights=1.0 - w, minlength=n)
+               + np.bincount(i1, weights=w, minlength=n)) / v.size
+    weights.flags.writeable = False
+    return weights
 
 
 def _roi_weights(fm, box, image_extents, cfg: RoiConfig):
@@ -59,9 +64,9 @@ def _roi_weights(fm, box, image_extents, cfg: RoiConfig):
     if fm.ndim != 3:
         raise ShapeError(f"expected h x w x D feature map, got shape {fm.shape}")
     _check_box(box, *image_extents)
-    y0, x0, y1, x1 = box
-    return (_cell_weights(y0, y1, fm.shape[0], image_extents[0], cfg),
-            _cell_weights(x0, x1, fm.shape[1], image_extents[1], cfg))
+    (y0, x0, y1, x1), (image_h, image_w) = map(int, box), map(int, image_extents)
+    return (_cell_weights(y0, y1, fm.shape[0], image_h, cfg),
+            _cell_weights(x0, x1, fm.shape[1], image_w, cfg))
 
 
 def roi_feature(fm, box, image_extents, cfg: RoiConfig = RoiConfig()) -> np.ndarray:

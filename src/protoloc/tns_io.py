@@ -26,10 +26,10 @@ def write_tns(path, arr: np.ndarray) -> None:
         raise ValueError(f"unsupported dtype for TNS1: {arr.dtype}")
     header = MAGIC + bytes([_DTYPES.index(dtype), arr.ndim])
     header += b"".join(struct.pack("<Q", e) for e in arr.shape)
-    payload = arr.astype(dtype, copy=False).tobytes()
+    payload = np.ascontiguousarray(arr, dtype=dtype)
     with open(path, "wb") as f:
         f.write(header)
-        f.write(payload)
+        f.write(payload.data)   # the array's own buffer: no bytes copy
 
 
 @contextmanager

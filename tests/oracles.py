@@ -139,6 +139,16 @@ def largest_component_oracle(mask, connectivity=4):
     return sorted(components[sizes.index(max(sizes))])  # earliest seed wins ties
 
 
+def component_box_oracle(mask, connectivity=4):
+    """Min/max box of the largest component; the whole plane when the mask
+    has no true pixel."""
+    pixels = largest_component_oracle(mask, connectivity)
+    if pixels is None:
+        return (0, 0, mask.shape[0] - 1, mask.shape[1] - 1)
+    ys, xs = zip(*pixels)
+    return (min(ys), min(xs), max(ys), max(xs))
+
+
 def bilinear_at(fm, y, x):
     """Clamped 4-neighbor bilinear interpolation, written longhand."""
     h, w, d = fm.shape
@@ -185,8 +195,7 @@ def propose_box_oracle(fm, rep, tau, image_h, image_w, connectivity=4):
     mx = up.max()
     if mx <= 0.0:
         return (0, 0, image_h - 1, image_w - 1)
-    ys, xs = zip(*largest_component_oracle(up >= tau * mx, connectivity))
-    return (min(ys), min(xs), max(ys), max(xs))
+    return component_box_oracle(up >= tau * mx, connectivity)
 
 
 def iou_oracle(a, b):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from protoloc import encoder as enc
-from protoloc import episodic, harness, kernels
+from protoloc import episodic, harness, kernels, localization, roi
 from protoloc.config import RunConfig
 from protoloc.dataset import SplitData
 from protoloc.localization import BoundingBox, iou
@@ -109,6 +109,51 @@ def test_refined_eval_task_localizes_queries_in_one_call(monkeypatch):
     features = harness._split_features(enc.init_params(cfg.arch, 0), split.images)
     harness._eval_task(cfg, features, split, 0, "refined")
     assert calls == {"propose_box": 3 * 2, "propose_boxes": [3 * 4]}
+
+
+def test_propose_boxes_labels_once_per_call(monkeypatch):
+    # the tracer times localization.largest_component as one span per
+    # propose_boxes call, box extraction included
+    calls = []
+    real = localization.largest_component
+
+    def largest_component(mask, *args):
+        calls.append(mask.shape)
+        return real(mask, *args)
+
+    monkeypatch.setattr(localization, "largest_component", largest_component)
+    rng = np.random.default_rng(2)
+    boxes = localization.propose_boxes(rng.normal(size=(7, 4, 4, 3)), rng.normal(size=(7, 3)),
+                                       0.5, 16, 16)
+    localization.propose_box(rng.normal(size=(4, 4, 3)), rng.normal(size=3), 0.5, 16, 16)
+    assert boxes.shape == (7, 4)
+    assert calls == [(7, 16, 16), (1, 16, 16)]
+
+
+def test_ours_episode_boxes_and_pools_each_support_once(monkeypatch):
+    # bench/selftest.py and the tracer count one episodic.propose_box and one
+    # roi.roi_feature (and its VJP) call per support of an "ours" episode
+    calls = {"propose_box": 0, "roi_feature": 0, "roi_feature_vjp": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(episodic, "propose_box")
+    counting(roi, "roi_feature")
+    counting(roi, "roi_feature_vjp")
+    cfg = RunConfig(n_way=3, k_shot=2, queries=2, arch_blocks=2, arch_channels=(4, 6),
+                    arch_input_size=16, image_size=16, workers=1, lambda_roi=0.5,
+                    epochs_ours=1, episodes_per_epoch=1)
+    rng = np.random.default_rng(3)
+    split = SplitData("train", rng.uniform(size=(24, 16, 16, 3)), np.repeat(np.arange(4), 6),
+                      np.tile([2, 3, 11, 12], (24, 1)))
+    harness.train_episodic(cfg, enc.init_params(cfg.arch, 0), "ours", split)
+    assert calls == {"propose_box": 3 * 2, "roi_feature": 3 * 2, "roi_feature_vjp": 3 * 2}
 
 
 def test_tracer_scores_each_support_box_against_its_split_row(monkeypatch):

@@ -7,12 +7,8 @@ from protoloc import localization as loc
 from protoloc.kernels import ShapeError, bilinear_resize
 from protoloc.localization import BoundingBox, DegenerateRepresentation
 
-from oracles import (flood_fill_components, iou_oracle, largest_component_oracle,
+from oracles import (component_box_oracle, flood_fill_components, iou_oracle,
                      propose_box_oracle)
-
-
-def pixels(component):
-    return np.argwhere(component)
 
 
 class TestSimilarityMap:
@@ -98,74 +94,99 @@ class TestSegmentMask:
 
 class TestLargestComponent:
     def test_single_pixel(self):
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[2, 1] = True
-        np.testing.assert_array_equal(loc.largest_component(mask), mask)
+        mask = np.zeros((2, 10, 10), dtype=bool)
+        mask[0, 2, 1] = mask[1, 3, 5] = True
+        np.testing.assert_array_equal(loc.largest_component(mask),
+                                      [BoundingBox(2, 1, 2, 1), BoundingBox(3, 5, 3, 5)])
 
     def test_picks_bigger_of_two(self):
-        mask = np.zeros((5, 5), dtype=bool)
-        mask[0, 0] = mask[1, 0] = mask[1, 1] = True     # L-shape, size 3
-        mask[3, 3] = mask[3, 4] = True                   # pair, size 2
-        got = {tuple(p) for p in pixels(loc.largest_component(mask))}
-        assert got == {(0, 0), (1, 0), (1, 1)}
+        mask = np.zeros((1, 5, 5), dtype=bool)
+        mask[0, 3, 3] = mask[0, 3, 4] = True                   # pair, size 2
+        mask[0, 1, 0] = mask[0, 2, 0] = mask[0, 2, 1] = True   # L-shape, size 3
+        np.testing.assert_array_equal(loc.largest_component(mask), [BoundingBox(1, 0, 2, 1)])
 
     def test_diagonal_is_disconnected_at_4(self):
-        mask = np.zeros((3, 3), dtype=bool)
-        mask[0, 0] = mask[1, 1] = mask[2, 2] = True
-        got = pixels(loc.largest_component(mask, connectivity=4))
-        np.testing.assert_array_equal(got, [[0, 0]])     # earliest-pixel tie rule
-        got8 = pixels(loc.largest_component(mask, connectivity=8))
-        assert got8.shape == (3, 2)
+        mask = np.eye(3, dtype=bool)[None]
+        # earliest-pixel tie rule among the three single pixels
+        np.testing.assert_array_equal(loc.largest_component(mask, connectivity=4),
+                                      [BoundingBox(0, 0, 0, 0)])
+        np.testing.assert_array_equal(loc.largest_component(mask, connectivity=8),
+                                      [BoundingBox(0, 0, 2, 2)])
 
-    def test_empty_mask(self):
-        assert not loc.largest_component(np.zeros((3, 3), dtype=bool)).any()
+    def test_tie_goes_to_the_earliest_first_pixel(self):
+        # two size-12 components whose first pixels share row 0: a 2 x 6 block
+        # from (0, 2), and a hook from (0, 9) whose foot reaches column 1, so
+        # its box starts left of the block's; plane 1 is plane 0 mirrored
+        mask = np.zeros((2, 4, 12), dtype=bool)
+        mask[0, 0:2, 2:8] = mask[0, 0:4, 9] = mask[0, 3, 1:10] = True
+        mask[1] = mask[0, :, ::-1]
+        for connectivity in (4, 8):
+            np.testing.assert_array_equal(loc.largest_component(mask, connectivity),
+                                          [BoundingBox(0, 2, 1, 7), BoundingBox(0, 2, 3, 10)])
 
     @pytest.mark.parametrize("connectivity", [4, 8])
-    def test_matches_flood_fill_oracle(self, connectivity):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            h, w = rng.integers(1, 17, size=2)
-            mask = rng.uniform(size=(h, w)) < 0.45
-            if not mask.any():
-                continue
-            got = sorted(tuple(p) for p in pixels(loc.largest_component(mask, connectivity)))
-            want = largest_component_oracle(mask, connectivity)
-            assert got == want
+    def test_planes_are_labelled_apart(self, connectivity):
+        # a pair on plane 0's bottom row over a pair on plane 1's top row:
+        # joined across the planes they would be the largest component of both
+        mask = np.zeros((2, 4, 6), dtype=bool)
+        mask[0, 3, 0:2] = mask[1, 0, 0:2] = True
+        mask[0, 0, 3:6] = mask[1, 2, 3:6] = True
+        np.testing.assert_array_equal(loc.largest_component(mask, connectivity),
+                                      [BoundingBox(0, 3, 0, 5), BoundingBox(2, 3, 2, 5)])
 
-
-class TestBboxOf:
-    def test_single_pixel(self):
-        comp = np.zeros((1, 10, 10), dtype=bool)
-        comp[0, 3, 5] = True
-        np.testing.assert_array_equal(loc.bbox_of(comp), [BoundingBox(3, 5, 3, 5)])
+    def test_empty_mask(self):
+        # a plane with no true pixel gets the full-image box
+        np.testing.assert_array_equal(loc.largest_component(np.zeros((1, 3, 4), dtype=bool)),
+                                      [BoundingBox(0, 0, 2, 3)])
 
     def test_full_image(self):
         mask = np.ones((1, 4, 6), dtype=bool)
-        comp = loc.largest_component(mask)
-        np.testing.assert_array_equal(loc.bbox_of(comp), [BoundingBox(0, 0, 3, 5)])
+        np.testing.assert_array_equal(loc.largest_component(mask), [BoundingBox(0, 0, 3, 5)])
 
     def test_min_max_oracle(self):
+        # one cross per plane, a connected shape whose box is the extent of its arms
         rng = np.random.default_rng(4)
-        comps = np.zeros((6, 20, 23), dtype=bool)
+        mask = np.zeros((6, 20, 23), dtype=bool)
         want = []
-        for plane in comps:
-            ys, xs = rng.integers(0, 20, size=15), rng.integers(0, 23, size=15)
-            plane[ys, xs] = True
-            want.append(BoundingBox(ys.min(), xs.min(), ys.max(), xs.max()))
-        boxes = loc.bbox_of(comps)
+        for plane in mask:
+            y0, y1 = np.sort(rng.integers(0, 20, size=2))
+            x0, x1 = np.sort(rng.integers(0, 23, size=2))
+            y, x = rng.integers(y0, y1 + 1), rng.integers(x0, x1 + 1)
+            plane[y0:y1 + 1, x] = plane[y, x0:x1 + 1] = True
+            want.append(BoundingBox(y0, x0, y1, x1))
+        boxes = loc.largest_component(mask)
         assert boxes.shape == (6, 4) and boxes.dtype == np.int64
         np.testing.assert_array_equal(boxes, want)
 
     def test_empty_component(self):
         # an empty plane is a map with no positive value: full-image fallback
-        comps = np.zeros((3, 4, 6), dtype=bool)
-        comps[0, 1, 2] = comps[2, 3, 0] = True
-        np.testing.assert_array_equal(loc.bbox_of(comps), [
+        mask = np.zeros((3, 4, 6), dtype=bool)
+        mask[0, 1, 2] = mask[2, 3, 0] = True
+        np.testing.assert_array_equal(loc.largest_component(mask), [
             BoundingBox(1, 2, 1, 2), BoundingBox(0, 0, 3, 5), BoundingBox(3, 0, 3, 0)])
-        none = loc.bbox_of(np.zeros((0, 4, 6), dtype=bool))
-        assert none.shape == (0, 4) and none.dtype == np.int64
+        for connectivity in (4, 8):
+            none = loc.largest_component(np.zeros((0, 4, 6), dtype=bool), connectivity)
+            assert none.shape == (0, 4) and none.dtype == np.int64
         with pytest.raises(ShapeError):
-            loc.bbox_of(np.zeros((4, 6), dtype=bool))
+            loc.largest_component(np.zeros((4, 6), dtype=bool))
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_matches_flood_fill_oracle(self, connectivity):
+        rng = np.random.default_rng(3)
+        ties = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            h, w = (int(v) for v in rng.integers(1, 17, size=2))
+            mask = rng.uniform(size=(n, h, w)) < rng.uniform(0.1, 0.7)
+            mask[rng.uniform(size=n) < 0.25] = False
+            boxes = loc.largest_component(mask, connectivity)
+            assert boxes.shape == (n, 4) and boxes.dtype == np.int64
+            np.testing.assert_array_equal(
+                boxes, [component_box_oracle(plane, connectivity) for plane in mask])
+            for m in mask:
+                sizes = [len(c) for c in flood_fill_components(m, connectivity)]
+                ties += sizes.count(max(sizes, default=0)) > 1
+        assert ties
 
 
 class TestProposeBox:
@@ -177,7 +198,7 @@ class TestProposeBox:
         sm = loc.similarity_map(fm, rep)
         up = bilinear_resize(sm, 32, 32)
         mask = loc.segment_mask(up, 0.5)
-        want, = loc.bbox_of(loc.largest_component(mask)[None])
+        want, = loc.largest_component(mask[None])
         np.testing.assert_array_equal(got, want)
 
     def test_dominant_cell(self):
@@ -189,7 +210,7 @@ class TestProposeBox:
         got = loc.propose_box(fm, rep, 0.5, 32, 32)
         # compositional oracle: chain the public steps directly
         up = bilinear_resize(loc.similarity_map(fm, rep), 32, 32)
-        want, = loc.bbox_of(loc.largest_component(loc.segment_mask(up, 0.5))[None])
+        want, = loc.largest_component(loc.segment_mask(up, 0.5)[None])
         np.testing.assert_array_equal(got, want)
         # frozen: the hot cell upsamples to triangular lobes peaked at
         # (11.5, 19.5); the half-max region spans rows 8..15, cols 16..23
@@ -223,10 +244,9 @@ class TestProposeBox:
             sm = loc.similarity_map(fm, rep)
             up = bilinear_resize(sm, 24, 24)
             mask = loc.segment_mask(up, 0.6)
-            comp = loc.largest_component(mask)
-            box, = loc.bbox_of(comp[None])
-            ys, xs = pixels(comp).T
-            np.testing.assert_array_equal(box, [ys.min(), xs.min(), ys.max(), xs.max()])
+            box, = loc.largest_component(mask[None])
+            assert mask.any()
+            np.testing.assert_array_equal(box, component_box_oracle(mask))
 
 
 def _stack(rng, n, h, w, integer):
@@ -285,6 +305,12 @@ class TestProposeBoxes:
                                                                connectivity)]
                 ties += sizes.count(max(sizes)) > 1
         assert ties and fallbacks
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_empty_stack_gives_no_boxes(self, connectivity):
+        boxes = loc.propose_boxes(np.zeros((0, 4, 4, 3)), np.zeros((0, 3)), 0.5, 16, 16,
+                                  connectivity)
+        assert boxes.shape == (0, 4) and boxes.dtype == np.int64
 
     BASE = dict(fms=np.ones((2, 4, 4, 3)), reps=np.ones((2, 3)), tau=0.5,
                 image_h=8, image_w=8, connectivity=4)

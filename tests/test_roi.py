@@ -130,6 +130,43 @@ class TestRoiFeature:
         assert np.all(right >= wide)
 
 
+class TestCellWeightCache:
+    """Cell weights are cached per (span, axis, config); a hit must hand back
+    the bits a fresh computation gives, and nothing may write into them."""
+
+    BOX = BoundingBox(3, 5, 20, 27)
+
+    def test_cached_weights_are_read_only(self):
+        fm = np.zeros((4, 6, 2))
+        for ay_or_ax in roi._roi_weights(fm, self.BOX, (32, 48), RoiConfig()):
+            assert not ay_or_ax.flags.writeable
+            with pytest.raises(ValueError):
+                ay_or_ax[0] = 1.0
+
+    def test_hits_equal_fresh_computation_bitwise(self):
+        rng = np.random.default_rng(11)
+        fm, grad = rng.normal(size=(4, 6, 3)), rng.normal(size=3)
+        runs = []
+        for clear in (True, False, True):
+            if clear:
+                roi._cell_weights.cache_clear()
+            runs.append((roi.roi_feature(fm, self.BOX, (32, 48), RoiConfig(3, 2)),
+                         roi.roi_feature_vjp(fm, self.BOX, (32, 48), RoiConfig(3, 2), grad)))
+        for feature, vjp in runs[1:]:
+            np.testing.assert_array_equal(feature, runs[0][0])
+            np.testing.assert_array_equal(vjp, runs[0][1])
+
+    def test_int_and_int64_coordinates_share_an_entry(self):
+        fm = np.ones((4, 4, 2))
+        roi._cell_weights.cache_clear()
+        roi.roi_feature(fm, self.BOX, (32, 32))
+        before = roi._cell_weights.cache_info()
+        stack = np.array([self.BOX], dtype=np.int64)
+        roi.roi_feature(fm, stack[0], np.array([32, 32]))
+        after = roi._cell_weights.cache_info()
+        assert (after.hits - before.hits, after.misses, after.currsize) == (2, 2, 2)
+
+
 class TestRefineRepresentation:
     """Refined representations are per-class means of RoI features; with
     lambda = 1 the episode loss is the base term plus the loss against them."""
