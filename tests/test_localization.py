@@ -94,10 +94,9 @@ class TestSegmentMask:
 
 class TestLargestComponent:
     def test_single_pixel(self):
-        mask = np.zeros((2, 10, 10), dtype=bool)
-        mask[0, 2, 1] = mask[1, 3, 5] = True
-        np.testing.assert_array_equal(loc.largest_component(mask),
-                                      [BoundingBox(2, 1, 2, 1), BoundingBox(3, 5, 3, 5)])
+        mask = np.zeros((1, 4, 4), dtype=bool)
+        mask[0, 2, 1] = True
+        np.testing.assert_array_equal(loc.largest_component(mask), [BoundingBox(2, 1, 2, 1)])
 
     def test_picks_bigger_of_two(self):
         mask = np.zeros((1, 5, 5), dtype=bool)
@@ -139,6 +138,33 @@ class TestLargestComponent:
         np.testing.assert_array_equal(loc.largest_component(np.zeros((1, 3, 4), dtype=bool)),
                                       [BoundingBox(0, 0, 2, 3)])
 
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_matches_flood_fill_oracle(self, connectivity):
+        rng = np.random.default_rng(3)
+        ties = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            h, w = (int(v) for v in rng.integers(1, 17, size=2))
+            mask = rng.uniform(size=(n, h, w)) < rng.uniform(0.1, 0.7)
+            mask[rng.uniform(size=n) < 0.25] = False
+            boxes = loc.largest_component(mask, connectivity)
+            assert boxes.shape == (n, 4) and boxes.dtype == np.int64
+            np.testing.assert_array_equal(
+                boxes, [component_box_oracle(plane, connectivity) for plane in mask])
+            for m in mask:
+                sizes = [len(c) for c in flood_fill_components(m, connectivity)]
+                ties += sizes.count(max(sizes, default=0)) > 1
+        assert ties
+
+
+class TestBboxOf:
+    """The box that largest_component reads off each plane's winning component."""
+
+    def test_single_pixel(self):
+        mask = np.zeros((1, 10, 10), dtype=bool)
+        mask[0, 3, 5] = True
+        np.testing.assert_array_equal(loc.largest_component(mask), [BoundingBox(3, 5, 3, 5)])
+
     def test_full_image(self):
         mask = np.ones((1, 4, 6), dtype=bool)
         np.testing.assert_array_equal(loc.largest_component(mask), [BoundingBox(0, 0, 3, 5)])
@@ -169,24 +195,6 @@ class TestLargestComponent:
             assert none.shape == (0, 4) and none.dtype == np.int64
         with pytest.raises(ShapeError):
             loc.largest_component(np.zeros((4, 6), dtype=bool))
-
-    @pytest.mark.parametrize("connectivity", [4, 8])
-    def test_matches_flood_fill_oracle(self, connectivity):
-        rng = np.random.default_rng(3)
-        ties = 0
-        for _ in range(40):
-            n = int(rng.integers(1, 9))
-            h, w = (int(v) for v in rng.integers(1, 17, size=2))
-            mask = rng.uniform(size=(n, h, w)) < rng.uniform(0.1, 0.7)
-            mask[rng.uniform(size=n) < 0.25] = False
-            boxes = loc.largest_component(mask, connectivity)
-            assert boxes.shape == (n, 4) and boxes.dtype == np.int64
-            np.testing.assert_array_equal(
-                boxes, [component_box_oracle(plane, connectivity) for plane in mask])
-            for m in mask:
-                sizes = [len(c) for c in flood_fill_components(m, connectivity)]
-                ties += sizes.count(max(sizes, default=0)) > 1
-        assert ties
 
 
 class TestProposeBox:
