@@ -199,7 +199,11 @@ def _sample_rng(seed: int, class_index: int, item: int):
 
 
 def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    sha = hashlib.sha256()
+    with open(path, "rb") as f:     # 1 MiB at a time: no whole-file copy
+        while chunk := f.read(1 << 20):
+            sha.update(chunk)
+    return sha.hexdigest()
 
 
 def generate_dataset(spec: DatasetSpec, seed: int, out_dir) -> dict:

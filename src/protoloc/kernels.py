@@ -195,9 +195,10 @@ def bilinear_resize(m, out_h: int, out_w: int):
 
     Source coordinate for output row y is (y + 0.5) * h / out_h - 0.5,
     clamped to [0, h - 1]; same for columns. Same-size resize is an exact
-    identity. Columns are blended first, then rows: the same products and
-    sums, in the same order, as gathering the four corners per pixel. Every
-    step is elementwise, so each plane of a stack is bitwise its own resize.
+    identity. Columns are blended first, then rows, in place on the two
+    gathered row sets: the same products and sums, in the same order, as
+    gathering the four corners per pixel. Every step is elementwise, so
+    each plane of a stack is bitwise its own resize.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2:
@@ -206,4 +207,8 @@ def bilinear_resize(m, out_h: int, out_w: int):
     ri0, ri1, rw = _resize_axis(h, out_h)
     ci0, ci1, cw = _resize_axis(w, out_w)
     cols = m[..., ci0] * (1.0 - cw) + m[..., ci1] * cw
-    return cols[..., ri0, :] * (1.0 - rw)[:, None] + cols[..., ri1, :] * rw[:, None]
+    out, bottom = cols.take(ri0, axis=-2), cols.take(ri1, axis=-2)
+    out *= (1.0 - rw)[:, None]
+    bottom *= rw[:, None]
+    out += bottom
+    return out

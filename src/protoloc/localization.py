@@ -16,8 +16,10 @@ out like a split's ground-truth boxes; ``largest_component`` and
 ``propose_boxes`` return one, and ``iou`` scores two stacks row by row in
 one expression. A single box is a ``BoundingBox``.
 
-Only ``largest_component`` labels, so scipy loads at the first labelling
-and not at import: a process that never localizes never imports it.
+Most thresholded maps are one band of one-run rows whose consecutive runs
+share a column: one component at either connectivity, boxed by its
+projections. Only the other planes are labelled, so scipy loads at the
+first plane that needs labelling, not at import.
 """
 
 from __future__ import annotations
@@ -91,12 +93,12 @@ def segment_mask(upsampled: np.ndarray, tau: float) -> np.ndarray:
     """Per plane of an (..., H, W) stack, keep pixels at or above tau times its max.
 
     >= (not >) so the max pixel itself is always kept. A plane whose max is
-    not positive has no region to segment and comes back all false.
+    not positive gets a NaN threshold, which no pixel reaches: all false.
     """
     _check_tau(tau)
     upsampled = np.asarray(upsampled, dtype=np.float64)
     mx = upsampled.max(axis=(-2, -1), keepdims=True)
-    return (upsampled >= tau * mx) & (mx > 0.0)
+    return upsampled >= np.where(mx > 0.0, tau * mx, np.nan)
 
 
 def largest_component(mask: np.ndarray, connectivity: int = 4) -> np.ndarray:
@@ -104,33 +106,42 @@ def largest_component(mask: np.ndarray, connectivity: int = 4) -> np.ndarray:
     connected true region of each plane of an (N, H, W) mask, as an (N, 4)
     int64 array; a plane with no true pixel gets the full-image box.
 
-    Size ties go to the component containing the earliest true pixel in
-    row-major scan order. All planes are labelled in one call; scipy numbers
-    components in the scan order of their first pixel, so plane p holds the
-    labels lo[p]..hi[p] and its lowest label of maximal size keeps the tie
-    rule. A lone component is its plane's whole mask: only planes with more
-    than one are counted.
+    A plane is one band when each row holds at most one run (its pixel
+    count is the sum of its rows' first-to-last spans), its non-empty rows
+    are contiguous and every two consecutive runs share a column: each run
+    is connected and touches the next, so it is one component at 4 and so
+    at 8 connectivity, boxed by its projections. Only the other planes are
+    labelled, in one call that loads scipy. scipy numbers components in the
+    scan order of their first pixel, so labelled plane p holds the labels
+    lo[p]..hi[p], and its lowest label of maximal size gives a size tie to
+    the component with the earliest true pixel in row-major scan order.
     """
-    from scipy import ndimage
-
     structure = _structure(connectivity)
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 3:
         raise ShapeError(f"expected (N, H, W) mask, got shape {mask.shape}")
     n, h, w = mask.shape
-    labels, _ = ndimage.label(mask, structure=structure, output=np.intp)
-    hi = np.maximum.accumulate(labels.reshape(n, h * w).max(axis=1, initial=0))
-    lo = hi - np.diff(hi, prepend=0) + 1
-    many = np.flatnonzero(hi > lo)
-    component = mask.copy()
-    if many.size:
+    first = mask.argmax(axis=2)
+    last = w - 1 - mask[:, :, ::-1].argmax(axis=2)
+    rows = (first > 0) | mask[:, :, 0]      # mask.any(axis=2), from first
+    cols = mask.any(axis=1)
+    runs = mask.reshape(n, h * w).sum(axis=1) == np.where(rows, last - first + 1, 0).sum(axis=1)
+    band = np.count_nonzero(rows[:, 1:] > rows[:, :-1], axis=1) + rows[:, 0] <= 1
+    meet = (first[:, 1:] <= last[:, :-1]) & (first[:, :-1] <= last[:, 1:])
+    rest = np.flatnonzero(~runs | ~band | (rows[:, 1:] & rows[:, :-1] & ~meet).any(axis=1))
+    if rest.size:
+        from scipy import ndimage
+        labels, _ = ndimage.label(mask[rest], structure=structure, output=np.intp)
+        hi = np.maximum.accumulate(labels.reshape(rest.size, h * w).max(axis=1, initial=0))
+        lo = hi - np.diff(hi, prepend=0) + 1
+        many = np.flatnonzero(hi > lo)
         crowded = labels[many]
         sizes = np.bincount(crowded.ravel())
         best = [lo[p] + np.argmax(sizes[lo[p]:hi[p] + 1]) for p in many]
-        component[many] = crowded == np.array(best)[:, None, None]
+        component = crowded == np.array(best, dtype=np.intp)[:, None, None]
+        rows[rest[many]] = component.any(axis=2)
+        cols[rest[many]] = component.any(axis=1)
     # an empty plane's argmaxes are all 0: the full-image box
-    rows = component.any(axis=2)
-    cols = component.any(axis=1)
     return np.stack([rows.argmax(axis=1), cols.argmax(axis=1),
                      h - 1 - rows[:, ::-1].argmax(axis=1),
                      w - 1 - cols[:, ::-1].argmax(axis=1)], axis=1).astype(np.int64)

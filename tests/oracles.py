@@ -186,6 +186,18 @@ def bilinear_resize_gathers(m, out_h, out_w):
     return top * (1.0 - rw)[:, None] + bot * rw[:, None]
 
 
+def blob_masks(rng, n, h, w, tau):
+    """(n, h, w) masks made like thresholded similarity maps: each plane is
+    a random 4 x 4 map, resized by the four-gather formula and kept at or
+    above tau times its max; a plane whose max is not positive is empty."""
+    masks = np.zeros((n, h, w), dtype=bool)
+    for plane in masks:
+        up = bilinear_resize_gathers(rng.normal(size=(4, 4)), h, w)
+        if up.max() > 0.0:
+            plane[...] = up >= tau * up.max()
+    return masks
+
+
 def propose_box_oracle(fm, rep, tau, image_h, image_w, connectivity=4):
     """One map's box, stage by stage: similarity as one matmul against the
     unit representation, the four-gather resize, the threshold against the

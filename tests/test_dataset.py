@@ -120,6 +120,16 @@ class TestPixelGrid:
             yy -= 1.0
 
 
+class TestDigest:
+    @pytest.mark.parametrize("size", [0, 2 * (1 << 20) + 3])
+    def test_chunked_digest_equals_whole_file_sha256(self, tmp_path, size):
+        # one empty file, and one spanning three 1 MiB chunks, the last partial
+        import hashlib
+        path = tmp_path / "blob.bin"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert ds._digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestGenerateDataset:
     def test_same_seed_byte_identical(self, tmp_path):
         spec = small_spec(per_class_count=4)

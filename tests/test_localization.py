@@ -7,7 +7,7 @@ from protoloc import localization as loc
 from protoloc.kernels import ShapeError, bilinear_resize
 from protoloc.localization import BoundingBox, DegenerateRepresentation
 
-from oracles import (component_box_oracle, flood_fill_components, iou_oracle,
+from oracles import (blob_masks, component_box_oracle, flood_fill_components, iou_oracle,
                      propose_box_oracle)
 
 
@@ -82,6 +82,26 @@ class TestSegmentMask:
             loc.segment_mask(np.ones((2, 2)), 0.0)
         with pytest.raises(ValueError):
             loc.segment_mask(np.ones((2, 2)), 1.5)
+
+    @pytest.mark.parametrize("tau", [0.3, 0.5, 1.0])
+    def test_one_comparison_equals_threshold_and_positive_max(self, tau):
+        # planes all negative, all zero, all +-inf, and planes holding NaN,
+        # +inf or -inf (NaN and +inf together too), beside ordinary ones
+        rng = np.random.default_rng(int(10 * tau))
+        base = rng.normal(size=(4, 5))
+        planes = [base, np.abs(base), -np.abs(base) - 0.1, np.zeros((4, 5)),
+                  np.full((4, 5), np.inf), np.full((4, 5), -np.inf), np.full((4, 5), np.nan)]
+        for marks in ([np.nan], [np.inf], [-np.inf], [np.nan, np.inf], [np.inf, -np.inf]):
+            for sign in (1.0, -1.0):
+                plane = sign * np.abs(base)
+                plane.flat[rng.choice(20, size=len(marks), replace=False)] = marks
+                planes.append(plane)
+        up = np.stack(planes)
+        mx = up.max(axis=(-2, -1), keepdims=True)
+        np.testing.assert_array_equal(loc.segment_mask(up, tau), (up >= tau * mx) & (mx > 0))
+        for plane in up:
+            np.testing.assert_array_equal(loc.segment_mask(plane, tau),
+                                          (plane >= tau * plane.max()) & (plane.max() > 0))
 
     def test_max_pixel_always_kept(self):
         rng = np.random.default_rng(2)
@@ -195,6 +215,114 @@ class TestBboxOf:
             assert none.shape == (0, 4) and none.dtype == np.int64
         with pytest.raises(ShapeError):
             loc.largest_component(np.zeros((4, 6), dtype=bool))
+
+
+def _plane(*rows):
+    """A boolean plane drawn as text rows, '#' true and '.' false."""
+    return np.array([[c == "#" for c in row] for row in rows])
+
+
+# Planes that are not one band, each with the rule it breaks
+NOT_ONE_BAND = {
+    "u_shape": _plane("#...#", "#...#", "#####"),                # two runs in a row
+    "ring": _plane("#####", "#...#", "#####"),                   # two runs in a row
+    "side_by_side": _plane("##.###", "##.###"),                  # two runs, two components
+    "two_bands": _plane("###..", ".....", ".####"),              # an empty row between runs
+    "diagonal_touch": _plane("##...", "..###", "....."),         # runs share no column
+    "diagonal_pixels": _plane("#..", ".#.", "..#"),              # steps share no column
+}
+ONE_BAND = {
+    "empty": np.zeros((3, 5), dtype=bool),
+    "full": np.ones((3, 5), dtype=bool),
+    "single_pixel": _plane(".....", "..#..", "....."),
+    "one_column_staircase": _plane("###....", "..###..", "....###"),  # steps share one column
+    "diamond": _plane("..#..", ".###.", "#####", ".###.", "..#.."),
+    "column": _plane(".#.", ".#.", ".#."),
+}
+
+
+def _padded(planes, h=7, w=8):
+    """Planes as one (N, h, w) stack, each at the top left of a false plane."""
+    stack = np.zeros((len(planes), h, w), dtype=bool)
+    for out, plane in zip(stack, planes):
+        out[:plane.shape[0], :plane.shape[1]] = plane
+    return stack
+
+
+class Labelled(Exception):
+    """Raised by a stand-in for ndimage.label."""
+
+
+@pytest.fixture
+def no_labelling(monkeypatch):
+    from scipy import ndimage
+
+    def label(*args, **kwargs):
+        raise Labelled
+    monkeypatch.setattr(ndimage, "label", label)
+
+
+class TestOneBand:
+    """largest_component boxes one-band planes without labelling them."""
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("name", sorted(NOT_ONE_BAND) + sorted(ONE_BAND))
+    def test_shape_matches_component_oracle(self, name, connectivity):
+        plane = {**NOT_ONE_BAND, **ONE_BAND}[name]
+        for mask in (plane[None], _padded([plane])):
+            np.testing.assert_array_equal(loc.largest_component(mask, connectivity),
+                                          [component_box_oracle(mask[0], connectivity)])
+
+    def test_diagonal_runs_are_two_components_at_4_and_one_at_8(self):
+        plane = NOT_ONE_BAND["diagonal_touch"]
+        assert len(flood_fill_components(plane, 4)) == 2
+        assert len(flood_fill_components(plane, 8)) == 1
+        np.testing.assert_array_equal(loc.largest_component(plane[None], 4), [(1, 2, 1, 4)])
+        np.testing.assert_array_equal(loc.largest_component(plane[None], 8), [(0, 0, 1, 4)])
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_mixed_stack_matches_component_oracle(self, connectivity):
+        # labelled and unlabelled planes interleaved in one stack
+        planes = [p for pair in zip(NOT_ONE_BAND.values(), ONE_BAND.values()) for p in pair]
+        mask = _padded(planes)
+        np.testing.assert_array_equal(loc.largest_component(mask, connectivity),
+                                      [component_box_oracle(m, connectivity) for m in mask])
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_one_band_planes_are_never_labelled(self, no_labelling, connectivity):
+        mask = _padded(list(ONE_BAND.values()))
+        np.testing.assert_array_equal(loc.largest_component(mask, connectivity),
+                                      [component_box_oracle(m, connectivity) for m in mask])
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("name", sorted(NOT_ONE_BAND))
+    def test_a_plane_that_is_not_one_band_reaches_the_label_call(self, no_labelling,
+                                                                 name, connectivity):
+        mask = _padded(list(ONE_BAND.values()) + [NOT_ONE_BAND[name]])
+        with pytest.raises(Labelled):
+            loc.largest_component(mask, connectivity)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_blob_stacks_match_component_oracle(self, monkeypatch, connectivity):
+        from scipy import ndimage
+        label = ndimage.label
+        labelled = []
+
+        def counting(mask, **kwargs):
+            labelled.append(len(mask))
+            return label(mask, **kwargs)
+        monkeypatch.setattr(ndimage, "label", counting)
+        rng = np.random.default_rng(connectivity)
+        planes = 0
+        for _ in range(30):
+            n = int(rng.integers(1, 13))
+            h, w = (int(v) for v in rng.integers(1, 25, size=2))
+            mask = blob_masks(rng, n, h, w, rng.uniform(0.3, 0.95))
+            np.testing.assert_array_equal(loc.largest_component(mask, connectivity),
+                                          [component_box_oracle(m, connectivity) for m in mask])
+            planes += n
+        # both paths ran: some planes were labelled, the others were not
+        assert 0 < sum(labelled) < planes
 
 
 class TestProposeBox:
