@@ -125,9 +125,8 @@ def distance_logit_loss(embeds, labels, reps, temperature):
     d2 = (diff * diff).sum(axis=2)
     loss, dlogit = softmax_cross_entropy(-d2 / temperature, labels)
     dd2 = -dlogit / temperature                          # dL/d d2, (Q, N)
-    dembeds = (dd2[:, :, None] * 2.0 * diff).sum(axis=1)
-    dreps = -(dd2[:, :, None] * 2.0 * diff).sum(axis=0)
-    return loss, dembeds, dreps
+    ddiff = dd2[:, :, None] * 2.0 * diff                 # dL/d diff, (Q, N, D)
+    return loss, ddiff.sum(axis=1), -ddiff.sum(axis=0)
 
 
 def nearest_class(embeds, reps) -> np.ndarray:

@@ -65,11 +65,20 @@ class SpecMismatch(ValueError):
 
 
 class NonFiniteLoss(FloatingPointError):
-    """An episode's loss or gradient is not finite; no step is taken on it."""
+    """A batch's or episode's loss or gradient is not finite; no step is taken on it."""
 
 
 class DeadEncoder(FloatingPointError):
-    """An episode's gradient is identically zero: every embedding is equal."""
+    """A batch's or episode's encoder gradient is identically zero."""
+
+
+def _step(params, grad, lr, loss, where):
+    """One SGD step; NonFiniteLoss or DeadEncoder, naming where, on a bad loss or gradient."""
+    if not (np.isfinite(loss) and np.isfinite(grad).all()):
+        raise NonFiniteLoss(f"{where}: loss {loss}")
+    if not grad.any():
+        raise DeadEncoder(f"{where}: zero gradient at loss {loss}")
+    return enc.sgd_step(params, grad, lr)
 
 
 def _check_arch(cfg: RunConfig, params: enc.EncoderParams) -> None:
@@ -106,8 +115,8 @@ class PretrainResult:
 
 
 def pretrain(cfg: RunConfig) -> PretrainResult:
-    """Train encoder plus a single-layer classifier over all train-split
-    classes with cross-entropy; the head is discarded."""
+    """Train encoder plus a single-layer classifier over all train-split classes
+    with cross-entropy, steps checked as train_episodic's are; the head is discarded."""
     train = _load_splits(cfg)["train"]
     images, labels = train.images, train.labels
     classes = np.unique(labels)
@@ -125,7 +134,7 @@ def pretrain(cfg: RunConfig) -> PretrainResult:
     n = images.shape[0]
     for epoch in range(cfg.pretrain_epochs):
         order = np.random.default_rng((cfg.seed, _SHUFFLE_STREAM, epoch)).permutation(n)
-        for start in range(0, n, cfg.pretrain_batch):
+        for b, start in enumerate(range(0, n, cfg.pretrain_batch)):
             idx = order[start:start + cfg.pretrain_batch]
             fms, cache = enc.forward_batch(params, images[idx])
             embeds = kernels.global_avg_pool_batch(fms)
@@ -135,7 +144,8 @@ def pretrain(cfg: RunConfig) -> PretrainResult:
             dembeds = dscores @ weights.T
             grad_flat = enc.backward_batch(params, cache,
                                            kernels.gap_vjp_batch(fms.shape, dembeds))
-            params = enc.sgd_step(params, grad_flat, cfg.pretrain_lr)
+            params = _step(params, grad_flat, cfg.pretrain_lr, loss,
+                           f"pretrain, epoch {epoch}, batch {b} (index {len(losses)})")
             weights = weights - cfg.pretrain_lr * grad_w
             bias = bias - cfg.pretrain_lr * grad_b
             losses.append(loss)
@@ -165,16 +175,10 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
         for j in range(cfg.episodes_per_epoch):
             rng = np.random.default_rng((cfg.seed, _EPISODE_STREAM, epoch, j))
             episode = sample_episode(split, cfg.n_way, cfg.k_shot, cfg.queries, rng)
-            loss, grad = episode_loss_and_gradient(
-                params, episode, loss_cfg,
-                tau=cfg.tau_train, roi_cfg=cfg.roi,
-                connectivity=cfg.connectivity)
-            where = f"{phase} phase, epoch {epoch}, episode {j} (index {len(losses)})"
-            if not (np.isfinite(loss) and np.isfinite(grad).all()):
-                raise NonFiniteLoss(f"{where}: loss {loss}")
-            if not grad.any():
-                raise DeadEncoder(f"{where}: zero gradient at loss {loss}")
-            params = enc.sgd_step(params, grad, cfg.lr)
+            loss, grad = episode_loss_and_gradient(params, episode, loss_cfg, tau=cfg.tau_train,
+                                                   roi_cfg=cfg.roi, connectivity=cfg.connectivity)
+            params = _step(params, grad, cfg.lr, loss,
+                           f"{phase} phase, epoch {epoch}, episode {j} (index {len(losses)})")
             losses.append(loss)
     return params, losses
 
@@ -252,10 +256,8 @@ def evaluate(cfg: RunConfig, params: enc.EncoderParams, reps_mode: str,
 
     accuracies, iou_sums, hits, counts = (list(column) for column in zip(*results))
     mean_acc = float(np.mean(accuracies))
-    if len(accuracies) > 1:
-        ci95 = float(1.96 * np.std(accuracies, ddof=1) / np.sqrt(len(accuracies)))
-    else:
-        ci95 = 0.0
+    ci95 = (float(1.96 * np.std(accuracies, ddof=1) / np.sqrt(len(accuracies)))
+            if len(accuracies) > 1 else 0.0)
     return EvalReport(
         seed=cfg.seed,
         mode=reps_mode,

@@ -19,7 +19,9 @@ one expression. A single box is a ``BoundingBox``.
 Most thresholded maps are one band of one-run rows whose consecutive runs
 share a column: one component at either connectivity, boxed by its
 projections. Only the other planes are labelled, so scipy loads at the
-first plane that needs labelling, not at import.
+first plane that needs labelling, not at import. A labelled plane is boxed
+by the component of its first pixel of maximal component size, a rule that
+reads no order into the label numbers.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .kernels import ShapeError, bilinear_resize
 
 
 class DegenerateRepresentation(ValueError):
-    """Representation vector has (near-)zero norm; signals a dead encoder."""
+    """A representation's norm is (near-)zero or not finite: a dead or diverged encoder."""
 
 
 class BoundingBox(NamedTuple):
@@ -81,10 +83,10 @@ def similarity_map(fm: np.ndarray, rep_vector: np.ndarray) -> np.ndarray:
     fms = fm.reshape(-1, *fm.shape[-3:])
     reps = rep.reshape(-1, rep.shape[-1])
     norms = np.sqrt((reps[:, None, :] @ reps[:, :, None]).ravel())
-    degenerate = np.flatnonzero(norms <= 1e-12)
-    if degenerate.size:
-        i = degenerate[0]
-        raise DegenerateRepresentation(f"representation row {i} has norm {norms[i]} <= 1e-12")
+    bad = np.flatnonzero(~((norms > 1e-12) & (norms < np.inf)))   # nan fails both
+    if bad.size:
+        raise DegenerateRepresentation(f"representation row {bad[0]} has norm "
+                                       f"{norms[bad[0]]}, not a finite value above 1e-12")
     units = reps / norms[:, None]
     return (fms @ units[:, None, :, None])[..., 0].reshape(fm.shape[:-1])
 
@@ -111,10 +113,9 @@ def largest_component(mask: np.ndarray, connectivity: int = 4) -> np.ndarray:
     are contiguous and every two consecutive runs share a column: each run
     is connected and touches the next, so it is one component at 4 and so
     at 8 connectivity, boxed by its projections. Only the other planes are
-    labelled, in one call that loads scipy. scipy numbers components in the
-    scan order of their first pixel, so labelled plane p holds the labels
-    lo[p]..hi[p], and its lowest label of maximal size gives a size tie to
-    the component with the earliest true pixel in row-major scan order.
+    labelled, in one call that loads scipy; a plane's winner is the component
+    of its first pixel, in row-major order, of maximal component size. So a
+    tie goes to the earliest true pixel whatever numbers the labels take.
     """
     structure = _structure(connectivity)
     mask = np.asarray(mask, dtype=bool)
@@ -132,15 +133,13 @@ def largest_component(mask: np.ndarray, connectivity: int = 4) -> np.ndarray:
     if rest.size:
         from scipy import ndimage
         labels, _ = ndimage.label(mask[rest], structure=structure, output=np.intp)
-        hi = np.maximum.accumulate(labels.reshape(rest.size, h * w).max(axis=1, initial=0))
-        lo = hi - np.diff(hi, prepend=0) + 1
-        many = np.flatnonzero(hi > lo)
-        crowded = labels[many]
-        sizes = np.bincount(crowded.ravel())
-        best = [lo[p] + np.argmax(sizes[lo[p]:hi[p] + 1]) for p in many]
-        component = crowded == np.array(best, dtype=np.intp)[:, None, None]
-        rows[rest[many]] = component.any(axis=2)
-        cols[rest[many]] = component.any(axis=1)
+        flat = labels.reshape(rest.size, h * w)
+        sizes = np.bincount(flat.ravel())
+        sizes[0] = 0
+        best = flat[np.arange(rest.size), sizes[flat].argmax(axis=1)]
+        component = labels == best[:, None, None]
+        rows[rest] = component.any(axis=2)
+        cols[rest] = component.any(axis=1)
     # an empty plane's argmaxes are all 0: the full-image box
     return np.stack([rows.argmax(axis=1), cols.argmax(axis=1),
                      h - 1 - rows[:, ::-1].argmax(axis=1),

@@ -80,6 +80,27 @@ def test_json_checkpoint_out_fails_before_any_work(tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_diverging_pretrain_raises_and_writes_no_checkpoint(tmp_path, monkeypatch):
+    # default arch at pretrain_lr = 1e6: after three steps every embedding is
+    # zero, and so is the encoder gradient of the fourth batch
+    real_step = cli.enc.sgd_step
+    stepped = []
+
+    def sgd_step(params, grads, lr):
+        stepped.append(real_step(params, grads, lr))
+        return stepped[-1]
+
+    monkeypatch.setattr(cli.enc, "sgd_step", sgd_step)
+    monkeypatch.chdir(tmp_path)
+    common = ["--set", "dataset.path=data", "--set", "data.per_class_count=20", "--seed", "0"]
+    assert cli.main(["gen-data"] + common) == 0
+    with pytest.raises(harness.DeadEncoder, match=r"pretrain, epoch 1, batch 1 \(index 3\)"):
+        cli.main(["pretrain"] + common + ["--set", "train.pretrain_lr=1e6",
+                                          "--set", "train.pretrain_epochs=2", "--out", "pre.tns"])
+    assert len(stepped) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
+
 COLD_START = """\
 import json, sys
 import numpy as np

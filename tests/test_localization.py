@@ -325,6 +325,43 @@ class TestOneBand:
         assert 0 < sum(labelled) < planes
 
 
+class TestLabelNumbering:
+    """largest_component reads no order into the numbers ndimage.label gives."""
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_permuted_labels_give_the_same_boxes(self, monkeypatch, connectivity):
+        from scipy import ndimage
+        label = ndimage.label
+        rng = np.random.default_rng(connectivity)
+
+        def permuted(mask, **kwargs):
+            # the same components, renumbered by a seeded permutation of 1..n
+            labels, n = label(mask, **kwargs)
+            renumber = np.concatenate([[0], rng.permutation(n) + 1]).astype(labels.dtype)
+            return renumber[labels], n
+
+        # two size-12 components, a block and a hook, that tie in each plane
+        tie = np.zeros((4, 12), dtype=bool)
+        tie[0:2, 2:8] = tie[0:4, 9] = tie[3, 1:10] = True
+        shapes = [*NOT_ONE_BAND.values(), ONE_BAND["empty"], tie, tie[:, ::-1],
+                  ONE_BAND["diamond"], np.tile(NOT_ONE_BAND["diagonal_pixels"], (2, 3))]
+        stacks = [_padded(shapes, w=12), _padded(shapes[::-1], w=12)]
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            h, w = (int(v) for v in rng.integers(2, 17, size=2))
+            mask = rng.uniform(size=(n, h, w)) < rng.uniform(0.1, 0.7)
+            mask[rng.uniform(size=n) < 0.25] = False
+            stacks.append(mask)
+        wants = [[component_box_oracle(m, connectivity) for m in mask] for mask in stacks]
+        sizes = [[len(c) for c in flood_fill_components(m, connectivity)]
+                 for mask in stacks for m in mask]
+        assert sum(s.count(max(s, default=0)) > 1 for s in sizes) >= 8     # ties
+        monkeypatch.setattr(ndimage, "label", permuted)
+        for mask, want in zip(stacks, wants):
+            for _ in range(3):
+                np.testing.assert_array_equal(loc.largest_component(mask, connectivity), want)
+
+
 class TestProposeBox:
     def test_equals_manual_chain(self):
         rng = np.random.default_rng(5)
@@ -458,11 +495,15 @@ class TestProposeBoxes:
         (dict(reps=np.ones((2, 4))), ShapeError, "not an"),
         (dict(reps=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])),
          DegenerateRepresentation, "row 1 has norm"),
+        (dict(reps=np.array([[1.0, 0.0, 0.0], [0.0, np.nan, 1.0]])),
+         DegenerateRepresentation, "row 1 has norm nan, not a finite value above 1e-12"),
+        (dict(reps=np.array([[1.0, 0.0, 0.0], [0.0, np.inf, 1.0]])),
+         DegenerateRepresentation, "row 1 has norm inf, not a finite value above 1e-12"),
         (dict(tau=0.0), ValueError, "tau"),
         (dict(tau=1.5), ValueError, "tau"),
         (dict(connectivity=6), ValueError, "connectivity"),
-    ], ids=["fms-ndim", "reps-ndim", "count", "depth", "zero-row", "tau-0", "tau-1.5",
-            "connectivity"])
+    ], ids=["fms-ndim", "reps-ndim", "count", "depth", "zero-row", "nan-row", "inf-row",
+            "tau-0", "tau-1.5", "connectivity"])
     def test_rejects_bad_input_before_any_work(self, monkeypatch, change, error, match):
         stages = []
 
