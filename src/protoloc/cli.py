@@ -90,8 +90,8 @@ def main(argv=None) -> int:
         report = evaluate(cfg, params, args.mode)
         wall = time.perf_counter() - start
         report_emit(report, args.report)
-        print(f"eval[{args.mode}]: accuracy {report.mean_accuracy:.4f} "
-              f"+/- {report.ci95:.4f}, mean IoU {report.mean_iou:.4f}, "
+        print(f"eval[{args.mode}]: accuracy {report.mean_accuracy:.4f} +/- {report.ci95:.4f} "
+              f"(95% over task draws from the fixed test split), mean IoU {report.mean_iou:.4f}, "
               f"CorLoc@0.5 {report.corloc_at_50:.4f} over {report.n_tasks} tasks "
               f"({wall:.1f}s); report {args.report}")
     elif args.command == "localize":

@@ -40,7 +40,7 @@ from .dataset import SPLITS, DatasetSpec, load_dataset, sample_episode
 from .episodic import (LossConfig, episode_loss_and_gradient, nearest_class,
                        refined_reps, softmax_cross_entropy)
 # propose_box and roi_feature are unused here; bench/spans.py traces them as harness names
-from .localization import BoundingBox, iou, propose_box, propose_boxes
+from .localization import BoundingBox, DegenerateRepresentation, iou, propose_box, propose_boxes
 from .roi import roi_feature
 from .tns_io import replacing
 
@@ -161,7 +161,8 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
     """Seeded episodic SGD; phase "base" is the episode loss at lambda = 0, "ours"
     adds the RoI term with boxes proposed at the training threshold. Returns
     (params, per-episode losses); raises ArchMismatch before any work, NonFiniteLoss
-    before stepping on a non-finite loss or gradient, DeadEncoder on a zero gradient."""
+    before stepping on a non-finite loss or gradient, DeadEncoder on a zero gradient,
+    and an episode's DegenerateRepresentation again with _step's where text."""
     if phase not in ("base", "ours"):
         raise ValueError(f"unknown phase {phase!r}")
     _check_arch(cfg, params)
@@ -169,16 +170,19 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
         split = _load_splits(cfg)["train"]
     epochs = cfg.epochs_base if phase == "base" else cfg.epochs_ours
     loss_cfg = LossConfig(cfg.temperature, cfg.lambda_roi if phase == "ours" else 0.0)
+    boxing = dict(tau=cfg.tau_train, roi_cfg=cfg.roi, connectivity=cfg.connectivity)
 
     losses = []
     for epoch in range(epochs):
         for j in range(cfg.episodes_per_epoch):
             rng = np.random.default_rng((cfg.seed, _EPISODE_STREAM, epoch, j))
             episode = sample_episode(split, cfg.n_way, cfg.k_shot, cfg.queries, rng)
-            loss, grad = episode_loss_and_gradient(params, episode, loss_cfg, tau=cfg.tau_train,
-                                                   roi_cfg=cfg.roi, connectivity=cfg.connectivity)
-            params = _step(params, grad, cfg.lr, loss,
-                           f"{phase} phase, epoch {epoch}, episode {j} (index {len(losses)})")
+            where = f"{phase} phase, epoch {epoch}, episode {j} (index {len(losses)})"
+            try:
+                loss, grad = episode_loss_and_gradient(params, episode, loss_cfg, **boxing)
+            except DegenerateRepresentation as err:
+                raise DegenerateRepresentation(f"{where}: {err}") from err
+            params = _step(params, grad, cfg.lr, loss, where)
             losses.append(loss)
     return params, losses
 
@@ -189,6 +193,8 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
 
 @dataclass
 class EvalReport:
+    """``ci95`` is 1.96 standard errors over task draws alone: every task draws
+    from one fixed test split, so it leaves out how accuracy moves across datasets."""
     seed: int
     mode: str
     n_tasks: int

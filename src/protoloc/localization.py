@@ -18,10 +18,8 @@ one expression. A single box is a ``BoundingBox``.
 
 Most thresholded maps are one band of one-run rows whose consecutive runs
 share a column: one component at either connectivity, boxed by its
-projections. Only the other planes are labelled, so scipy loads at the
-first plane that needs labelling, not at import. A labelled plane is boxed
-by the component of its first pixel of maximal component size, a rule that
-reads no order into the label numbers.
+projections. ``_label`` labels the rest, each boxed by the component of its
+first pixel of maximal size, whatever numbers the labels take.
 """
 
 from __future__ import annotations
@@ -45,22 +43,42 @@ class BoundingBox(NamedTuple):
     x1: int
 
 
-# Label structures over a stack of planes: the 2-D 4- or 8-structure in the
-# middle slice and no links across planes, so each plane is labelled as if alone
-_STRUCTURES = {c: np.pad(np.array(plane, dtype=bool)[None], ((1, 1), (0, 0), (0, 0)))
-               for c, plane in ((4, [[0, 1, 0], [1, 1, 1], [0, 1, 0]]),
-                                (8, [[1, 1, 1], [1, 1, 1], [1, 1, 1]]))}
-
-
 def _check_tau(tau) -> None:
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
 
 
-def _structure(connectivity) -> np.ndarray:
-    if connectivity not in _STRUCTURES:
+def _check_connectivity(connectivity) -> None:
+    if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    return _STRUCTURES[connectivity]
+
+
+def _label(mask: np.ndarray, connectivity: int):
+    """Runs of true pixels of an (N, H, W) mask as (R, 4) rows of (plane, row,
+    first col, last col) in row-major order, and each run's component id. Runs
+    in consecutive rows that share a column (or a corner, at 8) are edges; a
+    false column after each row and a false row after each plane keep runs in
+    their row and edges in their plane. Each edge hooks its larger root to the
+    smaller (of two hooks on one root one lands, the other waits a round), and
+    pointers jump to roots until no edge joins two roots (He, Chao & Suzuki,
+    IEEE TIP 2008; Shiloach & Vishkin, J. Algorithms 1982)."""
+    n, h, w = mask.shape
+    shape = n, h + 1, w + 1
+    padded = np.zeros(n * (h + 1) * (w + 1) + 1, dtype=bool)   # a false pixel leads
+    padded[1:].reshape(shape)[:, :h, :w] = mask
+    start, end = np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2).T
+    lo = np.searchsorted(end, start - (w + 1 + (connectivity == 8)), "right")
+    count = np.searchsorted(start, end - (w + 1 - (connectivity == 8))) - lo
+    b = np.repeat(np.arange(start.size), count)     # edge (a, b): run a in the row above b
+    a = np.arange(b.size) + np.repeat(lo + count - np.cumsum(count), count)
+    root, ra, rb = np.arange(start.size), a, b
+    while (join := ra != rb).any():
+        root[np.maximum(ra, rb)[join]] = np.minimum(ra, rb)[join]
+        for _ in range(start.size.bit_length()):   # a tree is shallower than its run count
+            root = root[root]
+        ra, rb = root[a], root[b]
+    plane, row, col = np.unravel_index(start, shape)
+    return np.array([plane, row, col, col + end - start - 1]).T, root
 
 
 def similarity_map(fm: np.ndarray, rep_vector: np.ndarray) -> np.ndarray:
@@ -112,12 +130,12 @@ def largest_component(mask: np.ndarray, connectivity: int = 4) -> np.ndarray:
     count is the sum of its rows' first-to-last spans), its non-empty rows
     are contiguous and every two consecutive runs share a column: each run
     is connected and touches the next, so it is one component at 4 and so
-    at 8 connectivity, boxed by its projections. Only the other planes are
-    labelled, in one call that loads scipy; a plane's winner is the component
-    of its first pixel, in row-major order, of maximal component size. So a
-    tie goes to the earliest true pixel whatever numbers the labels take.
+    at 8 connectivity, boxed by its projections. The other planes are
+    labelled in one ``_label`` call, and each is boxed by the runs of its
+    first run's component, in row-major order, of maximal size: a tie goes
+    to the earliest true pixel whatever numbers the labels take.
     """
-    structure = _structure(connectivity)
+    _check_connectivity(connectivity)
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 3:
         raise ShapeError(f"expected (N, H, W) mask, got shape {mask.shape}")
@@ -130,20 +148,21 @@ def largest_component(mask: np.ndarray, connectivity: int = 4) -> np.ndarray:
     band = np.count_nonzero(rows[:, 1:] > rows[:, :-1], axis=1) + rows[:, 0] <= 1
     meet = (first[:, 1:] <= last[:, :-1]) & (first[:, :-1] <= last[:, 1:])
     rest = np.flatnonzero(~runs | ~band | (rows[:, 1:] & rows[:, :-1] & ~meet).any(axis=1))
-    if rest.size:
-        from scipy import ndimage
-        labels, _ = ndimage.label(mask[rest], structure=structure, output=np.intp)
-        flat = labels.reshape(rest.size, h * w)
-        sizes = np.bincount(flat.ravel())
-        sizes[0] = 0
-        best = flat[np.arange(rest.size), sizes[flat].argmax(axis=1)]
-        component = labels == best[:, None, None]
-        rows[rest] = component.any(axis=2)
-        cols[rest] = component.any(axis=1)
     # an empty plane's argmaxes are all 0: the full-image box
-    return np.stack([rows.argmax(axis=1), cols.argmax(axis=1),
-                     h - 1 - rows[:, ::-1].argmax(axis=1),
-                     w - 1 - cols[:, ::-1].argmax(axis=1)], axis=1).astype(np.int64)
+    boxes = np.array([rows.argmax(axis=1), cols.argmax(axis=1),
+                      h - 1 - rows[:, ::-1].argmax(axis=1),
+                      w - 1 - cols[:, ::-1].argmax(axis=1)], dtype=np.int64).T
+    if rest.size:
+        spans, comp = _label(mask[rest], connectivity)
+        plane, planes = spans[:, 0], np.arange(rest.size)      # every plane has a run
+        size = np.bincount(comp, spans[:, 3] - spans[:, 2] + 1)[comp]
+        # a stable sort by plane, then size: each plane's first run of its largest size
+        lead = np.lexsort((-size, plane))[np.searchsorted(plane, planes)]
+        won = spans[comp == comp[lead][plane]]
+        at = np.searchsorted(won[:, 0], planes)
+        low, high = np.minimum.reduceat(won, at), np.maximum.reduceat(won, at)
+        boxes[rest] = np.concatenate([low[:, 1:3], high[:, 1::2]], axis=1)
+    return boxes
 
 
 def propose_boxes(fms, reps, tau, image_h, image_w,
@@ -161,7 +180,7 @@ def propose_boxes(fms, reps, tau, image_h, image_w,
         raise ShapeError(f"fms {fms.shape} and representations {reps.shape} "
                          f"are not an (N, h, w, D) stack and its (N, D) rows")
     _check_tau(tau)
-    _structure(connectivity)
+    _check_connectivity(connectivity)
     up = bilinear_resize(similarity_map(fms, reps), image_h, image_w)
     return largest_component(segment_mask(up, tau), connectivity)
 

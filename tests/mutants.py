@@ -1,0 +1,161 @@
+"""Mutation check: does tier-1 notice small, deliberate faults in src/?
+
+Each mutation below swaps exact texts in one file. For each, this script
+copies src/, tests/, bench/ and pyproject.toml to a temporary directory,
+applies the mutation there (never in the working tree), and runs tier-1 in
+the copy, stopping at the first failure. A mutation is killed when a test
+fails and survives when every test passes. An equivalent mutation changes
+no behaviour any test could see; it is listed with the reason and is
+expected to survive.
+
+    python tests/mutants.py            # every mutation
+    python tests/mutants.py 3          # mutation 3 only
+    python tests/mutants.py 2:5        # mutations 2, 3 and 4
+    python tests/mutants.py --list     # print the list and run nothing
+
+A tier-1 run takes about as long as the suite (~12 s per mutation on one
+core). Exits 1 if a mutation that is not listed as equivalent survives,
+an equivalent one is killed, or a mutation's old text is not found exactly
+once. Tier-1 does not collect this file: its name does not start with test_.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "bench", "pyproject.toml")
+TIMEOUT_S = 600
+
+
+class Mutation(NamedTuple):
+    file: str                 # relative to the repository root
+    old: str | tuple          # text, or texts, each found exactly once
+    new: str | tuple          # the replacement of each
+    why: str
+    equivalent: str = ""      # why no test can tell it apart, if none can
+
+
+MUTATIONS = [
+    Mutation("src/protoloc/episodic.py", "protos[i // k]", "protos[i % k]",
+             "refined_reps boxes support i against class i % k's prototype, not its own"),
+    Mutation("src/protoloc/harness.py", "int((ious >= 0.5).sum())", "int((ious > 0.5).sum())",
+             "CorLoc@0.5 stops counting a box of IoU exactly 0.5"),
+    Mutation("src/protoloc/harness.py", "dict(tau=cfg.tau_train,", "dict(tau=cfg.tau_eval,",
+             "episodic training boxes supports at the eval threshold (0.5, not 0.7, at 5-shot)"),
+    Mutation("src/protoloc/localization.py",
+             ("shape = n, h + 1, w + 1", "np.zeros(n * (h + 1) * (w + 1) + 1,"),
+             ("shape = n, h, w + 1", "np.zeros(n * h * (w + 1) + 1,"),
+             "_label lays planes out with no false row between them, so runs join across planes"),
+    Mutation("src/protoloc/localization.py",
+             ("start - (w + 1 + (connectivity == 8))", "end - (w + 1 - (connectivity == 8))"),
+             ("start - (w + 1)", "end - (w + 1)"),
+             "_label drops the corner slack: diagonal runs stay apart at 8 connectivity"),
+    Mutation("src/protoloc/localization.py", "while (join := ra != rb).any():",
+             "if (join := ra != rb).any():",
+             "_label hooks one round only, so a run that joins two trees leaves them apart"),
+    Mutation("src/protoloc/localization.py",
+             "root[np.maximum(ra, rb)[join]] = np.minimum(ra, rb)[join]",
+             "root[np.minimum(ra, rb)[join]] = np.maximum(ra, rb)[join]",
+             "_label hooks each smaller root to the larger",
+             equivalent="the same components under other ids, and the box rule reads no "
+                        "label order"),
+    Mutation("src/protoloc/harness.py",
+             'raise DegenerateRepresentation(f"{where}: {err}") from err', "raise",
+             "a degenerate episode in training no longer names its phase, epoch and episode"),
+    Mutation("src/protoloc/localization.py",
+             "np.flatnonzero(~((norms > 1e-12) & (norms < np.inf)))",
+             "np.flatnonzero(norms <= 1e-12)",
+             "a NaN or infinite representation norm passes the degenerate check"),
+    Mutation("src/protoloc/cli.py", "enc.checkpoint_sidecar(args.out)   #", "pass   #",
+             "a .json --out is refused only after the work, when the sidecar is written"),
+    Mutation("src/protoloc/localization.py", "return upsampled >= np.where",
+             "return upsampled > np.where", "the threshold drops a pixel at exactly tau * max"),
+    Mutation("src/protoloc/localization.py",
+             "ih = np.maximum(np.minimum(ay1, by1) - np.maximum(ay0, by0) + 1, 0)",
+             "ih = np.maximum(np.minimum(ay1, by1) - np.maximum(ay0, by0), 0)",
+             "IoU treats box rows as exclusive"),
+    Mutation("src/protoloc/harness.py", "np.std(accuracies, ddof=1)", "np.std(accuracies, ddof=0)",
+             "ci95 takes the population, not the sample, standard deviation"),
+]
+
+
+def _pairs(mutation):
+    if isinstance(mutation.old, str):
+        return [(mutation.old, mutation.new)]
+    return list(zip(mutation.old, mutation.new, strict=True))
+
+
+def run(mutation) -> tuple:
+    """(outcome, detail): outcome is "killed", "survived" or "not applied" (the
+    old text is not found exactly once, or the mutated file does not compile)."""
+    with tempfile.TemporaryDirectory(prefix="protoloc-mutant-") as tmp:
+        work = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, work / name, ignore=shutil.ignore_patterns(
+                    "__pycache__", ".bench_work", ".hypothesis", ".pytest_cache"))
+            else:
+                shutil.copy2(source, work / name)
+        path = work / mutation.file
+        text = path.read_text()
+        for old, new in _pairs(mutation):
+            if text.count(old) != 1:
+                return "not applied", f"{old!r} occurs {text.count(old)} times"
+            text = text.replace(old, new)
+        try:
+            compile(text, mutation.file, "exec")
+        except SyntaxError as err:
+            return "not applied", f"the mutated file does not compile: {err}"
+        path.write_text(text)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            ["src"] + [p for p in [os.environ.get("PYTHONPATH")] if p]),
+            PYTHONDONTWRITEBYTECODE="1")
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 "--continue-on-collection-errors"],
+                cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed", f"tier-1 ran over {TIMEOUT_S} s"
+    if done.returncode == 0:
+        return "survived", ""
+    failed = [line.split(" - ")[0] for line in done.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return "killed", failed[0] if failed else f"pytest exit {done.returncode}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("range", nargs="?", default=":",
+                        help="mutation index i, or a slice start:stop (default: all)")
+    parser.add_argument("--list", action="store_true", help="print the mutations only")
+    args = parser.parse_args(argv)
+    bounds = [int(v) if v else None for v in args.range.split(":")]
+    chosen = (range(len(MUTATIONS))[slice(*bounds)] if len(bounds) > 1
+              else [bounds[0]])
+    bad = 0
+    for i in chosen:
+        mutation = MUTATIONS[i]
+        label = f"[{i}] {mutation.file}: {mutation.why}"
+        if args.list:
+            print(label + (f" (equivalent: {mutation.equivalent})" if mutation.equivalent else ""))
+            continue
+        outcome, detail = run(mutation)
+        expected = "survived" if mutation.equivalent else "killed"
+        bad += outcome != expected
+        note = detail or (f"equivalent: {mutation.equivalent}" if mutation.equivalent else "")
+        print(f"{outcome:11s} {label}" + (f"\n            {note}" if note else ""), flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,7 +11,7 @@ import pytest
 
 import protoloc
 from protoloc import cli, harness
-from protoloc.localization import propose_boxes
+from protoloc.localization import DegenerateRepresentation, propose_boxes
 
 CONFIG = """\
 dataset.path = data
@@ -103,33 +103,53 @@ def test_diverging_pretrain_raises_and_writes_no_checkpoint(tmp_path, monkeypatc
 
 COLD_START = """\
 import json, sys
+sys.modules["scipy"] = None             # every scipy import now fails
 import numpy as np
 from protoloc import cli
-assert cli.main(["gen-data", "--set", "dataset.path=data",
-                 "--set", "data.per_class_count=2", "--seed", "3"]) == 0
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-from protoloc.localization import propose_boxes
+from protoloc.localization import DegenerateRepresentation, propose_boxes
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv + ["--config", "run.cfg", "--seed", "7"]) == 0, argv
 inputs = np.load("inputs.npz")
 boxes = propose_boxes(inputs["fms"], inputs["reps"], 0.5, 16, 16).tolist()
-print(json.dumps({"before": loaded, "boxes": boxes,
-                  "after": "scipy.ndimage" in sys.modules}))
+print(json.dumps({"boxes": boxes, "loaded": sorted(
+    m for m, module in sys.modules.items() if m.split(".")[0] == "scipy" and module)}))
 """
 
 
 def test_gen_data_imports_no_scipy_until_the_first_localization(tmp_path):
-    # a fresh interpreter: this process has scipy loaded already
+    # a fresh interpreter in which scipy cannot be imported runs the whole
+    # chain, localization included
     rng = np.random.default_rng(5)
     fms = rng.normal(size=(3, 4, 4, 6))
     reps = fms.mean(axis=(1, 2))
     np.savez(tmp_path / "inputs.npz", fms=fms, reps=reps)
+    (tmp_path / "run.cfg").write_text(CONFIG)
     src = str(Path(protoloc.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", COLD_START], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(STAGES)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result["before"] == []
-    assert (tmp_path / "data" / "manifest.json").is_file()
+    assert result["loaded"] == []
+    assert [name for name in OUTPUTS if not (tmp_path / name).is_file()] == []
     assert result["boxes"] == propose_boxes(fms, reps, 0.5, 16, 16).tolist()
-    assert result["after"]
+
+
+def test_degenerate_episode_names_its_phase_epoch_and_episode(tmp_path, monkeypatch):
+    # at loss.T = 1e-300 the first "ours" step leaves weights near 1e295, and
+    # the next episode's forward pass gives a support embedding a NaN norm
+    monkeypatch.chdir(tmp_path)
+    common = ["--set", "dataset.path=data", "--set", "data.per_class_count=20", "--seed", "0"]
+    assert cli.main(["gen-data"] + common) == 0
+    assert cli.main(["pretrain"] + common + ["--set", "train.pretrain_epochs=1",
+                                             "--out", "pre.tns"]) == 0
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DegenerateRepresentation,
+                          match=r"^ours phase, epoch 0, episode 1 \(index 1\): "
+                                r"representation row 0 has norm nan"):
+        cli.main(["train"] + common + ["--phase", "ours", "--checkpoint", "pre.tns",
+                                       "--out", "ours.tns", "--set", "loss.T=1e-300",
+                                       "--set", "train.epochs_ours=1",
+                                       "--set", "train.episodes_per_epoch=3"])
+    assert not (tmp_path / "ours.tns").exists()

@@ -10,7 +10,7 @@ from protoloc.episodic import (EmptyClass, Episode, LossConfig, NegativeLambda,
                                nearest_class, softmax_cross_entropy)
 from protoloc.kernels import ShapeError, global_avg_pool_batch
 from protoloc.localization import BoundingBox, propose_box
-from protoloc.roi import RoiConfig
+from protoloc.roi import RoiConfig, roi_feature
 
 from oracles import fd_grad, rel_err
 
@@ -103,6 +103,32 @@ class TestComputePrototypes:
             tiny_episode(k_shot=0)
         with pytest.raises(EmptyClass):
             tiny_episode(n_way=0)
+
+
+class TestRefinedReps:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_support_is_boxed_against_its_own_class(self, k):
+        # every support map holds a hot cell in each of three directions, at
+        # three corners; prototype c is direction c, so a support boxed
+        # against another class's prototype gets another corner's box
+        rng = np.random.default_rng(k)
+        n, corners = 3, [(0, 0), (3, 3), (0, 3)]
+        s_fms = 0.05 * rng.uniform(size=(n * k, 4, 4, 3))
+        for c, (y, x) in enumerate(corners):
+            s_fms[:, y, x, c] += 2.0 + rng.uniform(size=n * k)
+        protos = np.eye(3) + 0.01 * rng.uniform(size=(3, 3))
+        roi_cfg = RoiConfig(2, 2)
+        reps, boxes = ep.refined_reps(s_fms, protos, k, 0.5, (16, 16), roi_cfg, 4)
+        want_boxes, want_reps = [], []
+        for c in range(n):
+            feats = []
+            for fm in s_fms[c * k:(c + 1) * k]:
+                want_boxes.append(propose_box(fm, protos[c], 0.5, 16, 16))
+                feats.append(roi_feature(fm, want_boxes[-1], (16, 16), roi_cfg))
+            want_reps.append(np.mean(feats, axis=0))
+        assert list(boxes) == want_boxes
+        assert len({want_boxes[c * k] for c in range(n)}) == n      # a wrong class shows
+        np.testing.assert_allclose(reps, want_reps, rtol=0, atol=1e-15)
 
 
 class TestClassify:

@@ -10,7 +10,7 @@ import pytest
 
 from protoloc import dataset as ds
 from protoloc import encoder as enc
-from protoloc import harness
+from protoloc import episodic, harness
 from protoloc.config import RunConfig
 from protoloc.encoder import EncoderArch
 from protoloc.harness import (ArchMismatch, DeadEncoder, NonFiniteLoss, SpecMismatch,
@@ -47,6 +47,22 @@ def test_zero_lambda_ours_replays_base(splits):
     assert ours_losses == base_losses
     np.testing.assert_array_equal(ours_params.flat, base_params.flat)
     assert not np.array_equal(base_params.flat, params.flat)
+
+
+def test_five_shot_ours_training_boxes_supports_at_tau_train(splits, monkeypatch):
+    # the 5-shot defaults differ: supports are boxed at tau_train = 0.7 in
+    # training, while eval boxes at tau_eval = 0.5
+    cfg = RunConfig(n_way=3, k_shot=5, queries=3, epochs_ours=1, episodes_per_epoch=2, **SMALL)
+    assert (cfg.tau_train, cfg.tau_eval) == (0.7, 0.5)
+    real, taus = episodic.propose_box, []
+
+    def propose_box(fm, rep, tau, *args):
+        taus.append(tau)
+        return real(fm, rep, tau, *args)
+
+    monkeypatch.setattr(episodic, "propose_box", propose_box)
+    harness.train_episodic(cfg, enc.init_params(cfg.arch, 3), "ours", splits["train"])
+    assert taus == [0.7] * 2 * 3 * 5
 
 
 # sha256 of the losses (repr) and of the final parameter bytes of the run
@@ -100,6 +116,18 @@ def test_refined_eval_with_full_image_boxes_replays_prototype_eval(splits, fix_b
     prototype, refined = (harness.evaluate(cfg, params, mode, splits["test"]).task_accuracies
                           for mode in ("prototype", "refined"))
     assert refined == prototype
+
+
+def test_corloc_counts_a_box_of_iou_exactly_one_half(splits, monkeypatch):
+    # every query is boxed (0, 0, 1, 1) against ground truth (0, 0, 1, 3):
+    # a 2 x 2 overlap over a 2 x 4 union, IoU 0.5 exactly, which CorLoc@0.5 counts
+    test = splits["test"]
+    split = test._replace(boxes=np.tile([0, 0, 1, 3], (len(test.boxes), 1)))
+    monkeypatch.setattr(harness, "propose_boxes",
+                        lambda fms, *args: np.tile([0, 0, 1, 1], (len(fms), 1)))
+    report = harness.evaluate(small_config(tasks=2), enc.init_params(small_config().arch, 4),
+                              "prototype", split)
+    assert (report.mean_iou, report.corloc_at_50) == (0.5, 1.0)
 
 
 def test_evaluate_encodes_each_drawn_image_once(splits, monkeypatch):

@@ -250,16 +250,14 @@ def _padded(planes, h=7, w=8):
 
 
 class Labelled(Exception):
-    """Raised by a stand-in for ndimage.label."""
+    """Raised by a stand-in for localization._label."""
 
 
 @pytest.fixture
 def no_labelling(monkeypatch):
-    from scipy import ndimage
-
-    def label(*args, **kwargs):
+    def label(*args):
         raise Labelled
-    monkeypatch.setattr(ndimage, "label", label)
+    monkeypatch.setattr(loc, "_label", label)
 
 
 class TestOneBand:
@@ -304,14 +302,13 @@ class TestOneBand:
 
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_blob_stacks_match_component_oracle(self, monkeypatch, connectivity):
-        from scipy import ndimage
-        label = ndimage.label
+        label = loc._label
         labelled = []
 
-        def counting(mask, **kwargs):
+        def counting(mask, connectivity):
             labelled.append(len(mask))
-            return label(mask, **kwargs)
-        monkeypatch.setattr(ndimage, "label", counting)
+            return label(mask, connectivity)
+        monkeypatch.setattr(loc, "_label", counting)
         rng = np.random.default_rng(connectivity)
         planes = 0
         for _ in range(30):
@@ -325,20 +322,51 @@ class TestOneBand:
         assert 0 < sum(labelled) < planes
 
 
+class TestLabel:
+    """_label's runs tile the mask in row-major order, and its ids group them
+    into the components the flood-fill oracle finds, plane by plane."""
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_components_match_flood_fill(self, connectivity):
+        rng = np.random.default_rng(10 + connectivity)
+        shapes = list(NOT_ONE_BAND.values()) + list(ONE_BAND.values())
+        stacks = [_padded(shapes), _padded(shapes[::-1], h=8)]
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            h, w = (int(v) for v in rng.integers(1, 25, size=2))
+            stacks.append(blob_masks(rng, n, h, w, rng.uniform(0.3, 0.95)))
+            stacks.append(rng.uniform(size=(n, h, w)) < rng.uniform(0.1, 0.7))
+        for mask in stacks:
+            spans, comp = loc._label(mask, connectivity)
+            assert spans.tolist() == sorted(spans.tolist())
+            assert (spans[:, 3] - spans[:, 2] + 1).sum() == mask.sum()
+            painted = np.full(mask.shape, -1)
+            planes = {}
+            for (p, y, x0, x1), c in zip(spans.tolist(), comp.tolist()):
+                assert not mask[p, y, x0 - 1:x0].any() and not mask[p, y, x1 + 1:x1 + 2].any()
+                painted[p, y, x0:x1 + 1] = c
+                assert planes.setdefault(c, p) == p             # no id spans two planes
+            np.testing.assert_array_equal(painted >= 0, mask)
+            for plane, ids in zip(mask, painted):
+                got = sorted(sorted(zip(*np.nonzero(ids == c))) for c in np.unique(ids[ids >= 0]))
+                want = sorted(sorted(c) for c in flood_fill_components(plane, connectivity))
+                assert got == want
+
+
 class TestLabelNumbering:
-    """largest_component reads no order into the numbers ndimage.label gives."""
+    """largest_component reads no order into the component ids _label gives."""
 
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_permuted_labels_give_the_same_boxes(self, monkeypatch, connectivity):
-        from scipy import ndimage
-        label = ndimage.label
+        label = loc._label
         rng = np.random.default_rng(connectivity)
+        permuted_calls = []
 
-        def permuted(mask, **kwargs):
-            # the same components, renumbered by a seeded permutation of 1..n
-            labels, n = label(mask, **kwargs)
-            renumber = np.concatenate([[0], rng.permutation(n) + 1]).astype(labels.dtype)
-            return renumber[labels], n
+        def permuted(mask, connectivity):
+            # the same components, renumbered by a seeded permutation of the ids
+            spans, comp = label(mask, connectivity)
+            permuted_calls.append(len(mask))
+            return spans, rng.permutation(len(comp))[comp]
 
         # two size-12 components, a block and a hook, that tie in each plane
         tie = np.zeros((4, 12), dtype=bool)
@@ -356,10 +384,11 @@ class TestLabelNumbering:
         sizes = [[len(c) for c in flood_fill_components(m, connectivity)]
                  for mask in stacks for m in mask]
         assert sum(s.count(max(s, default=0)) > 1 for s in sizes) >= 8     # ties
-        monkeypatch.setattr(ndimage, "label", permuted)
+        monkeypatch.setattr(loc, "_label", permuted)
         for mask, want in zip(stacks, wants):
             for _ in range(3):
                 np.testing.assert_array_equal(loc.largest_component(mask, connectivity), want)
+        assert len(permuted_calls) >= 6     # the stand-in ran, on both shape stacks at least
 
 
 class TestProposeBox:
