@@ -11,11 +11,11 @@ the base loss is mean cross-entropy against prototypes (per-class means of
 support embeddings), the RoI loss is the same form against refined
 representations (per-class means of RoI features; ``refined_reps`` builds
 them for this loss and for refined evaluation alike), and the episode loss
-is base + lambda * RoI. The base loss is lambda = 0: then no box is proposed
-and no RoI feature taken. Gradients flow through query embeddings, support
-embeddings (via the prototype mean) and, for lambda > 0, through the
-RoIAlign sampling weights; proposed box coordinates are treated as
-constants.
+is base + lambda * RoI. At lambda = 0, the base loss, no box is proposed
+and no RoI feature taken; otherwise the supports are boxed, pooled and sent
+their RoI gradient in one call each. Gradients flow through query
+embeddings, support embeddings (via the prototype mean) and the RoIAlign
+sampling weights; proposed box coordinates are treated as constants.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import numpy as np
 from . import encoder as enc
 from . import kernels, roi
 from .kernels import ShapeError
-from .localization import propose_box
+# propose_box is unused here; bench/spans.py traces it as an episodic name
+from .localization import propose_box, propose_boxes
 
 if TYPE_CHECKING:
     from .dataset import SplitData
@@ -137,13 +138,12 @@ def nearest_class(embeds, reps) -> np.ndarray:
 
 
 def refined_reps(s_fms, protos, k, tau, image_hw, roi_cfg, connectivity):
-    """((N, D) refined representations, N*K support boxes): support map i is
-    boxed against prototype i // k at threshold tau, and class c's
-    representation is the mean of its supports' RoI features."""
-    boxes = [propose_box(fm, protos[i // k], tau, *image_hw, connectivity)
-             for i, fm in enumerate(s_fms)]
-    feats = np.stack([roi.roi_feature(fm, box, image_hw, roi_cfg)
-                      for fm, box in zip(s_fms, boxes)])
+    """((N, D) refined representations, (N*K, 4) int64 support boxes): one
+    ``propose_boxes`` call boxes support map i against prototype i // k at
+    threshold tau, and class c's representation is the mean of its supports'
+    features from one ``roi.roi_feature`` call."""
+    boxes = propose_boxes(s_fms, np.repeat(protos, k, axis=0), tau, *image_hw, connectivity)
+    feats = roi.roi_feature(s_fms, boxes, image_hw, roi_cfg)
     return feats.reshape(-1, k, feats.shape[1]).mean(axis=1), boxes
 
 
@@ -172,7 +172,6 @@ def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
     loss, dq, dproto = distance_logit_loss(q_emb, labels, protos, loss_cfg.temperature)
 
     lam = loss_cfg.lambda_roi
-    boxes = []
     if lam != 0.0:
         refined, boxes = refined_reps(fms[:ns], protos, k, tau, image_hw, roi_cfg,
                                       connectivity)
@@ -183,8 +182,8 @@ def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
 
     grad_fms = kernels.gap_vjp_batch(
         fms.shape, np.concatenate([np.repeat(dproto / k, k, axis=0), dq]))
-    for i, box in enumerate(boxes):
-        grad_fms[i] += roi.roi_feature_vjp(fms[i], box, image_hw, roi_cfg,
-                                           lam * dref[i // k] / k)
+    if lam != 0.0:
+        grad_fms[:ns] += roi.roi_feature_vjp(fms[:ns], boxes, image_hw, roi_cfg,
+                                             np.repeat(lam * dref / k, k, axis=0))
     grad_flat = enc.backward_batch(params, cache, grad_fms)
     return loss, grad_flat

@@ -18,11 +18,11 @@ Pretraining returns the encoder and its losses; its linear head stays
 internal. The base training phase is the episode loss at lambda = 0.
 
 A refined eval task builds its class representations with
-``episodic.refined_reps``, the path the RoI loss trains through, then
-localizes all its query maps against their predicted classes in one
-batched ``propose_boxes`` call and scores the (N, 4) box stack against the
-queries' ground-truth rows in one ``iou`` call; ``localize_cmd`` likewise
-proposes and scores every box in one call each after its one forward batch.
+``episodic.refined_reps``, as the RoI loss trains: its supports are boxed
+and pooled in one call each. Every task boxes all its query maps against
+their predicted classes in one ``propose_boxes`` call and scores the (N, 4)
+stack against the queries' ground-truth rows in one ``iou`` call;
+``localize_cmd`` proposes and scores every box in one call each.
 """
 
 from __future__ import annotations

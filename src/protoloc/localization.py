@@ -7,9 +7,9 @@ component's bounding box is the proposed object location.
 
 ``propose_boxes`` runs this chain once over a stack of maps, each with its
 own representation: every stage takes the maps along a leading axis, and
-each plane's result is bitwise the one a single-map chain gives. Eval
-localizes all the queries of a task in one call; ``propose_box`` is the
-one-map call of the same chain.
+each plane's result is bitwise the one a single-map chain gives. Refined
+representations box all supports in one call, an eval task all its queries
+in one; ``propose_box``, the one-map call, is left for callers outside.
 
 A stack of boxes is an (N, 4) int64 array of (y0, x0, y1, x1) rows, laid
 out like a split's ground-truth boxes; ``largest_component`` and

@@ -1,12 +1,13 @@
-"""RoIAlign feature extraction with its exact adjoint.
+"""RoIAlign feature extraction with its exact adjoint, over (N, h, w, D) maps.
 
 A box proposed in image coordinates is scaled into feature-map coordinates
 without quantization and split into a regular grid of bins; each bin
-averages bilinear samples at regular sub-bin centers, and the RoI feature
-is the mean over bins. Bilinear sampling is separable, so that mean is the
+averages bilinear samples at regular sub-bin centers, and the RoI feature is
+the mean over bins. Bilinear sampling is separable, so that mean is the
 weighted sum ay^T FM ax of per-row and per-column cell weights, and the
-adjoint is outer(ay, ax) times the incoming gradient. Training and
-evaluation average a class's RoI features into its refined representation.
+adjoint is outer(ay, ax) times the incoming gradient; each row of a stack is
+bitwise the one-map form (a two-step einsum or a broadcast sum is not). A
+class's refined representation is the mean of its supports' RoI features.
 """
 
 from __future__ import annotations
@@ -31,27 +32,17 @@ class RoiConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-def _check_box(box, image_h, image_w):
-    y0, x0, y1, x1 = box
-    if not (0 <= y0 <= y1 < image_h and 0 <= x0 <= x1 < image_w):
-        raise ShapeError(f"box {tuple(box)} outside image extents {(image_h, image_w)}")
-
-
-def _sample_axis(lo: float, hi: float, grid: int, samples: int) -> np.ndarray:
-    """grid*samples sample coordinates: regular sub-bin centers in [lo, hi)."""
-    bin_len = (hi - lo) / grid
-    g = np.arange(grid, dtype=np.float64)[:, None]
-    s = np.arange(samples, dtype=np.float64)[None, :]
-    return (lo + g * bin_len + (s + 0.5) * (bin_len / samples)).ravel()
-
-
 @functools.lru_cache(maxsize=4096)
 def _cell_weights(p0: int, p1: int, n: int, size: int, cfg: RoiConfig) -> np.ndarray:
     """Mean bilinear weight per cell of an n-cell axis over the samples in the
-    pixel span [p0, p1+1) of a size-pixel image axis, scaled by n/size; the
-    -0.5 shift maps the continuous frame onto cell centers. Cached per int
-    span and read-only."""
-    v = _sample_axis(p0 * n / size, (p1 + 1) * n / size, cfg.grid, cfg.samples) - 0.5
+    pixel span [p0, p1+1) of a size-pixel image axis, scaled by n/size: the
+    regular sub-bin centers of grid bins, shifted by -0.5 onto cell centers.
+    Cached per int span and read-only."""
+    lo, hi = p0 * n / size, (p1 + 1) * n / size
+    bin_len = (hi - lo) / cfg.grid
+    g = np.arange(cfg.grid, dtype=np.float64)[:, None]
+    s = np.arange(cfg.samples, dtype=np.float64)[None, :]
+    v = (lo + g * bin_len + (s + 0.5) * (bin_len / cfg.samples)).ravel() - 0.5
     i0, i1, w = _corner_weights(v, n)
     weights = (np.bincount(i0, weights=1.0 - w, minlength=n)
                + np.bincount(i1, weights=w, minlength=n)) / v.size
@@ -59,28 +50,37 @@ def _cell_weights(p0: int, p1: int, n: int, size: int, cfg: RoiConfig) -> np.nda
     return weights
 
 
-def _roi_weights(fm, box, image_extents, cfg: RoiConfig):
-    """Row and column cell weights (ay, ax) of the inclusive pixel box on fm."""
-    if fm.ndim != 3:
-        raise ShapeError(f"expected h x w x D feature map, got shape {fm.shape}")
-    _check_box(box, *image_extents)
-    (y0, x0, y1, x1), (image_h, image_w) = map(int, box), map(int, image_extents)
-    return (_cell_weights(y0, y1, fm.shape[0], image_h, cfg),
-            _cell_weights(x0, x1, fm.shape[1], image_w, cfg))
+def _roi_weights(fms, boxes, image_extents, cfg: RoiConfig):
+    """(N, h) row and (N, w) column cell weights of each map's row of the
+    (N, 4) inclusive pixel boxes, read from the cache once every box is checked."""
+    boxes = np.asarray(boxes)
+    if fms.ndim != 4 or boxes.shape != (fms.shape[0], 4) or boxes.dtype.kind not in "iu":
+        raise ShapeError(f"maps {fms.shape} and {boxes.dtype} boxes {boxes.shape} are not "
+                         f"an (N, h, w, D) stack and its (N, 4) integer boxes")
+    image_h, image_w = size = [int(v) for v in image_extents]
+    lo, hi = boxes[:, :2], boxes[:, 2:]
+    bad = np.flatnonzero(~((0 <= lo) & (lo <= hi) & (hi < size)).all(axis=1))
+    if bad.size:
+        raise ShapeError(f"box row {bad[0]} {tuple(boxes[bad[0]].tolist())} "
+                         f"outside image extents {(image_h, image_w)}")
+    (h, w), rows = fms.shape[1:3], boxes.tolist()
+    return (np.array([_cell_weights(y0, y1, h, image_h, cfg) for y0, _, y1, _ in rows]),
+            np.array([_cell_weights(x0, x1, w, image_w, cfg) for _, x0, _, x1 in rows]))
 
 
-def roi_feature(fm, box, image_extents, cfg: RoiConfig = RoiConfig()) -> np.ndarray:
-    """Mean over the grid x grid bins of bin-averaged bilinear samples."""
-    fm = np.asarray(fm, dtype=np.float64)
-    ay, ax = _roi_weights(fm, box, image_extents, cfg)
-    return np.einsum("i,ijd,j->d", ay, fm, ax)
+def roi_feature(fms, boxes, image_extents, cfg: RoiConfig = RoiConfig()) -> np.ndarray:
+    """(N, D) means over the grid x grid bins of bin-averaged bilinear
+    samples, of each (N, h, w, D) map in its row of the (N, 4) boxes."""
+    fms = np.asarray(fms, dtype=np.float64)
+    ay, ax = _roi_weights(fms, boxes, image_extents, cfg)
+    return np.einsum("ni,nijd,nj->nd", ay, fms, ax)
 
 
-def roi_feature_vjp(fm, box, image_extents, cfg: RoiConfig, grad_vector) -> np.ndarray:
-    """Gradient of roi_feature . grad_vector w.r.t. fm; boxes get none."""
-    fm = np.asarray(fm, dtype=np.float64)
-    grad_vector = np.asarray(grad_vector, dtype=np.float64)
-    ay, ax = _roi_weights(fm, box, image_extents, cfg)
-    if grad_vector.shape != fm.shape[2:]:
-        raise CacheMismatch(f"grad shape {grad_vector.shape} != {fm.shape[2:]}")
-    return np.outer(ay, ax)[:, :, None] * grad_vector
+def roi_feature_vjp(fms, boxes, image_extents, cfg: RoiConfig, grads) -> np.ndarray:
+    """Gradient of the sum of roi_feature's rows dotted with the (N, D) grads,
+    w.r.t. the (N, h, w, D) maps; boxes get none."""
+    fms, grads = np.asarray(fms, dtype=np.float64), np.asarray(grads, dtype=np.float64)
+    ay, ax = _roi_weights(fms, boxes, image_extents, cfg)
+    if grads.shape != (fms.shape[0], fms.shape[3]):
+        raise CacheMismatch(f"grads shape {grads.shape} != {(fms.shape[0], fms.shape[3])}")
+    return (ay[:, :, None] * ax[:, None, :])[..., None] * grads[:, None, None, :]

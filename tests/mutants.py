@@ -44,8 +44,11 @@ class Mutation(NamedTuple):
 
 
 MUTATIONS = [
-    Mutation("src/protoloc/episodic.py", "protos[i // k]", "protos[i % k]",
-             "refined_reps boxes support i against class i % k's prototype, not its own"),
+    Mutation("src/protoloc/episodic.py", "np.repeat(protos, k, axis=0)", "np.tile(protos, (k, 1))",
+             "refined_reps boxes support i against class i % n's prototype, not its own"),
+    Mutation("src/protoloc/roi.py", "ay[:, :, None] * ax[:, None, :]",
+             "ax[:, :, None] * ay[:, None, :]",
+             "roi_feature_vjp transposes each map's cell weights (shape-legal on square maps)"),
     Mutation("src/protoloc/harness.py", "int((ious >= 0.5).sum())", "int((ious > 0.5).sum())",
              "CorLoc@0.5 stops counting a box of IoU exactly 0.5"),
     Mutation("src/protoloc/harness.py", "dict(tau=cfg.tau_train,", "dict(tau=cfg.tau_eval,",

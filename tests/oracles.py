@@ -9,7 +9,7 @@ from collections import deque
 
 import numpy as np
 
-from protoloc import kernels
+from protoloc import kernels, localization, roi
 
 
 def conv2d_loops(x, kernels, bias, stride=1, pad=0):
@@ -252,6 +252,38 @@ def roi_align_reference(fm, box, image_extents, grid, samples):
 def roi_align_dense(fm, box, image_extents, grid, samples=64):
     """Dense-sampling approximation of bin averages (default 64x64 per bin)."""
     return roi_align_reference(fm, box, image_extents, grid, samples)
+
+
+def _support_weights(fm, box, image_extents, cfg):
+    """One map's row and column cell weights, read from the per-span cache."""
+    (y0, x0, y1, x1), (image_h, image_w) = box, image_extents
+    return (roi._cell_weights(int(y0), int(y1), fm.shape[0], image_h, cfg),
+            roi._cell_weights(int(x0), int(x1), fm.shape[1], image_w, cfg))
+
+
+def refined_reps_loop(s_fms, protos, k, tau, image_hw, roi_cfg, connectivity):
+    """refined_reps one support at a time: map i is boxed by a stack-of-one
+    propose_boxes call against prototype i // k, its RoI feature is
+    ay^T FM ax, and class c's representation is the mean of its K features.
+    Returns the (N, D) representations and the list of N*K boxes."""
+    boxes, feats = [], []
+    for i, fm in enumerate(s_fms):
+        box, = localization.propose_boxes(fm[None], protos[i // k][None], tau, *image_hw,
+                                          connectivity).tolist()
+        ay, ax = _support_weights(fm, box, image_hw, roi_cfg)
+        boxes.append(tuple(box))
+        feats.append(np.einsum("i,ijd,j->d", ay, fm, ax))
+    reps = [np.mean(feats[c * k:(c + 1) * k], axis=0) for c in range(len(protos))]
+    return np.array(reps), boxes
+
+
+def roi_feature_vjp_loop(fms, boxes, image_extents, cfg, grads):
+    """roi_feature_vjp one map at a time: outer(ay, ax)[:, :, None] * g."""
+    out = []
+    for fm, box, g in zip(fms, boxes, grads):
+        ay, ax = _support_weights(fm, box, image_extents, cfg)
+        out.append(np.outer(ay, ax)[:, :, None] * g)
+    return np.array(out)
 
 
 def fd_grad(f, x, step=1e-5):

@@ -9,10 +9,10 @@ from protoloc.episodic import (EmptyClass, Episode, LossConfig, NegativeLambda,
                                NonPositiveTemperature, distance_logit_loss,
                                nearest_class, softmax_cross_entropy)
 from protoloc.kernels import ShapeError, global_avg_pool_batch
-from protoloc.localization import BoundingBox, propose_box
-from protoloc.roi import RoiConfig, roi_feature
+from protoloc.localization import BoundingBox, propose_boxes
+from protoloc.roi import RoiConfig, roi_feature_vjp
 
-from oracles import fd_grad, rel_err
+from oracles import fd_grad, refined_reps_loop, rel_err, roi_feature_vjp_loop
 
 SMALL = EncoderArch(blocks=2, channels=(4, 6), kernel=3, input_size=16)
 
@@ -119,16 +119,32 @@ class TestRefinedReps:
         protos = np.eye(3) + 0.01 * rng.uniform(size=(3, 3))
         roi_cfg = RoiConfig(2, 2)
         reps, boxes = ep.refined_reps(s_fms, protos, k, 0.5, (16, 16), roi_cfg, 4)
-        want_boxes, want_reps = [], []
-        for c in range(n):
-            feats = []
-            for fm in s_fms[c * k:(c + 1) * k]:
-                want_boxes.append(propose_box(fm, protos[c], 0.5, 16, 16))
-                feats.append(roi_feature(fm, want_boxes[-1], (16, 16), roi_cfg))
-            want_reps.append(np.mean(feats, axis=0))
-        assert list(boxes) == want_boxes
+        want_reps, want_boxes = refined_reps_loop(s_fms, protos, k, 0.5, (16, 16), roi_cfg, 4)
+        assert (boxes.dtype, boxes.shape) == (np.int64, (n * k, 4))
+        assert list(map(tuple, boxes.tolist())) == want_boxes
         assert len({want_boxes[c * k] for c in range(n)}) == n      # a wrong class shows
-        np.testing.assert_allclose(reps, want_reps, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(reps, want_reps)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_batched_forward_and_vjp_equal_the_per_support_loop(self, k):
+        # encoder maps of random images; the class means are distinct
+        # prototypes, and the RoI gradient is the episode loss's lam * dref / k
+        n, roi_cfg, lam = 3, RoiConfig(3, 2), 0.7
+        rng = np.random.default_rng(40 + k)
+        fms, _ = enc.forward_batch(enc.init_params(SMALL, k), rng.uniform(size=(n * k, 16, 16, 3)))
+        protos = global_avg_pool_batch(fms).reshape(n, k, -1).mean(axis=1)
+        assert len(np.unique(protos, axis=0)) == n
+        for tau in (0.5, 0.7):
+            reps, boxes = ep.refined_reps(fms, protos, k, tau, (16, 16), roi_cfg, 4)
+            want_reps, want_boxes = refined_reps_loop(fms, protos, k, tau, (16, 16), roi_cfg, 4)
+            assert list(map(tuple, boxes.tolist())) == want_boxes
+            np.testing.assert_array_equal(reps, want_reps)
+            dref = rng.normal(size=(n, fms.shape[3]))
+            got = roi_feature_vjp(fms, boxes, (16, 16), roi_cfg,
+                                  np.repeat(lam * dref / k, k, axis=0))
+            want = roi_feature_vjp_loop(fms, want_boxes, (16, 16), roi_cfg,
+                                        [lam * dref[i // k] / k for i in range(n * k)])
+            np.testing.assert_array_equal(got, want)
 
 
 class TestClassify:
@@ -313,7 +329,7 @@ class TestEpisodeGradient:
         fms, _ = enc.forward_batch(params, episode.split.images[episode.support_ids])
         embeds = global_avg_pool_batch(fms)
         protos = embeds.reshape(2, 1, -1).mean(axis=1)
-        boxes = [propose_box(fms[i], protos[i], 0.5, 16, 16) for i in range(2)]
+        boxes = propose_boxes(fms, protos, 0.5, 16, 16)
 
         _, live = ep.episode_loss_and_gradient(params, episode, cfg,
                                                roi_cfg=roi_cfg, tau=0.5)
@@ -329,9 +345,9 @@ class TestEpisodeGradient:
     def test_zero_lambda_proposes_no_box(self, monkeypatch):
         # lambda = 0 is the base loss alone: no box is proposed, no RoI taken
         def no_box(*args):
-            raise AssertionError("propose_box called at lambda = 0")
+            raise AssertionError("propose_boxes called at lambda = 0")
 
-        monkeypatch.setattr(ep, "propose_box", no_box)
+        monkeypatch.setattr(ep, "propose_boxes", no_box)
         params = enc.init_params(SMALL, 44)
         episode = tiny_episode(seed=44)
         loss, grad = ep.episode_loss_and_gradient(params, episode, LossConfig(64.0, 0.0))

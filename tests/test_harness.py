@@ -54,15 +54,15 @@ def test_five_shot_ours_training_boxes_supports_at_tau_train(splits, monkeypatch
     # training, while eval boxes at tau_eval = 0.5
     cfg = RunConfig(n_way=3, k_shot=5, queries=3, epochs_ours=1, episodes_per_epoch=2, **SMALL)
     assert (cfg.tau_train, cfg.tau_eval) == (0.7, 0.5)
-    real, taus = episodic.propose_box, []
+    real, taus = episodic.propose_boxes, []
 
-    def propose_box(fm, rep, tau, *args):
+    def propose_boxes(fms, reps, tau, *args):
         taus.append(tau)
-        return real(fm, rep, tau, *args)
+        return real(fms, reps, tau, *args)
 
-    monkeypatch.setattr(episodic, "propose_box", propose_box)
+    monkeypatch.setattr(episodic, "propose_boxes", propose_boxes)
     harness.train_episodic(cfg, enc.init_params(cfg.arch, 3), "ours", splits["train"])
-    assert taus == [0.7] * 2 * 3 * 5
+    assert taus == [0.7] * 2     # one call boxes an episode's 3 * 5 supports
 
 
 # sha256 of the losses (repr) and of the final parameter bytes of the run

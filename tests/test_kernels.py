@@ -26,12 +26,12 @@ def _point_box(fm, y, x):
 def sample(fm, y, x):
     """Bilinear sample of fm at (y, x): one RoIAlign bin of one sample."""
     box, extents = _point_box(fm, y, x)
-    return roi.roi_feature(fm, box, extents, SINGLE)
+    return roi.roi_feature(fm[None], np.array([box]), extents, SINGLE)[0]
 
 
 def sample_vjp(fm, y, x, g):
     box, extents = _point_box(fm, y, x)
-    return roi.roi_feature_vjp(fm, box, extents, SINGLE, g)
+    return roi.roi_feature_vjp(fm[None], np.array([box]), extents, SINGLE, g[None])[0]
 
 
 class TestConv2d:

@@ -23,6 +23,17 @@ def test_config_validation():
         RoiConfig(samples=0)
 
 
+def feature(fm, box, image_extents, cfg=RoiConfig()):
+    """roi_feature of one map: row 0 of a stack of one."""
+    return roi.roi_feature(np.asarray(fm)[None], np.array([box]), image_extents, cfg)[0]
+
+
+def feature_vjp(fm, box, image_extents, cfg, grad):
+    """roi_feature_vjp of one map: row 0 of a stack of one."""
+    return roi.roi_feature_vjp(np.asarray(fm)[None], np.array([box]), image_extents, cfg,
+                               np.asarray(grad)[None])[0]
+
+
 def bin_mean_reference(fm, box, image_extents, cfg):
     """The RoI feature as the mean over the loop oracle's grid x grid bins."""
     return roi_align_reference(fm, box, image_extents, cfg.grid, cfg.samples).mean(axis=(0, 1))
@@ -35,7 +46,7 @@ class TestRoiAlign:
         fm = np.full((4, 4, 3), 2.5)
         for box in [BoundingBox(0, 0, 31, 31), BoundingBox(5, 9, 12, 20),
                     BoundingBox(3, 3, 3, 3)]:
-            out = roi.roi_feature(fm, box, (32, 32), RoiConfig(3, 2))
+            out = feature(fm, box, (32, 32), RoiConfig(3, 2))
             np.testing.assert_allclose(out, 2.5, rtol=0, atol=1e-12)
 
     def test_linear_field_analytic_means(self):
@@ -46,11 +57,11 @@ class TestRoiAlign:
         fm = np.stack([cols, rows], axis=2)
         cfg = RoiConfig(grid=2, samples=2)
         # full image, 32x32 -> feature [0, 8): sample centers 1,3,5,7 -> 0.5..6.5
-        full = roi.roi_feature(fm, BoundingBox(0, 0, 31, 31), (32, 32), cfg)
+        full = feature(fm, BoundingBox(0, 0, 31, 31), (32, 32), cfg)
         np.testing.assert_allclose(full, [3.5, 3.5], rtol=0, atol=1e-12)
         # right half, top quarter: x in [4, 8) samples 4, 5, 6, 7; y in
         # [0, 2) samples -0.25 (clamped to 0), 0.25, 0.75, 1.25
-        part = roi.roi_feature(fm, BoundingBox(0, 16, 7, 31), (32, 32), cfg)
+        part = feature(fm, BoundingBox(0, 16, 7, 31), (32, 32), cfg)
         np.testing.assert_allclose(part, [5.5, 2.25 / 4], rtol=0, atol=1e-12)
 
     def test_matches_stated_position_reference(self):
@@ -59,7 +70,7 @@ class TestRoiAlign:
         for box in [BoundingBox(2, 5, 17, 26), BoundingBox(0, 0, 31, 31),
                     BoundingBox(10, 10, 12, 14)]:
             for cfg in [RoiConfig(3, 2), RoiConfig(2, 3), RoiConfig(1, 1)]:
-                got = roi.roi_feature(fm, box, (32, 32), cfg)
+                got = feature(fm, box, (32, 32), cfg)
                 want = bin_mean_reference(fm, box, (32, 32), cfg)
                 assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -69,7 +80,7 @@ class TestRoiAlign:
         for _ in range(3):
             fm = rng.uniform(size=(6, 6, 3))
             box = BoundingBox(3, 4, 20, 27)
-            got = roi.roi_feature(fm, box, (32, 32), RoiConfig(3, 2))
+            got = feature(fm, box, (32, 32), RoiConfig(3, 2))
             dense = roi_align_dense(fm, box, (32, 32), grid=3, samples=64).mean(axis=(0, 1))
             assert np.max(np.abs(got - dense)) <= 0.05
 
@@ -77,17 +88,17 @@ class TestRoiAlign:
         fm = np.zeros((4, 4, 1))
         for box in [BoundingBox(0, 0, 32, 31), BoundingBox(-1, 0, 3, 3)]:
             with pytest.raises(ShapeError):
-                roi.roi_feature(fm, box, (32, 32))
+                feature(fm, box, (32, 32))
             with pytest.raises(ShapeError):
-                roi.roi_feature_vjp(fm, box, (32, 32), RoiConfig(), np.ones(1))
-        with pytest.raises(ShapeError):
-            roi.roi_feature(np.zeros((4, 4)), BoundingBox(0, 0, 3, 3), (32, 32))
+                feature_vjp(fm, box, (32, 32), RoiConfig(), np.ones(1))
+        with pytest.raises(ShapeError):       # one map, not a stack of maps
+            roi.roi_feature(fm, np.array([[0, 0, 3, 3]]), (32, 32))
 
 
 class TestRoiFeature:
     def test_constant_fm(self):
         fm = np.full((4, 4, 5), -1.25)
-        out = roi.roi_feature(fm, BoundingBox(2, 3, 10, 11), (32, 32))
+        out = feature(fm, BoundingBox(2, 3, 10, 11), (32, 32))
         np.testing.assert_allclose(out, -1.25, rtol=0, atol=1e-12)
 
     def test_degenerate_config_is_center_sample(self):
@@ -95,7 +106,7 @@ class TestRoiFeature:
         # box center, which lands exactly on the cell
         rng = np.random.default_rng(2)
         fm = rng.normal(size=(6, 6, 3))
-        out = roi.roi_feature(fm, BoundingBox(2, 3, 2, 3), (6, 6), RoiConfig(1, 1))
+        out = feature(fm, BoundingBox(2, 3, 2, 3), (6, 6), RoiConfig(1, 1))
         np.testing.assert_allclose(out, fm[2, 3], rtol=0, atol=1e-15)
 
     def test_mean_of_bins_oracle(self):
@@ -105,19 +116,19 @@ class TestRoiFeature:
         box = BoundingBox(4, 4, 27, 20)
         cfg = RoiConfig(3, 2)
         want = bin_mean_reference(fm, box, (32, 24), cfg)
-        assert np.max(np.abs(roi.roi_feature(fm, box, (32, 24), cfg) - want)) <= 1e-12
+        assert np.max(np.abs(feature(fm, box, (32, 24), cfg) - want)) <= 1e-12
 
     def test_full_box_aligned_grid_equals_gap(self):
         # same-size geometry, grid = h, samples = 1: sample points land on
         # every cell center, so pooling the bins is exactly GAP
         rng = np.random.default_rng(4)
         fm = rng.normal(size=(4, 4, 3))
-        out = roi.roi_feature(fm, BoundingBox(0, 0, 3, 3), (4, 4), RoiConfig(4, 1))
+        out = feature(fm, BoundingBox(0, 0, 3, 3), (4, 4), RoiConfig(4, 1))
         np.testing.assert_allclose(out, global_avg_pool_batch(fm[None])[0], rtol=0, atol=1e-12)
 
     def test_constant_fm_equals_gap_any_geometry(self):
         fm = np.full((4, 4, 2), 0.75)
-        out = roi.roi_feature(fm, BoundingBox(5, 5, 20, 30), (32, 32), RoiConfig(3, 2))
+        out = feature(fm, BoundingBox(5, 5, 20, 30), (32, 32), RoiConfig(3, 2))
         np.testing.assert_allclose(out, global_avg_pool_batch(fm[None])[0], rtol=0, atol=1e-12)
 
     def test_step_field_monotonicity(self):
@@ -125,9 +136,45 @@ class TestRoiFeature:
         # into the larger region raises every channel of the feature
         fm = np.zeros((4, 4, 2))
         fm[:, 2:] = 3.0
-        wide = roi.roi_feature(fm, BoundingBox(0, 0, 31, 31), (32, 32))
-        right = roi.roi_feature(fm, BoundingBox(0, 20, 31, 31), (32, 32))
+        wide = feature(fm, BoundingBox(0, 0, 31, 31), (32, 32))
+        right = feature(fm, BoundingBox(0, 20, 31, 31), (32, 32))
         assert np.all(right >= wide)
+
+
+class TestStackChecks:
+    """A bad box, a box count that is not the map count, or grads that are
+    not (N, D) fail before any cell weight is read or feature computed."""
+
+    FMS = np.zeros((3, 4, 4, 2))
+    BOXES = np.array([[0, 0, 31, 31], [2, 3, 10, 11], [5, 5, 20, 30]])
+
+    def calls(self, boxes, grads=np.zeros((3, 2))):
+        yield lambda: roi.roi_feature(self.FMS, boxes, (32, 32))
+        yield lambda: roi.roi_feature_vjp(self.FMS, boxes, (32, 32), RoiConfig(), grads)
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_one_out_of_image_row_is_named(self, row):
+        boxes = self.BOXES.copy()
+        boxes[row] = [4, 4, 3, 9] if row == 1 else [0, 0, 31, 32]
+        roi._cell_weights.cache_clear()
+        for call in self.calls(boxes):
+            with pytest.raises(ShapeError, match=rf"box row {row} \("):
+                call()
+        assert roi._cell_weights.cache_info().currsize == 0
+
+    def test_box_count_must_be_the_map_count(self):
+        # and the boxes are pixel rows: a float stack is refused, not truncated
+        for boxes in (self.BOXES[:2], np.vstack([self.BOXES, self.BOXES[:1]]),
+                      self.BOXES[:, :3], self.BOXES.ravel(), self.BOXES + 0.5):
+            for call in self.calls(boxes):
+                with pytest.raises(ShapeError, match="are not an"):
+                    call()
+
+    def test_grads_must_be_n_by_d(self):
+        # each of these would broadcast against the (3, 4, 4, 2) gradient
+        for grads in (np.zeros(2), np.zeros((3, 1)), np.zeros((1, 2)), np.zeros((3, 1, 1, 2))):
+            with pytest.raises(CacheMismatch, match="grads shape"):
+                roi.roi_feature_vjp(self.FMS, self.BOXES, (32, 32), RoiConfig(), grads)
 
 
 class TestCellWeightCache:
@@ -137,11 +184,18 @@ class TestCellWeightCache:
     BOX = BoundingBox(3, 5, 20, 27)
 
     def test_cached_weights_are_read_only(self):
-        fm = np.zeros((4, 6, 2))
-        for ay_or_ax in roi._roi_weights(fm, self.BOX, (32, 48), RoiConfig()):
-            assert not ay_or_ax.flags.writeable
+        # the stacks _roi_weights returns are gathered copies; the cache
+        # entries they are read from stay read-only
+        roi._cell_weights.cache_clear()
+        ay, ax = roi._roi_weights(np.zeros((1, 4, 6, 2)), [self.BOX], (32, 48), RoiConfig())
+        ay[...], ax[...] = 1.0, 1.0
+        for p0, p1, n, size in [(3, 20, 4, 32), (5, 27, 6, 48)]:
+            cached = roi._cell_weights(p0, p1, n, size, RoiConfig())
+            assert not cached.flags.writeable
             with pytest.raises(ValueError):
-                ay_or_ax[0] = 1.0
+                cached[0] = 1.0
+            assert not np.any(cached == 1.0)
+        assert roi._cell_weights.cache_info().currsize == 2
 
     def test_hits_equal_fresh_computation_bitwise(self):
         rng = np.random.default_rng(11)
@@ -150,19 +204,19 @@ class TestCellWeightCache:
         for clear in (True, False, True):
             if clear:
                 roi._cell_weights.cache_clear()
-            runs.append((roi.roi_feature(fm, self.BOX, (32, 48), RoiConfig(3, 2)),
-                         roi.roi_feature_vjp(fm, self.BOX, (32, 48), RoiConfig(3, 2), grad)))
-        for feature, vjp in runs[1:]:
-            np.testing.assert_array_equal(feature, runs[0][0])
+            runs.append((feature(fm, self.BOX, (32, 48), RoiConfig(3, 2)),
+                         feature_vjp(fm, self.BOX, (32, 48), RoiConfig(3, 2), grad)))
+        for feat, vjp in runs[1:]:
+            np.testing.assert_array_equal(feat, runs[0][0])
             np.testing.assert_array_equal(vjp, runs[0][1])
 
     def test_int_and_int64_coordinates_share_an_entry(self):
         fm = np.ones((4, 4, 2))
         roi._cell_weights.cache_clear()
-        roi.roi_feature(fm, self.BOX, (32, 32))
+        roi.roi_feature(fm[None], [self.BOX], (32, 32))
         before = roi._cell_weights.cache_info()
         stack = np.array([self.BOX], dtype=np.int64)
-        roi.roi_feature(fm, stack[0], np.array([32, 32]))
+        roi.roi_feature(fm[None], stack, np.array([32, 32]))
         after = roi._cell_weights.cache_info()
         assert (after.hits - before.hits, after.misses, after.currsize) == (2, 2, 2)
 
@@ -189,7 +243,7 @@ class TestRefineRepresentation:
         got, grad = episode_loss_and_gradient(params, episode, LossConfig(8.0, 1.0))
         fms, _ = enc.forward_batch(params, images)
         emb = global_avg_pool_batch(fms)
-        feats = [roi.roi_feature(fms[i], boxes[i], (16, 16)) for i in range(ns)]
+        feats = roi.roi_feature(fms[:ns], boxes, (16, 16))
         protos = emb[:ns].reshape(n_way, k_shot, -1).mean(axis=1)
         base = distance_logit_loss(emb[ns:], episode.query_labels, protos, 8.0)[0]
         return got, grad, base, feats, emb[ns:], episode.query_labels
@@ -230,8 +284,7 @@ class TestRefineRepresentation:
 class TestRoiAlignVjp:
     def test_zero_grad(self):
         fm = np.random.default_rng(7).normal(size=(4, 4, 2))
-        g = roi.roi_feature_vjp(fm, BoundingBox(0, 0, 31, 31), (32, 32),
-                                RoiConfig(3, 2), np.zeros(2))
+        g = feature_vjp(fm, BoundingBox(0, 0, 31, 31), (32, 32), RoiConfig(3, 2), np.zeros(2))
         assert not g.any()
 
     def test_partition_of_unity_single_sample(self):
@@ -239,16 +292,16 @@ class TestRoiAlignVjp:
         cfg = RoiConfig(1, 1)
         for box in [BoundingBox(5, 9, 12, 20), BoundingBox(0, 0, 31, 31),
                     BoundingBox(0, 0, 2, 2), BoundingBox(29, 29, 31, 31)]:
-            g = roi.roi_feature_vjp(fm, box, (32, 32), cfg, np.ones(1))
+            g = feature_vjp(fm, box, (32, 32), cfg, np.ones(1))
             assert np.count_nonzero(g) <= 4
             assert abs(g.sum() - 1.0) <= 1e-12
 
     def test_grad_shape_mismatch(self):
-        # a length-1 grad would broadcast to an (h, w, 1) gradient
-        fm = np.zeros((4, 4, 2))
-        for grad in [np.zeros(1), np.zeros(3), np.zeros((3, 3, 2))]:
+        # a (D,) or (N, 1) grad would broadcast to an (N, h, w, D) gradient
+        fms = np.zeros((2, 4, 4, 2))
+        for grad in [np.zeros(2), np.zeros((2, 1)), np.zeros((2, 3)), np.zeros((3, 3, 2))]:
             with pytest.raises(CacheMismatch):
-                roi.roi_feature_vjp(fm, BoundingBox(0, 0, 31, 31), (32, 32),
+                roi.roi_feature_vjp(fms, np.tile([0, 0, 31, 31], (2, 1)), (32, 32),
                                     RoiConfig(3, 2), grad)
 
     def test_finite_differences(self):
@@ -261,9 +314,9 @@ class TestRoiAlignVjp:
         g = rng.normal(size=3)
 
         def loss(flat):
-            return float(roi.roi_feature(flat.reshape(fm.shape), box, (32, 24), cfg) @ g)
+            return float(feature(flat.reshape(fm.shape), box, (32, 24), cfg) @ g)
 
-        grad = roi.roi_feature_vjp(fm, box, (32, 24), cfg, g)
+        grad = feature_vjp(fm, box, (32, 24), cfg, g)
         assert rel_err(grad.ravel(), fd_grad(loss, fm.ravel())) <= 1e-6
 
     def test_feature_vjp_finite_differences(self):
@@ -274,7 +327,7 @@ class TestRoiAlignVjp:
         g = rng.normal(size=2)
 
         def loss(flat):
-            return float(roi.roi_feature(flat.reshape(fm.shape), box, (32, 32), cfg) @ g)
+            return float(feature(flat.reshape(fm.shape), box, (32, 32), cfg) @ g)
 
-        grad = roi.roi_feature_vjp(fm, box, (32, 32), cfg, g)
+        grad = feature_vjp(fm, box, (32, 32), cfg, g)
         assert rel_err(grad.ravel(), fd_grad(loss, fm.ravel())) <= 1e-6
