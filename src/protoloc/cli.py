@@ -5,9 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from . import encoder as enc
-from .config import RunConfig, apply_overrides, load_config_file
+from .config import RunConfig, apply_overrides, parse_config_text
 from .dataset import generate_dataset
 from .harness import evaluate, localize_cmd, pretrain, report_emit, train_episodic
 
@@ -20,7 +21,7 @@ def _add_common(p):
 
 
 def _build_config(args) -> RunConfig:
-    mapping = load_config_file(args.config) if args.config else {}
+    mapping = parse_config_text(Path(args.config).read_text()) if args.config else {}
     mapping = apply_overrides(mapping, args.sets)
     if args.seed is not None:
         mapping["seed"] = args.seed

@@ -1,12 +1,16 @@
 """Run configuration: flat ``key = value`` config files plus defaults.
 
-Each ``RunConfig`` field declares its dotted key once, in its metadata.
-Values are read as text and converted by the type of the field their key
-names. Unset keys fall back to the published defaults; the
-RoI-loss weight and the training threshold default by shot count (1.0 and
-0.5 for 1-shot, 0.5 and 0.7 for 5-shot) unless set explicitly, and are
-resolved to floats when the config is built. Evaluation runs on one thread:
-``eval.workers`` accepts only 1.
+Each ``RunConfig`` field declares its dotted key once, in its metadata,
+with the range rule its value must pass, if it has one. Values are read as
+text and converted by the type of the field their key names. Unset keys
+fall back to the published defaults; the RoI-loss weight and the training
+threshold default by shot count (1.0 and 0.5 for 1-shot, 0.5 and 0.7 for
+5-shot) unless set explicitly, and are resolved to floats first. Then every
+field's rule is checked in field order, and the first value that fails
+raises ``<key> <rule>, got <value>``. Two rules are written out after
+them: ``data.image_size`` must equal ``arch.input_size``, and
+``eval.workers`` accepts only 1, with a message that says evaluation runs
+on one thread.
 
 Building a config builds the run's components once, each from the keys
 under its prefix: ``arch`` (``arch.*``), ``spec`` (``data.*``) and ``roi``
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 from .dataset import DatasetSpec
 from .encoder import EncoderArch
@@ -53,10 +56,6 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def load_config_file(path) -> dict:
-    return parse_config_text(Path(path).read_text())
-
-
 def apply_overrides(mapping: dict, sets) -> dict:
     """Apply ``key=value`` override strings on top of a parsed mapping."""
     merged = dict(mapping)
@@ -68,9 +67,16 @@ def apply_overrides(mapping: dict, sets) -> dict:
     return merged
 
 
-def _key(key: str, default):
-    """A RunConfig field with its default and its dotted config key."""
-    return field(default=default, metadata={"key": key})
+# range rules of one value: (test, what the value must be)
+_UNIT = (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be finite and positive")
+_NON_NEGATIVE = (lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0")
+_COUNT = (lambda v: v >= 1, "must be >= 1")
+
+
+def _key(key: str, default, rule=None):
+    """A RunConfig field with its default, dotted config key and range rule."""
+    return field(default=default, metadata={"key": key, "rule": rule})
 
 
 @dataclass
@@ -85,26 +91,26 @@ class RunConfig:
     distractors_min: int = _key("data.distractors_min", 1)
     distractors_max: int = _key("data.distractors_max", 3)
     background: str = _key("data.background", "solid-noise")
-    lr: float = _key("train.lr", 1e-4)
-    epochs_base: int = _key("train.epochs_base", 200)
-    epochs_ours: int = _key("train.epochs_ours", 100)
-    episodes_per_epoch: int = _key("train.episodes_per_epoch", 50)
-    pretrain_epochs: int = _key("train.pretrain_epochs", 15)
-    pretrain_lr: float = _key("train.pretrain_lr", 0.05)
-    pretrain_batch: int = _key("train.pretrain_batch", 64)
-    temperature: float = _key("loss.T", 64.0)
-    lambda_roi: float | None = _key("loss.lambda_roi", None)
-    tau_eval: float = _key("loc.tau_eval", 0.5)
-    tau_train: float | None = _key("loc.tau_train", None)
-    connectivity: int = _key("loc.connectivity", 4)
+    lr: float = _key("train.lr", 1e-4, _POSITIVE)
+    epochs_base: int = _key("train.epochs_base", 200, _COUNT)
+    epochs_ours: int = _key("train.epochs_ours", 100, _COUNT)
+    episodes_per_epoch: int = _key("train.episodes_per_epoch", 50, _COUNT)
+    pretrain_epochs: int = _key("train.pretrain_epochs", 15, _COUNT)
+    pretrain_lr: float = _key("train.pretrain_lr", 0.05, _POSITIVE)
+    pretrain_batch: int = _key("train.pretrain_batch", 64, _COUNT)
+    temperature: float = _key("loss.T", 64.0, _POSITIVE)
+    lambda_roi: float | None = _key("loss.lambda_roi", None, _NON_NEGATIVE)
+    tau_eval: float = _key("loc.tau_eval", 0.5, _UNIT)
+    tau_train: float | None = _key("loc.tau_train", None, _UNIT)
+    connectivity: int = _key("loc.connectivity", 4, (lambda v: v in (4, 8), "must be 4 or 8"))
     roi_grid: int = _key("roi.grid", 3)
     roi_samples: int = _key("roi.samples", 2)
-    n_way: int = _key("eval.n_way", 5)
-    k_shot: int = _key("eval.k_shot", 1)
-    queries: int = _key("eval.queries", 15)
-    tasks: int = _key("eval.tasks", 10000)
+    n_way: int = _key("eval.n_way", 5, _COUNT)
+    k_shot: int = _key("eval.k_shot", 1, _COUNT)
+    queries: int = _key("eval.queries", 15, _COUNT)
+    tasks: int = _key("eval.tasks", 10000, _COUNT)
     workers: int = _key("eval.workers", 1)
-    seed: int = _key("seed", 0)
+    seed: int = _key("seed", 0, (lambda v: v >= 0, "must be >= 0"))
 
     def __post_init__(self):
         self.arch_channels = tuple(int(c) for c in self.arch_channels)
@@ -113,29 +119,13 @@ class RunConfig:
         if self.tau_train is None:
             self.tau_train = 0.5 if self.k_shot == 1 else 0.7
         self.lambda_roi, self.tau_train = float(self.lambda_roi), float(self.tau_train)
-        for key in ("loc.tau_eval", "loc.tau_train"):
-            v = getattr(self, _KEYS[key].name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{key} must lie in (0, 1], got {v}")
-        for key in ("train.lr", "train.pretrain_lr", "loss.T"):
-            v = getattr(self, _KEYS[key].name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{key} must be finite and positive, got {v}")
-        if not (math.isfinite(self.lambda_roi) and self.lambda_roi >= 0):
-            raise ValueError(f"loss.lambda_roi must be finite and >= 0, got {self.lambda_roi}")
-        for key in ("train.epochs_base", "train.epochs_ours", "train.episodes_per_epoch",
-                    "train.pretrain_epochs", "train.pretrain_batch", "eval.n_way",
-                    "eval.k_shot", "eval.queries", "eval.tasks"):
-            v = getattr(self, _KEYS[key].name)
-            if v < 1:
-                raise ValueError(f"{key} must be >= 1, got {v}")
+        for key, f in _KEYS.items():
+            value, rule = getattr(self, f.name), f.metadata["rule"]
+            if rule and not rule[0](value):
+                raise ValueError(f"{key} {rule[1]}, got {value}")
         if self.workers != 1:
             raise ValueError(f"eval.workers must be 1, got {self.workers}: "
                              f"evaluation runs on one thread")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.connectivity not in (4, 8):
-            raise ValueError(f"loc.connectivity must be 4 or 8, got {self.connectivity}")
         if self.image_size != self.arch_input_size:
             raise ValueError(f"data.image_size {self.image_size} != "
                              f"arch.input_size {self.arch_input_size}")

@@ -213,9 +213,15 @@ def save_checkpoint(path, params: EncoderParams, seed: int) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint pair; returns (EncoderParams, seed)."""
+    """Read a checkpoint pair; returns (EncoderParams, seed). A sidecar that
+    does not describe the vector raises a ValueError naming both files."""
     path = Path(path)
     flat = read_tns(path)
-    manifest = json.loads(checkpoint_sidecar(path).read_text())
-    arch = EncoderArch(**manifest["arch"])
-    return EncoderParams(arch, flat), int(manifest["seed"])
+    sidecar = checkpoint_sidecar(path)
+    try:
+        manifest = json.loads(sidecar.read_text())
+        return EncoderParams(EncoderArch(**manifest["arch"]), flat), int(manifest["seed"])
+    except KeyError as err:
+        raise ValueError(f"checkpoint {path}: sidecar {sidecar} lacks {err}") from err
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"checkpoint {path}: sidecar {sidecar}: {err}") from err

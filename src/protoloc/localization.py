@@ -5,11 +5,12 @@ normalized class representation and every feature-map cell. Upsampled to
 image size, thresholded relative to its max, the largest connected
 component's bounding box is the proposed object location.
 
-``propose_boxes`` runs this chain once over a stack of maps, each with its
-own representation: every stage takes the maps along a leading axis, and
-each plane's result is bitwise the one a single-map chain gives. Refined
-representations box all supports in one call, an eval task all its queries
-in one; ``propose_box``, the one-map call, is left for callers outside.
+``propose_boxes`` checks its inputs and runs this chain once over a stack of
+maps, each with its own representation: every stage takes the maps along a
+leading axis (``similarity_map`` takes nothing else), and each plane's
+result is bitwise the one a single-map chain gives. Refined representations
+box all supports in one call, an eval task all its queries in one;
+``propose_box``, the one-map call, is left for callers outside.
 
 A stack of boxes is an (N, 4) int64 array of (y0, x0, y1, x1) rows, laid
 out like a split's ground-truth boxes; ``largest_component`` and
@@ -81,32 +82,26 @@ def _label(mask: np.ndarray, connectivity: int):
     return np.array([plane, row, col, col + end - start - 1]).T, root
 
 
-def similarity_map(fm: np.ndarray, rep_vector: np.ndarray) -> np.ndarray:
-    """Project each normalized representation onto every cell of its map.
+def similarity_map(fms: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """The (N, h, w) maps of dot products (rep / ||rep||) . FM(i, j) of an
+    (N, h, w, D) float64 stack of maps, each against its row of the (N, D)
+    representations; ``propose_boxes`` checks the shapes.
 
-    (..., h, w, D) maps against (..., D) representations give the
-    (..., h, w) maps of dot products (rep / ||rep||) . FM(i, j). Every norm
-    is checked before any map is computed. All maps go through one
-    broadcast matmul that keeps each map's (w, D) @ (D, 1) core, so every
-    plane is bitwise the map's own ``fm @ unit``. The norms come from one
-    stacked matmul of (1, D) @ (D, 1) rows, the dot product that
+    Every norm is checked before any map is computed. All maps go through
+    one broadcast matmul that keeps each map's (w, D) @ (D, 1) core, so
+    every plane is bitwise the map's own ``fm @ unit``. The norms come from
+    one stacked matmul of (1, D) @ (D, 1) rows, the dot product that
     ``np.linalg.norm`` takes of a single row. An einsum, or
     ``np.linalg.norm(reps, axis=1)``, changes low bits, and a 1-ulp change
     can flip a pixel at the threshold.
     """
-    fm = np.asarray(fm, dtype=np.float64)
-    rep = np.asarray(rep_vector, dtype=np.float64)
-    if fm.ndim < 3 or fm.shape[:-3] + fm.shape[-1:] != rep.shape:
-        raise ShapeError(f"fm {fm.shape} incompatible with representation {rep.shape}")
-    fms = fm.reshape(-1, *fm.shape[-3:])
-    reps = rep.reshape(-1, rep.shape[-1])
     norms = np.sqrt((reps[:, None, :] @ reps[:, :, None]).ravel())
     bad = np.flatnonzero(~((norms > 1e-12) & (norms < np.inf)))   # nan fails both
     if bad.size:
         raise DegenerateRepresentation(f"representation row {bad[0]} has norm "
                                        f"{norms[bad[0]]}, not a finite value above 1e-12")
     units = reps / norms[:, None]
-    return (fms @ units[:, None, :, None])[..., 0].reshape(fm.shape[:-1])
+    return (fms @ units[:, None, :, None])[..., 0]
 
 
 def segment_mask(upsampled: np.ndarray, tau: float) -> np.ndarray:

@@ -7,6 +7,7 @@ little-endian payload.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -61,7 +62,7 @@ def read_tns(path) -> np.ndarray:
         shape = struct.unpack(f"<{ndim}Q", extents)
         dtype = _DTYPES[code]
         payload = os.fstat(f.fileno()).st_size - len(head) - len(extents)
-        if payload != int(np.prod(shape, dtype=np.int64)) * dtype.itemsize:
+        if payload != math.prod(shape) * dtype.itemsize:   # exact, where int64 wraps
             raise ValueError(
                 f"{os.fspath(path)}: payload size {payload} does not match "
                 f"extents {shape}")

@@ -87,6 +87,13 @@ MUTATIONS = [
              "IoU treats box rows as exclusive"),
     Mutation("src/protoloc/harness.py", "np.std(accuracies, ddof=1)", "np.std(accuracies, ddof=0)",
              "ci95 takes the population, not the sample, standard deviation"),
+    Mutation("src/protoloc/tns_io.py", "math.prod(shape)", "int(np.prod(shape, dtype=np.int64))",
+             "the payload size check takes the extent product in int64, which wraps to 0"),
+    Mutation("src/protoloc/config.py", "_COUNT = (lambda v: v >= 1,", "_COUNT = (lambda v: v >= 0,",
+             "a count key (epochs, episodes, batch, way, shot, queries, tasks) accepts 0"),
+    Mutation("src/protoloc/__init__.py", 'entry point.\n"""\n',
+             'entry point.\n"""\n\nfrom .config import RunConfig\n',
+             "the package re-exports a name again, so importing any module loads config's chain"),
 ]
 
 

@@ -153,3 +153,25 @@ def test_degenerate_episode_names_its_phase_epoch_and_episode(tmp_path, monkeypa
                                        "--set", "train.epochs_ours=1",
                                        "--set", "train.episodes_per_epoch=3"])
     assert not (tmp_path / "ours.tns").exists()
+
+
+_CLI_MODULES = ("cli", "config", "dataset", "encoder", "episodic", "harness", "kernels",
+                "localization", "roi", "tns_io")
+
+
+@pytest.mark.parametrize("module, name, loaded", [
+    ("protoloc.tns_io", "read_tns", ["tns_io"]),
+    ("protoloc.cli", "main", _CLI_MODULES),
+], ids=["tns_io", "cli"])
+def test_a_module_loads_only_the_modules_it_imports(module, name, loaded):
+    # the package re-exports nothing: importing one module in a fresh
+    # interpreter loads the package, that module and what it imports
+    src = str(Path(protoloc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = (f"import json, sys\nfrom {module} import {name}\nassert callable({name})\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'protoloc')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["protoloc"] + [f"protoloc.{m}" for m in sorted(loaded)]

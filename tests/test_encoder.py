@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -317,12 +318,30 @@ class TestCheckpoint:
         assert list(tmp_path.iterdir()) == []
 
     def test_sidecar_manifest_fields(self, tmp_path):
-        import json
         params = enc.init_params(EncoderArch(), 7)
         enc.save_checkpoint(tmp_path / "c.tns", params, seed=7)
         manifest = json.loads((tmp_path / "c.json").read_text())
         assert manifest["seed"] == 7
         assert manifest["arch"]["channels"] == [8, 16, 32]
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda m: json.dumps({"seed": m["seed"]}), "lacks 'arch'"),
+        (lambda m: json.dumps({"arch": m["arch"]}), "lacks 'seed'"),
+        (lambda m: json.dumps(m)[:-2], ": Expecting"),
+        (lambda m: json.dumps({**m, "arch": {**m["arch"], "channels": [4]}}),
+         ": channels (4,) must list 2 entries"),
+        (lambda m: json.dumps({**m, "arch": {**m["arch"], "channels": [4, 7]}}),
+         ": flat vector length 334 != 371"),
+    ], ids=["no-arch", "no-seed", "bad-json", "invalid-arch", "other-arch"])
+    def test_bad_sidecar_error_names_the_checkpoint_and_sidecar(self, tmp_path, edit, error):
+        path, sidecar = tmp_path / "ckpt.tns", tmp_path / "ckpt.json"
+        enc.save_checkpoint(path, enc.init_params(SMALL, 1), seed=1)
+        sidecar.write_text(edit(json.loads(sidecar.read_text())))
+        with pytest.raises(ValueError) as info:
+            enc.load_checkpoint(path)
+        assert info.type is ValueError
+        assert str(info.value).startswith(f"checkpoint {path}: sidecar {sidecar}")
+        assert error in str(info.value)
 
     def test_reference_checkpoint_saves_back_byte_identical(self, tmp_path):
         reference = Path(__file__).resolve().parents[1] / "bench" / "reference"

@@ -15,20 +15,20 @@ class TestSimilarityMap:
     def test_constant_fm_equal_to_rep(self):
         rep = np.array([3.0, 4.0])
         fm = np.broadcast_to(rep, (2, 3, 2)).copy()
-        sm = loc.similarity_map(fm, rep)
+        sm, = loc.similarity_map(fm[None], rep[None])
         np.testing.assert_allclose(sm, 5.0, rtol=0, atol=1e-12)   # ||rep|| = 5
 
     def test_orthogonal_cell_is_zero(self):
         fm = np.zeros((2, 2, 2))
         fm[0, 1] = [0.0, 2.0]
-        sm = loc.similarity_map(fm, np.array([1.0, 0.0]))
+        sm, = loc.similarity_map(fm[None], np.array([[1.0, 0.0]]))
         assert sm[0, 1] == 0.0
 
     def test_matches_per_cell_oracle(self):
         rng = np.random.default_rng(0)
         fm = rng.normal(size=(2, 2, 3))
         rep = rng.normal(size=3)
-        sm = loc.similarity_map(fm, rep)
+        sm, = loc.similarity_map(fm[None], rep[None])
         unit = rep / np.linalg.norm(rep)
         for i in range(2):
             for j in range(2):
@@ -38,8 +38,8 @@ class TestSimilarityMap:
         rng = np.random.default_rng(1)
         fm = rng.normal(size=(3, 3, 4))
         rep = rng.normal(size=4)
-        a = loc.similarity_map(fm, rep)
-        b = loc.similarity_map(fm, 2.5 * rep)
+        a = loc.similarity_map(fm[None], rep[None])
+        b = loc.similarity_map(fm[None], 2.5 * rep[None])
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 5, 75, 80])
@@ -57,7 +57,7 @@ class TestSimilarityMap:
 
     def test_degenerate_representation(self):
         with pytest.raises(DegenerateRepresentation):
-            loc.similarity_map(np.zeros((2, 2, 3)), np.zeros(3))
+            loc.similarity_map(np.zeros((1, 2, 2, 3)), np.zeros((1, 3)))
 
 
 class TestSegmentMask:
@@ -397,7 +397,7 @@ class TestProposeBox:
         fm = np.abs(rng.normal(size=(4, 4, 8)))
         rep = np.abs(rng.normal(size=8)) + 0.1
         got = loc.propose_box(fm, rep, 0.5, 32, 32)
-        sm = loc.similarity_map(fm, rep)
+        sm, = loc.similarity_map(fm[None], rep[None])
         up = bilinear_resize(sm, 32, 32)
         mask = loc.segment_mask(up, 0.5)
         want, = loc.largest_component(mask[None])
@@ -411,7 +411,7 @@ class TestProposeBox:
         rep = np.array([1.0, 0.0, 0.0])
         got = loc.propose_box(fm, rep, 0.5, 32, 32)
         # compositional oracle: chain the public steps directly
-        up = bilinear_resize(loc.similarity_map(fm, rep), 32, 32)
+        up = bilinear_resize(loc.similarity_map(fm[None], rep[None])[0], 32, 32)
         want, = loc.largest_component(loc.segment_mask(up, 0.5)[None])
         np.testing.assert_array_equal(got, want)
         # frozen: the hot cell upsamples to triangular lobes peaked at
@@ -443,7 +443,7 @@ class TestProposeBox:
         for _ in range(20):
             fm = np.abs(rng.normal(size=(4, 4, 3)))
             rep = np.abs(rng.normal(size=3)) + 0.1
-            sm = loc.similarity_map(fm, rep)
+            sm, = loc.similarity_map(fm[None], rep[None])
             up = bilinear_resize(sm, 24, 24)
             mask = loc.segment_mask(up, 0.6)
             box, = loc.largest_component(mask[None])
@@ -495,7 +495,8 @@ class TestProposeBoxes:
                 # today's one-map formula; an einsum over the stack changes its low bits
                 sm = fms[i] @ (reps[i] / np.linalg.norm(reps[i]))
                 up = real["bilinear_resize"](sm, image_h, image_w)
-                np.testing.assert_array_equal(real["similarity_map"](fms[i], reps[i]), sm)
+                np.testing.assert_array_equal(
+                    real["similarity_map"](fms[i:i + 1], reps[i:i + 1])[0], sm)
                 np.testing.assert_array_equal(seen["similarity_map"][i], sm)
                 np.testing.assert_array_equal(seen["bilinear_resize"][i], up)
                 np.testing.assert_array_equal(boxes[i], propose_box_oracle(

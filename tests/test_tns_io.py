@@ -54,10 +54,12 @@ def test_rejects_truncated_payload(tmp_path):
         read_tns(path)
 
 
-@pytest.mark.parametrize("extents, payload", [((4,), 5), ((2 ** 40,), 4)])
+@pytest.mark.parametrize("extents, payload",
+                         [((4,), 5), ((2 ** 40,), 4), ((2 ** 32, 2 ** 32), 0)])
 def test_payload_size_is_checked_before_any_allocation(tmp_path, extents, payload):
-    # a longer payload than the extents, and extents of 8 TiB over 32 bytes:
-    # neither may allocate its array
+    # a longer payload than the extents, extents of 8 TiB over 32 bytes, and an
+    # empty payload under extents whose product wraps to 0 in int64: none may
+    # allocate its array
     import struct
     path = tmp_path / "t.tns"
     header = b"TNS1" + bytes([1, len(extents)]) + struct.pack(f"<{len(extents)}Q", *extents)
