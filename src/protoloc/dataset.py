@@ -11,24 +11,31 @@ every byte on disk.
 
 Every shape mask and gradient background of one image size reads the same
 cached, read-only (2, S, S) pixel grid, built once per size.
+
+What is read when: generate_dataset streams each split to disk a sample at
+a time and hashes each file as it writes it. load_dataset checks every file
+of every split against its manifest digest, in bounded chunks, and returns
+a mapping that reads a split's three files only on the split's first index,
+hashing them again as they are read. CorruptDataset fires at load for a
+malformed manifest or any bad file of any split, and at a split's first
+index if one of its files has changed since the load.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import shutil
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .episodic import Episode
 from .localization import BoundingBox
-from .tns_io import read_tns, write_tns
+from .tns_io import read_tns_sha256, scan_tns, write_tns, write_tns_blocks
 
 _COLORS = (
     (0.85, 0.10, 0.10),   # red
@@ -54,7 +61,8 @@ class InsufficientData(ValueError):
 
 
 class CorruptDataset(ValueError):
-    """A dataset file's sha256 differs from the digest its manifest records."""
+    """A dataset's manifest is malformed, or one of its files is malformed or
+    differs from the sha256 digest the manifest records."""
 
 
 @dataclass(frozen=True)
@@ -103,11 +111,22 @@ class Sample:
     gt_box: BoundingBox
 
 
-class SplitData(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class SplitData:
+    """One split's rows; its sorted classes and each class's ascending rows
+    (pools[c]) are computed once, when it is made."""
     name: str
     images: np.ndarray
     labels: np.ndarray
     boxes: np.ndarray
+    classes: np.ndarray = field(init=False, repr=False)
+    pools: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        classes = np.unique(self.labels)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "pools", {c: np.nonzero(self.labels == c)[0]
+                                           for c in classes.tolist()})
 
 
 @functools.lru_cache(maxsize=8)
@@ -198,16 +217,22 @@ def _sample_rng(seed: int, class_index: int, item: int):
     return np.random.default_rng((seed, class_index, item))
 
 
-def _digest(path: Path) -> str:
-    sha = hashlib.sha256()
-    with open(path, "rb") as f:     # 1 MiB at a time: no whole-file copy
-        while chunk := f.read(1 << 20):
-            sha.update(chunk)
-    return sha.hexdigest()
+_FILES = ("images.tns", "labels.tns", "boxes.tns")
+
+
+def _render(spec: DatasetSpec, seed: int, items, boxes: np.ndarray):
+    """Yield the image of each (class, sample index) item in turn, writing its
+    box into the matching row of boxes."""
+    for j, (c, i) in enumerate(items):
+        sample = render_sample(spec, c, _sample_rng(seed, c, i))
+        boxes[j] = sample.gt_box
+        yield sample.image
 
 
 def generate_dataset(spec: DatasetSpec, seed: int, out_dir) -> dict:
     """Render all splits to TNS1 files plus a JSON manifest; returns the manifest.
+    Each split's images stream to disk one sample at a time, and each file is
+    hashed as it is written, so no split is ever held whole or read back.
     Files render into a sibling temporary directory and move into out_dir once
     complete, so a failed render leaves the previous dataset as it was."""
     out = Path(out_dir).absolute()
@@ -218,25 +243,23 @@ def generate_dataset(spec: DatasetSpec, seed: int, out_dir) -> dict:
         "spec": spec.to_dict(),
         "splits": {},
     }
+    shape = (spec.image_size, spec.image_size, 3)
     try:
         for name, class_indices in SPLITS.items():
             items = [(c, i) for c in class_indices for i in range(spec.per_class_count)]
-            # each sample renders into the one array that write_tns writes out
-            images = np.empty((len(items), spec.image_size, spec.image_size, 3))
             boxes = np.empty((len(items), 4), dtype=np.uint32)
-            for j, (c, i) in enumerate(items):
-                sample = render_sample(spec, c, _sample_rng(seed, c, i))
-                images[j], boxes[j] = sample.image, sample.gt_box
             split_dir = tmp / name
             split_dir.mkdir(parents=True, exist_ok=True)
-            write_tns(split_dir / "images.tns", images)
-            write_tns(split_dir / "labels.tns", np.array([c for c, _ in items], dtype=np.uint32))
-            write_tns(split_dir / "boxes.tns", boxes)
+            digests = {"images.tns": write_tns_blocks(
+                split_dir / "images.tns", (len(items), *shape), np.float64,
+                _render(spec, seed, items, boxes))}
+            digests["labels.tns"] = write_tns(
+                split_dir / "labels.tns", np.array([c for c, _ in items], dtype=np.uint32))
+            digests["boxes.tns"] = write_tns(split_dir / "boxes.tns", boxes)
             manifest["splits"][name] = {
                 "count": len(items),
                 "classes": list(class_indices),
-                "digests": {f: _digest(split_dir / f)
-                            for f in ("images.tns", "labels.tns", "boxes.tns")},
+                "digests": digests,
             }
         (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
         out.mkdir(exist_ok=True)
@@ -251,24 +274,84 @@ def generate_dataset(spec: DatasetSpec, seed: int, out_dir) -> dict:
     return manifest
 
 
+def _read_manifest(path: Path) -> dict:
+    """The manifest at path; CorruptDataset naming it if it is not JSON or
+    lacks a key that loading reads."""
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as err:      # undecodable bytes, or not JSON
+        raise CorruptDataset(f"{path}: not JSON: {err}") from err
+
+    def need(entry, key, where):
+        if not isinstance(entry, dict) or key not in entry:
+            raise CorruptDataset(f"{path}: no {key!r} in {where}")
+        return entry[key]
+
+    for name, entry in need(manifest, "splits", "the manifest").items():
+        digests = need(entry, "digests", f"split {name!r}")
+        for file_name in _FILES:
+            need(digests, file_name, f"the digests of split {name!r}")
+    need(manifest, "spec", "the manifest")
+    return manifest
+
+
+def _checked(path: Path, digest: str, read):
+    """read(path) -> (value, sha256 of the bytes read); returns the value once
+    the bytes match digest. CorruptDataset names the file if they do not, or
+    if the file fails read's format checks."""
+    try:
+        value, sha256 = read(path)
+    except ValueError as err:
+        raise CorruptDataset(str(err)) from err
+    if sha256 != digest:
+        raise CorruptDataset(f"{path}: sha256 differs from manifest")
+    return value
+
+
+class _Splits(Mapping):
+    """Read-only {split name: SplitData} over a dataset's manifest. A split's
+    three files are read on its first index, their bytes checked against the
+    manifest digests as they are read, and the SplitData cached."""
+
+    def __init__(self, data_dir: Path, entries: dict):
+        self._dir, self._entries, self._loaded = data_dir, entries, {}
+
+    def __getitem__(self, name):
+        if name not in self._loaded:
+            digests = self._entries[name]["digests"]
+            images, labels, boxes = (
+                _checked(self._dir / name / f, digests[f], read_tns_sha256) for f in _FILES)
+            self._loaded[name] = SplitData(name, images, labels.astype(np.int64),
+                                           boxes.astype(np.int64))
+        return self._loaded[name]
+
+    def __contains__(self, name):      # Mapping's own would read the split
+        return name in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+
 def load_dataset(data_dir):
-    """Load a generated dataset, checking every file against its manifest
-    digest; returns (manifest, {split name: SplitData})."""
+    """Open a generated dataset; returns (manifest, splits), where splits is a
+    read-only mapping over every split name in the manifest.
+
+    Before it returns, every file of every split is read in bounded chunks,
+    holding no array, and checked against its manifest digest and, for float
+    payloads, for finiteness: CorruptDataset names the first bad file, and
+    the manifest itself if it is not JSON or lacks a key. A split's arrays are
+    read on its first index only, and their bytes are checked against the
+    digests again as they are read, so a file replaced since the load raises
+    CorruptDataset then."""
     data_dir = Path(data_dir)
-    manifest = json.loads((data_dir / "manifest.json").read_text())
-    splits = {}
+    manifest = _read_manifest(data_dir / "manifest.json")
     for name, entry in manifest["splits"].items():
-        split_dir = data_dir / name
-        for file_name, digest in entry["digests"].items():
-            if _digest(split_dir / file_name) != digest:
-                raise CorruptDataset(f"{split_dir / file_name}: sha256 differs from manifest")
-        splits[name] = SplitData(
-            name=name,
-            images=read_tns(split_dir / "images.tns"),
-            labels=read_tns(split_dir / "labels.tns").astype(np.int64),
-            boxes=read_tns(split_dir / "boxes.tns").astype(np.int64),
-        )
-    return manifest, splits
+        for f in _FILES:
+            _checked(data_dir / name / f, entry["digests"][f], lambda path: (None, scan_tns(path)))
+    return manifest, _Splits(data_dir, manifest["splits"])
 
 
 def sample_episode(split: SplitData, n_way: int, k_shot: int,
@@ -276,7 +359,7 @@ def sample_episode(split: SplitData, n_way: int, k_shot: int,
     """Draw an N-way K-shot episode of split rows (no copies) without
     replacement, relabeling classes 0..N-1 in sampled order. Within a class,
     rows come in ascending index order, which keeps reductions canonical."""
-    classes = np.unique(split.labels)
+    classes = split.classes
     if classes.size < n_way:
         raise InsufficientData(
             f"split {split.name!r} has {classes.size} classes, need {n_way}")
@@ -284,7 +367,7 @@ def sample_episode(split: SplitData, n_way: int, k_shot: int,
     need = k_shot + queries_per_class
     sup_idx, qry_idx = [], []
     for c in chosen:
-        pool = np.nonzero(split.labels == c)[0]
+        pool = split.pools[c]
         if pool.size < need:
             raise InsufficientData(
                 f"class {c} has {pool.size} items, need {need}")

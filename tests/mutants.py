@@ -94,6 +94,17 @@ MUTATIONS = [
     Mutation("src/protoloc/__init__.py", 'entry point.\n"""\n',
              'entry point.\n"""\n\nfrom .config import RunConfig\n',
              "the package re-exports a name again, so importing any module loads config's chain"),
+    Mutation("src/protoloc/dataset.py", 'manifest["splits"].items():',
+             'list(manifest["splits"].items())[:1]:',
+             "load_dataset checks only the first split's files; the others go unchecked "
+             "until indexed"),
+    Mutation("src/protoloc/dataset.py",
+             "_checked(self._dir / name / f, digests[f], read_tns_sha256)",
+             "read_tns_sha256(self._dir / name / f)[0]",
+             "a split's first read takes the manifest digest on trust, so a file replaced "
+             "since the load is used unchecked"),
+    Mutation("src/protoloc/dataset.py", "np.nonzero(self.labels == c)", "np.nonzero(self.labels != c)",
+             "a class pool holds every row of the other classes"),
 ]
 
 

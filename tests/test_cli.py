@@ -63,6 +63,26 @@ def test_chain_runs_and_reports_repeat_bytewise(tmp_path, monkeypatch, capsys):
     assert "overlays in overlays" in capsys.readouterr().out
 
 
+def test_each_command_reads_only_the_split_it_uses(tmp_path, monkeypatch):
+    # load_dataset checks every file, but only the split a command indexes
+    # is read into memory
+    from protoloc import dataset
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(CONFIG)
+    read = []
+    real = dataset.read_tns_sha256
+    monkeypatch.setattr(dataset, "read_tns_sha256",
+                        lambda path: read.append(Path(path).parent.name) or real(path))
+    for argv, split in zip(STAGES, [None, "train", "train", "train", "test", "test", "test"]):
+        read.clear()
+        assert cli.main(argv + ["--config", "run.cfg", "--seed", "7"]) == 0, argv
+        assert read == ([] if split is None else [split] * 3), argv
+    read.clear()
+    assert cli.main(["localize", "--checkpoint", "ours.tns", "--ids", "0", "--split", "val",
+                     "--out-dir", "val-overlays", "--config", "run.cfg"]) == 0
+    assert read == ["val"] * 3
+
+
 @pytest.mark.parametrize("argv", [["pretrain"],
                                   ["train", "--phase", "base", "--checkpoint", "pre.tns"]],
                          ids=["pretrain", "train"])

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -120,16 +123,6 @@ class TestPixelGrid:
             yy -= 1.0
 
 
-class TestDigest:
-    @pytest.mark.parametrize("size", [0, 2 * (1 << 20) + 3])
-    def test_chunked_digest_equals_whole_file_sha256(self, tmp_path, size):
-        # one empty file, and one spanning three 1 MiB chunks, the last partial
-        import hashlib
-        path = tmp_path / "blob.bin"
-        path.write_bytes(np.random.default_rng(size).bytes(size))
-        assert ds._digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class TestGenerateDataset:
     def test_same_seed_byte_identical(self, tmp_path):
         spec = small_spec(per_class_count=4)
@@ -197,14 +190,75 @@ class TestGenerateDataset:
         assert digest.hexdigest() == \
             "982239bd0a7ef04f4f65a70ddbde033d8ab5bddd1b82cb3c413a0229226bc5c5"
 
-    def test_flipped_bit_raises_corrupt_dataset(self, tmp_path):
+    @pytest.mark.parametrize("split", list(ds.SPLITS))
+    def test_flipped_bit_raises_corrupt_dataset(self, tmp_path, split):
+        # the load checks every split, not only those a run indexes
         ds.generate_dataset(small_spec(per_class_count=2), 3, tmp_path)
-        path = tmp_path / "test" / "boxes.tns"
+        path = tmp_path / split / "boxes.tns"
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 1                         # lowest bit of the last box value
         path.write_bytes(bytes(raw))
-        with pytest.raises(CorruptDataset, match="boxes.tns"):
+        with pytest.raises(CorruptDataset, match=f"{split}/boxes.tns"):
             ds.load_dataset(tmp_path)
+
+    def test_non_finite_image_raises_corrupt_dataset_at_load(self, tmp_path):
+        # a NaN whose digest the manifest records is still refused, by name
+        ds.generate_dataset(small_spec(per_class_count=2), 3, tmp_path)
+        path = tmp_path / "val" / "images.tns"
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["splits"]["val"]["digests"]["images.tns"] = \
+            hashlib.sha256(bytes(raw)).hexdigest()
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptDataset, match="val/images.tns: non-finite"):
+            ds.load_dataset(tmp_path)
+
+    def test_file_replaced_after_load_raises_on_first_index(self, tmp_path):
+        # the bytes a split holds are the bytes that were hashed: a valid TNS
+        # file put in place of a checked one is refused when the split is read
+        ds.generate_dataset(small_spec(per_class_count=2), 3, tmp_path)
+        _, splits = ds.load_dataset(tmp_path)
+        shutil.copyfile(tmp_path / "train" / "images.tns", tmp_path / "test" / "images.tns")
+        splits["train"]
+        with pytest.raises(CorruptDataset, match="test/images.tns: sha256 differs"):
+            splits["test"]
+
+    def test_indexing_a_split_reads_only_its_files_once(self, tmp_path, monkeypatch):
+        ds.generate_dataset(small_spec(per_class_count=2), 3, tmp_path)
+        manifest, splits = ds.load_dataset(tmp_path)
+        read = []
+        real = ds.read_tns_sha256
+        monkeypatch.setattr(ds, "read_tns_sha256",
+                            lambda path: read.append(path.relative_to(tmp_path)) or real(path))
+        assert list(splits) == list(manifest["splits"]) and len(splits) == 3
+        assert "val" in splits and "other" not in splits
+        assert read == []
+        assert splits["train"] is splits["train"]
+        assert [str(p) for p in read] == ["train/images.tns", "train/labels.tns",
+                                          "train/boxes.tns"]
+        with pytest.raises(TypeError):
+            splits["train"] = splits["test"]
+        with pytest.raises(KeyError):
+            splits["other"]
+
+    def test_generate_never_holds_a_split(self, tmp_path):
+        # one split's images are 200 x 24 KiB here; rendering streams them to
+        # disk a sample at a time and hashes each file as it writes it
+        spec = small_spec(per_class_count=40)
+        split_bytes = 5 * 40 * spec.image_size ** 2 * 3 * 8
+        ds.generate_dataset(spec, 3, tmp_path / "warm")    # caches, first imports
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ds.generate_dataset(spec, 3, tmp_path / "data")
+        peak = tracemalloc.get_traced_memory()[1] - base
+        if started:
+            tracemalloc.stop()
+        assert peak <= split_bytes / 8
 
     def test_failed_write_keeps_previous_dataset(self, tmp_path, monkeypatch):
         out = tmp_path / "data"
@@ -243,6 +297,56 @@ class TestGenerateDataset:
         assert [p.name for p in tmp_path.iterdir()] == ["data"]
         assert json.loads((out / "manifest.json").read_text())["seed"] == 4
         ds.load_dataset(out)
+
+
+class TestManifest:
+    """A malformed manifest fails by name, before any file is hashed."""
+
+    @pytest.fixture
+    def data(self, tmp_path, monkeypatch):
+        ds.generate_dataset(small_spec(per_class_count=2), 3, tmp_path)
+        monkeypatch.setattr(ds, "scan_tns", lambda path: pytest.fail(f"hashed {path}"))
+        return tmp_path
+
+    def _edit(self, data, edit):
+        manifest = json.loads((data / "manifest.json").read_text())
+        edit(manifest)
+        (data / "manifest.json").write_text(json.dumps(manifest))
+
+    def test_not_json(self, data):
+        (data / "manifest.json").write_text('{"splits": ')
+        with pytest.raises(CorruptDataset, match="manifest.json: not JSON"):
+            ds.load_dataset(data)
+
+    def test_no_splits(self, data):
+        self._edit(data, lambda m: m.pop("splits"))
+        with pytest.raises(CorruptDataset, match="manifest.json: no 'splits' in the manifest"):
+            ds.load_dataset(data)
+
+    def test_split_without_digests(self, data):
+        self._edit(data, lambda m: m["splits"]["val"].pop("digests"))
+        with pytest.raises(CorruptDataset,
+                           match="manifest.json: no 'digests' in split 'val'"):
+            ds.load_dataset(data)
+
+    def test_file_without_digest(self, data):
+        self._edit(data, lambda m: m["splits"]["train"]["digests"].pop("labels.tns"))
+        with pytest.raises(CorruptDataset,
+                           match="manifest.json: no 'labels.tns' in the digests of split 'train'"):
+            ds.load_dataset(data)
+
+
+def _sample_episode_per_draw(split, n_way, k_shot, queries_per_class, task_rng):
+    """sample_episode's draws with the class pools recomputed on every call."""
+    classes = np.unique(split.labels)
+    chosen = task_rng.choice(classes, size=n_way, replace=False)
+    need = k_shot + queries_per_class
+    sup, qry = [], []
+    for c in chosen:
+        pick = task_rng.choice(np.nonzero(split.labels == c)[0], size=need, replace=False)
+        sup.append(np.sort(pick[:k_shot]))
+        qry.append(np.sort(pick[k_shot:]))
+    return np.concatenate(sup), np.concatenate(qry)
 
 
 class TestSampleEpisode:
@@ -293,6 +397,24 @@ class TestSampleEpisode:
         b = ds.sample_episode(splits["test"], 5, 1, 5, np.random.default_rng(7))
         np.testing.assert_array_equal(a.support_ids, b.support_ids)
         np.testing.assert_array_equal(a.query_ids, b.query_ids)
+
+    @pytest.mark.parametrize("k_shot", [1, 5])
+    def test_class_pools_draw_the_rows_a_per_draw_pool_draws(self, splits, k_shot):
+        split = splits["train"]
+        for seed in range(300):
+            episode = ds.sample_episode(split, 5, k_shot, 15 - k_shot,
+                                        np.random.default_rng(seed))
+            sup, qry = _sample_episode_per_draw(split, 5, k_shot, 15 - k_shot,
+                                                np.random.default_rng(seed))
+            np.testing.assert_array_equal(episode.support_ids, sup)
+            np.testing.assert_array_equal(episode.query_ids, qry)
+
+    def test_pools_are_built_when_a_split_is_made(self):
+        labels = np.array([4, 1, 4, 9, 1, 4])
+        split = ds.SplitData("tiny", np.zeros((6, 2, 2, 3)), labels, np.zeros((6, 4)))
+        np.testing.assert_array_equal(split.classes, [1, 4, 9])
+        assert {c: rows.tolist() for c, rows in split.pools.items()} == \
+            {1: [1, 4], 4: [0, 2, 5], 9: [3]}
 
     def test_insufficient_classes(self, splits):
         with pytest.raises(InsufficientData):

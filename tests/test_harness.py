@@ -122,7 +122,7 @@ def test_corloc_counts_a_box_of_iou_exactly_one_half(splits, monkeypatch):
     # every query is boxed (0, 0, 1, 1) against ground truth (0, 0, 1, 3):
     # a 2 x 2 overlap over a 2 x 4 union, IoU 0.5 exactly, which CorLoc@0.5 counts
     test = splits["test"]
-    split = test._replace(boxes=np.tile([0, 0, 1, 3], (len(test.boxes), 1)))
+    split = dataclasses.replace(test, boxes=np.tile([0, 0, 1, 3], (len(test.boxes), 1)))
     monkeypatch.setattr(harness, "propose_boxes",
                         lambda fms, *args: np.tile([0, 0, 1, 1], (len(fms), 1)))
     report = harness.evaluate(small_config(tasks=2), enc.init_params(small_config().arch, 4),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from protoloc.tns_io import read_tns, write_tns
+from protoloc.tns_io import read_tns, read_tns_sha256, scan_tns, write_tns, write_tns_blocks
 
 
 @pytest.mark.parametrize("arr", [
@@ -82,6 +82,63 @@ def test_rejects_non_finite_payload(tmp_path):
     path.write_bytes(header + arr.astype("<f8").tobytes())
     with pytest.raises(ValueError, match="non-finite"):
         read_tns(path)
+    with pytest.raises(ValueError, match="non-finite"):
+        scan_tns(path)
+
+
+@pytest.mark.parametrize("count", [0, (2 * (1 << 20) + 24) // 8])
+def test_scan_and_reads_hash_every_byte(tmp_path, count):
+    # an empty payload, and one whose file spans three 1 MiB scan chunks, the
+    # last partial: every writer and reader reports the file's own sha256
+    import hashlib
+    path = tmp_path / "t.tns"
+    arr = np.random.default_rng(count).normal(size=count)
+    written = write_tns(path, arr)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    back, read_digest = read_tns_sha256(path)
+    assert written == scan_tns(path) == read_digest == digest
+    assert back.tobytes() == arr.tobytes()
+
+
+def test_scan_checks_every_chunk_for_non_finite_values(tmp_path):
+    # the NaN sits in the third 1 MiB chunk
+    path = tmp_path / "t.tns"
+    arr = np.zeros(3 << 17)
+    arr[-1] = np.nan
+    import struct
+    header = b"TNS1" + bytes([1, 1]) + struct.pack("<Q", arr.size)
+    path.write_bytes(header + arr.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="non-finite"):
+        scan_tns(path)
+
+
+def test_scan_checks_the_header_as_read_does(tmp_path):
+    path = tmp_path / "t.tns"
+    write_tns(path, np.zeros(4))
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="payload size 24 does not match"):
+        scan_tns(path)
+    path.write_bytes(b"NOPE" + bytes(20))
+    with pytest.raises(ValueError, match="not a TNS1"):
+        scan_tns(path)
+
+
+def test_block_writer_writes_what_one_write_does(tmp_path):
+    # blocks of any shape, whose elements in turn fill the extents, give the
+    # bytes of one write_tns call
+    arr = np.random.default_rng(3).uniform(size=(5, 4, 3))
+    whole = write_tns(tmp_path / "a.tns", arr)
+    blocks = write_tns_blocks(tmp_path / "b.tns", arr.shape, arr.dtype,
+                              (arr[i] for i in range(5)))
+    assert (tmp_path / "a.tns").read_bytes() == (tmp_path / "b.tns").read_bytes()
+    assert blocks == whole
+
+
+@pytest.mark.parametrize("rows", [4, 6])
+def test_block_writer_refuses_blocks_that_miss_the_extents(tmp_path, rows):
+    arr = np.zeros((rows, 3), dtype=np.float32)
+    with pytest.raises(ValueError, match=f"blocks hold {rows * 12} payload bytes"):
+        write_tns_blocks(tmp_path / "t.tns", (5, 3), np.float32, iter(arr))
 
 
 _FINITE = {
