@@ -12,11 +12,11 @@ A batch runs in chunks of CHUNK images: the whole block stack runs over
 images[i:i + CHUNK] before the next chunk starts, so a chunk's activations
 are still in cache when the next block reads them. A row's feature map
 therefore never depends on how many images share its batch. The forward
-cache keeps, per chunk, each block's input and conv output plus the
-chunk's feature map; nothing is concatenated. The backward pass walks the
-same chunks in order and makes one max-pool adjoint call per block,
-routing against the cached block output (the next block's input, or the
-feature map), and never forms the gradient w.r.t. the images. The
+cache keeps, per chunk, each block's input and max-pool switches (one
+byte per pooled cell, see kernels) plus the chunk's feature map; a conv
+output is dropped once its block is pooled. The backward pass walks the
+same chunks in order, makes one max-pool adjoint call per block, routed
+by its switches, and never forms the gradient w.r.t. the images. The
 parameter gradient is the first chunk's gradient plus each later chunk's,
 in chunk order, so a batch of at most CHUNK images sums nothing.
 """
@@ -123,8 +123,8 @@ class ForwardCache:
     """Activations retained for the backward pass of one forward call."""
     arch: EncoderArch
     fm_shape: tuple          # feature map shape of the whole batch, (N, h, w, D)
-    chunks: list             # per chunk: (acts, conv_outputs); acts[b] is block b's
-                             # input and acts[b + 1] its output, acts[-1] the chunk's map
+    chunks: list             # per chunk: (acts, switches); acts[b] is block b's input,
+                             # acts[-1] the chunk's map, switches[b] block b's pool switches
 
 
 def forward_batch(params: EncoderParams, images: np.ndarray, keep_cache: bool = True):
@@ -142,16 +142,18 @@ def forward_batch(params: EncoderParams, images: np.ndarray, keep_cache: bool = 
     chunks = []
     for i in range(0, len(images), CHUNK):
         x = images[i:i + CHUNK]
-        acts, conv_outputs = [x], []
+        acts, switches = [x], []
         for w, b in views:
             t = kernels.conv2d_batch(x, w, b)
-            x = np.maximum(kernels.maxpool2d_batch(t), 0.0)
             if keep_cache:
+                x, switch = kernels.maxpool2d_switches(t)
                 acts.append(x)
-                conv_outputs.append(t)
+                switches.append(switch)
+            else:
+                x = np.maximum(kernels.maxpool2d_batch(t), 0.0)
         fms[i:i + CHUNK] = x
         if keep_cache:
-            chunks.append((acts, conv_outputs))
+            chunks.append((acts, switches))
     return fms, ForwardCache(arch, fms.shape, chunks) if keep_cache else None
 
 
@@ -169,11 +171,11 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
 
     views = params.block_views()
     grad = np.zeros_like(params.flat)   # an empty batch has no chunk
-    for c, (acts, conv_outputs) in enumerate(cache.chunks):
+    for c, (acts, switches) in enumerate(cache.chunks):
         g = grad_fms[c * CHUNK:(c + 1) * CHUNK]
         parts = []
         for blk in reversed(range(arch.blocks)):
-            g = kernels.maxpool2d_vjp_batch(conv_outputs[blk], acts[blk + 1], g)
+            g = kernels.maxpool2d_vjp_batch(switches[blk], g)
             g, gw, gb = kernels.conv2d_vjp_batch(acts[blk], views[blk][0], g,
                                                  need_input_grad=blk > 0)
             parts[:0] = [gw.ravel(), gb]

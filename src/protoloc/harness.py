@@ -81,6 +81,13 @@ def _step(params, grad, lr, loss, where):
     return enc.sgd_step(params, grad, lr)
 
 
+def _check_runs(params, images, where):
+    """NonFiniteLoss, naming where, if params map split row 0 to a non-finite map."""
+    fms, _ = enc.forward_batch(params, images[:1], keep_cache=False)
+    if not np.isfinite(fms).all():
+        raise NonFiniteLoss(f"{where}: the stepped encoder maps split row 0 to a non-finite map")
+
+
 def _check_arch(cfg: RunConfig, params: enc.EncoderParams) -> None:
     if cfg.arch != params.arch:
         raise ArchMismatch(f"config arch {cfg.arch} != checkpoint arch {params.arch}")
@@ -116,7 +123,7 @@ class PretrainResult:
 
 def pretrain(cfg: RunConfig) -> PretrainResult:
     """Train encoder plus a single-layer classifier over all train-split classes
-    with cross-entropy, steps checked as train_episodic's are; the head is discarded."""
+    with cross-entropy, checked as train_episodic is; the head is discarded."""
     train = _load_splits(cfg)["train"]
     images, labels = train.images, train.labels
     classes = np.unique(labels)
@@ -144,11 +151,12 @@ def pretrain(cfg: RunConfig) -> PretrainResult:
             dembeds = dscores @ weights.T
             grad_flat = enc.backward_batch(params, cache,
                                            kernels.gap_vjp_batch(fms.shape, dembeds))
-            params = _step(params, grad_flat, cfg.pretrain_lr, loss,
-                           f"pretrain, epoch {epoch}, batch {b} (index {len(losses)})")
+            where = f"pretrain, epoch {epoch}, batch {b} (index {len(losses)})"
+            params = _step(params, grad_flat, cfg.pretrain_lr, loss, where)
             weights = weights - cfg.pretrain_lr * grad_w
             bias = bias - cfg.pretrain_lr * grad_b
             losses.append(loss)
+    _check_runs(params, images, where)
     return PretrainResult(params, losses)
 
 
@@ -161,8 +169,9 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
     """Seeded episodic SGD; phase "base" is the episode loss at lambda = 0, "ours"
     adds the RoI term with boxes proposed at the training threshold. Returns
     (params, per-episode losses); raises ArchMismatch before any work, NonFiniteLoss
-    before stepping on a non-finite loss or gradient, DeadEncoder on a zero gradient,
-    and an episode's DegenerateRepresentation again with _step's where text."""
+    before stepping on a non-finite loss or gradient or after a last step that maps
+    split row 0 to inf or NaN, DeadEncoder on a zero gradient, and an episode's
+    DegenerateRepresentation again with _step's where text."""
     if phase not in ("base", "ours"):
         raise ValueError(f"unknown phase {phase!r}")
     _check_arch(cfg, params)
@@ -184,6 +193,7 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
                 raise DegenerateRepresentation(f"{where}: {err}") from err
             params = _step(params, grad, cfg.lr, loss, where)
             losses.append(loss)
+    _check_runs(params, split.images, where)
     return params, losses
 
 

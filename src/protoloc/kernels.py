@@ -9,11 +9,12 @@ encoder's one block geometry and no other. The convolution is same-size:
 stride 1, an odd square kernel, zero padding k // 2. Its adjoint is one
 matmul per kernel tap on that tap's shifted view of the padded input,
 added into the input gradient (skipped on request); it builds no im2col
-columns. Max pooling is 2 x 2; it and its adjoint share one helper, the
-four strided views of the windows. Their elementwise max is the pooled
-map. The adjoint is that of relu on the pooled map, the encoder's block
-output: it routes each gradient against that cached output, so the
-backward pass recomputes no window max and runs no separate relu pass.
+columns. Max pooling is 2 x 2 over four strided views of the windows.
+maxpool2d_switches returns relu of the pooled map, the encoder's block
+output, and a one-byte switch per window: the scan index of its first
+cell equal to a positive output, else 4 (a max of 0 or below, or NaN).
+The training forward keeps the switches, not the conv output; the adjoint
+reads only them and routes each window's gradient to its switch cell.
 Bilinear resize takes a stack of planes and shares one clamped
 corner-weight helper with RoIAlign.
 """
@@ -130,25 +131,32 @@ def maxpool2d_batch(x):
     return functools.reduce(np.maximum, _window_views(np.asarray(x, dtype=np.float64)))
 
 
-def maxpool2d_vjp_batch(x, out, grad_out):
-    """Adjoint of relu(maxpool2d_batch(x)) given its output out; recomputes no window max.
-
-    Where out > 0 it is the window max, and the window's gradient goes to its
-    first cell in scan order equal to out. Every other cell gets +0.0.
-    """
+def maxpool2d_switches(x):
+    """(relu(maxpool2d_batch(x)), uint8 switch): the count of each window's leading
+    cells unequal to its output, or 4 where the output is not > 0 (routes nothing)."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.asarray(out, dtype=np.float64)
+    out = maxpool2d_batch(x)
+    np.maximum(out, 0.0, out=out)
+    v0, v1, v2, _ = _window_views(x)
+    miss = v0 != out
+    switch = miss.astype(np.uint8)
+    miss &= v1 != out
+    switch += miss
+    miss &= v2 != out
+    switch += miss
+    switch[~(out > 0.0)] = 4
+    return out, switch
+
+
+def maxpool2d_vjp_batch(switch, grad_out):
+    """Adjoint of relu(maxpool2d_batch(x)) given maxpool2d_switches' switch: each
+    window's gradient goes to its switch cell (none for 4), every other cell gets +0.0."""
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    views = _window_views(x)
-    if out.shape != views[0].shape or grad_out.shape != out.shape:
-        raise ShapeError(f"out {out.shape} and grad_out {grad_out.shape} "
-                         f"must both fit pooled shape {views[0].shape}")
-    grad_x = np.empty_like(x)   # the views tile x, so every cell is written below
-    unrouted = out > 0.0
-    for view, grad_view in zip(views, _window_views(grad_x)):
-        hit = unrouted & (view == out)
-        grad_view[...] = np.where(hit, grad_out, 0.0)
-        unrouted &= ~hit
+    if np.shape(switch) != grad_out.shape:
+        raise ShapeError(f"switch {np.shape(switch)} and grad_out {grad_out.shape} differ")
+    grad_x = np.empty(np.multiply(grad_out.shape, (1, 2, 2, 1)))   # the views tile it
+    for j, grad_view in enumerate(_window_views(grad_x)):
+        grad_view[...] = np.where(switch == j, grad_out, 0.0)
     return grad_x
 
 

@@ -105,6 +105,14 @@ MUTATIONS = [
              "since the load is used unchecked"),
     Mutation("src/protoloc/dataset.py", "np.nonzero(self.labels == c)", "np.nonzero(self.labels != c)",
              "a class pool holds every row of the other classes"),
+    Mutation("src/protoloc/kernels.py", "switch[~(out > 0.0)] = 4", "switch[out <= 0.0] = 4",
+             "a NaN window is not switched off, so its gradient goes to its last cell"),
+    Mutation("src/protoloc/kernels.py",
+             ("v0, v1, v2, _ = _window_views(x)", "switch[~(out > 0.0)] = 4"),
+             ("_, v2, v1, v0 = _window_views(x)", "switch = 3 - switch\n    switch[~(out > 0.0)] = 4"),
+             "a window's gradient goes to its last cell equal to the max, not its first"),
+    Mutation("src/protoloc/kernels.py", "switch[~(out > 0.0)] = 4", "switch[~(out >= 0.0)] = 4",
+             "a window whose max is 0 routes its gradient to its first zero cell"),
 ]
 
 

@@ -175,6 +175,39 @@ def test_degenerate_episode_names_its_phase_epoch_and_episode(tmp_path, monkeypa
     assert not (tmp_path / "ours.tns").exists()
 
 
+def test_blown_up_last_ours_step_raises_and_writes_no_checkpoint(tmp_path, monkeypatch):
+    # one "ours" episode at loss.T = 1e-300 takes a finite step to weights near
+    # 1e295; the forward of split row 0 then overflows, so no checkpoint is written
+    monkeypatch.chdir(tmp_path)
+    common = ["--set", "dataset.path=data", "--set", "data.per_class_count=20", "--seed", "0"]
+    assert cli.main(["gen-data"] + common) == 0
+    assert cli.main(["pretrain"] + common + ["--set", "train.pretrain_epochs=1",
+                                             "--out", "pre.tns"]) == 0
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(harness.NonFiniteLoss,
+                          match=r"^ours phase, epoch 0, episode 0 \(index 0\): .*non-finite"):
+        cli.main(["train"] + common + ["--phase", "ours", "--checkpoint", "pre.tns",
+                                       "--out", "ours.tns", "--set", "loss.T=1e-300",
+                                       "--set", "train.epochs_ours=1",
+                                       "--set", "train.episodes_per_epoch=1"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "pre.json", "pre.tns"]
+
+
+def test_blown_up_last_pretrain_step_raises_and_writes_no_checkpoint(tmp_path, monkeypatch):
+    # one batch holds the whole train split, and its finite step at
+    # pretrain_lr = 1e300 leaves an encoder whose forward overflows
+    monkeypatch.chdir(tmp_path)
+    common = ["--set", "dataset.path=data", "--set", "data.per_class_count=20", "--seed", "0"]
+    assert cli.main(["gen-data"] + common) == 0
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(harness.NonFiniteLoss,
+                          match=r"^pretrain, epoch 0, batch 0 \(index 0\): .*non-finite"):
+        cli.main(["pretrain"] + common + ["--set", "train.pretrain_epochs=1",
+                                          "--set", "train.pretrain_batch=100",
+                                          "--set", "train.pretrain_lr=1e300", "--out", "pre.tns"])
+    assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
+
 _CLI_MODULES = ("cli", "config", "dataset", "encoder", "episodic", "harness", "kernels",
                 "localization", "roi", "tns_io")
 

@@ -239,6 +239,41 @@ class TestBackward:
         # window's max (a kink, where the difference quotient is not the slope)
         assert rel_err(grad, fd_grad(loss, params.flat, step=1e-6)) <= 1e-5
 
+    def test_cache_holds_block_outputs_and_switches_not_conv_outputs(self):
+        # an episode's 80 images: per pooled cell the cache holds its float
+        # value and a one-byte switch; the conv outputs (four times the
+        # pooled cells, 9.2 MB) are dropped as each block is pooled
+        arch = EncoderArch()
+        params = enc.init_params(arch, 26)
+        images = np.random.default_rng(26).uniform(size=(80, 32, 32, 3))
+        _, cache = enc.forward_batch(params, images)
+        sides = [arch.input_size >> b for b in range(arch.blocks)]
+        conv_shapes = {(side, side, c) for side, c in zip(sides, arch.channels)}
+        pooled_cells = 80 * sum((side // 2) ** 2 * c for side, c in zip(sides, arch.channels))
+        arrays = [a for acts, switches in cache.chunks for a in acts + switches]
+        assert not [a.shape for a in arrays if a.dtype == np.float64 and a.shape[1:] in conv_shapes]
+        assert all(s.dtype == np.uint8 for _, switches in cache.chunks for s in switches)
+        assert sum(a.nbytes for a in arrays) <= images.nbytes + 9 * pooled_cells
+
+    def test_forward_and_backward_peak_memory(self):
+        # the 80-image cache plus one chunk's transients; keeping the conv
+        # outputs would add 9.2 MB to the peak
+        params = enc.init_params(EncoderArch(), 27)
+        rng = np.random.default_rng(27)
+        images = rng.uniform(size=(80, 32, 32, 3))
+        grad_fms = rng.normal(size=(80, *params.arch.map_shape))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _, cache = enc.forward_batch(params, images)
+        enc.backward_batch(params, cache, grad_fms)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        if started:
+            tracemalloc.stop()
+        assert peak <= 5 * images.nbytes
+
     def test_cache_mismatch(self):
         params = enc.init_params(SMALL, 2)
         other = enc.init_params(EncoderArch(blocks=2, channels=(4, 6), kernel=3,

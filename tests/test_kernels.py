@@ -200,10 +200,11 @@ class TestMaxPool:
 
     def test_constant_routes_to_first_cell(self):
         x = np.full((1, 4, 4, 2), 3.0)
-        out = self._relu_pool(x)
+        out, switch = kernels.maxpool2d_switches(x)
         np.testing.assert_array_equal(out, np.full((1, 2, 2, 2), 3.0))
+        assert switch.dtype == np.uint8 and not switch.any()
         g = np.ones((1, 2, 2, 2))
-        gx = kernels.maxpool2d_vjp_batch(x, out, g)
+        gx = kernels.maxpool2d_vjp_batch(switch, g)
         # gradient lands on each window's top-left cell only
         expect = np.zeros((1, 4, 4, 2))
         expect[:, ::2, ::2] = 1.0
@@ -213,20 +214,23 @@ class TestMaxPool:
         x = np.arange(16, dtype=np.float64).reshape(1, 4, 4, 1)
         out = kernels.maxpool2d_batch(x)
         np.testing.assert_array_equal(out[0, :, :, 0], [[5, 7], [13, 15]])
+        out, switch = kernels.maxpool2d_switches(x)
+        np.testing.assert_array_equal(out[0, :, :, 0], [[5, 7], [13, 15]])
+        np.testing.assert_array_equal(switch, np.full((1, 2, 2, 1), 3))
 
     def test_indivisible_extent_raises(self):
         with pytest.raises(ShapeError):
             kernels.maxpool2d_batch(np.zeros((1, 5, 4, 1)))
         with pytest.raises(ShapeError):
-            kernels.maxpool2d_vjp_batch(np.zeros((1, 5, 4, 1)), np.zeros((1, 2, 2, 1)),
-                                        np.zeros((1, 2, 2, 1)))
+            kernels.maxpool2d_switches(np.zeros((1, 5, 4, 1)))
 
     def test_misfit_output_raises(self):
-        x, fits = np.zeros((1, 4, 4, 1)), np.zeros((1, 2, 2, 1))
-        with pytest.raises(ShapeError, match="out \\(1, 2, 2, 2\\)"):
-            kernels.maxpool2d_vjp_batch(x, np.zeros((1, 2, 2, 2)), fits)
-        with pytest.raises(ShapeError, match="grad_out \\(1, 2, 3, 1\\)"):
-            kernels.maxpool2d_vjp_batch(x, fits, np.zeros((1, 2, 3, 1)))
+        fits = np.zeros((1, 2, 2, 1))
+        with pytest.raises(ShapeError,
+                           match="switch \\(1, 2, 2, 2\\) and grad_out \\(1, 2, 2, 1\\) differ"):
+            kernels.maxpool2d_vjp_batch(np.zeros((1, 2, 2, 2), np.uint8), fits)
+        with pytest.raises(ShapeError, match="switch \\(1, 2, 2, 1\\) and grad_out \\(1, 2, 3, 1\\)"):
+            kernels.maxpool2d_vjp_batch(np.zeros((1, 2, 2, 1), np.uint8), np.zeros((1, 2, 3, 1)))
 
     @pytest.mark.parametrize("window", [2])
     def test_tie_routing_matches_loop_oracle(self, window):
@@ -234,7 +238,7 @@ class TestMaxPool:
         rng = np.random.default_rng(16)
         x = rng.integers(1, 4, size=(2, 4 * window, 3 * window, 3)).astype(np.float64)
         g = rng.normal(size=(2, 4, 3, 3))
-        gx = kernels.maxpool2d_vjp_batch(x, self._relu_pool(x), g)
+        gx = kernels.maxpool2d_vjp_batch(kernels.maxpool2d_switches(x)[1], g)
         assert gx.tobytes() == maxpool2d_vjp_loops(x, g, window).tobytes()
 
     def test_nonpositive_windows_get_positive_zero(self):
@@ -245,21 +249,41 @@ class TestMaxPool:
         x[:, :2, :, 0] = 0.0
         x[:, ::2, ::2, 1] = 0.0
         g = rng.normal(size=(2, 3, 3, 2))
-        gx = kernels.maxpool2d_vjp_batch(x, self._relu_pool(x), g)
+        out, switch = kernels.maxpool2d_switches(x)
+        assert out.tobytes() == self._relu_pool(x).tobytes()
+        assert (switch == 4).all()
+        gx = kernels.maxpool2d_vjp_batch(switch, g)
         assert gx.tobytes() == np.zeros_like(x).tobytes()
+
+    def test_nan_window_routes_nothing(self):
+        # a window holding a NaN pools to NaN and sends nothing, though its
+        # other cells are positive; the other windows route as the oracle does
+        rng = np.random.default_rng(18)
+        x = rng.integers(1, 4, size=(2, 6, 6, 2)).astype(np.float64)
+        nan_cells = rng.random(size=x.shape) < 0.1
+        x[nan_cells] = np.nan
+        g = rng.normal(size=(2, 3, 3, 2))
+        nan_windows = nan_cells.reshape(2, 3, 2, 3, 2, 2).any(axis=(2, 4))
+        assert 0.2 < nan_windows.mean() < 0.8
+        out, switch = kernels.maxpool2d_switches(x)
+        assert np.isnan(out[nan_windows]).all() and (switch[nan_windows] == 4).all()
+        gx = kernels.maxpool2d_vjp_batch(switch, g)
+        expect = maxpool2d_vjp_loops(np.where(nan_cells, -1.0, x), np.where(nan_windows, 0.0, g), 2)
+        assert gx.tobytes() == expect.tobytes()
 
     def test_finite_differences_off_ties(self):
         # about half the windows have a negative max, where relu zeroes the gradient
         rng = np.random.default_rng(9)
         x = rng.normal(-0.5, 1.0, size=(2, 6, 6, 2))
         g = rng.normal(size=(2, 3, 3, 2))
-        out = self._relu_pool(x)
+        out, switch = kernels.maxpool2d_switches(x)
+        assert out.tobytes() == self._relu_pool(x).tobytes()
         assert 0.2 < (out == 0).mean() < 0.8
 
         def loss(v):
             return float((self._relu_pool(v.reshape(x.shape)) * g).sum())
 
-        gx = kernels.maxpool2d_vjp_batch(x, out, g)
+        gx = kernels.maxpool2d_vjp_batch(switch, g)
         assert rel_err(gx.ravel(), fd_grad(loss, x.ravel())) <= 1e-6
 
 
