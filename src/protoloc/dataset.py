@@ -276,7 +276,7 @@ def generate_dataset(spec: DatasetSpec, seed: int, out_dir) -> dict:
 
 def _read_manifest(path: Path) -> dict:
     """The manifest at path; CorruptDataset naming it if it is not JSON or
-    lacks a key that loading reads."""
+    lacks a key that loading reads, one of SPLITS or a spec mapping among them."""
     try:
         manifest = json.loads(path.read_text())
     except ValueError as err:      # undecodable bytes, or not JSON
@@ -287,21 +287,25 @@ def _read_manifest(path: Path) -> dict:
             raise CorruptDataset(f"{path}: no {key!r} in {where}")
         return entry[key]
 
-    for name, entry in need(manifest, "splits", "the manifest").items():
+    splits = need(manifest, "splits", "the manifest")
+    for name in SPLITS:
+        need(splits, name, "the manifest's splits")
+    for name, entry in splits.items():
         digests = need(entry, "digests", f"split {name!r}")
         for file_name in _FILES:
             need(digests, file_name, f"the digests of split {name!r}")
-    need(manifest, "spec", "the manifest")
+    if not isinstance(need(manifest, "spec", "the manifest"), dict):
+        raise CorruptDataset(f"{path}: 'spec' in the manifest is not a mapping")
     return manifest
 
 
 def _checked(path: Path, digest: str, read):
     """read(path) -> (value, sha256 of the bytes read); returns the value once
-    the bytes match digest. CorruptDataset names the file if they do not, or
-    if the file fails read's format checks."""
+    the bytes match digest. CorruptDataset names the file if they do not, if
+    it cannot be read, or if it fails read's format checks."""
     try:
         value, sha256 = read(path)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         raise CorruptDataset(str(err)) from err
     if sha256 != digest:
         raise CorruptDataset(f"{path}: sha256 differs from manifest")
@@ -341,11 +345,10 @@ def load_dataset(data_dir):
 
     Before it returns, every file of every split is read in bounded chunks,
     holding no array, and checked against its manifest digest and, for float
-    payloads, for finiteness: CorruptDataset names the first bad file, and
-    the manifest itself if it is not JSON or lacks a key. A split's arrays are
-    read on its first index only, and their bytes are checked against the
-    digests again as they are read, so a file replaced since the load raises
-    CorruptDataset then."""
+    payloads, for finiteness: CorruptDataset names the manifest if it is
+    malformed, and else the first file that is missing or bad. A split's
+    arrays are read on its first index only, and checked against the digests
+    again as they are read, so a file replaced or removed since raises then."""
     data_dir = Path(data_dir)
     manifest = _read_manifest(data_dir / "manifest.json")
     for name, entry in manifest["splits"].items():

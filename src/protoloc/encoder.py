@@ -12,9 +12,9 @@ A batch runs in chunks of CHUNK images: the whole block stack runs over
 images[i:i + CHUNK] before the next chunk starts, so a chunk's activations
 are still in cache when the next block reads them. A row's feature map
 therefore never depends on how many images share its batch. The forward
-cache keeps, per chunk, each block's input and max-pool switches (one
-byte per pooled cell, see kernels) plus the chunk's feature map; a conv
-output is dropped once its block is pooled. The backward pass walks the
+cache keeps, per chunk, only what the backward pass reads: each block's
+input and max-pool switches (one byte per pooled cell, see kernels); a
+chunk's map goes straight into the batch's. The backward pass walks the
 same chunks in order, makes one max-pool adjoint call per block, routed
 by its switches, and never forms the gradient w.r.t. the images. The
 parameter gradient is the first chunk's gradient plus each later chunk's,
@@ -123,8 +123,7 @@ class ForwardCache:
     """Activations retained for the backward pass of one forward call."""
     arch: EncoderArch
     fm_shape: tuple          # feature map shape of the whole batch, (N, h, w, D)
-    chunks: list             # per chunk: (acts, switches); acts[b] is block b's input,
-                             # acts[-1] the chunk's map, switches[b] block b's pool switches
+    chunks: list             # per chunk: (acts, switches), block b's input and switches at b
 
 
 def forward_batch(params: EncoderParams, images: np.ndarray, keep_cache: bool = True):
@@ -142,12 +141,12 @@ def forward_batch(params: EncoderParams, images: np.ndarray, keep_cache: bool = 
     chunks = []
     for i in range(0, len(images), CHUNK):
         x = images[i:i + CHUNK]
-        acts, switches = [x], []
+        acts, switches = [], []
         for w, b in views:
             t = kernels.conv2d_batch(x, w, b)
             if keep_cache:
-                x, switch = kernels.maxpool2d_switches(t)
                 acts.append(x)
+                x, switch = kernels.maxpool2d_switches(t)
                 switches.append(switch)
             else:
                 x = np.maximum(kernels.maxpool2d_batch(t), 0.0)

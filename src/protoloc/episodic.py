@@ -138,13 +138,13 @@ def nearest_class(embeds, reps) -> np.ndarray:
 
 
 def refined_reps(s_fms, protos, k, tau, image_hw, roi_cfg, connectivity):
-    """((N, D) refined representations, (N*K, 4) int64 support boxes): one
-    ``propose_boxes`` call boxes support map i against prototype i // k at
-    threshold tau, and class c's representation is the mean of its supports'
-    features from one ``roi.roi_feature`` call."""
+    """((N, D) refined representations, (N*K, 4) int64 support boxes, their
+    (ay, ax) weights for ``roi.roi_feature_vjp``): ``propose_boxes`` boxes
+    support map i against prototype i // k at threshold tau, and class c's
+    representation is the mean of its supports' ``roi.roi_feature`` rows."""
     boxes = propose_boxes(s_fms, np.repeat(protos, k, axis=0), tau, *image_hw, connectivity)
-    feats = roi.roi_feature(s_fms, boxes, image_hw, roi_cfg)
-    return feats.reshape(-1, k, feats.shape[1]).mean(axis=1), boxes
+    feats, weights = roi.roi_feature(s_fms, boxes, image_hw, roi_cfg)
+    return feats.reshape(-1, k, feats.shape[1]).mean(axis=1), boxes, weights
 
 
 def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
@@ -173,8 +173,8 @@ def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
 
     lam = loss_cfg.lambda_roi
     if lam != 0.0:
-        refined, boxes = refined_reps(fms[:ns], protos, k, tau, image_hw, roi_cfg,
-                                      connectivity)
+        refined, _, weights = refined_reps(fms[:ns], protos, k, tau, image_hw, roi_cfg,
+                                           connectivity)
         loss_r, dq_r, dref = distance_logit_loss(q_emb, labels, refined,
                                                  loss_cfg.temperature)
         loss = loss + lam * loss_r
@@ -183,7 +183,6 @@ def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
     grad_fms = kernels.gap_vjp_batch(
         fms.shape, np.concatenate([np.repeat(dproto / k, k, axis=0), dq]))
     if lam != 0.0:
-        grad_fms[:ns] += roi.roi_feature_vjp(fms[:ns], boxes, image_hw, roi_cfg,
-                                             np.repeat(lam * dref / k, k, axis=0))
+        grad_fms[:ns] += roi.roi_feature_vjp(weights, np.repeat(lam * dref / k, k, axis=0))
     grad_flat = enc.backward_batch(params, cache, grad_fms)
     return loss, grad_flat

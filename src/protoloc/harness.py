@@ -245,8 +245,8 @@ def _eval_task(cfg, features, split, task_index, mode):
     q_fms, q_emb = fms[ns:], emb[ns:]
     reps = protos = emb[:ns].reshape(n, k, -1).mean(axis=1)
     if mode == "refined":
-        reps, _ = refined_reps(fms[:ns], protos, k, cfg.tau_eval, image_hw,
-                               cfg.roi, cfg.connectivity)
+        reps, *_ = refined_reps(fms[:ns], protos, k, cfg.tau_eval, image_hw,
+                                cfg.roi, cfg.connectivity)
 
     pred = nearest_class(q_emb, reps)
     accuracy = float((pred == episode.query_labels).mean())

@@ -4,10 +4,10 @@ A box proposed in image coordinates is scaled into feature-map coordinates
 without quantization and split into a regular grid of bins; each bin
 averages bilinear samples at regular sub-bin centers, and the RoI feature is
 the mean over bins. Bilinear sampling is separable, so that mean is the
-weighted sum ay^T FM ax of per-row and per-column cell weights, and the
-adjoint is outer(ay, ax) times the incoming gradient; each row of a stack is
-bitwise the one-map form (a two-step einsum or a broadcast sum is not). A
-class's refined representation is the mean of its supports' RoI features.
+weighted sum ay^T FM ax of per-row and per-column cell weights; each row of
+a stack is bitwise the one-map form (a two-step einsum or a broadcast sum is
+not). The adjoint, outer(ay, ax) times the incoming gradient, takes the
+weights the forward call returned and reads no map or box.
 """
 
 from __future__ import annotations
@@ -68,19 +68,18 @@ def _roi_weights(fms, boxes, image_extents, cfg: RoiConfig):
             np.array([_cell_weights(x0, x1, w, image_w, cfg) for _, x0, _, x1 in rows]))
 
 
-def roi_feature(fms, boxes, image_extents, cfg: RoiConfig = RoiConfig()) -> np.ndarray:
-    """(N, D) means over the grid x grid bins of bin-averaged bilinear
-    samples, of each (N, h, w, D) map in its row of the (N, 4) boxes."""
+def roi_feature(fms, boxes, image_extents, cfg: RoiConfig = RoiConfig()):
+    """(N, D) means over the grid x grid bins of bin-averaged bilinear samples
+    of each (N, h, w, D) map in its row of the (N, 4) boxes, and their (ay, ax)."""
     fms = np.asarray(fms, dtype=np.float64)
-    ay, ax = _roi_weights(fms, boxes, image_extents, cfg)
-    return np.einsum("ni,nijd,nj->nd", ay, fms, ax)
+    ay, ax = weights = _roi_weights(fms, boxes, image_extents, cfg)
+    return np.einsum("ni,nijd,nj->nd", ay, fms, ax), weights
 
 
-def roi_feature_vjp(fms, boxes, image_extents, cfg: RoiConfig, grads) -> np.ndarray:
+def roi_feature_vjp(weights, grads) -> np.ndarray:
     """Gradient of the sum of roi_feature's rows dotted with the (N, D) grads,
-    w.r.t. the (N, h, w, D) maps; boxes get none."""
-    fms, grads = np.asarray(fms, dtype=np.float64), np.asarray(grads, dtype=np.float64)
-    ay, ax = _roi_weights(fms, boxes, image_extents, cfg)
-    if grads.shape != (fms.shape[0], fms.shape[3]):
-        raise CacheMismatch(f"grads shape {grads.shape} != {(fms.shape[0], fms.shape[3])}")
+    w.r.t. the (N, h, w, D) maps, from the (ay, ax) weights that call returned."""
+    (ay, ax), grads = weights, np.asarray(grads, dtype=np.float64)
+    if grads.ndim != 2 or len(grads) != len(ay):
+        raise CacheMismatch(f"grads shape {grads.shape} is not ({len(ay)}, D)")
     return (ay[:, :, None] * ax[:, None, :])[..., None] * grads[:, None, None, :]

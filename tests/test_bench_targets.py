@@ -85,12 +85,12 @@ def test_backward_makes_one_conv_vjp_call_per_block(monkeypatch):
     assert sorted(calls) == [(8, True), (16, True), (32, False)]
 
 
-def counting(monkeypatch, calls, module, name):
-    """Record len(args[0]) of every call of module.name under calls[name]."""
+def counting(monkeypatch, calls, module, name, size=len):
+    """Record size(args[0]) of every call of module.name under calls[name]."""
     real = getattr(module, name)
 
     def counted(*args):
-        calls[name].append(len(args[0]))
+        calls[name].append(size(args[0]))
         return real(*args)
     monkeypatch.setattr(module, name, counted)
 
@@ -135,12 +135,15 @@ def test_propose_boxes_labels_once_per_call(monkeypatch):
 def test_ours_episode_boxes_and_pools_each_support_once(monkeypatch):
     # an "ours" episode boxes its N*K supports in one propose_boxes call and
     # pools them in one roi.roi_feature call and one roi.roi_feature_vjp
-    # call, each over all N*K maps; no one-map propose_box call is made
-    calls = {"propose_box": [], "propose_boxes": [], "roi_feature": [], "roi_feature_vjp": []}
+    # call, each over all N*K maps; the adjoint reads the forward's cell
+    # weights, so they are built once, and no one-map propose_box call is made
+    calls = {"propose_box": [], "propose_boxes": [], "roi_feature": [], "roi_feature_vjp": [],
+             "_roi_weights": []}
     counting(monkeypatch, calls, episodic, "propose_box")
     counting(monkeypatch, calls, episodic, "propose_boxes")
     counting(monkeypatch, calls, roi, "roi_feature")
-    counting(monkeypatch, calls, roi, "roi_feature_vjp")
+    counting(monkeypatch, calls, roi, "roi_feature_vjp", lambda weights: len(weights[0]))
+    counting(monkeypatch, calls, roi, "_roi_weights")
     cfg = RunConfig(n_way=3, k_shot=2, queries=2, arch_blocks=2, arch_channels=(4, 6),
                     arch_input_size=16, image_size=16, workers=1, lambda_roi=0.5,
                     epochs_ours=1, episodes_per_epoch=1)
@@ -149,7 +152,7 @@ def test_ours_episode_boxes_and_pools_each_support_once(monkeypatch):
                       np.tile([2, 3, 11, 12], (24, 1)))
     harness.train_episodic(cfg, enc.init_params(cfg.arch, 0), "ours", split)
     assert calls == {"propose_box": [], "propose_boxes": [3 * 2], "roi_feature": [3 * 2],
-                     "roi_feature_vjp": [3 * 2]}
+                     "roi_feature_vjp": [3 * 2], "_roi_weights": [3 * 2]}
 
 
 def test_tracer_scores_each_support_box_against_its_split_row(monkeypatch):
@@ -204,7 +207,7 @@ def test_refined_reps_boxes_score_like_the_per_support_oracle(k):
     fms, _ = enc.forward_batch(enc.init_params(enc.EncoderArch(2, (4, 6), 3, 16), k),
                                split.images[episode.support_ids])
     protos = kernels.global_avg_pool_batch(fms).reshape(n, k, -1).mean(axis=1)
-    _, boxes = episodic.refined_reps(fms, protos, k, 0.5, (16, 16), roi.RoiConfig(), 4)
+    _, boxes, _ = episodic.refined_reps(fms, protos, k, 0.5, (16, 16), roi.RoiConfig(), 4)
     _, want_boxes = refined_reps_loop(fms, protos, k, 0.5, (16, 16), roi.RoiConfig(), 4)
     got = iou(boxes, episode.support_boxes)
     want = [iou(BoundingBox(*box), BoundingBox(*row))

@@ -201,6 +201,23 @@ class TestGenerateDataset:
         with pytest.raises(CorruptDataset, match=f"{split}/boxes.tns"):
             ds.load_dataset(tmp_path)
 
+    def test_missing_file_raises_corrupt_dataset(self, tmp_path):
+        # at a split's first index if it goes after the load, and at load;
+        # so does a split name beyond SPLITS that has no files on disk
+        ds.generate_dataset(small_spec(per_class_count=2), 3, tmp_path)
+        _, splits = ds.load_dataset(tmp_path)
+        (tmp_path / "val" / "labels.tns").unlink()
+        with pytest.raises(CorruptDataset, match="val/labels.tns"):
+            splits["val"]
+        with pytest.raises(CorruptDataset, match="val/labels.tns"):
+            ds.load_dataset(tmp_path)
+        ds.generate_dataset(small_spec(per_class_count=2), 3, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["splits"]["extra"] = manifest["splits"]["val"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptDataset, match="extra/images.tns"):
+            ds.load_dataset(tmp_path)
+
     def test_non_finite_image_raises_corrupt_dataset_at_load(self, tmp_path):
         # a NaN whose digest the manifest records is still refused, by name
         ds.generate_dataset(small_spec(per_class_count=2), 3, tmp_path)
@@ -321,6 +338,21 @@ class TestManifest:
     def test_no_splits(self, data):
         self._edit(data, lambda m: m.pop("splits"))
         with pytest.raises(CorruptDataset, match="manifest.json: no 'splits' in the manifest"):
+            ds.load_dataset(data)
+
+    @pytest.mark.parametrize("edit", [lambda m: m.update(splits=[]),
+                                      lambda m: m["splits"].pop("test")],
+                             ids=["splits-a-list", "no-test-split"])
+    def test_each_fixed_split_is_named(self, data, edit):
+        self._edit(data, edit)
+        with pytest.raises(CorruptDataset,
+                           match="manifest.json: no 'test' in the manifest's splits"):
+            ds.load_dataset(data)
+
+    def test_spec_not_a_mapping(self, data):
+        self._edit(data, lambda m: m.update(spec=[]))
+        with pytest.raises(CorruptDataset,
+                           match="manifest.json: 'spec' in the manifest is not a mapping"):
             ds.load_dataset(data)
 
     def test_split_without_digests(self, data):

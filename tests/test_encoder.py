@@ -197,7 +197,7 @@ class TestBackward:
         fms_ref, grad_ref = relu_first_encoder(params, images, grad_fms)
         assert 0.2 < (fms == 0).mean() < 0.8
         (acts, _), = cache.chunks
-        assert all(0.1 < (x == 0).mean() < 0.9 for x in acts[1:-1])
+        assert all(0.1 < (x == 0).mean() < 0.9 for x in acts[1:])
         assert fms.tobytes() == fms_ref.tobytes()
         assert grad.tobytes() == grad_ref.tobytes()
 
@@ -240,20 +240,22 @@ class TestBackward:
         assert rel_err(grad, fd_grad(loss, params.flat, step=1e-6)) <= 1e-5
 
     def test_cache_holds_block_outputs_and_switches_not_conv_outputs(self):
-        # an episode's 80 images: per pooled cell the cache holds its float
-        # value and a one-byte switch; the conv outputs (four times the
-        # pooled cells, 9.2 MB) are dropped as each block is pooled
+        # an episode's 80 images: the cache holds the images, each pooled
+        # cell of every block but the last as a float, and every block's
+        # one-byte switches; the conv outputs (four times the pooled cells,
+        # 9.2 MB) are dropped as each block is pooled, and the last block's
+        # output is the returned map, held only there
         arch = EncoderArch()
         params = enc.init_params(arch, 26)
         images = np.random.default_rng(26).uniform(size=(80, 32, 32, 3))
         _, cache = enc.forward_batch(params, images)
         sides = [arch.input_size >> b for b in range(arch.blocks)]
         conv_shapes = {(side, side, c) for side, c in zip(sides, arch.channels)}
-        pooled_cells = 80 * sum((side // 2) ** 2 * c for side, c in zip(sides, arch.channels))
+        pooled = [80 * (side // 2) ** 2 * c for side, c in zip(sides, arch.channels)]
         arrays = [a for acts, switches in cache.chunks for a in acts + switches]
         assert not [a.shape for a in arrays if a.dtype == np.float64 and a.shape[1:] in conv_shapes]
         assert all(s.dtype == np.uint8 for _, switches in cache.chunks for s in switches)
-        assert sum(a.nbytes for a in arrays) <= images.nbytes + 9 * pooled_cells
+        assert sum(a.nbytes for a in arrays) == images.nbytes + 8 * sum(pooled[:-1]) + sum(pooled)
 
     def test_forward_and_backward_peak_memory(self):
         # the 80-image cache plus one chunk's transients; keeping the conv

@@ -118,7 +118,7 @@ class TestRefinedReps:
             s_fms[:, y, x, c] += 2.0 + rng.uniform(size=n * k)
         protos = np.eye(3) + 0.01 * rng.uniform(size=(3, 3))
         roi_cfg = RoiConfig(2, 2)
-        reps, boxes = ep.refined_reps(s_fms, protos, k, 0.5, (16, 16), roi_cfg, 4)
+        reps, boxes, _ = ep.refined_reps(s_fms, protos, k, 0.5, (16, 16), roi_cfg, 4)
         want_reps, want_boxes = refined_reps_loop(s_fms, protos, k, 0.5, (16, 16), roi_cfg, 4)
         assert (boxes.dtype, boxes.shape) == (np.int64, (n * k, 4))
         assert list(map(tuple, boxes.tolist())) == want_boxes
@@ -135,13 +135,12 @@ class TestRefinedReps:
         protos = global_avg_pool_batch(fms).reshape(n, k, -1).mean(axis=1)
         assert len(np.unique(protos, axis=0)) == n
         for tau in (0.5, 0.7):
-            reps, boxes = ep.refined_reps(fms, protos, k, tau, (16, 16), roi_cfg, 4)
+            reps, boxes, weights = ep.refined_reps(fms, protos, k, tau, (16, 16), roi_cfg, 4)
             want_reps, want_boxes = refined_reps_loop(fms, protos, k, tau, (16, 16), roi_cfg, 4)
             assert list(map(tuple, boxes.tolist())) == want_boxes
             np.testing.assert_array_equal(reps, want_reps)
             dref = rng.normal(size=(n, fms.shape[3]))
-            got = roi_feature_vjp(fms, boxes, (16, 16), roi_cfg,
-                                  np.repeat(lam * dref / k, k, axis=0))
+            got = roi_feature_vjp(weights, np.repeat(lam * dref / k, k, axis=0))
             want = roi_feature_vjp_loop(fms, want_boxes, (16, 16), roi_cfg,
                                         [lam * dref[i // k] / k for i in range(n * k)])
             np.testing.assert_array_equal(got, want)
@@ -336,6 +335,12 @@ class TestEpisodeGradient:
         fix_boxes(boxes)
         _, grad = ep.episode_loss_and_gradient(params, episode, cfg, roi_cfg=roi_cfg)
         np.testing.assert_array_equal(grad, live)   # same boxes either way
+
+        # both live boxes are the full image; with distinct boxes, a support
+        # sent another support's RoI gradient shows
+        assert boxes.tolist() == [[0, 0, 15, 15]] * 2
+        fix_boxes([[0, 0, 15, 15], [3, 5, 12, 14]])
+        _, grad = ep.episode_loss_and_gradient(params, episode, cfg, roi_cfg=roi_cfg)
 
         def loss(flat):
             return loss_value(enc.EncoderParams(SMALL, flat), episode, cfg, roi_cfg=roi_cfg)

@@ -25,13 +25,14 @@ def test_config_validation():
 
 def feature(fm, box, image_extents, cfg=RoiConfig()):
     """roi_feature of one map: row 0 of a stack of one."""
-    return roi.roi_feature(np.asarray(fm)[None], np.array([box]), image_extents, cfg)[0]
+    return roi.roi_feature(np.asarray(fm)[None], np.array([box]), image_extents, cfg)[0][0]
 
 
 def feature_vjp(fm, box, image_extents, cfg, grad):
-    """roi_feature_vjp of one map: row 0 of a stack of one."""
-    return roi.roi_feature_vjp(np.asarray(fm)[None], np.array([box]), image_extents, cfg,
-                               np.asarray(grad)[None])[0]
+    """roi_feature_vjp of one map, through the weights its forward call
+    returns: row 0 of a stack of one."""
+    _, weights = roi.roi_feature(np.asarray(fm)[None], np.array([box]), image_extents, cfg)
+    return roi.roi_feature_vjp(weights, np.asarray(grad)[None])[0]
 
 
 def bin_mean_reference(fm, box, image_extents, cfg):
@@ -142,15 +143,16 @@ class TestRoiFeature:
 
 
 class TestStackChecks:
-    """A bad box, a box count that is not the map count, or grads that are
-    not (N, D) fail before any cell weight is read or feature computed."""
+    """A bad box or a box count that is not the map count fails before any
+    cell weight is read or feature computed; the adjoint reads the weights
+    of a checked forward call, and fails on grads that are not (N, D')."""
 
     FMS = np.zeros((3, 4, 4, 2))
     BOXES = np.array([[0, 0, 31, 31], [2, 3, 10, 11], [5, 5, 20, 30]])
 
     def calls(self, boxes, grads=np.zeros((3, 2))):
         yield lambda: roi.roi_feature(self.FMS, boxes, (32, 32))
-        yield lambda: roi.roi_feature_vjp(self.FMS, boxes, (32, 32), RoiConfig(), grads)
+        yield lambda: roi.roi_feature_vjp(roi.roi_feature(self.FMS, boxes, (32, 32))[1], grads)
 
     @pytest.mark.parametrize("row", [0, 1, 2])
     def test_one_out_of_image_row_is_named(self, row):
@@ -171,10 +173,14 @@ class TestStackChecks:
                     call()
 
     def test_grads_must_be_n_by_d(self):
-        # each of these would broadcast against the (3, 4, 4, 2) gradient
-        for grads in (np.zeros(2), np.zeros((3, 1)), np.zeros((1, 2)), np.zeros((3, 1, 1, 2))):
+        # each of these would broadcast against the (3, 4, 4) cell weights;
+        # an (N, D') grad is the adjoint of D' channels, shaped (N, h, w, D')
+        _, weights = roi.roi_feature(self.FMS, self.BOXES, (32, 32))
+        for grads in (np.zeros(2), np.zeros((1, 2)), np.zeros((3, 1, 1, 2))):
             with pytest.raises(CacheMismatch, match="grads shape"):
-                roi.roi_feature_vjp(self.FMS, self.BOXES, (32, 32), RoiConfig(), grads)
+                roi.roi_feature_vjp(weights, grads)
+        for d in (1, 2, 3):
+            assert roi.roi_feature_vjp(weights, np.ones((3, d))).shape == (3, 4, 4, d)
 
 
 class TestCellWeightCache:
@@ -243,7 +249,7 @@ class TestRefineRepresentation:
         got, grad = episode_loss_and_gradient(params, episode, LossConfig(8.0, 1.0))
         fms, _ = enc.forward_batch(params, images)
         emb = global_avg_pool_batch(fms)
-        feats = roi.roi_feature(fms[:ns], boxes, (16, 16))
+        feats, _ = roi.roi_feature(fms[:ns], boxes, (16, 16))
         protos = emb[:ns].reshape(n_way, k_shot, -1).mean(axis=1)
         base = distance_logit_loss(emb[ns:], episode.query_labels, protos, 8.0)[0]
         return got, grad, base, feats, emb[ns:], episode.query_labels
@@ -297,12 +303,13 @@ class TestRoiAlignVjp:
             assert abs(g.sum() - 1.0) <= 1e-12
 
     def test_grad_shape_mismatch(self):
-        # a (D,) or (N, 1) grad would broadcast to an (N, h, w, D) gradient
-        fms = np.zeros((2, 4, 4, 2))
-        for grad in [np.zeros(2), np.zeros((2, 1)), np.zeros((2, 3)), np.zeros((3, 3, 2))]:
+        # a grad must have the weights' N rows: a (D,) or (1, D) grad would
+        # broadcast to an (N, h, w, D) gradient
+        _, weights = roi.roi_feature(np.zeros((2, 4, 4, 2)), np.tile([0, 0, 31, 31], (2, 1)),
+                                     (32, 32), RoiConfig(3, 2))
+        for grad in [np.zeros(2), np.zeros((1, 2)), np.zeros((3, 2)), np.zeros((3, 3, 2))]:
             with pytest.raises(CacheMismatch):
-                roi.roi_feature_vjp(fms, np.tile([0, 0, 31, 31], (2, 1)), (32, 32),
-                                    RoiConfig(3, 2), grad)
+                roi.roi_feature_vjp(weights, grad)
 
     def test_finite_differences(self):
         # non-square geometry, box on the image edges: the outer samples
