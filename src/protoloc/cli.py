@@ -28,6 +28,11 @@ def _build_config(args) -> RunConfig:
     return RunConfig.from_mapping(mapping)
 
 
+def int_list(text):
+    """--ids text -> split row ids, parsed (and refused) before any file is read."""
+    return [int(t) for t in text.split(",") if t.strip()]
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="protoloc",
@@ -57,7 +62,7 @@ def _parser():
     p = sub.add_parser("localize", help="write box overlays for split images")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--ids", required=True, help="comma-separated image ids")
+    p.add_argument("--ids", required=True, type=int_list, help="comma-separated image ids")
     p.add_argument("--split", default="test")
     p.add_argument("--out-dir", default="overlays")
     return parser
@@ -97,8 +102,7 @@ def main(argv=None) -> int:
               f"({wall:.1f}s); report {args.report}")
     elif args.command == "localize":
         params, _ = enc.load_checkpoint(args.checkpoint)
-        ids = [int(t) for t in args.ids.split(",") if t.strip()]
-        records = localize_cmd(cfg, params, ids, args.split, args.out_dir)
+        records = localize_cmd(cfg, params, args.ids, args.split, args.out_dir)
         for r in records:
             b = r["box"]
             print(f"{r['id']} {b.y0} {b.x0} {b.y1} {b.x1} iou={r['iou']:.3f}")

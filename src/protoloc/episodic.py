@@ -32,32 +32,12 @@ from .kernels import ShapeError
 from .localization import propose_box, propose_boxes
 
 if TYPE_CHECKING:
+    from .config import RunConfig
     from .dataset import SplitData
 
 
 class EmptyClass(ValueError):
     """An episode has no classes or no support items per class."""
-
-
-class NonPositiveTemperature(ValueError):
-    """The loss temperature is not a finite positive number."""
-
-
-class NegativeLambda(ValueError):
-    """The RoI-loss weight is not a finite non-negative number."""
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    temperature: float = 64.0
-    lambda_roi: float = 1.0   # 1-shot convention; 0.5 is the 5-shot default
-
-    def __post_init__(self):
-        if not (np.isfinite(self.temperature) and self.temperature > 0.0):
-            raise NonPositiveTemperature(
-                f"temperature must be finite and > 0, got {self.temperature}")
-        if not (np.isfinite(self.lambda_roi) and self.lambda_roi >= 0.0):
-            raise NegativeLambda(f"lambda_roi must be finite and >= 0, got {self.lambda_roi}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,52 +117,45 @@ def nearest_class(embeds, reps) -> np.ndarray:
     return d2.argmin(axis=1)
 
 
-def refined_reps(s_fms, protos, k, tau, image_hw, roi_cfg, connectivity):
+def refined_reps(s_fms, protos, k, tau, cfg: RunConfig):
     """((N, D) refined representations, (N*K, 4) int64 support boxes, their
     (ay, ax) weights for ``roi.roi_feature_vjp``): ``propose_boxes`` boxes
     support map i against prototype i // k at threshold tau, and class c's
-    representation is the mean of its supports' ``roi.roi_feature`` rows."""
-    boxes = propose_boxes(s_fms, np.repeat(protos, k, axis=0), tau, *image_hw, connectivity)
-    feats, weights = roi.roi_feature(s_fms, boxes, image_hw, roi_cfg)
+    representation is the mean of its supports' ``roi.roi_feature`` rows;
+    the image size, ``connectivity`` and ``roi`` settings are cfg's."""
+    size = cfg.arch_input_size
+    boxes = propose_boxes(s_fms, np.repeat(protos, k, axis=0), tau, size, size, cfg.connectivity)
+    feats, weights = roi.roi_feature(s_fms, boxes, (size, size), cfg.roi)
     return feats.reshape(-1, k, feats.shape[1]).mean(axis=1), boxes, weights
 
 
 def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
-                              loss_cfg: LossConfig, *,
-                              tau: float = 0.5,
-                              roi_cfg: roi.RoiConfig = roi.RoiConfig(),
-                              connectivity: int = 4):
+                              cfg: RunConfig, lambda_roi: float):
     """Loss value and its exact parameter gradient for one episode.
 
-    The loss is base + lambda * RoI with lambda = loss_cfg.lambda_roi. The
-    RoI term proposes boxes at threshold tau and builds refined
-    representations from RoI features; it runs only when lambda != 0. Box
-    coordinates are stop-gradient: only the bilinear sampling weights carry
-    gradient into the feature maps.
+    The loss is base + lambda_roi * RoI at temperature ``cfg.temperature``;
+    the RoI term runs only when lambda_roi != 0, on ``refined_reps`` with the
+    supports boxed at ``cfg.tau_train``. Box coordinates are stop-gradient:
+    only the bilinear sampling weights carry gradient into the feature maps.
     """
     n, k = episode.n_way, episode.k_shot
     ns = n * k
     labels = episode.query_labels
-    image_hw = (params.arch.input_size,) * 2
 
     fms, cache = enc.forward_batch(params, episode.split.images[episode.ids])
     emb = kernels.global_avg_pool_batch(fms)
     q_emb = emb[ns:]
     protos = emb[:ns].reshape(n, k, -1).mean(axis=1)
-    loss, dq, dproto = distance_logit_loss(q_emb, labels, protos, loss_cfg.temperature)
+    loss, dq, dproto = distance_logit_loss(q_emb, labels, protos, cfg.temperature)
 
-    lam = loss_cfg.lambda_roi
-    if lam != 0.0:
-        refined, _, weights = refined_reps(fms[:ns], protos, k, tau, image_hw, roi_cfg,
-                                           connectivity)
-        loss_r, dq_r, dref = distance_logit_loss(q_emb, labels, refined,
-                                                 loss_cfg.temperature)
-        loss = loss + lam * loss_r
-        dq = dq + lam * dq_r
+    if lambda_roi != 0.0:
+        refined, _, weights = refined_reps(fms[:ns], protos, k, cfg.tau_train, cfg)
+        loss_r, dq_r, dref = distance_logit_loss(q_emb, labels, refined, cfg.temperature)
+        loss = loss + lambda_roi * loss_r
+        dq = dq + lambda_roi * dq_r
 
     grad_fms = kernels.gap_vjp_batch(
         fms.shape, np.concatenate([np.repeat(dproto / k, k, axis=0), dq]))
-    if lam != 0.0:
-        grad_fms[:ns] += roi.roi_feature_vjp(weights, np.repeat(lam * dref / k, k, axis=0))
-    grad_flat = enc.backward_batch(params, cache, grad_fms)
-    return loss, grad_flat
+    if lambda_roi != 0.0:
+        grad_fms[:ns] += roi.roi_feature_vjp(weights, np.repeat(lambda_roi * dref / k, k, axis=0))
+    return loss, enc.backward_batch(params, cache, grad_fms)

@@ -37,8 +37,8 @@ from . import encoder as enc
 from . import kernels
 from .config import RunConfig
 from .dataset import SPLITS, DatasetSpec, load_dataset, sample_episode
-from .episodic import (LossConfig, episode_loss_and_gradient, nearest_class,
-                       refined_reps, softmax_cross_entropy)
+from .episodic import (episode_loss_and_gradient, nearest_class, refined_reps,
+                       softmax_cross_entropy)
 # propose_box and roi_feature are unused here; bench/spans.py traces them as harness names
 from .localization import BoundingBox, DegenerateRepresentation, iou, propose_box, propose_boxes
 from .roi import roi_feature
@@ -178,8 +178,7 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
     if split is None:
         split = _load_splits(cfg)["train"]
     epochs = cfg.epochs_base if phase == "base" else cfg.epochs_ours
-    loss_cfg = LossConfig(cfg.temperature, cfg.lambda_roi if phase == "ours" else 0.0)
-    boxing = dict(tau=cfg.tau_train, roi_cfg=cfg.roi, connectivity=cfg.connectivity)
+    lambda_roi = cfg.lambda_roi if phase == "ours" else 0.0
 
     losses = []
     for epoch in range(epochs):
@@ -188,7 +187,7 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
             episode = sample_episode(split, cfg.n_way, cfg.k_shot, cfg.queries, rng)
             where = f"{phase} phase, epoch {epoch}, episode {j} (index {len(losses)})"
             try:
-                loss, grad = episode_loss_and_gradient(params, episode, loss_cfg, **boxing)
+                loss, grad = episode_loss_and_gradient(params, episode, cfg, lambda_roi)
             except DegenerateRepresentation as err:
                 raise DegenerateRepresentation(f"{where}: {err}") from err
             params = _step(params, grad, cfg.lr, loss, where)
@@ -245,8 +244,7 @@ def _eval_task(cfg, features, split, task_index, mode):
     q_fms, q_emb = fms[ns:], emb[ns:]
     reps = protos = emb[:ns].reshape(n, k, -1).mean(axis=1)
     if mode == "refined":
-        reps, *_ = refined_reps(fms[:ns], protos, k, cfg.tau_eval, image_hw,
-                                cfg.roi, cfg.connectivity)
+        reps, *_ = refined_reps(fms[:ns], protos, k, cfg.tau_eval, cfg)
 
     pred = nearest_class(q_emb, reps)
     accuracy = float((pred == episode.query_labels).mean())

@@ -53,7 +53,7 @@ MUTATIONS = [
              "roi_feature_vjp transposes each map's cell weights (shape-legal on square maps)"),
     Mutation("src/protoloc/harness.py", "int((ious >= 0.5).sum())", "int((ious > 0.5).sum())",
              "CorLoc@0.5 stops counting a box of IoU exactly 0.5"),
-    Mutation("src/protoloc/harness.py", "dict(tau=cfg.tau_train,", "dict(tau=cfg.tau_eval,",
+    Mutation("src/protoloc/episodic.py", "k, cfg.tau_train, cfg)", "k, cfg.tau_eval, cfg)",
              "episodic training boxes supports at the eval threshold (0.5, not 0.7, at 5-shot)"),
     Mutation("src/protoloc/localization.py",
              ("shape = n, h + 1, w + 1", "np.zeros(n * (h + 1) * (w + 1) + 1,"),
@@ -123,6 +123,12 @@ MUTATIONS = [
     Mutation("src/protoloc/encoder.py", "        fms[i:i + CHUNK] = x\n",
              "        fms[i:i + CHUNK] = x\n        acts.append(x)\n",
              "the forward cache holds each chunk's feature map again"),
+    Mutation("src/protoloc/config.py", "math.isfinite(v) and v > 0,", "math.isfinite(v) and v >= 0,",
+             "a positive key (loss.T, train.lr, train.pretrain_lr) accepts 0"),
+    Mutation("src/protoloc/harness.py", 'cfg.lambda_roi if phase == "ours" else 0.0',
+             "cfg.lambda_roi", "the base phase trains with the RoI term at cfg.lambda_roi"),
+    Mutation("src/protoloc/episodic.py", "size, size, cfg.connectivity)", "size, size, 4)",
+             "refined_reps boxes supports at 4-connectivity whatever loc.connectivity says"),
 ]
 
 

@@ -207,8 +207,9 @@ def test_refined_reps_boxes_score_like_the_per_support_oracle(k):
     fms, _ = enc.forward_batch(enc.init_params(enc.EncoderArch(2, (4, 6), 3, 16), k),
                                split.images[episode.support_ids])
     protos = kernels.global_avg_pool_batch(fms).reshape(n, k, -1).mean(axis=1)
-    _, boxes, _ = episodic.refined_reps(fms, protos, k, 0.5, (16, 16), roi.RoiConfig(), 4)
-    _, want_boxes = refined_reps_loop(fms, protos, k, 0.5, (16, 16), roi.RoiConfig(), 4)
+    cfg = RunConfig(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size=16)
+    _, boxes, _ = episodic.refined_reps(fms, protos, k, 0.5, cfg)
+    _, want_boxes = refined_reps_loop(fms, protos, k, 0.5, (16, 16), cfg.roi, cfg.connectivity)
     got = iou(boxes, episode.support_boxes)
     want = [iou(BoundingBox(*box), BoundingBox(*row))
             for box, row in zip(want_boxes, episode.support_boxes.tolist())]

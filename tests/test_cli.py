@@ -100,6 +100,20 @@ def test_json_checkpoint_out_fails_before_any_work(tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unreadable_ids_fail_while_parsing_before_the_checkpoint_is_read(
+        tmp_path, monkeypatch, capsys):
+    def unread(*args):
+        raise AssertionError("the checkpoint was read before --ids was parsed")
+
+    monkeypatch.setattr(cli.enc, "load_checkpoint", unread)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["localize", "--checkpoint", "ours.tns", "--ids", "1,x"])
+    assert info.value.code == 2
+    assert "argument --ids: invalid int_list value: '1,x'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_diverging_pretrain_raises_and_writes_no_checkpoint(tmp_path, monkeypatch):
     # default arch at pretrain_lr = 1e6: after three steps every embedding is
     # zero, and so is the encoder gradient of the fourth batch

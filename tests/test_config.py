@@ -8,7 +8,6 @@ from protoloc import cli, harness
 from protoloc.config import RunConfig, apply_overrides, parse_config_text
 from protoloc.dataset import DatasetSpec
 from protoloc.encoder import EncoderArch
-from protoloc.episodic import LossConfig
 from protoloc.roi import RoiConfig
 
 
@@ -56,6 +55,8 @@ _COUNT_KEYS = ("train.epochs_base", "train.epochs_ours", "train.episodes_per_epo
 
 
 _INVALID = [
+    ("loss.T = 0", "loss.T must be finite and positive, got 0.0"),
+    ("loss.T = -1", "loss.T must be finite and positive, got -1.0"),
     ("loc.tau_eval = 0", "loc.tau_eval must lie in (0, 1], got 0.0"),
     ("loc.tau_train = 1.5", "loc.tau_train must lie in (0, 1], got 1.5"),
     *[(f"{key} = 0", f"{key} must be >= 1, got 0") for key in _COUNT_KEYS],
@@ -137,7 +138,6 @@ def test_defaults_build_the_component_defaults():
     assert cfg.arch == EncoderArch()
     assert cfg.spec == DatasetSpec()
     assert cfg.roi == RoiConfig()
-    assert LossConfig(cfg.temperature, cfg.lambda_roi) == LossConfig()
 
 
 @pytest.mark.parametrize("k_shot, lambda_roi, tau_train", [(1, 1.0, 0.5), (5, 0.5, 0.7)])

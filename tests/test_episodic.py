@@ -3,18 +3,25 @@ import pytest
 
 from protoloc import encoder as enc
 from protoloc import episodic as ep
+from protoloc.config import RunConfig
 from protoloc.dataset import SplitData
 from protoloc.encoder import EncoderArch
-from protoloc.episodic import (EmptyClass, Episode, LossConfig, NegativeLambda,
-                               NonPositiveTemperature, distance_logit_loss,
-                               nearest_class, softmax_cross_entropy)
+from protoloc.episodic import (EmptyClass, Episode, distance_logit_loss, nearest_class,
+                               softmax_cross_entropy)
 from protoloc.kernels import ShapeError, global_avg_pool_batch
 from protoloc.localization import BoundingBox, propose_boxes
-from protoloc.roi import RoiConfig, roi_feature_vjp
+from protoloc.roi import roi_feature_vjp
 
 from oracles import fd_grad, refined_reps_loop, rel_err, roi_feature_vjp_loop
 
 SMALL = EncoderArch(blocks=2, channels=(4, 6), kernel=3, input_size=16)
+
+
+def small_cfg(**kw):
+    """A run config on SMALL's 16-pixel grid: the episode loss reads its
+    loss.T, loc.tau_train, loc.connectivity and roi.* keys."""
+    return RunConfig(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size=16,
+                     **kw)
 
 
 def loss_of(embeds, labels, reps, temperature):
@@ -23,8 +30,8 @@ def loss_of(embeds, labels, reps, temperature):
                                temperature)[0]
 
 
-def loss_value(params, episode, cfg, **kwargs):
-    return ep.episode_loss_and_gradient(params, episode, cfg, **kwargs)[0]
+def loss_value(params, episode, cfg, lambda_roi):
+    return ep.episode_loss_and_gradient(params, episode, cfg, lambda_roi)[0]
 
 
 def embeddings(params, episode):
@@ -83,19 +90,19 @@ class TestComputePrototypes:
     def test_one_shot_is_the_embedding(self):
         params = enc.init_params(SMALL, 30)
         episode = tiny_episode(seed=30, n_way=3, k_shot=1, queries=2)
-        cfg = LossConfig(temperature=8.0, lambda_roi=0.0)
+        cfg = small_cfg(temperature=8.0)
         s_emb, q_emb = embeddings(params, episode)
         want = loss_of(q_emb, episode.query_labels, s_emb, 8.0)
-        assert loss_value(params, episode, cfg) == want
+        assert loss_value(params, episode, cfg, 0.0) == want
 
     def test_arithmetic_mean(self):
         params = enc.init_params(SMALL, 31)
         episode = tiny_episode(seed=31, n_way=2, k_shot=2, queries=2)
-        cfg = LossConfig(temperature=8.0, lambda_roi=0.0)
+        cfg = small_cfg(temperature=8.0)
         s_emb, q_emb = embeddings(params, episode)
         protos = np.stack([(s_emb[2 * c] + s_emb[2 * c + 1]) / 2 for c in range(2)])
         want = loss_of(q_emb, episode.query_labels, protos, 8.0)
-        assert loss_value(params, episode, cfg) == want
+        assert loss_value(params, episode, cfg, 0.0) == want
 
     def test_empty_class(self):
         # a mean over no supports would turn the loss and gradient into NaN
@@ -117,9 +124,9 @@ class TestRefinedReps:
         for c, (y, x) in enumerate(corners):
             s_fms[:, y, x, c] += 2.0 + rng.uniform(size=n * k)
         protos = np.eye(3) + 0.01 * rng.uniform(size=(3, 3))
-        roi_cfg = RoiConfig(2, 2)
-        reps, boxes, _ = ep.refined_reps(s_fms, protos, k, 0.5, (16, 16), roi_cfg, 4)
-        want_reps, want_boxes = refined_reps_loop(s_fms, protos, k, 0.5, (16, 16), roi_cfg, 4)
+        cfg = small_cfg(roi_grid=2, roi_samples=2)
+        reps, boxes, _ = ep.refined_reps(s_fms, protos, k, 0.5, cfg)
+        want_reps, want_boxes = refined_reps_loop(s_fms, protos, k, 0.5, (16, 16), cfg.roi, 4)
         assert (boxes.dtype, boxes.shape) == (np.int64, (n * k, 4))
         assert list(map(tuple, boxes.tolist())) == want_boxes
         assert len({want_boxes[c * k] for c in range(n)}) == n      # a wrong class shows
@@ -129,19 +136,19 @@ class TestRefinedReps:
     def test_batched_forward_and_vjp_equal_the_per_support_loop(self, k):
         # encoder maps of random images; the class means are distinct
         # prototypes, and the RoI gradient is the episode loss's lam * dref / k
-        n, roi_cfg, lam = 3, RoiConfig(3, 2), 0.7
+        n, cfg, lam = 3, small_cfg(roi_grid=3, roi_samples=2), 0.7
         rng = np.random.default_rng(40 + k)
         fms, _ = enc.forward_batch(enc.init_params(SMALL, k), rng.uniform(size=(n * k, 16, 16, 3)))
         protos = global_avg_pool_batch(fms).reshape(n, k, -1).mean(axis=1)
         assert len(np.unique(protos, axis=0)) == n
         for tau in (0.5, 0.7):
-            reps, boxes, weights = ep.refined_reps(fms, protos, k, tau, (16, 16), roi_cfg, 4)
-            want_reps, want_boxes = refined_reps_loop(fms, protos, k, tau, (16, 16), roi_cfg, 4)
+            reps, boxes, weights = ep.refined_reps(fms, protos, k, tau, cfg)
+            want_reps, want_boxes = refined_reps_loop(fms, protos, k, tau, (16, 16), cfg.roi, 4)
             assert list(map(tuple, boxes.tolist())) == want_boxes
             np.testing.assert_array_equal(reps, want_reps)
             dref = rng.normal(size=(n, fms.shape[3]))
             got = roi_feature_vjp(weights, np.repeat(lam * dref / k, k, axis=0))
-            want = roi_feature_vjp_loop(fms, want_boxes, (16, 16), roi_cfg,
+            want = roi_feature_vjp_loop(fms, want_boxes, (16, 16), cfg.roi,
                                         [lam * dref[i // k] / k for i in range(n * k)])
             np.testing.assert_array_equal(got, want)
 
@@ -187,12 +194,6 @@ class TestLogits:
                  for t in (0.01, 1.0, 64.0, 1e6)}
         assert len(picks) == 1
         assert picks == {int(nearest_class(q, reps)[0])}
-
-    def test_nonpositive_temperature(self):
-        with pytest.raises(NonPositiveTemperature):
-            LossConfig(temperature=0.0)
-        with pytest.raises(NonPositiveTemperature):
-            LossConfig(temperature=-1.0)
 
 
 class TestCrossEntropy:
@@ -263,47 +264,32 @@ class TestLosses:
         # the support embeddings, so the RoI term repeats the base term
         params = enc.init_params(SMALL, 7)
         episode = tiny_episode(seed=7, n_way=3, k_shot=1, queries=2)
-        base = loss_value(params, episode, LossConfig(64.0, 0.0))
+        cfg = small_cfg(roi_grid=4, roi_samples=1)
+        base = loss_value(params, episode, cfg, 0.0)
         fix_boxes([BoundingBox(0, 0, 15, 15)] * 3)
-        both = loss_value(params, episode, LossConfig(64.0, 1.0),
-                          roi_cfg=RoiConfig(4, 1))
+        both = loss_value(params, episode, cfg, 1.0)
         assert abs(both - 2.0 * base) <= 1e-12
 
     def test_loss_ours_arithmetic(self):
         # combined loss = base + lambda * roi term
         params = enc.init_params(SMALL, 8)
         episode = tiny_episode(seed=8)
-        kw = dict(roi_cfg=RoiConfig(2, 2), tau=0.5)
-        base = loss_value(params, episode, LossConfig(64.0, 0.0))
-        ours = {lam: loss_value(params, episode, LossConfig(64.0, lam), **kw)
-                for lam in (0.5, 1.0)}
+        cfg = small_cfg(roi_grid=2, roi_samples=2, tau_train=0.5)
+        base = loss_value(params, episode, cfg, 0.0)
+        ours = {lam: loss_value(params, episode, cfg, lam) for lam in (0.5, 1.0)}
         assert abs((ours[0.5] - base) - 0.5 * (ours[1.0] - base)) <= 1e-12
         assert ours[1.0] > base
-
-    def test_negative_lambda(self):
-        with pytest.raises(NegativeLambda):
-            LossConfig(64.0, -1.0)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_values_fail_before_any_loss(self, bad):
-        # every comparison with nan is False, so sign checks alone let it through
-        with pytest.raises(NonPositiveTemperature, match="finite"):
-            LossConfig(bad, 1.0)
-        with pytest.raises(NegativeLambda, match="finite"):
-            LossConfig(64.0, bad)
-        with pytest.raises(NonPositiveTemperature):
-            LossConfig(bad, bad)
 
 
 class TestEpisodeGradient:
     def test_prototype_mode_matches_finite_differences(self):
         params = enc.init_params(SMALL, 41)
         episode = tiny_episode(seed=41)
-        cfg = LossConfig(temperature=8.0, lambda_roi=0.0)
-        _, grad = ep.episode_loss_and_gradient(params, episode, cfg)
+        cfg = small_cfg(temperature=8.0)
+        _, grad = ep.episode_loss_and_gradient(params, episode, cfg, 0.0)
 
         def loss(flat):
-            return loss_value(enc.EncoderParams(SMALL, flat), episode, cfg)
+            return loss_value(enc.EncoderParams(SMALL, flat), episode, cfg, 0.0)
 
         assert rel_err(grad, fd_grad(loss, params.flat)) <= 1e-5
 
@@ -314,15 +300,13 @@ class TestEpisodeGradient:
         rng = np.random.default_rng(42)
         rows = np.arange(2)
         episode = Episode(split_of(rng.uniform(size=(2, 16, 16, 3))), 2, 1, rows, rows)
-        _, grad = ep.episode_loss_and_gradient(
-            params, episode, LossConfig(temperature=1e-4, lambda_roi=0.0))
+        _, grad = ep.episode_loss_and_gradient(params, episode, small_cfg(temperature=1e-4), 0.0)
         assert np.linalg.norm(grad) <= 1e-8
 
     def test_refined_mode_matches_finite_differences_at_fixed_boxes(self, fix_boxes):
         params = enc.init_params(SMALL, 43)
         episode = tiny_episode(seed=43)
-        cfg = LossConfig(temperature=8.0, lambda_roi=0.7)
-        roi_cfg = RoiConfig(2, 2)
+        cfg, lam = small_cfg(temperature=8.0, roi_grid=2, roi_samples=2, tau_train=0.5), 0.7
 
         # freeze boxes at their forward-pass values (stop-gradient convention)
         fms, _ = enc.forward_batch(params, episode.split.images[episode.support_ids])
@@ -330,20 +314,19 @@ class TestEpisodeGradient:
         protos = embeds.reshape(2, 1, -1).mean(axis=1)
         boxes = propose_boxes(fms, protos, 0.5, 16, 16)
 
-        _, live = ep.episode_loss_and_gradient(params, episode, cfg,
-                                               roi_cfg=roi_cfg, tau=0.5)
+        _, live = ep.episode_loss_and_gradient(params, episode, cfg, lam)
         fix_boxes(boxes)
-        _, grad = ep.episode_loss_and_gradient(params, episode, cfg, roi_cfg=roi_cfg)
+        _, grad = ep.episode_loss_and_gradient(params, episode, cfg, lam)
         np.testing.assert_array_equal(grad, live)   # same boxes either way
 
         # both live boxes are the full image; with distinct boxes, a support
         # sent another support's RoI gradient shows
         assert boxes.tolist() == [[0, 0, 15, 15]] * 2
         fix_boxes([[0, 0, 15, 15], [3, 5, 12, 14]])
-        _, grad = ep.episode_loss_and_gradient(params, episode, cfg, roi_cfg=roi_cfg)
+        _, grad = ep.episode_loss_and_gradient(params, episode, cfg, lam)
 
         def loss(flat):
-            return loss_value(enc.EncoderParams(SMALL, flat), episode, cfg, roi_cfg=roi_cfg)
+            return loss_value(enc.EncoderParams(SMALL, flat), episode, cfg, lam)
 
         assert rel_err(grad, fd_grad(loss, params.flat)) <= 1e-5
 
@@ -355,5 +338,5 @@ class TestEpisodeGradient:
         monkeypatch.setattr(ep, "propose_boxes", no_box)
         params = enc.init_params(SMALL, 44)
         episode = tiny_episode(seed=44)
-        loss, grad = ep.episode_loss_and_gradient(params, episode, LossConfig(64.0, 0.0))
+        loss, grad = ep.episode_loss_and_gradient(params, episode, small_cfg(), 0.0)
         assert np.isfinite(loss) and grad.any()

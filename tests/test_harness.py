@@ -10,12 +10,13 @@ import pytest
 
 from protoloc import dataset as ds
 from protoloc import encoder as enc
-from protoloc import episodic, harness
+from protoloc import episodic, harness, roi
 from protoloc.config import RunConfig
 from protoloc.encoder import EncoderArch
 from protoloc.harness import (ArchMismatch, DeadEncoder, NonFiniteLoss, SpecMismatch,
                               UnknownId)
 from protoloc.localization import BoundingBox
+from protoloc.roi import RoiConfig
 
 SMALL = dict(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size=16)
 
@@ -63,6 +64,31 @@ def test_five_shot_ours_training_boxes_supports_at_tau_train(splits, monkeypatch
     monkeypatch.setattr(episodic, "propose_boxes", propose_boxes)
     harness.train_episodic(cfg, enc.init_params(cfg.arch, 3), "ours", splits["train"])
     assert taus == [0.7] * 2     # one call boxes an episode's 3 * 5 supports
+
+
+def test_training_and_refined_eval_box_and_pool_at_the_config_settings(splits, monkeypatch):
+    # the loss and refined eval read loc.connectivity and roi.* from the run
+    # config; at values other than the defaults, every box and pool call shows them
+    cfg = small_config(connectivity=8, roi_grid=2, roi_samples=1, tau_train=0.6,
+                       epochs_ours=1, episodes_per_epoch=2, tasks=2)
+    real_boxes, real_feature, calls = episodic.propose_boxes, roi.roi_feature, []
+
+    def propose_boxes(fms, reps, tau, image_h, image_w, connectivity):
+        calls.append(("boxes", len(fms), tau, image_h, image_w, connectivity))
+        return real_boxes(fms, reps, tau, image_h, image_w, connectivity)
+
+    def roi_feature(fms, boxes, image_extents, roi_cfg):
+        calls.append(("pool", len(fms), image_extents, roi_cfg))
+        return real_feature(fms, boxes, image_extents, roi_cfg)
+
+    monkeypatch.setattr(episodic, "propose_boxes", propose_boxes)
+    monkeypatch.setattr(roi, "roi_feature", roi_feature)
+    params = enc.init_params(cfg.arch, 3)
+    harness.train_episodic(cfg, params, "ours", splits["train"])
+    harness.evaluate(cfg, params, "refined", splits["test"])
+    pool = ("pool", 3, (16, 16), RoiConfig(grid=2, samples=1))
+    train, test = ("boxes", 3, 0.6, 16, 16, 8), ("boxes", 3, 0.5, 16, 16, 8)
+    assert calls == [train, pool] * 2 + [test, pool] * 2
 
 
 # sha256 of the losses (repr) and of the final parameter bytes of the run

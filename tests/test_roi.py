@@ -5,8 +5,9 @@ from protoloc import encoder as enc
 from protoloc import roi
 from protoloc.dataset import SplitData
 from protoloc.encoder import CacheMismatch, EncoderArch
-from protoloc.episodic import (EmptyClass, Episode, LossConfig,
-                               distance_logit_loss, episode_loss_and_gradient)
+from protoloc.config import RunConfig
+from protoloc.episodic import (EmptyClass, Episode, distance_logit_loss,
+                               episode_loss_and_gradient)
 from protoloc.kernels import ShapeError, global_avg_pool_batch
 from protoloc.localization import BoundingBox
 from protoloc.roi import RoiConfig
@@ -246,7 +247,9 @@ class TestRefineRepresentation:
                           np.tile([2, 2, 10, 10], (ns + nq, 1)))
         episode = Episode(split, n_way, k_shot, np.arange(ns), np.arange(ns, ns + nq))
         self.fix_boxes(boxes)
-        got, grad = episode_loss_and_gradient(params, episode, LossConfig(8.0, 1.0))
+        cfg = RunConfig(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size=16,
+                        temperature=8.0)
+        got, grad = episode_loss_and_gradient(params, episode, cfg, 1.0)
         fms, _ = enc.forward_batch(params, images)
         emb = global_avg_pool_batch(fms)
         feats, _ = roi.roi_feature(fms[:ns], boxes, (16, 16))
