@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import encoder as enc
 from .config import RunConfig, apply_overrides, parse_config_text
-from .dataset import generate_dataset
+from .dataset import SPLITS, generate_dataset
 from .harness import evaluate, localize_cmd, pretrain, report_emit, train_episodic
 
 
@@ -29,8 +29,11 @@ def _build_config(args) -> RunConfig:
 
 
 def int_list(text):
-    """--ids text -> split row ids, parsed (and refused) before any file is read."""
-    return [int(t) for t in text.split(",") if t.strip()]
+    """--ids text -> split row ids, parsed (and refused, if unreadable or
+    empty) before any file is read."""
+    if not (ids := [int(t) for t in text.split(",") if t.strip()]):
+        raise ValueError(f"no id in {text!r}")
+    return ids
 
 
 def _parser():
@@ -63,7 +66,7 @@ def _parser():
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--ids", required=True, type=int_list, help="comma-separated image ids")
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", default="test", choices=tuple(SPLITS))
     p.add_argument("--out-dir", default="overlays")
     return parser
 

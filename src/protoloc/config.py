@@ -13,9 +13,10 @@ them: ``data.image_size`` must equal ``arch.input_size``, and
 on one thread.
 
 Building a config builds the run's components once, each from the keys
-under its prefix: ``arch`` (``arch.*``), ``spec`` (``data.*``) and ``roi``
-(``roi.*``). Each checks its own fields, and its error is re-raised under the
-key's name. They are attributes, not fields, so ``echo()`` leaves them out.
+under its prefix: ``arch`` (``arch.*``) and ``spec`` (``data.*``); each
+checks its own fields, and its error is re-raised under the key's name.
+They are attributes, not fields, so ``echo()`` leaves them out. ``loc.*``
+and ``roi.*`` build nothing: the rules on their keys are their only check.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field, fields
 
 from .dataset import DatasetSpec
 from .encoder import EncoderArch
-from .roi import RoiConfig
 
 # text -> value, keyed by the RunConfig field annotations (kept as strings)
 _PARSERS = {
@@ -103,8 +103,8 @@ class RunConfig:
     tau_eval: float = _key("loc.tau_eval", 0.5, _UNIT)
     tau_train: float | None = _key("loc.tau_train", None, _UNIT)
     connectivity: int = _key("loc.connectivity", 4, (lambda v: v in (4, 8), "must be 4 or 8"))
-    roi_grid: int = _key("roi.grid", 3)
-    roi_samples: int = _key("roi.samples", 2)
+    roi_grid: int = _key("roi.grid", 3, _COUNT)
+    roi_samples: int = _key("roi.samples", 2, _COUNT)
     n_way: int = _key("eval.n_way", 5, _COUNT)
     k_shot: int = _key("eval.k_shot", 1, _COUNT)
     queries: int = _key("eval.queries", 15, _COUNT)
@@ -131,7 +131,6 @@ class RunConfig:
                              f"arch.input_size {self.arch_input_size}")
         self.arch = self._build("arch", EncoderArch)
         self.spec = self._build("data", DatasetSpec)
-        self.roi = self._build("roi", RoiConfig)
 
     def _build(self, prefix: str, component):
         """The component whose fields are the keys ``prefix.<field>``; its

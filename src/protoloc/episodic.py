@@ -122,10 +122,10 @@ def refined_reps(s_fms, protos, k, tau, cfg: RunConfig):
     (ay, ax) weights for ``roi.roi_feature_vjp``): ``propose_boxes`` boxes
     support map i against prototype i // k at threshold tau, and class c's
     representation is the mean of its supports' ``roi.roi_feature`` rows;
-    the image size, ``connectivity`` and ``roi`` settings are cfg's."""
+    the image size, ``connectivity``, ``roi_grid`` and ``roi_samples`` are cfg's."""
     size = cfg.arch_input_size
     boxes = propose_boxes(s_fms, np.repeat(protos, k, axis=0), tau, size, size, cfg.connectivity)
-    feats, weights = roi.roi_feature(s_fms, boxes, (size, size), cfg.roi)
+    feats, weights = roi.roi_feature(s_fms, boxes, (size, size), cfg.roi_grid, cfg.roi_samples)
     return feats.reshape(-1, k, feats.shape[1]).mean(axis=1), boxes, weights
 
 

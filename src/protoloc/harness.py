@@ -1,12 +1,12 @@
 """Run orchestration: pretraining, two-phase episodic training, evaluation
 with confidence intervals, localization benchmarking, and report emission.
 
-The entry points use the components the config built and checked
-(``cfg.arch``, ``cfg.spec``, ``cfg.roi``) and check only the arch against the
-checkpoint's and the spec against the dataset manifest's. Everything is
-seeded. Per-task and per-episode generators derive from (seed, stream,
-index), so results are byte-reproducible. Evaluation runs its tasks one
-after another on one thread, in task-index order.
+The entry points use what the config built and checked (``cfg.arch``,
+``cfg.spec``, the ``loc.*`` and ``roi.*`` keys) and check only the arch
+against the checkpoint's and the spec against the dataset manifest's.
+Everything is seeded. Per-task and per-episode generators derive from
+(seed, stream, index), so results are byte-reproducible. Evaluation runs
+its tasks one after another on one thread, in task-index order.
 
 An episode is rows of its split, never copies. An image's feature map
 does not depend on the task that draws it, nor on the batch it is encoded

@@ -5,12 +5,14 @@ normalized class representation and every feature-map cell. Upsampled to
 image size, thresholded relative to its max, the largest connected
 component's bounding box is the proposed object location.
 
-``propose_boxes`` checks its inputs and runs this chain once over a stack of
-maps, each with its own representation: every stage takes the maps along a
-leading axis (``similarity_map`` takes nothing else), and each plane's
-result is bitwise the one a single-map chain gives. Refined representations
-box all supports in one call, an eval task all its queries in one;
-``propose_box``, the one-map call, is left for callers outside.
+``propose_boxes`` checks its shapes and norms and runs this chain once over
+a stack of maps, each with its own representation: every stage takes the
+maps along a leading axis (``similarity_map`` takes nothing else), and each
+plane's result is bitwise the one a single-map chain gives. Refined
+representations box all supports in one call, an eval task all its queries
+in one; ``propose_box``, the one-map call, is left for callers outside.
+The threshold tau and the connectivity are the config's ``loc.*`` values,
+which ``RunConfig`` alone checks (tau in (0, 1], connectivity 4 or 8).
 
 A stack of boxes is an (N, 4) int64 array of (y0, x0, y1, x1) rows, laid
 out like a split's ground-truth boxes; ``largest_component`` and
@@ -42,16 +44,6 @@ class BoundingBox(NamedTuple):
     x0: int
     y1: int
     x1: int
-
-
-def _check_tau(tau) -> None:
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
-
-
-def _check_connectivity(connectivity) -> None:
-    if connectivity not in (4, 8):
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
 
 
 def _label(mask: np.ndarray, connectivity: int):
@@ -110,13 +102,12 @@ def segment_mask(upsampled: np.ndarray, tau: float) -> np.ndarray:
     >= (not >) so the max pixel itself is always kept. A plane whose max is
     not positive gets a NaN threshold, which no pixel reaches: all false.
     """
-    _check_tau(tau)
     upsampled = np.asarray(upsampled, dtype=np.float64)
     mx = upsampled.max(axis=(-2, -1), keepdims=True)
     return upsampled >= np.where(mx > 0.0, tau * mx, np.nan)
 
 
-def largest_component(mask: np.ndarray, connectivity: int = 4) -> np.ndarray:
+def largest_component(mask: np.ndarray, connectivity: int) -> np.ndarray:
     """Tight inclusive box (min row, min col, max row, max col) of the largest
     connected true region of each plane of an (N, H, W) mask, as an (N, 4)
     int64 array; a plane with no true pixel gets the full-image box.
@@ -130,7 +121,6 @@ def largest_component(mask: np.ndarray, connectivity: int = 4) -> np.ndarray:
     first run's component, in row-major order, of maximal size: a tie goes
     to the earliest true pixel whatever numbers the labels take.
     """
-    _check_connectivity(connectivity)
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 3:
         raise ShapeError(f"expected (N, H, W) mask, got shape {mask.shape}")
@@ -160,22 +150,19 @@ def largest_component(mask: np.ndarray, connectivity: int = 4) -> np.ndarray:
     return boxes
 
 
-def propose_boxes(fms, reps, tau, image_h, image_w,
-                  connectivity: int = 4) -> np.ndarray:
+def propose_boxes(fms, reps, tau, image_h, image_w, connectivity: int) -> np.ndarray:
     """The (N, 4) boxes of an (N, h, w, D) stack of maps, each against its
     row of the (N, D) representations:
     similarity_map -> bilinear_resize -> segment_mask -> largest_component.
 
     A degenerate (all-nonpositive) map falls back to the full-image box.
-    Every input is checked before any map is computed.
+    Every shape and norm is checked before any map is computed.
     """
     fms = np.asarray(fms, dtype=np.float64)
     reps = np.asarray(reps, dtype=np.float64)
     if fms.ndim != 4 or reps.ndim != 2 or (fms.shape[0], fms.shape[3]) != reps.shape:
         raise ShapeError(f"fms {fms.shape} and representations {reps.shape} "
                          f"are not an (N, h, w, D) stack and its (N, D) rows")
-    _check_tau(tau)
-    _check_connectivity(connectivity)
     up = bilinear_resize(similarity_map(fms, reps), image_h, image_w)
     return largest_component(segment_mask(up, tau), connectivity)
 

@@ -7,13 +7,14 @@ the mean over bins. Bilinear sampling is separable, so that mean is the
 weighted sum ay^T FM ax of per-row and per-column cell weights; each row of
 a stack is bitwise the one-map form (a two-step einsum or a broadcast sum is
 not). The adjoint, outer(ay, ax) times the incoming gradient, takes the
-weights the forward call returned and reads no map or box.
+weights the forward call returned and reads no map or box. The bins per
+axis (``grid``) and samples per bin axis (``samples``) are plain ints: the
+run config's ``roi.grid`` and ``roi.samples``, which only it checks.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,28 +22,17 @@ from .encoder import CacheMismatch
 from .kernels import ShapeError, _corner_weights
 
 
-@dataclass(frozen=True)
-class RoiConfig:
-    grid: int = 3       # output bins per axis
-    samples: int = 2    # sample points per bin axis
-
-    def __post_init__(self):
-        for name in ("grid", "samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-
 @functools.lru_cache(maxsize=4096)
-def _cell_weights(p0: int, p1: int, n: int, size: int, cfg: RoiConfig) -> np.ndarray:
+def _cell_weights(p0: int, p1: int, n: int, size: int, grid: int, samples: int) -> np.ndarray:
     """Mean bilinear weight per cell of an n-cell axis over the samples in the
     pixel span [p0, p1+1) of a size-pixel image axis, scaled by n/size: the
     regular sub-bin centers of grid bins, shifted by -0.5 onto cell centers.
     Cached per int span and read-only."""
     lo, hi = p0 * n / size, (p1 + 1) * n / size
-    bin_len = (hi - lo) / cfg.grid
-    g = np.arange(cfg.grid, dtype=np.float64)[:, None]
-    s = np.arange(cfg.samples, dtype=np.float64)[None, :]
-    v = (lo + g * bin_len + (s + 0.5) * (bin_len / cfg.samples)).ravel() - 0.5
+    bin_len = (hi - lo) / grid
+    g = np.arange(grid, dtype=np.float64)[:, None]
+    s = np.arange(samples, dtype=np.float64)[None, :]
+    v = (lo + g * bin_len + (s + 0.5) * (bin_len / samples)).ravel() - 0.5
     i0, i1, w = _corner_weights(v, n)
     weights = (np.bincount(i0, weights=1.0 - w, minlength=n)
                + np.bincount(i1, weights=w, minlength=n)) / v.size
@@ -50,10 +40,12 @@ def _cell_weights(p0: int, p1: int, n: int, size: int, cfg: RoiConfig) -> np.nda
     return weights
 
 
-def _roi_weights(fms, boxes, image_extents, cfg: RoiConfig):
-    """(N, h) row and (N, w) column cell weights of each map's row of the
-    (N, 4) inclusive pixel boxes, read from the cache once every box is checked."""
-    boxes = np.asarray(boxes)
+def roi_feature(fms, boxes, image_extents, grid: int, samples: int):
+    """(N, D) means over the grid x grid bins of bin-averaged bilinear samples
+    of each (N, h, w, D) map in its row of the (N, 4) inclusive pixel boxes,
+    and the maps' (N, h) row and (N, w) column cell weights (ay, ax), read
+    from the cache once every box is checked."""
+    fms, boxes = np.asarray(fms, dtype=np.float64), np.asarray(boxes)
     if fms.ndim != 4 or boxes.shape != (fms.shape[0], 4) or boxes.dtype.kind not in "iu":
         raise ShapeError(f"maps {fms.shape} and {boxes.dtype} boxes {boxes.shape} are not "
                          f"an (N, h, w, D) stack and its (N, 4) integer boxes")
@@ -64,16 +56,9 @@ def _roi_weights(fms, boxes, image_extents, cfg: RoiConfig):
         raise ShapeError(f"box row {bad[0]} {tuple(boxes[bad[0]].tolist())} "
                          f"outside image extents {(image_h, image_w)}")
     (h, w), rows = fms.shape[1:3], boxes.tolist()
-    return (np.array([_cell_weights(y0, y1, h, image_h, cfg) for y0, _, y1, _ in rows]),
-            np.array([_cell_weights(x0, x1, w, image_w, cfg) for _, x0, _, x1 in rows]))
-
-
-def roi_feature(fms, boxes, image_extents, cfg: RoiConfig = RoiConfig()):
-    """(N, D) means over the grid x grid bins of bin-averaged bilinear samples
-    of each (N, h, w, D) map in its row of the (N, 4) boxes, and their (ay, ax)."""
-    fms = np.asarray(fms, dtype=np.float64)
-    ay, ax = weights = _roi_weights(fms, boxes, image_extents, cfg)
-    return np.einsum("ni,nijd,nj->nd", ay, fms, ax), weights
+    ay = np.array([_cell_weights(y0, y1, h, image_h, grid, samples) for y0, _, y1, _ in rows])
+    ax = np.array([_cell_weights(x0, x1, w, image_w, grid, samples) for _, x0, _, x1 in rows])
+    return np.einsum("ni,nijd,nj->nd", ay, fms, ax), (ay, ax)
 
 
 def roi_feature_vjp(weights, grads) -> np.ndarray:

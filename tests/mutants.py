@@ -92,7 +92,8 @@ MUTATIONS = [
     Mutation("src/protoloc/tns_io.py", "math.prod(shape)", "int(np.prod(shape, dtype=np.int64))",
              "the payload size check takes the extent product in int64, which wraps to 0"),
     Mutation("src/protoloc/config.py", "_COUNT = (lambda v: v >= 1,", "_COUNT = (lambda v: v >= 0,",
-             "a count key (epochs, episodes, batch, way, shot, queries, tasks) accepts 0"),
+             "a count key (epochs, episodes, batch, way, shot, queries, tasks, roi.grid, "
+             "roi.samples) accepts 0"),
     Mutation("src/protoloc/__init__.py", 'entry point.\n"""\n',
              'entry point.\n"""\n\nfrom .config import RunConfig\n',
              "the package re-exports a name again, so importing any module loads config's chain"),
@@ -129,6 +130,14 @@ MUTATIONS = [
              "cfg.lambda_roi", "the base phase trains with the RoI term at cfg.lambda_roi"),
     Mutation("src/protoloc/episodic.py", "size, size, cfg.connectivity)", "size, size, 4)",
              "refined_reps boxes supports at 4-connectivity whatever loc.connectivity says"),
+    Mutation("src/protoloc/config.py", '_key("roi.grid", 3, _COUNT)', '_key("roi.grid", 3)',
+             "roi.grid = 0 passes the config and fails only inside a run"),
+    Mutation("src/protoloc/roi.py", "(s + 0.5) * (bin_len / samples)",
+             "(s + 0.5) * (bin_len / grid)",
+             "_cell_weights spaces a bin's samples by the bin count, not the sample count"),
+    Mutation("src/protoloc/episodic.py", "cfg.roi_grid, cfg.roi_samples)",
+             "cfg.roi_samples, cfg.roi_grid)",
+             "refined_reps pools with roi.grid and roi.samples swapped"),
 ]
 
 

@@ -254,14 +254,14 @@ def roi_align_dense(fm, box, image_extents, grid, samples=64):
     return roi_align_reference(fm, box, image_extents, grid, samples)
 
 
-def _support_weights(fm, box, image_extents, cfg):
+def _support_weights(fm, box, image_extents, grid, samples):
     """One map's row and column cell weights, read from the per-span cache."""
     (y0, x0, y1, x1), (image_h, image_w) = box, image_extents
-    return (roi._cell_weights(int(y0), int(y1), fm.shape[0], image_h, cfg),
-            roi._cell_weights(int(x0), int(x1), fm.shape[1], image_w, cfg))
+    return (roi._cell_weights(int(y0), int(y1), fm.shape[0], image_h, grid, samples),
+            roi._cell_weights(int(x0), int(x1), fm.shape[1], image_w, grid, samples))
 
 
-def refined_reps_loop(s_fms, protos, k, tau, image_hw, roi_cfg, connectivity):
+def refined_reps_loop(s_fms, protos, k, tau, image_hw, grid, samples, connectivity):
     """refined_reps one support at a time: map i is boxed by a stack-of-one
     propose_boxes call against prototype i // k, its RoI feature is
     ay^T FM ax, and class c's representation is the mean of its K features.
@@ -270,18 +270,18 @@ def refined_reps_loop(s_fms, protos, k, tau, image_hw, roi_cfg, connectivity):
     for i, fm in enumerate(s_fms):
         box, = localization.propose_boxes(fm[None], protos[i // k][None], tau, *image_hw,
                                           connectivity).tolist()
-        ay, ax = _support_weights(fm, box, image_hw, roi_cfg)
+        ay, ax = _support_weights(fm, box, image_hw, grid, samples)
         boxes.append(tuple(box))
         feats.append(np.einsum("i,ijd,j->d", ay, fm, ax))
     reps = [np.mean(feats[c * k:(c + 1) * k], axis=0) for c in range(len(protos))]
     return np.array(reps), boxes
 
 
-def roi_feature_vjp_loop(fms, boxes, image_extents, cfg, grads):
+def roi_feature_vjp_loop(fms, boxes, image_extents, grid, samples, grads):
     """roi_feature_vjp one map at a time: outer(ay, ax)[:, :, None] * g."""
     out = []
     for fm, box, g in zip(fms, boxes, grads):
-        ay, ax = _support_weights(fm, box, image_extents, cfg)
+        ay, ax = _support_weights(fm, box, image_extents, grid, samples)
         out.append(np.outer(ay, ax)[:, :, None] * g)
     return np.array(out)
 

@@ -126,7 +126,7 @@ def test_propose_boxes_labels_once_per_call(monkeypatch):
     monkeypatch.setattr(localization, "largest_component", largest_component)
     rng = np.random.default_rng(2)
     boxes = localization.propose_boxes(rng.normal(size=(7, 4, 4, 3)), rng.normal(size=(7, 3)),
-                                       0.5, 16, 16)
+                                       0.5, 16, 16, 4)
     localization.propose_box(rng.normal(size=(4, 4, 3)), rng.normal(size=3), 0.5, 16, 16)
     assert boxes.shape == (7, 4)
     assert calls == [(7, 16, 16), (1, 16, 16)]
@@ -136,14 +136,15 @@ def test_ours_episode_boxes_and_pools_each_support_once(monkeypatch):
     # an "ours" episode boxes its N*K supports in one propose_boxes call and
     # pools them in one roi.roi_feature call and one roi.roi_feature_vjp
     # call, each over all N*K maps; the adjoint reads the forward's cell
-    # weights, so they are built once, and no one-map propose_box call is made
+    # weights, so they are looked up once, a row and a column span per
+    # support, and no one-map propose_box call is made
     calls = {"propose_box": [], "propose_boxes": [], "roi_feature": [], "roi_feature_vjp": [],
-             "_roi_weights": []}
+             "_cell_weights": []}
     counting(monkeypatch, calls, episodic, "propose_box")
     counting(monkeypatch, calls, episodic, "propose_boxes")
     counting(monkeypatch, calls, roi, "roi_feature")
     counting(monkeypatch, calls, roi, "roi_feature_vjp", lambda weights: len(weights[0]))
-    counting(monkeypatch, calls, roi, "_roi_weights")
+    counting(monkeypatch, calls, roi, "_cell_weights", lambda p0: 1)
     cfg = RunConfig(n_way=3, k_shot=2, queries=2, arch_blocks=2, arch_channels=(4, 6),
                     arch_input_size=16, image_size=16, workers=1, lambda_roi=0.5,
                     epochs_ours=1, episodes_per_epoch=1)
@@ -152,7 +153,7 @@ def test_ours_episode_boxes_and_pools_each_support_once(monkeypatch):
                       np.tile([2, 3, 11, 12], (24, 1)))
     harness.train_episodic(cfg, enc.init_params(cfg.arch, 0), "ours", split)
     assert calls == {"propose_box": [], "propose_boxes": [3 * 2], "roi_feature": [3 * 2],
-                     "roi_feature_vjp": [3 * 2], "_roi_weights": [3 * 2]}
+                     "roi_feature_vjp": [3 * 2], "_cell_weights": [1] * (2 * 3 * 2)}
 
 
 def test_tracer_scores_each_support_box_against_its_split_row(monkeypatch):
@@ -209,7 +210,8 @@ def test_refined_reps_boxes_score_like_the_per_support_oracle(k):
     protos = kernels.global_avg_pool_batch(fms).reshape(n, k, -1).mean(axis=1)
     cfg = RunConfig(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size=16)
     _, boxes, _ = episodic.refined_reps(fms, protos, k, 0.5, cfg)
-    _, want_boxes = refined_reps_loop(fms, protos, k, 0.5, (16, 16), cfg.roi, cfg.connectivity)
+    _, want_boxes = refined_reps_loop(fms, protos, k, 0.5, (16, 16), cfg.roi_grid, cfg.roi_samples,
+                                     cfg.connectivity)
     got = iou(boxes, episode.support_boxes)
     want = [iou(BoundingBox(*box), BoundingBox(*row))
             for box, row in zip(want_boxes, episode.support_boxes.tolist())]

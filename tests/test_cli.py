@@ -107,10 +107,25 @@ def test_unreadable_ids_fail_while_parsing_before_the_checkpoint_is_read(
 
     monkeypatch.setattr(cli.enc, "load_checkpoint", unread)
     monkeypatch.chdir(tmp_path)
+    for ids in ("1,x", ","):      # an unreadable id, and a list with no id
+        with pytest.raises(SystemExit) as info:
+            cli.main(["localize", "--checkpoint", "ours.tns", "--ids", ids])
+        assert info.value.code == 2
+        assert f"argument --ids: invalid int_list value: '{ids}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_split_fails_while_parsing_before_the_checkpoint_is_read(
+        tmp_path, monkeypatch, capsys):
+    def unread(*args):
+        raise AssertionError("the checkpoint was read before --split was parsed")
+
+    monkeypatch.setattr(cli.enc, "load_checkpoint", unread)
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as info:
-        cli.main(["localize", "--checkpoint", "ours.tns", "--ids", "1,x"])
+        cli.main(["localize", "--checkpoint", "ours.tns", "--ids", "0", "--split", "bogus"])
     assert info.value.code == 2
-    assert "argument --ids: invalid int_list value: '1,x'" in capsys.readouterr().err
+    assert "argument --split: invalid choice: 'bogus'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -144,7 +159,7 @@ from protoloc.localization import DegenerateRepresentation, propose_boxes
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv + ["--config", "run.cfg", "--seed", "7"]) == 0, argv
 inputs = np.load("inputs.npz")
-boxes = propose_boxes(inputs["fms"], inputs["reps"], 0.5, 16, 16).tolist()
+boxes = propose_boxes(inputs["fms"], inputs["reps"], 0.5, 16, 16, 4).tolist()
 print(json.dumps({"boxes": boxes, "loaded": sorted(
     m for m, module in sys.modules.items() if m.split(".")[0] == "scipy" and module)}))
 """
@@ -167,7 +182,7 @@ def test_gen_data_imports_no_scipy_until_the_first_localization(tmp_path):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["loaded"] == []
     assert [name for name in OUTPUTS if not (tmp_path / name).is_file()] == []
-    assert result["boxes"] == propose_boxes(fms, reps, 0.5, 16, 16).tolist()
+    assert result["boxes"] == propose_boxes(fms, reps, 0.5, 16, 16, 4).tolist()
 
 
 def test_degenerate_episode_names_its_phase_epoch_and_episode(tmp_path, monkeypatch):

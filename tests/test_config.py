@@ -8,7 +8,6 @@ from protoloc import cli, harness
 from protoloc.config import RunConfig, apply_overrides, parse_config_text
 from protoloc.dataset import DatasetSpec
 from protoloc.encoder import EncoderArch
-from protoloc.roi import RoiConfig
 
 
 def _render(echo: dict) -> str:
@@ -58,6 +57,8 @@ _INVALID = [
     ("loss.T = 0", "loss.T must be finite and positive, got 0.0"),
     ("loss.T = -1", "loss.T must be finite and positive, got -1.0"),
     ("loc.tau_eval = 0", "loc.tau_eval must lie in (0, 1], got 0.0"),
+    ("loc.tau_eval = 1.5", "loc.tau_eval must lie in (0, 1], got 1.5"),
+    ("loc.tau_train = 0", "loc.tau_train must lie in (0, 1], got 0.0"),
     ("loc.tau_train = 1.5", "loc.tau_train must lie in (0, 1], got 1.5"),
     *[(f"{key} = 0", f"{key} must be >= 1, got 0") for key in _COUNT_KEYS],
     ("arch.channels = 8,0,32", "arch.channels (8, 0, 32) must all be positive"),
@@ -75,8 +76,13 @@ _INVALID = [
 ]
 
 
+# a tau key's second row is named by its end of the range, so that the
+# key's first row keeps the bare key as its id
+_ROW_IDS = {"loc.tau_eval = 1.5": "loc.tau_eval-above-1", "loc.tau_train = 0": "loc.tau_train-0"}
+
+
 @pytest.mark.parametrize("text, message", _INVALID,
-                         ids=[text.split(" = ")[0] for text, _ in _INVALID])
+                         ids=[_ROW_IDS.get(text, text.split(" = ")[0]) for text, _ in _INVALID])
 def test_invalid_value_error_names_its_key_and_value(text, message):
     with pytest.raises(ValueError) as info:
         RunConfig.from_mapping(parse_config_text(text))
@@ -137,7 +143,6 @@ def test_defaults_build_the_component_defaults():
     cfg = RunConfig()
     assert cfg.arch == EncoderArch()
     assert cfg.spec == DatasetSpec()
-    assert cfg.roi == RoiConfig()
 
 
 @pytest.mark.parametrize("k_shot, lambda_roi, tau_train", [(1, 1.0, 0.5), (5, 0.5, 0.7)])

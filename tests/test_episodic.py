@@ -126,7 +126,7 @@ class TestRefinedReps:
         protos = np.eye(3) + 0.01 * rng.uniform(size=(3, 3))
         cfg = small_cfg(roi_grid=2, roi_samples=2)
         reps, boxes, _ = ep.refined_reps(s_fms, protos, k, 0.5, cfg)
-        want_reps, want_boxes = refined_reps_loop(s_fms, protos, k, 0.5, (16, 16), cfg.roi, 4)
+        want_reps, want_boxes = refined_reps_loop(s_fms, protos, k, 0.5, (16, 16), 2, 2, 4)
         assert (boxes.dtype, boxes.shape) == (np.int64, (n * k, 4))
         assert list(map(tuple, boxes.tolist())) == want_boxes
         assert len({want_boxes[c * k] for c in range(n)}) == n      # a wrong class shows
@@ -143,12 +143,12 @@ class TestRefinedReps:
         assert len(np.unique(protos, axis=0)) == n
         for tau in (0.5, 0.7):
             reps, boxes, weights = ep.refined_reps(fms, protos, k, tau, cfg)
-            want_reps, want_boxes = refined_reps_loop(fms, protos, k, tau, (16, 16), cfg.roi, 4)
+            want_reps, want_boxes = refined_reps_loop(fms, protos, k, tau, (16, 16), 3, 2, 4)
             assert list(map(tuple, boxes.tolist())) == want_boxes
             np.testing.assert_array_equal(reps, want_reps)
             dref = rng.normal(size=(n, fms.shape[3]))
             got = roi_feature_vjp(weights, np.repeat(lam * dref / k, k, axis=0))
-            want = roi_feature_vjp_loop(fms, want_boxes, (16, 16), cfg.roi,
+            want = roi_feature_vjp_loop(fms, want_boxes, (16, 16), 3, 2,
                                         [lam * dref[i // k] / k for i in range(n * k)])
             np.testing.assert_array_equal(got, want)
 
@@ -312,7 +312,7 @@ class TestEpisodeGradient:
         fms, _ = enc.forward_batch(params, episode.split.images[episode.support_ids])
         embeds = global_avg_pool_batch(fms)
         protos = embeds.reshape(2, 1, -1).mean(axis=1)
-        boxes = propose_boxes(fms, protos, 0.5, 16, 16)
+        boxes = propose_boxes(fms, protos, 0.5, 16, 16, 4)
 
         _, live = ep.episode_loss_and_gradient(params, episode, cfg, lam)
         fix_boxes(boxes)

@@ -16,7 +16,6 @@ from protoloc.encoder import EncoderArch
 from protoloc.harness import (ArchMismatch, DeadEncoder, NonFiniteLoss, SpecMismatch,
                               UnknownId)
 from protoloc.localization import BoundingBox
-from protoloc.roi import RoiConfig
 
 SMALL = dict(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size=16)
 
@@ -77,16 +76,16 @@ def test_training_and_refined_eval_box_and_pool_at_the_config_settings(splits, m
         calls.append(("boxes", len(fms), tau, image_h, image_w, connectivity))
         return real_boxes(fms, reps, tau, image_h, image_w, connectivity)
 
-    def roi_feature(fms, boxes, image_extents, roi_cfg):
-        calls.append(("pool", len(fms), image_extents, roi_cfg))
-        return real_feature(fms, boxes, image_extents, roi_cfg)
+    def roi_feature(fms, boxes, image_extents, grid, samples):
+        calls.append(("pool", len(fms), image_extents, grid, samples))
+        return real_feature(fms, boxes, image_extents, grid, samples)
 
     monkeypatch.setattr(episodic, "propose_boxes", propose_boxes)
     monkeypatch.setattr(roi, "roi_feature", roi_feature)
     params = enc.init_params(cfg.arch, 3)
     harness.train_episodic(cfg, params, "ours", splits["train"])
     harness.evaluate(cfg, params, "refined", splits["test"])
-    pool = ("pool", 3, (16, 16), RoiConfig(grid=2, samples=1))
+    pool = ("pool", 3, (16, 16), 2, 1)
     train, test = ("boxes", 3, 0.6, 16, 16, 8), ("boxes", 3, 0.5, 16, 16, 8)
     assert calls == [train, pool] * 2 + [test, pool] * 2
 

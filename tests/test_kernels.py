@@ -10,7 +10,7 @@ from protoloc.localization import BoundingBox
 from oracles import (bilinear_resize_gathers, conv2d_loops, conv2d_vjp_loops, fd_grad,
                      maxpool2d_vjp_loops, rel_err)
 
-SINGLE = roi.RoiConfig(grid=1, samples=1)
+SINGLE = (1, 1)   # RoIAlign grid and samples: one bin of one sample
 
 
 def _point_box(fm, y, x):
@@ -26,12 +26,12 @@ def _point_box(fm, y, x):
 def sample(fm, y, x):
     """Bilinear sample of fm at (y, x): one RoIAlign bin of one sample."""
     box, extents = _point_box(fm, y, x)
-    return roi.roi_feature(fm[None], np.array([box]), extents, SINGLE)[0][0]
+    return roi.roi_feature(fm[None], np.array([box]), extents, *SINGLE)[0][0]
 
 
 def sample_vjp(fm, y, x, g):
     box, extents = _point_box(fm, y, x)
-    _, weights = roi.roi_feature(fm[None], np.array([box]), extents, SINGLE)
+    _, weights = roi.roi_feature(fm[None], np.array([box]), extents, *SINGLE)
     return roi.roi_feature_vjp(weights, g[None])[0]
 
 

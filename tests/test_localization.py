@@ -77,12 +77,6 @@ class TestSegmentMask:
         np.testing.assert_array_equal(loc.segment_mask(m, 0.5).any(axis=(1, 2)),
                                       [True, False, False])
 
-    def test_bad_tau(self):
-        with pytest.raises(ValueError):
-            loc.segment_mask(np.ones((2, 2)), 0.0)
-        with pytest.raises(ValueError):
-            loc.segment_mask(np.ones((2, 2)), 1.5)
-
     @pytest.mark.parametrize("tau", [0.3, 0.5, 1.0])
     def test_one_comparison_equals_threshold_and_positive_max(self, tau):
         # planes all negative, all zero, all +-inf, and planes holding NaN,
@@ -116,13 +110,13 @@ class TestLargestComponent:
     def test_single_pixel(self):
         mask = np.zeros((1, 4, 4), dtype=bool)
         mask[0, 2, 1] = True
-        np.testing.assert_array_equal(loc.largest_component(mask), [BoundingBox(2, 1, 2, 1)])
+        np.testing.assert_array_equal(loc.largest_component(mask, 4), [BoundingBox(2, 1, 2, 1)])
 
     def test_picks_bigger_of_two(self):
         mask = np.zeros((1, 5, 5), dtype=bool)
         mask[0, 3, 3] = mask[0, 3, 4] = True                   # pair, size 2
         mask[0, 1, 0] = mask[0, 2, 0] = mask[0, 2, 1] = True   # L-shape, size 3
-        np.testing.assert_array_equal(loc.largest_component(mask), [BoundingBox(1, 0, 2, 1)])
+        np.testing.assert_array_equal(loc.largest_component(mask, 4), [BoundingBox(1, 0, 2, 1)])
 
     def test_diagonal_is_disconnected_at_4(self):
         mask = np.eye(3, dtype=bool)[None]
@@ -155,7 +149,7 @@ class TestLargestComponent:
 
     def test_empty_mask(self):
         # a plane with no true pixel gets the full-image box
-        np.testing.assert_array_equal(loc.largest_component(np.zeros((1, 3, 4), dtype=bool)),
+        np.testing.assert_array_equal(loc.largest_component(np.zeros((1, 3, 4), dtype=bool), 4),
                                       [BoundingBox(0, 0, 2, 3)])
 
     @pytest.mark.parametrize("connectivity", [4, 8])
@@ -183,11 +177,11 @@ class TestBboxOf:
     def test_single_pixel(self):
         mask = np.zeros((1, 10, 10), dtype=bool)
         mask[0, 3, 5] = True
-        np.testing.assert_array_equal(loc.largest_component(mask), [BoundingBox(3, 5, 3, 5)])
+        np.testing.assert_array_equal(loc.largest_component(mask, 4), [BoundingBox(3, 5, 3, 5)])
 
     def test_full_image(self):
         mask = np.ones((1, 4, 6), dtype=bool)
-        np.testing.assert_array_equal(loc.largest_component(mask), [BoundingBox(0, 0, 3, 5)])
+        np.testing.assert_array_equal(loc.largest_component(mask, 4), [BoundingBox(0, 0, 3, 5)])
 
     def test_min_max_oracle(self):
         # one cross per plane, a connected shape whose box is the extent of its arms
@@ -200,7 +194,7 @@ class TestBboxOf:
             y, x = rng.integers(y0, y1 + 1), rng.integers(x0, x1 + 1)
             plane[y0:y1 + 1, x] = plane[y, x0:x1 + 1] = True
             want.append(BoundingBox(y0, x0, y1, x1))
-        boxes = loc.largest_component(mask)
+        boxes = loc.largest_component(mask, 4)
         assert boxes.shape == (6, 4) and boxes.dtype == np.int64
         np.testing.assert_array_equal(boxes, want)
 
@@ -208,13 +202,13 @@ class TestBboxOf:
         # an empty plane is a map with no positive value: full-image fallback
         mask = np.zeros((3, 4, 6), dtype=bool)
         mask[0, 1, 2] = mask[2, 3, 0] = True
-        np.testing.assert_array_equal(loc.largest_component(mask), [
+        np.testing.assert_array_equal(loc.largest_component(mask, 4), [
             BoundingBox(1, 2, 1, 2), BoundingBox(0, 0, 3, 5), BoundingBox(3, 0, 3, 0)])
         for connectivity in (4, 8):
             none = loc.largest_component(np.zeros((0, 4, 6), dtype=bool), connectivity)
             assert none.shape == (0, 4) and none.dtype == np.int64
         with pytest.raises(ShapeError):
-            loc.largest_component(np.zeros((4, 6), dtype=bool))
+            loc.largest_component(np.zeros((4, 6), dtype=bool), 4)
 
 
 def _plane(*rows):
@@ -400,7 +394,7 @@ class TestProposeBox:
         sm, = loc.similarity_map(fm[None], rep[None])
         up = bilinear_resize(sm, 32, 32)
         mask = loc.segment_mask(up, 0.5)
-        want, = loc.largest_component(mask[None])
+        want, = loc.largest_component(mask[None], 4)
         np.testing.assert_array_equal(got, want)
 
     def test_dominant_cell(self):
@@ -412,7 +406,7 @@ class TestProposeBox:
         got = loc.propose_box(fm, rep, 0.5, 32, 32)
         # compositional oracle: chain the public steps directly
         up = bilinear_resize(loc.similarity_map(fm[None], rep[None])[0], 32, 32)
-        want, = loc.largest_component(loc.segment_mask(up, 0.5)[None])
+        want, = loc.largest_component(loc.segment_mask(up, 0.5)[None], 4)
         np.testing.assert_array_equal(got, want)
         # frozen: the hot cell upsamples to triangular lobes peaked at
         # (11.5, 19.5); the half-max region spans rows 8..15, cols 16..23
@@ -446,7 +440,7 @@ class TestProposeBox:
             sm, = loc.similarity_map(fm[None], rep[None])
             up = bilinear_resize(sm, 24, 24)
             mask = loc.segment_mask(up, 0.6)
-            box, = loc.largest_component(mask[None])
+            box, = loc.largest_component(mask[None], 4)
             assert mask.any()
             np.testing.assert_array_equal(box, component_box_oracle(mask))
 
@@ -529,11 +523,7 @@ class TestProposeBoxes:
          DegenerateRepresentation, "row 1 has norm nan, not a finite value above 1e-12"),
         (dict(reps=np.array([[1.0, 0.0, 0.0], [0.0, np.inf, 1.0]])),
          DegenerateRepresentation, "row 1 has norm inf, not a finite value above 1e-12"),
-        (dict(tau=0.0), ValueError, "tau"),
-        (dict(tau=1.5), ValueError, "tau"),
-        (dict(connectivity=6), ValueError, "connectivity"),
-    ], ids=["fms-ndim", "reps-ndim", "count", "depth", "zero-row", "nan-row", "inf-row",
-            "tau-0", "tau-1.5", "connectivity"])
+    ], ids=["fms-ndim", "reps-ndim", "count", "depth", "zero-row", "nan-row", "inf-row"])
     def test_rejects_bad_input_before_any_work(self, monkeypatch, change, error, match):
         stages = []
 

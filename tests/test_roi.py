@@ -10,35 +10,27 @@ from protoloc.episodic import (EmptyClass, Episode, distance_logit_loss,
                                episode_loss_and_gradient)
 from protoloc.kernels import ShapeError, global_avg_pool_batch
 from protoloc.localization import BoundingBox
-from protoloc.roi import RoiConfig
 
 from oracles import fd_grad, rel_err, roi_align_dense, roi_align_reference
 
 SMALL = EncoderArch(blocks=2, channels=(4, 6), kernel=3, input_size=16)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        RoiConfig(grid=0)
-    with pytest.raises(ValueError):
-        RoiConfig(samples=0)
-
-
-def feature(fm, box, image_extents, cfg=RoiConfig()):
-    """roi_feature of one map: row 0 of a stack of one."""
-    return roi.roi_feature(np.asarray(fm)[None], np.array([box]), image_extents, cfg)[0][0]
+def feature(fm, box, image_extents, cfg=(3, 2)):
+    """roi_feature of one map at cfg = (grid, samples): row 0 of a stack of one."""
+    return roi.roi_feature(np.asarray(fm)[None], np.array([box]), image_extents, *cfg)[0][0]
 
 
 def feature_vjp(fm, box, image_extents, cfg, grad):
     """roi_feature_vjp of one map, through the weights its forward call
     returns: row 0 of a stack of one."""
-    _, weights = roi.roi_feature(np.asarray(fm)[None], np.array([box]), image_extents, cfg)
+    _, weights = roi.roi_feature(np.asarray(fm)[None], np.array([box]), image_extents, *cfg)
     return roi.roi_feature_vjp(weights, np.asarray(grad)[None])[0]
 
 
 def bin_mean_reference(fm, box, image_extents, cfg):
     """The RoI feature as the mean over the loop oracle's grid x grid bins."""
-    return roi_align_reference(fm, box, image_extents, cfg.grid, cfg.samples).mean(axis=(0, 1))
+    return roi_align_reference(fm, box, image_extents, *cfg).mean(axis=(0, 1))
 
 
 class TestRoiAlign:
@@ -48,7 +40,7 @@ class TestRoiAlign:
         fm = np.full((4, 4, 3), 2.5)
         for box in [BoundingBox(0, 0, 31, 31), BoundingBox(5, 9, 12, 20),
                     BoundingBox(3, 3, 3, 3)]:
-            out = feature(fm, box, (32, 32), RoiConfig(3, 2))
+            out = feature(fm, box, (32, 32), (3, 2))
             np.testing.assert_allclose(out, 2.5, rtol=0, atol=1e-12)
 
     def test_linear_field_analytic_means(self):
@@ -57,7 +49,7 @@ class TestRoiAlign:
         # coordinate in the cell-center frame
         cols, rows = np.meshgrid(np.arange(8.0), np.arange(8.0))
         fm = np.stack([cols, rows], axis=2)
-        cfg = RoiConfig(grid=2, samples=2)
+        cfg = (2, 2)
         # full image, 32x32 -> feature [0, 8): sample centers 1,3,5,7 -> 0.5..6.5
         full = feature(fm, BoundingBox(0, 0, 31, 31), (32, 32), cfg)
         np.testing.assert_allclose(full, [3.5, 3.5], rtol=0, atol=1e-12)
@@ -71,7 +63,7 @@ class TestRoiAlign:
         fm = rng.normal(size=(6, 6, 4))
         for box in [BoundingBox(2, 5, 17, 26), BoundingBox(0, 0, 31, 31),
                     BoundingBox(10, 10, 12, 14)]:
-            for cfg in [RoiConfig(3, 2), RoiConfig(2, 3), RoiConfig(1, 1)]:
+            for cfg in [(3, 2), (2, 3), (1, 1)]:
                 got = feature(fm, box, (32, 32), cfg)
                 want = bin_mean_reference(fm, box, (32, 32), cfg)
                 assert np.max(np.abs(got - want)) <= 1e-12
@@ -82,7 +74,7 @@ class TestRoiAlign:
         for _ in range(3):
             fm = rng.uniform(size=(6, 6, 3))
             box = BoundingBox(3, 4, 20, 27)
-            got = feature(fm, box, (32, 32), RoiConfig(3, 2))
+            got = feature(fm, box, (32, 32), (3, 2))
             dense = roi_align_dense(fm, box, (32, 32), grid=3, samples=64).mean(axis=(0, 1))
             assert np.max(np.abs(got - dense)) <= 0.05
 
@@ -92,9 +84,9 @@ class TestRoiAlign:
             with pytest.raises(ShapeError):
                 feature(fm, box, (32, 32))
             with pytest.raises(ShapeError):
-                feature_vjp(fm, box, (32, 32), RoiConfig(), np.ones(1))
+                feature_vjp(fm, box, (32, 32), (3, 2), np.ones(1))
         with pytest.raises(ShapeError):       # one map, not a stack of maps
-            roi.roi_feature(fm, np.array([[0, 0, 3, 3]]), (32, 32))
+            roi.roi_feature(fm, np.array([[0, 0, 3, 3]]), (32, 32), 3, 2)
 
 
 class TestRoiFeature:
@@ -108,7 +100,7 @@ class TestRoiFeature:
         # box center, which lands exactly on the cell
         rng = np.random.default_rng(2)
         fm = rng.normal(size=(6, 6, 3))
-        out = feature(fm, BoundingBox(2, 3, 2, 3), (6, 6), RoiConfig(1, 1))
+        out = feature(fm, BoundingBox(2, 3, 2, 3), (6, 6), (1, 1))
         np.testing.assert_allclose(out, fm[2, 3], rtol=0, atol=1e-15)
 
     def test_mean_of_bins_oracle(self):
@@ -116,7 +108,7 @@ class TestRoiFeature:
         rng = np.random.default_rng(3)
         fm = rng.normal(size=(5, 3, 4))
         box = BoundingBox(4, 4, 27, 20)
-        cfg = RoiConfig(3, 2)
+        cfg = (3, 2)
         want = bin_mean_reference(fm, box, (32, 24), cfg)
         assert np.max(np.abs(feature(fm, box, (32, 24), cfg) - want)) <= 1e-12
 
@@ -125,12 +117,12 @@ class TestRoiFeature:
         # every cell center, so pooling the bins is exactly GAP
         rng = np.random.default_rng(4)
         fm = rng.normal(size=(4, 4, 3))
-        out = feature(fm, BoundingBox(0, 0, 3, 3), (4, 4), RoiConfig(4, 1))
+        out = feature(fm, BoundingBox(0, 0, 3, 3), (4, 4), (4, 1))
         np.testing.assert_allclose(out, global_avg_pool_batch(fm[None])[0], rtol=0, atol=1e-12)
 
     def test_constant_fm_equals_gap_any_geometry(self):
         fm = np.full((4, 4, 2), 0.75)
-        out = feature(fm, BoundingBox(5, 5, 20, 30), (32, 32), RoiConfig(3, 2))
+        out = feature(fm, BoundingBox(5, 5, 20, 30), (32, 32), (3, 2))
         np.testing.assert_allclose(out, global_avg_pool_batch(fm[None])[0], rtol=0, atol=1e-12)
 
     def test_step_field_monotonicity(self):
@@ -152,8 +144,9 @@ class TestStackChecks:
     BOXES = np.array([[0, 0, 31, 31], [2, 3, 10, 11], [5, 5, 20, 30]])
 
     def calls(self, boxes, grads=np.zeros((3, 2))):
-        yield lambda: roi.roi_feature(self.FMS, boxes, (32, 32))
-        yield lambda: roi.roi_feature_vjp(roi.roi_feature(self.FMS, boxes, (32, 32))[1], grads)
+        yield lambda: roi.roi_feature(self.FMS, boxes, (32, 32), 3, 2)
+        yield lambda: roi.roi_feature_vjp(roi.roi_feature(self.FMS, boxes, (32, 32), 3, 2)[1],
+                                          grads)
 
     @pytest.mark.parametrize("row", [0, 1, 2])
     def test_one_out_of_image_row_is_named(self, row):
@@ -176,7 +169,7 @@ class TestStackChecks:
     def test_grads_must_be_n_by_d(self):
         # each of these would broadcast against the (3, 4, 4) cell weights;
         # an (N, D') grad is the adjoint of D' channels, shaped (N, h, w, D')
-        _, weights = roi.roi_feature(self.FMS, self.BOXES, (32, 32))
+        _, weights = roi.roi_feature(self.FMS, self.BOXES, (32, 32), 3, 2)
         for grads in (np.zeros(2), np.zeros((1, 2)), np.zeros((3, 1, 1, 2))):
             with pytest.raises(CacheMismatch, match="grads shape"):
                 roi.roi_feature_vjp(weights, grads)
@@ -191,13 +184,13 @@ class TestCellWeightCache:
     BOX = BoundingBox(3, 5, 20, 27)
 
     def test_cached_weights_are_read_only(self):
-        # the stacks _roi_weights returns are gathered copies; the cache
+        # the weight stacks roi_feature returns are gathered copies; the cache
         # entries they are read from stay read-only
         roi._cell_weights.cache_clear()
-        ay, ax = roi._roi_weights(np.zeros((1, 4, 6, 2)), [self.BOX], (32, 48), RoiConfig())
+        _, (ay, ax) = roi.roi_feature(np.zeros((1, 4, 6, 2)), [self.BOX], (32, 48), 3, 2)
         ay[...], ax[...] = 1.0, 1.0
         for p0, p1, n, size in [(3, 20, 4, 32), (5, 27, 6, 48)]:
-            cached = roi._cell_weights(p0, p1, n, size, RoiConfig())
+            cached = roi._cell_weights(p0, p1, n, size, 3, 2)
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
                 cached[0] = 1.0
@@ -211,8 +204,8 @@ class TestCellWeightCache:
         for clear in (True, False, True):
             if clear:
                 roi._cell_weights.cache_clear()
-            runs.append((feature(fm, self.BOX, (32, 48), RoiConfig(3, 2)),
-                         feature_vjp(fm, self.BOX, (32, 48), RoiConfig(3, 2), grad)))
+            runs.append((feature(fm, self.BOX, (32, 48), (3, 2)),
+                         feature_vjp(fm, self.BOX, (32, 48), (3, 2), grad)))
         for feat, vjp in runs[1:]:
             np.testing.assert_array_equal(feat, runs[0][0])
             np.testing.assert_array_equal(vjp, runs[0][1])
@@ -220,10 +213,10 @@ class TestCellWeightCache:
     def test_int_and_int64_coordinates_share_an_entry(self):
         fm = np.ones((4, 4, 2))
         roi._cell_weights.cache_clear()
-        roi.roi_feature(fm[None], [self.BOX], (32, 32))
+        roi.roi_feature(fm[None], [self.BOX], (32, 32), 3, 2)
         before = roi._cell_weights.cache_info()
         stack = np.array([self.BOX], dtype=np.int64)
-        roi.roi_feature(fm[None], stack, np.array([32, 32]))
+        roi.roi_feature(fm[None], stack, np.array([32, 32]), 3, 2)
         after = roi._cell_weights.cache_info()
         assert (after.hits - before.hits, after.misses, after.currsize) == (2, 2, 2)
 
@@ -252,7 +245,7 @@ class TestRefineRepresentation:
         got, grad = episode_loss_and_gradient(params, episode, cfg, 1.0)
         fms, _ = enc.forward_batch(params, images)
         emb = global_avg_pool_batch(fms)
-        feats, _ = roi.roi_feature(fms[:ns], boxes, (16, 16))
+        feats, _ = roi.roi_feature(fms[:ns], boxes, (16, 16), cfg.roi_grid, cfg.roi_samples)
         protos = emb[:ns].reshape(n_way, k_shot, -1).mean(axis=1)
         base = distance_logit_loss(emb[ns:], episode.query_labels, protos, 8.0)[0]
         return got, grad, base, feats, emb[ns:], episode.query_labels
@@ -293,12 +286,12 @@ class TestRefineRepresentation:
 class TestRoiAlignVjp:
     def test_zero_grad(self):
         fm = np.random.default_rng(7).normal(size=(4, 4, 2))
-        g = feature_vjp(fm, BoundingBox(0, 0, 31, 31), (32, 32), RoiConfig(3, 2), np.zeros(2))
+        g = feature_vjp(fm, BoundingBox(0, 0, 31, 31), (32, 32), (3, 2), np.zeros(2))
         assert not g.any()
 
     def test_partition_of_unity_single_sample(self):
         fm = np.zeros((4, 4, 1))
-        cfg = RoiConfig(1, 1)
+        cfg = (1, 1)
         for box in [BoundingBox(5, 9, 12, 20), BoundingBox(0, 0, 31, 31),
                     BoundingBox(0, 0, 2, 2), BoundingBox(29, 29, 31, 31)]:
             g = feature_vjp(fm, box, (32, 32), cfg, np.ones(1))
@@ -309,7 +302,7 @@ class TestRoiAlignVjp:
         # a grad must have the weights' N rows: a (D,) or (1, D) grad would
         # broadcast to an (N, h, w, D) gradient
         _, weights = roi.roi_feature(np.zeros((2, 4, 4, 2)), np.tile([0, 0, 31, 31], (2, 1)),
-                                     (32, 32), RoiConfig(3, 2))
+                                     (32, 32), 3, 2)
         for grad in [np.zeros(2), np.zeros((1, 2)), np.zeros((3, 2)), np.zeros((3, 3, 2))]:
             with pytest.raises(CacheMismatch):
                 roi.roi_feature_vjp(weights, grad)
@@ -320,7 +313,7 @@ class TestRoiAlignVjp:
         rng = np.random.default_rng(8)
         fm = rng.normal(size=(5, 4, 3))
         box = BoundingBox(0, 6, 31, 23)
-        cfg = RoiConfig(2, 3)
+        cfg = (2, 3)
         g = rng.normal(size=3)
 
         def loss(flat):
@@ -333,7 +326,7 @@ class TestRoiAlignVjp:
         rng = np.random.default_rng(9)
         fm = rng.normal(size=(4, 4, 2))
         box = BoundingBox(2, 2, 29, 25)
-        cfg = RoiConfig(3, 2)
+        cfg = (3, 2)
         g = rng.normal(size=2)
 
         def loss(flat):
