@@ -29,10 +29,10 @@ def _build_config(args) -> RunConfig:
 
 
 def int_list(text):
-    """--ids text -> split row ids, parsed (and refused, if unreadable or
-    empty) before any file is read."""
-    if not (ids := [int(t) for t in text.split(",") if t.strip()]):
-        raise ValueError(f"no id in {text!r}")
+    """--ids text -> split row ids, parsed (and refused, if unreadable,
+    empty or negative) before any file is read."""
+    if not (ids := [int(t) for t in text.split(",") if t.strip()]) or min(ids) < 0:
+        raise ValueError(f"no id, or a negative id, in {text!r}")
     return ids
 
 

@@ -7,10 +7,12 @@ fall back to the published defaults; the RoI-loss weight and the training
 threshold default by shot count (1.0 and 0.5 for 1-shot, 0.5 and 0.7 for
 5-shot) unless set explicitly, and are resolved to floats first. Then every
 field's rule is checked in field order, and the first value that fails
-raises ``<key> <rule>, got <value>``. Two rules are written out after
-them: ``data.image_size`` must equal ``arch.input_size``, and
-``eval.workers`` accepts only 1, with a message that says evaluation runs
-on one thread.
+raises ``<key> <rule>, got <value>``. Three rules are written out after
+them: ``data.image_size`` must equal ``arch.input_size``; ``eval.workers``
+accepts only 1, as evaluation runs on one thread; and, after ``spec`` is
+built, ``eval.k_shot + eval.queries`` must not exceed
+``data.per_class_count``. With ``eval.n_way`` in [2, classes per split],
+that refuses any episode shape no split can fill, in ``gen-data`` too.
 
 Building a config builds the run's components once, each from the keys
 under its prefix: ``arch`` (``arch.*``) and ``spec`` (``data.*``); each
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .dataset import DatasetSpec
+from .dataset import SPLITS, DatasetSpec
 from .encoder import EncoderArch
 
 # text -> value, keyed by the RunConfig field annotations (kept as strings)
@@ -72,6 +74,8 @@ _UNIT = (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 _POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be finite and positive")
 _NON_NEGATIVE = (lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0")
 _COUNT = (lambda v: v >= 1, "must be >= 1")
+_WAYS = min(len(SPLITS["train"]), len(SPLITS["test"]))   # classes an episode can draw
+_WAY = (lambda v: 2 <= v <= _WAYS, f"must lie in [2, {_WAYS}]")
 
 
 def _key(key: str, default, rule=None):
@@ -105,7 +109,7 @@ class RunConfig:
     connectivity: int = _key("loc.connectivity", 4, (lambda v: v in (4, 8), "must be 4 or 8"))
     roi_grid: int = _key("roi.grid", 3, _COUNT)
     roi_samples: int = _key("roi.samples", 2, _COUNT)
-    n_way: int = _key("eval.n_way", 5, _COUNT)
+    n_way: int = _key("eval.n_way", 5, _WAY)
     k_shot: int = _key("eval.k_shot", 1, _COUNT)
     queries: int = _key("eval.queries", 15, _COUNT)
     tasks: int = _key("eval.tasks", 10000, _COUNT)
@@ -131,6 +135,9 @@ class RunConfig:
                              f"arch.input_size {self.arch_input_size}")
         self.arch = self._build("arch", EncoderArch)
         self.spec = self._build("data", DatasetSpec)
+        if self.k_shot + self.queries > self.per_class_count:
+            raise ValueError(f"eval.k_shot + eval.queries must be <= data.per_class_count "
+                             f"= {self.per_class_count}, got {self.k_shot} + {self.queries}")
 
     def _build(self, prefix: str, component):
         """The component whose fields are the keys ``prefix.<field>``; its

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import encoder as enc
 from . import kernels, roi
-from .kernels import ShapeError
 # propose_box is unused here; bench/spans.py traces it as an episodic name
 from .localization import propose_box, propose_boxes
 
@@ -36,30 +35,17 @@ if TYPE_CHECKING:
     from .dataset import SplitData
 
 
-class EmptyClass(ValueError):
-    """An episode has no classes or no support items per class."""
-
-
 @dataclass(frozen=True, eq=False)
 class Episode:
     """One N-way K-shot task as rows of ``split``. Supports are grouped by
     class: class c is support_ids[c*K:(c+1)*K], so support i has class
-    i // K; the queries come Q per class in the same way."""
+    i // K; the queries come Q per class in the same way. ``RunConfig``
+    checks the shape, and ``sample_episode`` draws exactly N*K and N*Q rows."""
     split: SplitData
     n_way: int
     k_shot: int
     support_ids: np.ndarray   # (N*K,) split rows
     query_ids: np.ndarray     # (N*Q,)
-
-    def __post_init__(self):
-        n, k = self.n_way, self.k_shot
-        if n < 1 or k < 1:
-            raise EmptyClass(f"need n_way >= 1 and k_shot >= 1, got {n}-way {k}-shot")
-        if len(self.support_ids) != n * k:
-            raise ShapeError(f"expected {n * k} support rows, got {len(self.support_ids)}")
-        nq = len(self.query_ids)
-        if nq == 0 or nq % n:
-            raise ValueError(f"query count {nq} is not a positive multiple of {n}")
 
     @property
     def ids(self) -> np.ndarray:

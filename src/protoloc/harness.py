@@ -12,7 +12,7 @@ An episode is rows of its split, never copies. An image's feature map
 does not depend on the task that draws it, nor on the batch it is encoded
 in, so one ``evaluate`` call encodes each test image at most once: tasks
 gather their maps by row (``Episode.ids``) from a cache that is filled on
-first request.
+first request, which refuses a row whose map is not finite, by its row.
 
 Pretraining returns the encoder and its losses; its linear head stays
 internal. The base training phase is the episode loss at lambda = 0.
@@ -218,7 +218,7 @@ class EvalReport:
 def _split_features(params, images):
     """fetch(ids) -> feature maps of those split rows. A row is encoded on
     its first request, in one forward batch with the request's other new
-    rows, and never again."""
+    rows, and never again; a non-finite map raises DegenerateRepresentation."""
     maps = np.empty((len(images), *params.arch.map_shape))
     encoded = np.zeros(len(images), dtype=bool)
 
@@ -226,6 +226,9 @@ def _split_features(params, images):
         new = ids[~encoded[ids]]
         if new.size:
             fms, _ = enc.forward_batch(params, images[new], keep_cache=False)
+            if not np.isfinite(fms).all():
+                bad = new[~np.isfinite(fms).reshape(len(new), -1).all(axis=1)]
+                raise DegenerateRepresentation(f"split row {bad[0]} has a non-finite feature map")
             maps[new] = fms
             encoded[new] = True
         return maps[ids]
@@ -344,8 +347,7 @@ def draw_box_border(image01: np.ndarray, box: BoundingBox) -> np.ndarray:
     return img
 
 
-def localize_cmd(cfg: RunConfig, params: enc.EncoderParams, ids,
-                 split_name: str = "test", out_dir="overlays"):
+def localize_cmd(cfg: RunConfig, params: enc.EncoderParams, ids, split_name: str, out_dir):
     """Self-embedding localization for the given split image ids.
 
     Each image acts as its own one-shot support: the box is proposed from

@@ -92,7 +92,7 @@ MUTATIONS = [
     Mutation("src/protoloc/tns_io.py", "math.prod(shape)", "int(np.prod(shape, dtype=np.int64))",
              "the payload size check takes the extent product in int64, which wraps to 0"),
     Mutation("src/protoloc/config.py", "_COUNT = (lambda v: v >= 1,", "_COUNT = (lambda v: v >= 0,",
-             "a count key (epochs, episodes, batch, way, shot, queries, tasks, roi.grid, "
+             "a count key (epochs, episodes, batch, shot, queries, tasks, roi.grid, "
              "roi.samples) accepts 0"),
     Mutation("src/protoloc/__init__.py", 'entry point.\n"""\n',
              'entry point.\n"""\n\nfrom .config import RunConfig\n',
@@ -138,6 +138,17 @@ MUTATIONS = [
     Mutation("src/protoloc/episodic.py", "cfg.roi_grid, cfg.roi_samples)",
              "cfg.roi_samples, cfg.roi_grid)",
              "refined_reps pools with roi.grid and roi.samples swapped"),
+    Mutation("src/protoloc/config.py", "lambda v: 2 <= v <= _WAYS", "lambda v: 1 <= v <= _WAYS",
+             "eval.n_way = 1 passes the config and fails only at the first episode"),
+    Mutation("src/protoloc/config.py", "self.k_shot + self.queries > self.per_class_count",
+             "self.k_shot + self.queries >= self.per_class_count",
+             "a config whose episodes take every item of a class is refused"),
+    Mutation("src/protoloc/harness.py",
+             'raise DegenerateRepresentation(f"split row {bad[0]} has a non-finite feature map")',
+             "pass",
+             "eval scores a non-finite feature map without an error"),
+    Mutation("src/protoloc/cli.py", " or min(ids) < 0:", ":",
+             "localize --ids -1 reads the checkpoint and the dataset before the id is refused"),
 ]
 
 

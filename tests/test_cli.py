@@ -107,7 +107,7 @@ def test_unreadable_ids_fail_while_parsing_before_the_checkpoint_is_read(
 
     monkeypatch.setattr(cli.enc, "load_checkpoint", unread)
     monkeypatch.chdir(tmp_path)
-    for ids in ("1,x", ","):      # an unreadable id, and a list with no id
+    for ids in ("1,x", ",", "-1", "0,-3"):   # unreadable, no id, negative ids
         with pytest.raises(SystemExit) as info:
             cli.main(["localize", "--checkpoint", "ours.tns", "--ids", ids])
         assert info.value.code == 2

@@ -49,7 +49,7 @@ def test_inconsistent_value_names_its_key(line, key):
 
 
 _COUNT_KEYS = ("train.epochs_base", "train.epochs_ours", "train.episodes_per_epoch",
-               "train.pretrain_epochs", "train.pretrain_batch", "eval.n_way", "eval.k_shot",
+               "train.pretrain_epochs", "train.pretrain_batch", "eval.k_shot",
                "eval.queries", "eval.tasks", "roi.grid", "roi.samples")
 
 
@@ -61,6 +61,11 @@ _INVALID = [
     ("loc.tau_train = 0", "loc.tau_train must lie in (0, 1], got 0.0"),
     ("loc.tau_train = 1.5", "loc.tau_train must lie in (0, 1], got 1.5"),
     *[(f"{key} = 0", f"{key} must be >= 1, got 0") for key in _COUNT_KEYS],
+    # a softmax over one class scores nothing, and a split holds 5 classes
+    ("eval.n_way = 1", "eval.n_way must lie in [2, 5], got 1"),
+    ("eval.n_way = 6", "eval.n_way must lie in [2, 5], got 6"),
+    ("data.per_class_count = 20\neval.k_shot = 6",
+     "eval.k_shot + eval.queries must be <= data.per_class_count = 20, got 6 + 15"),
     ("arch.channels = 8,0,32", "arch.channels (8, 0, 32) must all be positive"),
     ("arch.kernel = 4", "arch.kernel must be odd and positive, got 4"),
     ("arch.input_size = 20\ndata.image_size = 20", "arch.input_size 20 not divisible by 2^3"),
@@ -76,9 +81,11 @@ _INVALID = [
 ]
 
 
-# a tau key's second row is named by its end of the range, so that the
-# key's first row keeps the bare key as its id
-_ROW_IDS = {"loc.tau_eval = 1.5": "loc.tau_eval-above-1", "loc.tau_train = 0": "loc.tau_train-0"}
+# a key's second row is named by the rule it breaks, so that the key's
+# first row keeps the bare key as its id
+_ROW_IDS = {"loc.tau_eval = 1.5": "loc.tau_eval-above-1", "loc.tau_train = 0": "loc.tau_train-0",
+            "eval.n_way = 6": "eval.n_way-above-5",
+            "data.per_class_count = 20\neval.k_shot = 6": "eval.k_shot+queries-above-count"}
 
 
 @pytest.mark.parametrize("text, message", _INVALID,
@@ -87,6 +94,38 @@ def test_invalid_value_error_names_its_key_and_value(text, message):
     with pytest.raises(ValueError) as info:
         RunConfig.from_mapping(parse_config_text(text))
     assert str(info.value) == message
+
+
+def test_shot_plus_queries_may_equal_the_class_count():
+    # 5-shot with 15 queries draws every item of a 20-item class
+    cfg = RunConfig.from_mapping(parse_config_text(
+        "data.per_class_count = 20\neval.k_shot = 5\neval.queries = 15\n"))
+    assert cfg.k_shot + cfg.queries == cfg.per_class_count
+
+
+_IMPOSSIBLE_SHAPES = {
+    "one-way": (["eval.n_way=1"], "eval.n_way must"),
+    "six-way": (["eval.n_way=6"], "eval.n_way must"),
+    "shot+queries-above-count": (["data.per_class_count=20", "eval.k_shot=6"],
+                                 "eval.k_shot \\+ eval.queries must"),
+}
+
+
+@pytest.mark.parametrize("sets, key", _IMPOSSIBLE_SHAPES.values(), ids=_IMPOSSIBLE_SHAPES)
+@pytest.mark.parametrize("command", ["pretrain", "gen-data"])
+def test_cli_refuses_an_impossible_episode_shape_before_any_work(
+        sets, key, command, tmp_path, monkeypatch):
+    def unread(*args):
+        raise AssertionError("work began before the config was checked")
+
+    monkeypatch.setattr(harness, "load_dataset", unread)
+    monkeypatch.setattr(cli, "generate_dataset", unread)
+    argv = [command, "--set", f"dataset.path={tmp_path / 'data'}"]
+    argv += [a for s in sets for a in ("--set", s)]
+    argv += ["--out", str(tmp_path / "pre.tns")] if command == "pretrain" else []
+    with pytest.raises(ValueError, match=key):
+        cli.main(argv)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_inconsistent_arch_fails_at_config_time():
@@ -209,6 +248,11 @@ def _configs(draw):
     values["arch_input_size"] = values["image_size"]
     values["distractors_min"] = draw(st.integers(0, values["distractors_max"]))
     values["background"] = draw(st.sampled_from(["solid-noise", "gradient"]))
+    # an episode shape a split can fill: 2-5 ways, k + q items of a class
+    values["n_way"] = draw(st.integers(2, 5))
+    values["per_class_count"] = draw(st.integers(2, 10**9))
+    values["k_shot"] = draw(st.integers(1, values["per_class_count"] - 1))
+    values["queries"] = draw(st.integers(1, values["per_class_count"] - values["k_shot"]))
     return RunConfig(**values)
 
 

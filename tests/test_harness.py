@@ -15,7 +15,7 @@ from protoloc.config import RunConfig
 from protoloc.encoder import EncoderArch
 from protoloc.harness import (ArchMismatch, DeadEncoder, NonFiniteLoss, SpecMismatch,
                               UnknownId)
-from protoloc.localization import BoundingBox
+from protoloc.localization import BoundingBox, DegenerateRepresentation
 
 SMALL = dict(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size=16)
 
@@ -23,7 +23,7 @@ SMALL = dict(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size
 @pytest.fixture(scope="module")
 def data_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
-    cfg = RunConfig(per_class_count=8, **SMALL)
+    cfg = RunConfig(per_class_count=8, queries=3, **SMALL)
     ds.generate_dataset(cfg.spec, 5, root)
     return root
 
@@ -178,6 +178,29 @@ def test_evaluate_encodes_each_drawn_image_once(splits, monkeypatch):
     assert sorted(encoded) == sorted(set(drawn))
 
 
+def test_non_finite_map_is_refused_by_its_split_row(splits, monkeypatch):
+    # the first task's last query encodes to NaN; scored, it would only
+    # lower that task's accuracy
+    real_forward, real_sample, first = enc.forward_batch, harness.sample_episode, []
+
+    def forward_batch(params, images, keep_cache=True):
+        fms, cache = real_forward(params, images, keep_cache)
+        fms[-1, 0, 0, 0] = np.nan
+        return fms, cache
+
+    def sample_episode(*args):
+        episode = real_sample(*args)
+        first.append(int(episode.query_ids[-1]))
+        return episode
+
+    monkeypatch.setattr(enc, "forward_batch", forward_batch)
+    monkeypatch.setattr(harness, "sample_episode", sample_episode)
+    with pytest.raises(DegenerateRepresentation) as info:
+        harness.evaluate(small_config(tasks=2), enc.init_params(small_config().arch, 4),
+                         "refined", splits["test"])
+    assert str(info.value) == f"split row {first[0]} has a non-finite feature map"
+
+
 def test_evaluate_rejects_arch_mismatch(tmp_path):
     # the checkpoint is 32 px; a 64 px config would propose boxes in the
     # wrong frame. The check runs before the (missing) dataset is read.
@@ -192,7 +215,7 @@ def test_localize_cmd_rejects_arch_mismatch(tmp_path):
     cfg = RunConfig(data_dir=str(tmp_path / "missing"), arch_channels=(8, 16, 64))
     out_dir = tmp_path / "overlays"
     with pytest.raises(ArchMismatch):
-        harness.localize_cmd(cfg, params, [0], out_dir=out_dir)
+        harness.localize_cmd(cfg, params, [0], "test", out_dir)
     assert not out_dir.exists()
 
 
@@ -201,7 +224,7 @@ def test_localize_cmd_boxes_unchanged(data_root, tmp_path):
     out_dir = tmp_path / "overlays"
     cfg = small_config(data_dir=str(data_root), per_class_count=8)
     harness.localize_cmd(cfg, enc.init_params(cfg.arch, 4), [7, 0, 39, 12, 7],
-                         out_dir=out_dir)
+                         "test", out_dir)
     digest = hashlib.sha256((out_dir / "boxes.txt").read_bytes()).hexdigest()
     assert digest == "5e8df8b3a765fd9eade8d00362c43cbd05b97509d2b8a43261a6858d87040089"
 
@@ -211,7 +234,7 @@ def test_localize_cmd_rejects_late_unknown_id_before_writing(data_root, tmp_path
     cfg = small_config(data_dir=str(data_root), per_class_count=8)
     with pytest.raises(UnknownId, match="id 1000000 outside split 'test'"):
         harness.localize_cmd(cfg, enc.init_params(cfg.arch, 4), [0, 10**6],
-                             out_dir=out_dir)
+                             "test", out_dir)
     assert not out_dir.exists()
 
 
@@ -254,7 +277,7 @@ def test_entry_points_reject_dataset_spec_mismatch(data_root, tmp_path, entry):
         "pretrain": lambda: harness.pretrain(cfg),
         "train_episodic": lambda: harness.train_episodic(cfg, params, "base"),
         "evaluate": lambda: harness.evaluate(cfg, params, "refined"),
-        "localize_cmd": lambda: harness.localize_cmd(cfg, params, [0], out_dir=out_dir),
+        "localize_cmd": lambda: harness.localize_cmd(cfg, params, [0], "test", out_dir),
     }[entry]
     with pytest.raises(SpecMismatch, match="'per_class_count': \\(8, 500\\)"):
         run()

@@ -6,7 +6,7 @@ from protoloc import roi
 from protoloc.dataset import SplitData
 from protoloc.encoder import CacheMismatch, EncoderArch
 from protoloc.config import RunConfig
-from protoloc.episodic import (EmptyClass, Episode, distance_logit_loss,
+from protoloc.episodic import (Episode, distance_logit_loss,
                                episode_loss_and_gradient)
 from protoloc.kernels import ShapeError, global_avg_pool_batch
 from protoloc.localization import BoundingBox
@@ -276,11 +276,6 @@ class TestRefineRepresentation:
         again, grad_again, *_ = self.losses(7, 2, 2, boxes)
         assert again == got
         np.testing.assert_array_equal(grad_again, grad)
-
-    def test_empty_class(self):
-        # a class with no supports has no refined representation to average
-        with pytest.raises(EmptyClass):
-            self.losses(8, 2, 0, [])
 
 
 class TestRoiAlignVjp:
