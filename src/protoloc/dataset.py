@@ -19,6 +19,9 @@ a mapping that reads a split's three files only on the split's first index,
 hashing them again as they are read. CorruptDataset fires at load for a
 malformed manifest or any bad file of any split, and at a split's first
 index if one of its files has changed since the load.
+
+An episode is rows of its split: labels and boxes follow from the row ids
+and are never stored, and no image is copied out of the split.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .episodic import Episode
 from .localization import BoundingBox
 from .tns_io import read_tns_sha256, scan_tns, write_tns, write_tns_blocks
 
@@ -127,6 +129,36 @@ class SplitData:
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "pools", {c: np.nonzero(self.labels == c)[0]
                                            for c in classes.tolist()})
+
+
+@dataclass(frozen=True, eq=False)
+class Episode:
+    """One N-way K-shot task as rows of ``split``. Supports are grouped by
+    class: class c is support_ids[c*K:(c+1)*K], so support i has class
+    i // K; the queries come Q per class in the same way. ``RunConfig``
+    checks the shape, and ``sample_episode`` draws exactly N*K and N*Q rows."""
+    split: SplitData
+    n_way: int
+    k_shot: int
+    support_ids: np.ndarray   # (N*K,) split rows
+    query_ids: np.ndarray     # (N*Q,)
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Support rows, then query rows."""
+        return np.concatenate([self.support_ids, self.query_ids])
+
+    @property
+    def query_labels(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n_way), len(self.query_ids) // self.n_way)
+
+    @property
+    def support_boxes(self) -> np.ndarray:
+        return self.split.boxes[self.support_ids]
+
+    @property
+    def query_boxes(self) -> np.ndarray:
+        return self.split.boxes[self.query_ids]
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,16 +1,15 @@
-"""Episodes, the softmax cross-entropy (shared with pretraining), the
-distance-logit loss, the nearest-representation classifier, and the
+"""The softmax cross-entropy (shared with pretraining), the distance-logit
+loss, the nearest-representation classifier, the episode head, and the
 episode loss with exact gradients through the whole episode graph, all as
 matrix code: class c's representation is row c.
 
-An episode is rows of its split: labels and boxes follow from the row ids
-and are never stored, and no image is copied out of the split.
-
-Logits are negated squared Euclidean distances divided by a temperature;
-the base loss is mean cross-entropy against prototypes (per-class means of
-support embeddings), the RoI loss is the same form against refined
-representations (per-class means of RoI features; ``refined_reps`` builds
-them for this loss and for refined evaluation alike), and the episode loss
+``episode_head`` is the one place that splits an episode's feature maps
+into supports and queries and builds its class representations, for the
+episode loss and for evaluation alike. Logits are negated squared
+Euclidean distances divided by a temperature; the base loss is mean
+cross-entropy against prototypes (per-class means of support embeddings),
+the RoI loss is the same form against refined representations (per-class
+means of RoI features, built by ``refined_reps``), and the episode loss
 is base + lambda * RoI. At lambda = 0, the base loss, no box is proposed
 and no RoI feature taken; otherwise the supports are boxed, pooled and sent
 their RoI gradient in one call each. Gradients flow through query
@@ -20,53 +19,14 @@ sampling weights; proposed box coordinates are treated as constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from . import encoder as enc
 from . import kernels, roi
+from .config import RunConfig
+from .dataset import Episode
 # propose_box is unused here; bench/spans.py traces it as an episodic name
 from .localization import propose_box, propose_boxes
-
-if TYPE_CHECKING:
-    from .config import RunConfig
-    from .dataset import SplitData
-
-
-@dataclass(frozen=True, eq=False)
-class Episode:
-    """One N-way K-shot task as rows of ``split``. Supports are grouped by
-    class: class c is support_ids[c*K:(c+1)*K], so support i has class
-    i // K; the queries come Q per class in the same way. ``RunConfig``
-    checks the shape, and ``sample_episode`` draws exactly N*K and N*Q rows."""
-    split: SplitData
-    n_way: int
-    k_shot: int
-    support_ids: np.ndarray   # (N*K,) split rows
-    query_ids: np.ndarray     # (N*Q,)
-
-    @property
-    def ids(self) -> np.ndarray:
-        """Support rows, then query rows."""
-        return np.concatenate([self.support_ids, self.query_ids])
-
-    @property
-    def queries_per_class(self) -> int:
-        return len(self.query_ids) // self.n_way
-
-    @property
-    def query_labels(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n_way), self.queries_per_class)
-
-    @property
-    def support_boxes(self) -> np.ndarray:
-        return self.split.boxes[self.support_ids]
-
-    @property
-    def query_boxes(self) -> np.ndarray:
-        return self.split.boxes[self.query_ids]
 
 
 def softmax_cross_entropy(logits, labels):
@@ -115,33 +75,42 @@ def refined_reps(s_fms, protos, k, tau, cfg: RunConfig):
     return feats.reshape(-1, k, feats.shape[1]).mean(axis=1), boxes, weights
 
 
+def episode_head(fms, episode: Episode, tau, cfg: RunConfig, refine):
+    """(query embeddings, (N, D) prototypes, refined) of an episode's maps,
+    in ``Episode.ids`` order: embeddings are global average pools, prototype
+    c is the mean of class c's K support embeddings, and refined is
+    ``refined_reps``' (reps, boxes, weights) at tau if refine, else None."""
+    k, ns = episode.k_shot, len(episode.support_ids)
+    emb = kernels.global_avg_pool_batch(fms)
+    protos = emb[:ns].reshape(episode.n_way, k, -1).mean(axis=1)
+    refined = refined_reps(fms[:ns], protos, k, tau, cfg) if refine else None
+    return emb[ns:], protos, refined
+
+
 def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
                               cfg: RunConfig, lambda_roi: float):
     """Loss value and its exact parameter gradient for one episode.
 
     The loss is base + lambda_roi * RoI at temperature ``cfg.temperature``;
-    the RoI term runs only when lambda_roi != 0, on ``refined_reps`` with the
-    supports boxed at ``cfg.tau_train``. Box coordinates are stop-gradient:
-    only the bilinear sampling weights carry gradient into the feature maps.
+    the RoI term runs only when lambda_roi != 0, on the refined representations
+    ``episode_head`` builds at ``cfg.tau_train``. Box coordinates are
+    stop-gradient: only the bilinear sampling weights carry gradient into the maps.
     """
-    n, k = episode.n_way, episode.k_shot
-    ns = n * k
+    k, ns = episode.k_shot, len(episode.support_ids)
     labels = episode.query_labels
 
     fms, cache = enc.forward_batch(params, episode.split.images[episode.ids])
-    emb = kernels.global_avg_pool_batch(fms)
-    q_emb = emb[ns:]
-    protos = emb[:ns].reshape(n, k, -1).mean(axis=1)
+    q_emb, protos, refined = episode_head(fms, episode, cfg.tau_train, cfg, lambda_roi != 0.0)
     loss, dq, dproto = distance_logit_loss(q_emb, labels, protos, cfg.temperature)
 
-    if lambda_roi != 0.0:
-        refined, _, weights = refined_reps(fms[:ns], protos, k, cfg.tau_train, cfg)
-        loss_r, dq_r, dref = distance_logit_loss(q_emb, labels, refined, cfg.temperature)
+    if refined is not None:
+        reps, _, weights = refined
+        loss_r, dq_r, dref = distance_logit_loss(q_emb, labels, reps, cfg.temperature)
         loss = loss + lambda_roi * loss_r
         dq = dq + lambda_roi * dq_r
 
     grad_fms = kernels.gap_vjp_batch(
         fms.shape, np.concatenate([np.repeat(dproto / k, k, axis=0), dq]))
-    if lambda_roi != 0.0:
+    if refined is not None:
         grad_fms[:ns] += roi.roi_feature_vjp(weights, np.repeat(lambda_roi * dref / k, k, axis=0))
     return loss, enc.backward_batch(params, cache, grad_fms)

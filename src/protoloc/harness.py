@@ -17,11 +17,12 @@ first request, which refuses a row whose map is not finite, by its row.
 Pretraining returns the encoder and its losses; its linear head stays
 internal. The base training phase is the episode loss at lambda = 0.
 
-A refined eval task builds its class representations with
-``episodic.refined_reps``, as the RoI loss trains: its supports are boxed
-and pooled in one call each. Every task boxes all its query maps against
-their predicted classes in one ``propose_boxes`` call and scores the (N, 4)
-stack against the queries' ground-truth rows in one ``iou`` call;
+An eval task builds its class representations with
+``episodic.episode_head``, as the episode loss trains: in refined mode
+its supports are boxed and pooled in one call each. Every task boxes all
+its query maps against their predicted classes in one ``propose_boxes``
+call and scores the (N, 4) stack against the queries' ground-truth rows
+in one ``iou`` call;
 ``localize_cmd`` proposes and scores every box in one call each.
 """
 
@@ -37,8 +38,7 @@ from . import encoder as enc
 from . import kernels
 from .config import RunConfig
 from .dataset import SPLITS, DatasetSpec, load_dataset, sample_episode
-from .episodic import (episode_loss_and_gradient, nearest_class, refined_reps,
-                       softmax_cross_entropy)
+from .episodic import episode_head, episode_loss_and_gradient, nearest_class, softmax_cross_entropy
 # propose_box and roi_feature are unused here; bench/spans.py traces them as harness names
 from .localization import BoundingBox, DegenerateRepresentation, iou, propose_box, propose_boxes
 from .roi import roi_feature
@@ -238,21 +238,16 @@ def _split_features(params, images):
 def _eval_task(cfg, features, split, task_index, mode):
     rng = np.random.default_rng((cfg.seed, _EVAL_STREAM, task_index))
     episode = sample_episode(split, cfg.n_way, cfg.k_shot, cfg.queries, rng)
-    n, k = episode.n_way, episode.k_shot
-    ns = n * k
-    image_hw = (cfg.arch_input_size, cfg.arch_input_size)
-
     fms = features(episode.ids)
-    emb = kernels.global_avg_pool_batch(fms)
-    q_fms, q_emb = fms[ns:], emb[ns:]
-    reps = protos = emb[:ns].reshape(n, k, -1).mean(axis=1)
-    if mode == "refined":
-        reps, *_ = refined_reps(fms[:ns], protos, k, cfg.tau_eval, cfg)
+    q_emb, protos, refined = episode_head(fms, episode, cfg.tau_eval, cfg, mode == "refined")
+    reps = protos if refined is None else refined[0]
 
     pred = nearest_class(q_emb, reps)
     accuracy = float((pred == episode.query_labels).mean())
 
-    boxes = propose_boxes(q_fms, reps[pred], cfg.tau_eval, *image_hw, cfg.connectivity)
+    size = cfg.arch_input_size
+    boxes = propose_boxes(fms[len(episode.support_ids):], reps[pred], cfg.tau_eval, size, size,
+                          cfg.connectivity)
     ious = iou(boxes, episode.query_boxes)
     # summed in order, as a pairwise ious.sum() would change mean_iou's low bits
     return accuracy, sum(ious.tolist(), 0.0), int((ious >= 0.5).sum()), len(ious)
@@ -368,10 +363,10 @@ def localize_cmd(cfg: RunConfig, params: enc.EncoderParams, ids, split_name: str
                             f"(size {split.images.shape[0]})")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    image_hw = (cfg.arch_input_size, cfg.arch_input_size)
+    size = cfg.arch_input_size
     fms, _ = enc.forward_batch(params, split.images[ids], keep_cache=False)
-    boxes = propose_boxes(fms, kernels.global_avg_pool_batch(fms), cfg.tau_eval,
-                          *image_hw, cfg.connectivity)
+    boxes = propose_boxes(fms, kernels.global_avg_pool_batch(fms), cfg.tau_eval, size, size,
+                          cfg.connectivity)
     scores = iou(boxes, split.boxes[ids])
 
     records = []

@@ -53,7 +53,8 @@ MUTATIONS = [
              "roi_feature_vjp transposes each map's cell weights (shape-legal on square maps)"),
     Mutation("src/protoloc/harness.py", "int((ious >= 0.5).sum())", "int((ious > 0.5).sum())",
              "CorLoc@0.5 stops counting a box of IoU exactly 0.5"),
-    Mutation("src/protoloc/episodic.py", "k, cfg.tau_train, cfg)", "k, cfg.tau_eval, cfg)",
+    Mutation("src/protoloc/episodic.py", "episode, cfg.tau_train, cfg,",
+             "episode, cfg.tau_eval, cfg,",
              "episodic training boxes supports at the eval threshold (0.5, not 0.7, at 5-shot)"),
     Mutation("src/protoloc/localization.py",
              ("shape = n, h + 1, w + 1", "np.zeros(n * (h + 1) * (w + 1) + 1,"),
@@ -149,6 +150,9 @@ MUTATIONS = [
              "eval scores a non-finite feature map without an error"),
     Mutation("src/protoloc/cli.py", " or min(ids) < 0:", ":",
              "localize --ids -1 reads the checkpoint and the dataset before the id is refused"),
+    Mutation("src/protoloc/episodic.py", "reshape(episode.n_way, k, -1).mean(axis=1)",
+             "reshape(k, episode.n_way, -1).mean(axis=0)",
+             "episode_head groups support i into class i % n, not i // k"),
 ]
 
 

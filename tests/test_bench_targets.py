@@ -17,7 +17,7 @@ import pytest
 from protoloc import encoder as enc
 from protoloc import episodic, harness, kernels, localization, roi
 from protoloc.config import RunConfig
-from protoloc.dataset import SplitData
+from protoloc.dataset import Episode, SplitData
 from protoloc.localization import BoundingBox, iou
 
 from oracles import refined_reps_loop
@@ -204,7 +204,7 @@ def test_refined_reps_boxes_score_like_the_per_support_oracle(k):
                       np.repeat(np.arange(n), k + q),
                       rng.integers(0, 8, size=(n * (k + q), 4)) + [0, 0, 8, 8])
     rows = np.arange(n * (k + q)).reshape(n, k + q)
-    episode = episodic.Episode(split, n, k, rows[:, :k].ravel(), rows[:, k:].ravel())
+    episode = Episode(split, n, k, rows[:, :k].ravel(), rows[:, k:].ravel())
     fms, _ = enc.forward_batch(enc.init_params(enc.EncoderArch(2, (4, 6), 3, 16), k),
                                split.images[episode.support_ids])
     protos = kernels.global_avg_pool_batch(fms).reshape(n, k, -1).mean(axis=1)

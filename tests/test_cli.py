@@ -243,8 +243,9 @@ _CLI_MODULES = ("cli", "config", "dataset", "encoder", "episodic", "harness", "k
 
 @pytest.mark.parametrize("module, name, loaded", [
     ("protoloc.tns_io", "read_tns", ["tns_io"]),
+    ("protoloc.dataset", "sample_episode", ["dataset", "kernels", "localization", "tns_io"]),
     ("protoloc.cli", "main", _CLI_MODULES),
-], ids=["tns_io", "cli"])
+], ids=["tns_io", "dataset", "cli"])
 def test_a_module_loads_only_the_modules_it_imports(module, name, loaded):
     # the package re-exports nothing: importing one module in a fresh
     # interpreter loads the package, that module and what it imports

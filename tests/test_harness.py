@@ -90,6 +90,26 @@ def test_training_and_refined_eval_box_and_pool_at_the_config_settings(splits, m
     assert calls == [train, pool] * 2 + [test, pool] * 2
 
 
+def test_prototype_eval_boxes_only_the_queries_and_pools_nothing(splits, monkeypatch):
+    # a prototype task classifies against the support means: it boxes no
+    # support and takes no RoI feature, and boxes its 3 * 3 queries in one call
+    cfg = small_config(tasks=3)
+    real, calls = harness.propose_boxes, []
+
+    def refuse(*args):
+        raise AssertionError("prototype eval boxed or pooled a support")
+
+    def propose_boxes(fms, *args):
+        calls.append(len(fms))
+        return real(fms, *args)
+
+    monkeypatch.setattr(episodic, "propose_boxes", refuse)
+    monkeypatch.setattr(roi, "roi_feature", refuse)
+    monkeypatch.setattr(harness, "propose_boxes", propose_boxes)
+    harness.evaluate(cfg, enc.init_params(cfg.arch, 3), "prototype", splits["test"])
+    assert calls == [3 * 3] * 3
+
+
 # sha256 of the losses (repr) and of the final parameter bytes of the run
 # below; the losses were recorded while episodes still held copies of their
 # images, the parameters once the conv adjoint summed its input gradient per

@@ -3,11 +3,10 @@ import pytest
 
 from protoloc import encoder as enc
 from protoloc import roi
-from protoloc.dataset import SplitData
+from protoloc.dataset import Episode, SplitData
 from protoloc.encoder import CacheMismatch, EncoderArch
 from protoloc.config import RunConfig
-from protoloc.episodic import (Episode, distance_logit_loss,
-                               episode_loss_and_gradient)
+from protoloc.episodic import distance_logit_loss, episode_loss_and_gradient
 from protoloc.kernels import ShapeError, global_avg_pool_batch
 from protoloc.localization import BoundingBox
 
