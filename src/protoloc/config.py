@@ -1,11 +1,12 @@
 """Run configuration: flat ``key = value`` config files plus defaults.
 
 Each ``RunConfig`` field declares its dotted key once, in its metadata,
-with the range rule its value must pass, if it has one. Values are read as
-text and converted by the type of the field their key names. Unset keys
-fall back to the published defaults; the RoI-loss weight and the training
-threshold default by shot count (1.0 and 0.5 for 1-shot, 0.5 and 0.7 for
-5-shot) unless set explicitly, and are resolved to floats first. Then every
+with the range rule its value must pass, if it has one, and its published
+default, which no other module restates. Values are read as text and
+converted by the type of the field their key names. Unset keys fall back
+to those defaults; the RoI-loss weight and the training threshold default
+by shot count (1.0 and 0.5 for 1-shot, 0.5 and 0.7 for 5-shot) unless set
+explicitly, and are resolved to floats first. Then every
 field's rule is checked in field order, and the first value that fails
 raises ``<key> <rule>, got <value>``. Three rules are written out after
 them: ``data.image_size`` must equal ``arch.input_size``; ``eval.workers``

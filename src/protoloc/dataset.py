@@ -15,10 +15,10 @@ cached, read-only (2, S, S) pixel grid, built once per size.
 What is read when: generate_dataset streams each split to disk a sample at
 a time and hashes each file as it writes it. load_dataset checks every file
 of every split against its manifest digest, in bounded chunks, and returns
-a mapping that reads a split's three files only on the split's first index,
-hashing them again as they are read. CorruptDataset fires at load for a
-malformed manifest or any bad file of any split, and at a split's first
-index if one of its files has changed since the load.
+the splits indexed by split name; a split's three files are read only on
+its first index, and hashed again as they are read. CorruptDataset fires
+at load for a malformed manifest or any bad file of any split, and at a
+split's first index if one of its files has changed since the load.
 
 An episode is rows of its split: labels and boxes follow from the row ids
 and are never stored, and no image is copied out of the split.
@@ -30,7 +30,6 @@ import functools
 import json
 import os
 import shutil
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,12 +69,13 @@ class CorruptDataset(ValueError):
 @dataclass(frozen=True)
 class DatasetSpec:
     """The settable part of a dataset; the class table and the splits are
-    the fixed CLASSES and SPLITS, recorded in the manifest with the rest."""
-    image_size: int = 32
-    per_class_count: int = 200
-    distractors_min: int = 1
-    distractors_max: int = 3
-    background: str = "solid-noise"   # or "gradient"
+    the fixed CLASSES and SPLITS, recorded in the manifest with the rest.
+    The fields are RunConfig's ``data.*`` keys, and their defaults live there."""
+    image_size: int
+    per_class_count: int
+    distractors_min: int
+    distractors_max: int
+    background: str   # "solid-noise" or "gradient"
 
     def __post_init__(self):
         # The class shape's radius is r >= 0.1 * size, and the pixel nearest
@@ -105,12 +105,6 @@ class DatasetSpec:
             "background": self.background,
             "splits": {name: list(idxs) for name, idxs in SPLITS.items()},
         }
-
-
-@dataclass
-class Sample:
-    image: np.ndarray          # (S, S, 3) float64 in [0, 1]
-    gt_box: BoundingBox
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,9 +216,9 @@ def _draw_distractor(img: np.ndarray, rng) -> None:
         img[_shape_mask("plus", s, cy, cx, r)] = gray
 
 
-def render_sample(spec: DatasetSpec, class_index: int, rng) -> Sample:
-    """Render one sample of CLASSES[class_index]; fully determined by the
-    generator's state."""
+def render_sample(spec: DatasetSpec, class_index: int, rng) -> tuple[np.ndarray, BoundingBox]:
+    """(image, box) of one sample of CLASSES[class_index]: an (S, S, 3) float64
+    image in [0, 1] and its shape's box, fully determined by the generator."""
     s = spec.image_size
     img = _draw_background(spec, rng)
 
@@ -242,7 +236,7 @@ def render_sample(spec: DatasetSpec, class_index: int, rng) -> Sample:
     img[mask] = np.asarray(color, dtype=np.float64)
     ys, xs = np.nonzero(mask)
     box = BoundingBox(int(ys.min()), int(xs.min()), int(ys.max()), int(xs.max()))
-    return Sample(img, box)
+    return img, box
 
 
 def _sample_rng(seed: int, class_index: int, item: int):
@@ -256,9 +250,8 @@ def _render(spec: DatasetSpec, seed: int, items, boxes: np.ndarray):
     """Yield the image of each (class, sample index) item in turn, writing its
     box into the matching row of boxes."""
     for j, (c, i) in enumerate(items):
-        sample = render_sample(spec, c, _sample_rng(seed, c, i))
-        boxes[j] = sample.gt_box
-        yield sample.image
+        image, boxes[j] = render_sample(spec, c, _sample_rng(seed, c, i))
+        yield image
 
 
 def generate_dataset(spec: DatasetSpec, seed: int, out_dir) -> dict:
@@ -344,10 +337,10 @@ def _checked(path: Path, digest: str, read):
     return value
 
 
-class _Splits(Mapping):
-    """Read-only {split name: SplitData} over a dataset's manifest. A split's
-    three files are read on its first index, their bytes checked against the
-    manifest digests as they are read, and the SplitData cached."""
+class _Splits:
+    """A dataset's SplitData, indexed by split name. A split's three files
+    are read on its first index, their bytes checked against the manifest
+    digests as they are read, and the SplitData cached."""
 
     def __init__(self, data_dir: Path, entries: dict):
         self._dir, self._entries, self._loaded = data_dir, entries, {}
@@ -361,19 +354,10 @@ class _Splits(Mapping):
                                            boxes.astype(np.int64))
         return self._loaded[name]
 
-    def __contains__(self, name):      # Mapping's own would read the split
-        return name in self._entries
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self):
-        return len(self._entries)
-
 
 def load_dataset(data_dir):
-    """Open a generated dataset; returns (manifest, splits), where splits is a
-    read-only mapping over every split name in the manifest.
+    """Open a generated dataset; returns (manifest, splits), where splits is
+    indexed by split name, every split name in the manifest.
 
     Before it returns, every file of every split is read in bounded chunks,
     holding no array, and checked against its manifest digest and, for float

@@ -30,23 +30,20 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .kernels import ShapeError
+from .kernels import CacheMismatch, ShapeError
 from .tns_io import read_tns, replacing, write_tns
 
 
 CHUNK = 16   # images per pass of the block stack
 
 
-class CacheMismatch(ValueError):
-    """Backward called with a cache that does not match the forward call."""
-
-
 @dataclass(frozen=True)
 class EncoderArch:
-    blocks: int = 3
-    channels: tuple = (8, 16, 32)
-    kernel: int = 3
-    input_size: int = 32
+    """Its fields but input_channels are RunConfig's ``arch.*`` keys, defaulted there."""
+    blocks: int
+    channels: tuple
+    kernel: int
+    input_size: int
     input_channels: int = 3
 
     def __post_init__(self):

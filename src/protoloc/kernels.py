@@ -30,6 +30,10 @@ class ShapeError(ValueError):
     """Operand shapes are inconsistent with the requested operation."""
 
 
+class CacheMismatch(ValueError):
+    """Backward called with a cache that does not match the forward call."""
+
+
 # ---------------------------------------------------------------------------
 # Convolution
 # ---------------------------------------------------------------------------

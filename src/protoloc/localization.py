@@ -167,7 +167,7 @@ def propose_boxes(fms, reps, tau, image_h, image_w, connectivity: int) -> np.nda
     return largest_component(segment_mask(up, tau), connectivity)
 
 
-def propose_box(fm, rep_vector, tau, image_h, image_w, connectivity: int = 4) -> BoundingBox:
+def propose_box(fm, rep_vector, tau, image_h, image_w, connectivity: int) -> BoundingBox:
     """The box of one h x w x D map: ``propose_boxes`` over a stack of one."""
     box, = propose_boxes(np.asarray(fm)[None], np.asarray(rep_vector)[None],
                          tau, image_h, image_w, connectivity).tolist()

@@ -18,8 +18,7 @@ import functools
 
 import numpy as np
 
-from .encoder import CacheMismatch
-from .kernels import ShapeError, _corner_weights
+from .kernels import CacheMismatch, ShapeError, _corner_weights
 
 
 @functools.lru_cache(maxsize=4096)

@@ -153,6 +153,9 @@ MUTATIONS = [
     Mutation("src/protoloc/episodic.py", "reshape(episode.n_way, k, -1).mean(axis=1)",
              "reshape(k, episode.n_way, -1).mean(axis=0)",
              "episode_head groups support i into class i % n, not i // k"),
+    Mutation("src/protoloc/dataset.py", "image, boxes[j] = render_sample(",
+             "image, boxes[j - 1] = render_sample(",
+             "gen-data writes each sample's box into the row before its own"),
 ]
 
 

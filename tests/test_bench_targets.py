@@ -78,7 +78,7 @@ def test_backward_makes_one_conv_vjp_call_per_block(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "conv2d_vjp_batch", recording)
-    params = enc.init_params(enc.EncoderArch(), 0)
+    params = enc.init_params(RunConfig().arch, 0)
     images = np.random.default_rng(0).uniform(size=(2, 32, 32, 3))
     fms, cache = enc.forward_batch(params, images)
     enc.backward_batch(params, cache, np.ones(fms.shape))
@@ -127,7 +127,7 @@ def test_propose_boxes_labels_once_per_call(monkeypatch):
     rng = np.random.default_rng(2)
     boxes = localization.propose_boxes(rng.normal(size=(7, 4, 4, 3)), rng.normal(size=(7, 3)),
                                        0.5, 16, 16, 4)
-    localization.propose_box(rng.normal(size=(4, 4, 3)), rng.normal(size=3), 0.5, 16, 16)
+    localization.propose_box(rng.normal(size=(4, 4, 3)), rng.normal(size=3), 0.5, 16, 16, 4)
     assert boxes.shape == (7, 4)
     assert calls == [(7, 16, 16), (1, 16, 16)]
 

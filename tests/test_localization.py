@@ -390,7 +390,7 @@ class TestProposeBox:
         rng = np.random.default_rng(5)
         fm = np.abs(rng.normal(size=(4, 4, 8)))
         rep = np.abs(rng.normal(size=8)) + 0.1
-        got = loc.propose_box(fm, rep, 0.5, 32, 32)
+        got, = loc.propose_boxes(fm[None], rep[None], 0.5, 32, 32, 4)
         sm, = loc.similarity_map(fm[None], rep[None])
         up = bilinear_resize(sm, 32, 32)
         mask = loc.segment_mask(up, 0.5)
@@ -403,34 +403,43 @@ class TestProposeBox:
         fm[1, 2] = [2.0, 0.0, 0.0]
         fm[0, 0] = [0.0, 1.0, 0.0]
         rep = np.array([1.0, 0.0, 0.0])
-        got = loc.propose_box(fm, rep, 0.5, 32, 32)
+        got, = loc.propose_boxes(fm[None], rep[None], 0.5, 32, 32, 4)
         # compositional oracle: chain the public steps directly
         up = bilinear_resize(loc.similarity_map(fm[None], rep[None])[0], 32, 32)
         want, = loc.largest_component(loc.segment_mask(up, 0.5)[None], 4)
         np.testing.assert_array_equal(got, want)
         # frozen: the hot cell upsamples to triangular lobes peaked at
         # (11.5, 19.5); the half-max region spans rows 8..15, cols 16..23
-        assert got == BoundingBox(8, 16, 15, 23)
+        assert got.tolist() == [8, 16, 15, 23]
 
     def test_returns_one_bounding_box_of_ints(self):
         # callers read the single box as a named tuple of plain ints
         rng = np.random.default_rng(8)
-        box = loc.propose_box(np.abs(rng.normal(size=(4, 4, 3))), np.ones(3), 0.5, 16, 16)
+        box = loc.propose_box(np.abs(rng.normal(size=(4, 4, 3))), np.ones(3), 0.5, 16, 16, 4)
         assert type(box) is BoundingBox and all(type(v) is int for v in box)
+
+    def test_equals_propose_boxes_over_a_stack_of_one(self):
+        # a diagonal mask is three pixels at 4-connectivity and one component
+        # at 8, so the connectivity must reach propose_boxes
+        fm = np.where(np.eye(3, dtype=bool), 1.0, -1.0)[:, :, None]
+        for connectivity, want in ((4, [0, 0, 0, 0]), (8, [0, 0, 2, 2])):
+            box, = loc.propose_boxes(fm[None], np.ones((1, 1)), 0.5, 3, 3, connectivity)
+            assert box.tolist() == want
+            assert loc.propose_box(fm, np.ones(1), 0.5, 3, 3, connectivity) == BoundingBox(*want)
 
     def test_degenerate_map_falls_back_to_full_image(self):
         fm = np.zeros((4, 4, 2))
         fm[2, 2] = [-1.0, -1.0]     # similarity everywhere <= 0
-        box = loc.propose_box(fm, np.array([1.0, 1.0]), 0.5, 32, 32)
-        assert box == BoundingBox(0, 0, 31, 31)
+        box, = loc.propose_boxes(fm[None], np.array([[1.0, 1.0]]), 0.5, 32, 32, 4)
+        assert box.tolist() == [0, 0, 31, 31]
 
     def test_fm_scaling_leaves_box_unchanged(self):
         rng = np.random.default_rng(6)
         fm = np.abs(rng.normal(size=(4, 4, 5)))
         rep = np.abs(rng.normal(size=5)) + 0.1
-        a = loc.propose_box(fm, rep, 0.5, 32, 32)
-        b = loc.propose_box(fm * 7.5, rep, 0.5, 32, 32)
-        assert a == b
+        a, = loc.propose_boxes(fm[None], rep[None], 0.5, 32, 32, 4)
+        b, = loc.propose_boxes(fm[None] * 7.5, rep[None], 0.5, 32, 32, 4)
+        np.testing.assert_array_equal(a, b)
 
     def test_box_contains_component_tightly(self):
         rng = np.random.default_rng(7)
@@ -551,8 +560,8 @@ class TestLocalizeQuery:
         fm = np.abs(rng.normal(size=(4, 4, 6)))
         for rep in (np.abs(rng.normal(size=6)) + 0.1,
                     np.abs(rng.normal(size=6)) + 0.1):
-            b = loc.propose_box(fm, rep, 0.5, 16, 16)
-            assert 0 <= b.y0 <= b.y1 < 16 and 0 <= b.x0 <= b.x1 < 16
+            (y0, x0, y1, x1), = loc.propose_boxes(fm[None], rep[None], 0.5, 16, 16, 4)
+            assert 0 <= y0 <= y1 < 16 and 0 <= x0 <= x1 < 16
 
 
 @st.composite
