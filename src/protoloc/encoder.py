@@ -160,7 +160,6 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
     arch = params.arch
     if cache is None or cache.arch != arch:
         raise CacheMismatch("cache does not match encoder architecture")
-    grad_fms = np.asarray(grad_fms, dtype=np.float64)
     if grad_fms.shape != cache.fm_shape:
         raise CacheMismatch(
             f"grad shape {grad_fms.shape} != cached feature map shape {cache.fm_shape}")
@@ -184,7 +183,6 @@ def backward_batch(params: EncoderParams, cache: ForwardCache,
 
 def sgd_step(params: EncoderParams, grads: np.ndarray, lr: float) -> EncoderParams:
     """Pure SGD update: returns params - lr * grads."""
-    grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != params.flat.shape:
         raise ShapeError(f"grad length {grads.shape} != params length {params.flat.shape}")
     return EncoderParams(params.arch, params.flat - lr * grads)

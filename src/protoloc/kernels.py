@@ -4,12 +4,15 @@ Spatial layout is height x width x channels throughout. Every operation is
 a pure function over numpy arrays and is deterministic: identical inputs
 produce bit-identical outputs. The convolution, pooling and global-average
 kernels take a batch with a leading N axis, the shape the encoder and the
-episode code run them at; a single image is a batch of one. They serve the
-encoder's one block geometry and no other. The convolution is same-size:
-stride 1, an odd square kernel, zero padding k // 2. Its adjoint is one
-matmul per kernel tap on that tap's shifted view of the padded input,
-added into the input gradient (skipped on request); it builds no im2col
-columns. Max pooling is 2 x 2 over four strided views of the windows.
+episode code run them at; a single image is a batch of one. Every kernel
+takes float64 arrays (and uint8 switches) in the one block geometry
+EncoderArch fixes (an odd kernel, extents divisible by 2 per pooled block)
+and checks none of it: EncoderArch, EncoderParams, forward_batch and
+backward_batch do before a kernel runs, and propose_boxes before it
+resizes. The convolution is same-size: stride 1, an odd square kernel,
+zero padding k // 2. Its adjoint is one matmul per kernel tap on that
+tap's shifted view of the padded input, added into the input gradient
+(skipped on request); it builds no im2col columns. Max pooling is 2 x 2 over four strided views of the windows.
 maxpool2d_switches returns relu of the pooled map, the encoder's block
 output, and a one-byte switch per window: the scan index of its first
 cell equal to a positive output, else 4 (a max of 0 or below, or NaN).
@@ -27,7 +30,8 @@ import numpy as np
 
 
 class ShapeError(ValueError):
-    """Operand shapes are inconsistent with the requested operation."""
+    """Operand shapes are inconsistent with the requested operation: raised by
+    EncoderParams, forward_batch, sgd_step, propose_boxes and roi_feature."""
 
 
 class CacheMismatch(ValueError):
@@ -58,27 +62,11 @@ def _im2col(x_pad: np.ndarray, k: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(x_pad, shape=shape, strides=strides)
 
 
-def _check_conv_args(x, kernels):
-    if x.ndim != 4:
-        raise ShapeError(f"expected N x H x W x C input, got shape {x.shape}")
-    if kernels.ndim != 4 or kernels.shape[0] != kernels.shape[1] or kernels.shape[0] % 2 == 0:
-        raise ShapeError(f"expected k x k x Cin x Cout kernels, k odd, got {kernels.shape}")
-    if kernels.shape[2] != x.shape[3]:
-        raise ShapeError(
-            f"kernel input channels {kernels.shape[2]} != input channels {x.shape[3]}")
-
-
 def conv2d_batch(x, kernels, bias):
     """Same-size 2-D convolution (cross-correlation) over a batch, stride 1 and
     zero padding k // 2: N x H x W x Cin -> N x H x W x Cout."""
-    x = np.asarray(x, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    _check_conv_args(x, kernels)
     n, h, w, cin = x.shape
     k, cout = kernels.shape[0], kernels.shape[3]
-    if bias.shape != (cout,):
-        raise ShapeError(f"bias shape {bias.shape} != ({cout},)")
     cols = _im2col(_pad_same(x, k), k).reshape(n * h * w, k * k * cin)
     out = cols @ kernels.reshape(k * k * cin, cout)
     out += bias  # in place: the same elementwise add, one output-sized buffer fewer
@@ -93,15 +81,8 @@ def conv2d_vjp_batch(x, kernels, grad_out, need_input_grad=True):
     padded input: view^T @ grad_out is its weight gradient, and grad_out @ W[a, b]^T
     is added into the view's cells of the padded input gradient.
     """
-    x = np.asarray(x, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    _check_conv_args(x, kernels)
     n, h, w, cin = x.shape
     k, cout = kernels.shape[0], kernels.shape[3]
-    if grad_out.shape != (n, h, w, cout):
-        raise ShapeError(f"grad_out shape {grad_out.shape} != {(n, h, w, cout)}")
-
     g = grad_out.reshape(n * h * w, cout)
     grad_bias = g.sum(axis=0)
     xp = _pad_same(x, k)
@@ -124,21 +105,17 @@ def conv2d_vjp_batch(x, kernels, grad_out, need_input_grad=True):
 
 def _window_views(x):
     """The four strided views x[:, a::2, b::2] of the 2 x 2 windows, in row-major scan order."""
-    _, h, w, _ = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"extents {(h, w)} not divisible by the 2 x 2 pool window")
     return [x[:, a::2, b::2] for a in (0, 1) for b in (0, 1)]
 
 
 def maxpool2d_batch(x):
     """Per-window max over non-overlapping 2 x 2 blocks."""
-    return functools.reduce(np.maximum, _window_views(np.asarray(x, dtype=np.float64)))
+    return functools.reduce(np.maximum, _window_views(x))
 
 
 def maxpool2d_switches(x):
     """(relu(maxpool2d_batch(x)), uint8 switch): the count of each window's leading
     cells unequal to its output, or 4 where the output is not > 0 (routes nothing)."""
-    x = np.asarray(x, dtype=np.float64)
     out = maxpool2d_batch(x)
     np.maximum(out, 0.0, out=out)
     v0, v1, v2, _ = _window_views(x)
@@ -155,9 +132,6 @@ def maxpool2d_switches(x):
 def maxpool2d_vjp_batch(switch, grad_out):
     """Adjoint of relu(maxpool2d_batch(x)) given maxpool2d_switches' switch: each
     window's gradient goes to its switch cell (none for 4), every other cell gets +0.0."""
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if np.shape(switch) != grad_out.shape:
-        raise ShapeError(f"switch {np.shape(switch)} and grad_out {grad_out.shape} differ")
     grad_x = np.empty(np.multiply(grad_out.shape, (1, 2, 2, 1)))   # the views tile it
     for j, grad_view in enumerate(_window_views(grad_x)):
         grad_view[...] = np.where(switch == j, grad_out, 0.0)
@@ -170,13 +144,12 @@ def maxpool2d_vjp_batch(switch, grad_out):
 
 def global_avg_pool_batch(fms):
     """Per-channel mean over all spatial positions: N x h x w x D -> N x D."""
-    return np.asarray(fms, dtype=np.float64).mean(axis=(1, 2))
+    return fms.mean(axis=(1, 2))
 
 
 def gap_vjp_batch(fms_shape, g):
     """Spread each row of g / (h*w) uniformly over its spatial grid."""
     n, h, w, d = fms_shape
-    g = np.asarray(g, dtype=np.float64)
     return np.broadcast_to((g / (h * w))[:, None, None, :], (n, h, w, d)).copy()
 
 
@@ -212,9 +185,6 @@ def bilinear_resize(m, out_h: int, out_w: int):
     gathering the four corners per pixel. Every step is elementwise, so
     each plane of a stack is bitwise its own resize.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim < 2:
-        raise ShapeError(f"expected (..., h, w) map, got shape {m.shape}")
     h, w = m.shape[-2:]
     ri0, ri1, rw = _resize_axis(h, out_h)
     ci0, ci1, cw = _resize_axis(w, out_w)

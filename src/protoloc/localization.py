@@ -11,6 +11,8 @@ maps along a leading axis (``similarity_map`` takes nothing else), and each
 plane's result is bitwise the one a single-map chain gives. Refined
 representations box all supports in one call, an eval task all its queries
 in one; ``propose_box``, the one-map call, is left for callers outside.
+``segment_mask`` and ``largest_component`` take the float64 maps and bool
+masks ``propose_boxes`` built, and check nothing again.
 The threshold tau and the connectivity are the config's ``loc.*`` values,
 which ``RunConfig`` alone checks (tau in (0, 1], connectivity 4 or 8).
 
@@ -102,7 +104,6 @@ def segment_mask(upsampled: np.ndarray, tau: float) -> np.ndarray:
     >= (not >) so the max pixel itself is always kept. A plane whose max is
     not positive gets a NaN threshold, which no pixel reaches: all false.
     """
-    upsampled = np.asarray(upsampled, dtype=np.float64)
     mx = upsampled.max(axis=(-2, -1), keepdims=True)
     return upsampled >= np.where(mx > 0.0, tau * mx, np.nan)
 
@@ -121,9 +122,6 @@ def largest_component(mask: np.ndarray, connectivity: int) -> np.ndarray:
     first run's component, in row-major order, of maximal size: a tie goes
     to the earliest true pixel whatever numbers the labels take.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 3:
-        raise ShapeError(f"expected (N, H, W) mask, got shape {mask.shape}")
     n, h, w = mask.shape
     first = mask.argmax(axis=2)
     last = w - 1 - mask[:, :, ::-1].argmax(axis=2)

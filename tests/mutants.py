@@ -156,6 +156,13 @@ MUTATIONS = [
     Mutation("src/protoloc/dataset.py", "image, boxes[j] = render_sample(",
              "image, boxes[j - 1] = render_sample(",
              "gen-data writes each sample's box into the row before its own"),
+    Mutation("src/protoloc/encoder.py", "if self.kernel < 1 or self.kernel % 2 == 0:",
+             "if self.kernel < 1:",
+             "an even arch.kernel passes, and the same-size convolution gets a kernel "
+             "with no centre tap"),
+    Mutation("src/protoloc/encoder.py", "if self.input_size % (2 ** self.blocks):", "if False:",
+             "an arch.input_size not divisible by 2^blocks passes, and a 2 x 2 pool "
+             "meets an odd extent"),
 ]
 
 

@@ -207,8 +207,6 @@ class TestBboxOf:
         for connectivity in (4, 8):
             none = loc.largest_component(np.zeros((0, 4, 6), dtype=bool), connectivity)
             assert none.shape == (0, 4) and none.dtype == np.int64
-        with pytest.raises(ShapeError):
-            loc.largest_component(np.zeros((4, 6), dtype=bool), 4)
 
 
 def _plane(*rows):
