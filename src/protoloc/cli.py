@@ -46,36 +46,49 @@ def _parser():
     p = sub.add_parser("gen-data", help="render the synthetic dataset")
     _add_common(p)
 
+    pair = "a .tns file and the .json sidecar beside it"
     p = sub.add_parser("pretrain", help="pretrain the encoder with a linear head")
     _add_common(p)
-    p.add_argument("--out", required=True, help="checkpoint path (.tns)")
+    p.add_argument("--out", required=True, help=f"checkpoint to write: {pair}")
 
     p = sub.add_parser("train", help="episodic training from a checkpoint")
     _add_common(p)
-    p.add_argument("--phase", choices=("base", "ours"), required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--phase", choices=("base", "ours"), required=True,
+                   help="train the episode loss alone (base) or with the RoI term (ours)")
+    p.add_argument("--checkpoint", required=True, help=f"checkpoint to read: {pair}")
+    p.add_argument("--out", required=True, help=f"checkpoint to write: {pair}")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on test tasks")
     _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--mode", choices=("prototype", "refined"), default="refined")
-    p.add_argument("--report", required=True, help="output report path (JSON)")
+    p.add_argument("--checkpoint", required=True, help=f"checkpoint to read: {pair}")
+    p.add_argument("--mode", choices=("prototype", "refined"), default="refined",
+                   help="classify by support prototypes or by their RoI-refined vectors")
+    p.add_argument("--report", required=True, help="report to write (JSON), not an input")
 
     p = sub.add_parser("localize", help="write box overlays for split images")
     _add_common(p)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True, help=f"checkpoint to read: {pair}")
     p.add_argument("--ids", required=True, type=int_list, help="comma-separated image ids")
-    p.add_argument("--split", default="test", choices=tuple(SPLITS))
-    p.add_argument("--out-dir", default="overlays")
+    p.add_argument("--split", default="test", choices=tuple(SPLITS),
+                   help="the split whose rows --ids names")
+    p.add_argument("--out-dir", default="overlays", help="where overlays and boxes.txt go")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     cfg = _build_config(args)
     if args.command in ("pretrain", "train"):
         enc.checkpoint_sidecar(args.out)   # a .json --out fails before any work
+    elif args.command == "eval":   # a report must not replace an input, nor be a directory
+        target = Path(args.report).resolve()
+        inputs = (args.checkpoint, enc.checkpoint_sidecar(args.checkpoint), args.config,
+                  Path(cfg.data_dir) / "manifest.json")
+        if target.is_dir() or target in {Path(path).resolve() for path in inputs if path}:
+            parser.error(f"argument --report: {args.report} is a directory or an input of eval")
+    if args.command in ("train", "eval", "localize"):
+        params, _ = enc.load_checkpoint(args.checkpoint)
 
     if args.command == "gen-data":
         manifest = generate_dataset(cfg.spec, cfg.seed, cfg.data_dir)
@@ -84,17 +97,14 @@ def main(argv=None) -> int:
     elif args.command == "pretrain":
         result = pretrain(cfg)
         enc.save_checkpoint(args.out, result.params, cfg.seed)
-        print(f"pretrain: {len(result.losses)} steps, "
-              f"loss {result.losses[0]:.4f} -> {result.losses[-1]:.4f}; "
-              f"checkpoint {args.out}")
+        print(f"pretrain: {len(result.losses)} steps, loss {result.losses[0]:.4f} -> "
+              f"{result.losses[-1]:.4f}; checkpoint {args.out}")
     elif args.command == "train":
-        params, _ = enc.load_checkpoint(args.checkpoint)
         params, losses = train_episodic(cfg, params, args.phase)
         enc.save_checkpoint(args.out, params, cfg.seed)
         print(f"train[{args.phase}]: {len(losses)} episodes, "
               f"loss {losses[0]:.4f} -> {losses[-1]:.4f}; checkpoint {args.out}")
     elif args.command == "eval":
-        params, _ = enc.load_checkpoint(args.checkpoint)
         start = time.perf_counter()
         report = evaluate(cfg, params, args.mode)
         wall = time.perf_counter() - start
@@ -104,7 +114,6 @@ def main(argv=None) -> int:
               f"CorLoc@0.5 {report.corloc_at_50:.4f} over {report.n_tasks} tasks "
               f"({wall:.1f}s); report {args.report}")
     elif args.command == "localize":
-        params, _ = enc.load_checkpoint(args.checkpoint)
         records = localize_cmd(cfg, params, args.ids, args.split, args.out_dir)
         for r in records:
             b = r["box"]

@@ -6,20 +6,19 @@ default, which no other module restates. Values are read as text and
 converted by the type of the field their key names. Unset keys fall back
 to those defaults; the RoI-loss weight and the training threshold default
 by shot count (1.0 and 0.5 for 1-shot, 0.5 and 0.7 for 5-shot) unless set
-explicitly, and are resolved to floats first. Then every
-field's rule is checked in field order, and the first value that fails
-raises ``<key> <rule>, got <value>``. Three rules are written out after
-them: ``data.image_size`` must equal ``arch.input_size``; ``eval.workers``
-accepts only 1, as evaluation runs on one thread; and, after ``spec`` is
-built, ``eval.k_shot + eval.queries`` must not exceed
-``data.per_class_count``. With ``eval.n_way`` in [2, classes per split],
-that refuses any episode shape no split can fill, in ``gen-data`` too.
+explicitly, and are resolved to floats first. Then every field's rule is
+checked in field order, and the first value that fails raises ``<key>
+<rule>, got <value>``, text in quotes. Four rules are written out after
+them: ``0 <= data.distractors_min <= distractors_max``; ``eval.workers``
+accepts only 1, as evaluation runs on one thread; ``data.image_size`` must
+equal ``arch.input_size``; and ``eval.k_shot + eval.queries`` must not
+exceed ``data.per_class_count``. With ``eval.n_way`` in [2, classes per
+split], that refuses any episode shape no split can fill, in ``gen-data`` too.
 
-Building a config builds the run's components once, each from the keys
-under its prefix: ``arch`` (``arch.*``) and ``spec`` (``data.*``); each
-checks its own fields, and its error is re-raised under the key's name.
-They are attributes, not fields, so ``echo()`` leaves them out. ``loc.*``
-and ``roi.*`` build nothing: the rules on their keys are their only check.
+Building a config builds ``arch`` from the ``arch.*`` keys, which checks its
+own fields, as checkpoint sidecars need, and re-raises under the key's name;
+and ``spec`` from the ``data.*`` keys, the dict a dataset manifest records,
+which checks nothing. Neither is a field, so ``echo()`` leaves them out.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .dataset import SPLITS, DatasetSpec
+from .dataset import SPLITS, manifest_spec
 from .encoder import EncoderArch
 
 # text -> value, keyed by the RunConfig field annotations (kept as strings)
@@ -91,11 +90,18 @@ class RunConfig:
     arch_channels: tuple = _key("arch.channels", (8, 16, 32))
     arch_kernel: int = _key("arch.kernel", 3)
     arch_input_size: int = _key("arch.input_size", 32)
-    image_size: int = _key("data.image_size", 32)
-    per_class_count: int = _key("data.per_class_count", 200)
+    # The class shape's radius is r >= 0.1 * size, and the pixel nearest its
+    # centre lies within 0.5 of it on each axis, inside the image. The
+    # thinnest shape, the plus, has arms of half-width r / 3, so it covers
+    # that pixel once r / 3 >= 0.5, that is at size >= 15; at 14 a plus with
+    # r near 1.4 and both centre fractions near .5 covers no pixel. Circle,
+    # square and triangle need less, and the distractors size >= 9.
+    image_size: int = _key("data.image_size", 32, (lambda v: v >= 15, "must be >= 15"))
+    per_class_count: int = _key("data.per_class_count", 200, _COUNT)
     distractors_min: int = _key("data.distractors_min", 1)
     distractors_max: int = _key("data.distractors_max", 3)
-    background: str = _key("data.background", "solid-noise")
+    background: str = _key("data.background", "solid-noise", (
+        lambda v: v in ("solid-noise", "gradient"), "must be 'solid-noise' or 'gradient'"))
     lr: float = _key("train.lr", 1e-4, _POSITIVE)
     epochs_base: int = _key("train.epochs_base", 200, _COUNT)
     epochs_ours: int = _key("train.epochs_ours", 100, _COUNT)
@@ -127,7 +133,10 @@ class RunConfig:
         for key, f in _KEYS.items():
             value, rule = getattr(self, f.name), f.metadata["rule"]
             if rule and not rule[0](value):
-                raise ValueError(f"{key} {rule[1]}, got {value}")
+                raise ValueError(f"{key} {rule[1]}, got {value!r}")
+        if not 0 <= self.distractors_min <= self.distractors_max:
+            raise ValueError(f"data.distractors_min must lie in [0, distractors_max = "
+                             f"{self.distractors_max}], got {self.distractors_min}")
         if self.workers != 1:
             raise ValueError(f"eval.workers must be 1, got {self.workers}: "
                              f"evaluation runs on one thread")
@@ -135,14 +144,14 @@ class RunConfig:
             raise ValueError(f"data.image_size {self.image_size} != "
                              f"arch.input_size {self.arch_input_size}")
         self.arch = self._build("arch", EncoderArch)
-        self.spec = self._build("data", DatasetSpec)
+        self.spec = self._build("data", manifest_spec)
         if self.k_shot + self.queries > self.per_class_count:
             raise ValueError(f"eval.k_shot + eval.queries must be <= data.per_class_count "
                              f"= {self.per_class_count}, got {self.k_shot} + {self.queries}")
 
     def _build(self, prefix: str, component):
-        """The component whose fields are the keys ``prefix.<field>``; its
-        errors open with the field, so the prefix makes them name the key."""
+        """component(**fields) of the keys ``prefix.<field>``; its errors
+        open with the field, so the prefix makes them name the key."""
         kwargs = {key.partition(".")[2]: getattr(self, f.name)
                   for key, f in _KEYS.items() if key.startswith(prefix + ".")}
         try:

@@ -4,10 +4,10 @@ Every image holds one colored class shape over a dim background, plus a
 few neutral-gray distractors (bars, dots, crosses) drawn from a family
 disjoint from the class colors. The class shape's tight pixel box is the
 ground-truth annotation. The 12 classes (CLASSES) and their split into
-train, val and test (SPLITS) are fixed; the manifest records them with the
-settable DatasetSpec fields. All randomness is driven by generators derived
-from (seed, class, sample index), so a (spec, seed) pair fully determines
-every byte on disk.
+train, val and test (SPLITS) are fixed. A spec is the dict a manifest
+records (manifest_spec): both, with RunConfig's checked ``data.*`` values.
+All randomness is driven by generators derived from (seed, class, sample
+index), so a (spec, seed) pair fully determines every byte on disk.
 
 Every shape mask and gradient background of one image size reads the same
 cached, read-only (2, S, S) pixel grid, built once per size.
@@ -66,45 +66,19 @@ class CorruptDataset(ValueError):
     differs from the sha256 digest the manifest records."""
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
-    """The settable part of a dataset; the class table and the splits are
-    the fixed CLASSES and SPLITS, recorded in the manifest with the rest.
-    The fields are RunConfig's ``data.*`` keys, and their defaults live there."""
-    image_size: int
-    per_class_count: int
-    distractors_min: int
-    distractors_max: int
-    background: str   # "solid-noise" or "gradient"
-
-    def __post_init__(self):
-        # The class shape's radius is r >= 0.1 * size, and the pixel nearest
-        # its centre lies within 0.5 of it on each axis, inside the image. The
-        # thinnest shape, the plus, has arms of half-width r / 3, so it covers
-        # that pixel once r / 3 >= 0.5, that is at size >= 15; at 14 a plus
-        # with r near 1.4 and both centre fractions near .5 covers no pixel.
-        # Circle, square and triangle need less, and the distractors size >= 9.
-        if self.image_size < 15:
-            raise ValueError(f"image_size must be >= 15, got {self.image_size}")
-        if self.per_class_count < 1:
-            raise ValueError(f"per_class_count must be >= 1, got {self.per_class_count}")
-        if not 0 <= self.distractors_min <= self.distractors_max:
-            raise ValueError(f"distractors_min must lie in [0, distractors_max = "
-                             f"{self.distractors_max}], got {self.distractors_min}")
-        if self.background not in ("solid-noise", "gradient"):
-            raise ValueError(f"background must be 'solid-noise' or 'gradient', "
-                             f"got {self.background!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "image_size": self.image_size,
-            "classes": [[shape, list(color)] for shape, color in CLASSES],
-            "per_class_count": self.per_class_count,
-            "distractors_min": self.distractors_min,
-            "distractors_max": self.distractors_max,
-            "background": self.background,
-            "splits": {name: list(idxs) for name, idxs in SPLITS.items()},
-        }
+def manifest_spec(image_size: int, per_class_count: int, distractors_min: int,
+                  distractors_max: int, background: str) -> dict:
+    """The spec a manifest records: the settable values, which are RunConfig's
+    checked ``data.*`` keys, with the fixed CLASSES and SPLITS."""
+    return {
+        "image_size": image_size,
+        "classes": [[shape, list(color)] for shape, color in CLASSES],
+        "per_class_count": per_class_count,
+        "distractors_min": distractors_min,
+        "distractors_max": distractors_max,
+        "background": background,   # "solid-noise" or "gradient"
+        "splits": {name: list(idxs) for name, idxs in SPLITS.items()},
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,9 +152,9 @@ def _shape_mask(shape: str, size: int, cy: float, cx: float, r: float) -> np.nda
            ((np.abs(dy) <= arm) & (np.abs(dx) <= r))
 
 
-def _draw_background(spec: DatasetSpec, rng) -> np.ndarray:
-    s = spec.image_size
-    if spec.background == "solid-noise":
+def _draw_background(spec: dict, rng) -> np.ndarray:
+    s = spec["image_size"]
+    if spec["background"] == "solid-noise":
         base = rng.uniform(0.04, 0.12)
         lum = base + rng.uniform(0.0, 0.08, size=(s, s))
     else:
@@ -216,10 +190,10 @@ def _draw_distractor(img: np.ndarray, rng) -> None:
         img[_shape_mask("plus", s, cy, cx, r)] = gray
 
 
-def render_sample(spec: DatasetSpec, class_index: int, rng) -> tuple[np.ndarray, BoundingBox]:
+def render_sample(spec: dict, class_index: int, rng) -> tuple[np.ndarray, BoundingBox]:
     """(image, box) of one sample of CLASSES[class_index]: an (S, S, 3) float64
     image in [0, 1] and its shape's box, fully determined by the generator."""
-    s = spec.image_size
+    s = spec["image_size"]
     img = _draw_background(spec, rng)
 
     shape, color = CLASSES[class_index]
@@ -229,7 +203,7 @@ def render_sample(spec: DatasetSpec, class_index: int, rng) -> tuple[np.ndarray,
     cx = rng.uniform(r + 1.0, s - 2.0 - r)
     mask = _shape_mask(shape, s, cy, cx, r)
 
-    n_distractors = int(rng.integers(spec.distractors_min, spec.distractors_max + 1))
+    n_distractors = int(rng.integers(spec["distractors_min"], spec["distractors_max"] + 1))
     for _ in range(n_distractors):
         _draw_distractor(img, rng)
 
@@ -246,7 +220,7 @@ def _sample_rng(seed: int, class_index: int, item: int):
 _FILES = ("images.tns", "labels.tns", "boxes.tns")
 
 
-def _render(spec: DatasetSpec, seed: int, items, boxes: np.ndarray):
+def _render(spec: dict, seed: int, items, boxes: np.ndarray):
     """Yield the image of each (class, sample index) item in turn, writing its
     box into the matching row of boxes."""
     for j, (c, i) in enumerate(items):
@@ -254,8 +228,9 @@ def _render(spec: DatasetSpec, seed: int, items, boxes: np.ndarray):
         yield image
 
 
-def generate_dataset(spec: DatasetSpec, seed: int, out_dir) -> dict:
-    """Render all splits to TNS1 files plus a JSON manifest; returns the manifest.
+def generate_dataset(spec: dict, seed: int, out_dir) -> dict:
+    """Render all splits of a manifest spec to TNS1 files plus a JSON manifest
+    that records it; returns the manifest.
     Each split's images stream to disk one sample at a time, and each file is
     hashed as it is written, so no split is ever held whole or read back.
     Files render into a sibling temporary directory and move into out_dir once
@@ -265,13 +240,13 @@ def generate_dataset(spec: DatasetSpec, seed: int, out_dir) -> dict:
     manifest = {
         "format": "protoloc-dataset-v1",
         "seed": int(seed),
-        "spec": spec.to_dict(),
+        "spec": spec,
         "splits": {},
     }
-    shape = (spec.image_size, spec.image_size, 3)
+    shape = (spec["image_size"], spec["image_size"], 3)
     try:
         for name, class_indices in SPLITS.items():
-            items = [(c, i) for c in class_indices for i in range(spec.per_class_count)]
+            items = [(c, i) for c in class_indices for i in range(spec["per_class_count"])]
             boxes = np.empty((len(items), 4), dtype=np.uint32)
             split_dir = tmp / name
             split_dir.mkdir(parents=True, exist_ok=True)

@@ -37,7 +37,7 @@ import numpy as np
 from . import encoder as enc
 from . import kernels
 from .config import RunConfig
-from .dataset import SPLITS, DatasetSpec, load_dataset, sample_episode
+from .dataset import SPLITS, load_dataset, sample_episode
 from .episodic import episode_head, episode_loss_and_gradient, nearest_class, softmax_cross_entropy
 # propose_box and roi_feature are unused here; bench/spans.py traces them as harness names
 from .localization import BoundingBox, DegenerateRepresentation, iou, propose_box, propose_boxes
@@ -50,6 +50,9 @@ _HEAD_STREAM = 1
 _SHUFFLE_STREAM = 2
 _EPISODE_STREAM = 3
 _EVAL_STREAM = 4
+
+# the entry points leave overflow and NaN to the named checks, not to numpy's warnings
+_NAMED_CHECKS = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class UnknownId(KeyError):
@@ -93,16 +96,15 @@ def _check_arch(cfg: RunConfig, params: enc.EncoderParams) -> None:
         raise ArchMismatch(f"config arch {cfg.arch} != checkpoint arch {params.arch}")
 
 
-def dataset_spec_from_config(cfg: RunConfig) -> DatasetSpec:
+def dataset_spec_from_config(cfg: RunConfig) -> dict:
     """``cfg.spec``; only bench/workloads.py still calls this."""
     return cfg.spec
 
 
 def _load_splits(cfg: RunConfig) -> dict:
     """Load cfg.data_dir; SpecMismatch if its manifest's spec differs from cfg.spec."""
-    wanted = cfg.spec.to_dict()
     manifest, splits = load_dataset(cfg.data_dir)
-    found = manifest["spec"]
+    found, wanted = manifest["spec"], cfg.spec
     if found != wanted:
         diff = {k: (found.get(k), wanted.get(k)) for k in {**wanted, **found}
                 if found.get(k) != wanted.get(k)}
@@ -121,6 +123,7 @@ class PretrainResult:
     losses: list               # per-batch cross-entropy
 
 
+@_NAMED_CHECKS
 def pretrain(cfg: RunConfig) -> PretrainResult:
     """Train encoder plus a single-layer classifier over all train-split classes
     with cross-entropy, checked as train_episodic is; the head is discarded."""
@@ -164,6 +167,7 @@ def pretrain(cfg: RunConfig) -> PretrainResult:
 # Episodic training
 # ---------------------------------------------------------------------------
 
+@_NAMED_CHECKS
 def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
                    split=None):
     """Seeded episodic SGD; phase "base" is the episode loss at lambda = 0, "ours"
@@ -253,6 +257,7 @@ def _eval_task(cfg, features, split, task_index, mode):
     return accuracy, sum(ious.tolist(), 0.0), int((ious >= 0.5).sum()), len(ious)
 
 
+@_NAMED_CHECKS
 def evaluate(cfg: RunConfig, params: enc.EncoderParams, reps_mode: str,
              split=None) -> EvalReport:
     """Run seeded test tasks; aggregates accuracy with its 95% confidence
@@ -342,6 +347,7 @@ def draw_box_border(image01: np.ndarray, box: BoundingBox) -> np.ndarray:
     return img
 
 
+@_NAMED_CHECKS
 def localize_cmd(cfg: RunConfig, params: enc.EncoderParams, ids, split_name: str, out_dir):
     """Self-embedding localization for the given split image ids.
 
@@ -361,13 +367,13 @@ def localize_cmd(cfg: RunConfig, params: enc.EncoderParams, ids, split_name: str
         if not 0 <= image_id < split.images.shape[0]:
             raise UnknownId(f"id {image_id} outside split {split_name!r} "
                             f"(size {split.images.shape[0]})")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     size = cfg.arch_input_size
     fms, _ = enc.forward_batch(params, split.images[ids], keep_cache=False)
     boxes = propose_boxes(fms, kernels.global_avg_pool_batch(fms), cfg.tau_eval, size, size,
                           cfg.connectivity)
     scores = iou(boxes, split.boxes[ids])
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     records = []
     lines = []

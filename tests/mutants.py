@@ -163,6 +163,23 @@ MUTATIONS = [
     Mutation("src/protoloc/encoder.py", "if self.input_size % (2 ** self.blocks):", "if False:",
              "an arch.input_size not divisible by 2^blocks passes, and a 2 x 2 pool "
              "meets an odd extent"),
+    Mutation("src/protoloc/config.py", "(lambda v: v >= 15,", "(lambda v: v >= 14,",
+             "data.image_size = 14 passes, and a plus can then cover no pixel"),
+    Mutation("src/protoloc/config.py",
+             '"solid-noise", (\n        lambda v: v in ("solid-noise", "gradient"), '
+             '"must be \'solid-noise\' or \'gradient\'"))',
+             '"solid-noise")',
+             "an unknown data.background passes, and renders as the gradient background"),
+    Mutation("src/protoloc/config.py", "if not 0 <= self.distractors_min <=",
+             "if not self.distractors_min <=",
+             "a negative data.distractors_min passes, and a draw below 0 means no distractor"),
+    Mutation("src/protoloc/cli.py", "target.is_dir() or target in {",
+             "target.is_dir() or target in set() & {",
+             "eval --report may name its checkpoint, sidecar, config or manifest, and "
+             "overwrites it"),
+    Mutation("src/protoloc/harness.py", "@_NAMED_CHECKS\ndef evaluate(", "def evaluate(",
+             "an overflowing encoder in eval raises a bare RuntimeWarning under -W error, "
+             "not the named DegenerateRepresentation"),
 ]
 
 

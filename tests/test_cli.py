@@ -100,6 +100,80 @@ def test_json_checkpoint_out_fails_before_any_work(tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def _unread(module, name, monkeypatch):
+    def unread(*args):
+        raise AssertionError(f"{name} was entered before the failing check")
+
+    monkeypatch.setattr(module, name, unread)
+
+
+# --report aliases of the eval below, which reads ours.tns, its sidecar
+# ours.json, run.cfg and data/manifest.json, all under tmp_path
+_REPORT_ALIASES = {"checkpoint": "./ours.tns", "sidecar": "data/../ours.json",
+                   "config": "run.cfg", "manifest": "{tmp}/data/manifest.json",
+                   "directory": "data"}
+
+
+@pytest.mark.parametrize("report", _REPORT_ALIASES.values(), ids=_REPORT_ALIASES)
+def test_eval_report_naming_an_input_or_a_directory_fails_before_any_work(
+        tmp_path, monkeypatch, capsys, report):
+    monkeypatch.chdir(tmp_path)
+    Path("data").mkdir()
+    for name, text in [("run.cfg", CONFIG), ("data/manifest.json", "{}\n"),
+                       ("ours.tns", "weights\n"), ("ours.json", "{}\n")]:
+        Path(name).write_text(text)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    _unread(cli.enc, "load_checkpoint", monkeypatch)
+    _unread(harness, "load_dataset", monkeypatch)
+    report = report.format(tmp=tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["eval", "--config", "run.cfg", "--checkpoint", "ours.tns",
+                  "--report", report])
+    assert info.value.code == 2
+    assert (f"argument --report: {report} is a directory or an input of eval"
+            in capsys.readouterr().err)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+_CONFIG_ERRORS = {
+    "line-without-equals": ("eval.tasks 3\n", [],
+                            "line 1: expected 'key = value', got 'eval.tasks 3'"),
+    "set-without-equals": ("", ["--set", "eval.tasks"],
+                           "override 'eval.tasks' is not of the form key=value"),
+    "unknown-key": ("eval.task = 3\n", [], "unknown config key 'eval.task'"),
+}
+
+
+@pytest.mark.parametrize("text, sets, message", _CONFIG_ERRORS.values(), ids=_CONFIG_ERRORS)
+def test_unreadable_config_fails_by_name(tmp_path, monkeypatch, text, sets, message):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(text)
+    with pytest.raises(ValueError) as info:
+        cli.main(["gen-data", "--config", "run.cfg"] + sets)
+    assert str(info.value) == message
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+# a TNS1 header: magic, dtype code, ndim, then ndim u64 extents
+_BAD_CHECKPOINTS = {
+    "unknown-dtype-code": (b"TNS1" + bytes([7, 1]) + (3).to_bytes(8, "little"),
+                           "ours.tns: unknown dtype code 7"),
+    "truncated-header": (b"TNS1" + bytes([1, 2]) + (3).to_bytes(8, "little"),
+                         "ours.tns: truncated header"),
+}
+
+
+@pytest.mark.parametrize("raw, message", _BAD_CHECKPOINTS.values(), ids=_BAD_CHECKPOINTS)
+def test_malformed_checkpoint_header_fails_by_name(tmp_path, monkeypatch, raw, message):
+    monkeypatch.chdir(tmp_path)
+    Path("ours.tns").write_bytes(raw)
+    _unread(harness, "load_dataset", monkeypatch)
+    with pytest.raises(ValueError) as info:
+        cli.main(["eval", "--checkpoint", "ours.tns", "--report", "report.json"])
+    assert str(info.value) == message
+    assert not Path("report.json").exists()
+
+
 def test_unreadable_ids_fail_while_parsing_before_the_checkpoint_is_read(
         tmp_path, monkeypatch, capsys):
     def unread(*args):
@@ -193,10 +267,9 @@ def test_degenerate_episode_names_its_phase_epoch_and_episode(tmp_path, monkeypa
     assert cli.main(["gen-data"] + common) == 0
     assert cli.main(["pretrain"] + common + ["--set", "train.pretrain_epochs=1",
                                              "--out", "pre.tns"]) == 0
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(DegenerateRepresentation,
-                          match=r"^ours phase, epoch 0, episode 1 \(index 1\): "
-                                r"representation row 0 has norm nan"):
+    with pytest.raises(DegenerateRepresentation,
+                       match=r"^ours phase, epoch 0, episode 1 \(index 1\): "
+                             r"representation row 0 has norm nan"):
         cli.main(["train"] + common + ["--phase", "ours", "--checkpoint", "pre.tns",
                                        "--out", "ours.tns", "--set", "loss.T=1e-300",
                                        "--set", "train.epochs_ours=1",
@@ -212,9 +285,8 @@ def test_blown_up_last_ours_step_raises_and_writes_no_checkpoint(tmp_path, monke
     assert cli.main(["gen-data"] + common) == 0
     assert cli.main(["pretrain"] + common + ["--set", "train.pretrain_epochs=1",
                                              "--out", "pre.tns"]) == 0
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(harness.NonFiniteLoss,
-                          match=r"^ours phase, epoch 0, episode 0 \(index 0\): .*non-finite"):
+    with pytest.raises(harness.NonFiniteLoss,
+                       match=r"^ours phase, epoch 0, episode 0 \(index 0\): .*non-finite"):
         cli.main(["train"] + common + ["--phase", "ours", "--checkpoint", "pre.tns",
                                        "--out", "ours.tns", "--set", "loss.T=1e-300",
                                        "--set", "train.epochs_ours=1",
@@ -228,9 +300,8 @@ def test_blown_up_last_pretrain_step_raises_and_writes_no_checkpoint(tmp_path, m
     monkeypatch.chdir(tmp_path)
     common = ["--set", "dataset.path=data", "--set", "data.per_class_count=20", "--seed", "0"]
     assert cli.main(["gen-data"] + common) == 0
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(harness.NonFiniteLoss,
-                          match=r"^pretrain, epoch 0, batch 0 \(index 0\): .*non-finite"):
+    with pytest.raises(harness.NonFiniteLoss,
+                       match=r"^pretrain, epoch 0, batch 0 \(index 0\): .*non-finite"):
         cli.main(["pretrain"] + common + ["--set", "train.pretrain_epochs=1",
                                           "--set", "train.pretrain_batch=100",
                                           "--set", "train.pretrain_lr=1e300", "--out", "pre.tns"])

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import shutil
@@ -14,7 +13,7 @@ from protoloc.dataset import CorruptDataset, InsufficientData
 
 
 def small_spec(**kw):
-    return dataclasses.replace(RunConfig().spec, **{"per_class_count": 20, **kw})
+    return {**RunConfig().spec, "per_class_count": 20, **kw}
 
 
 class TestSpecValidation:
@@ -36,8 +35,7 @@ class TestSpecValidation:
 
     def test_round_trips_through_dict(self):
         # a manifest's spec, read back from its JSON text, equals the spec
-        spec = small_spec(image_size=16, per_class_count=7, background="gradient")
-        d = spec.to_dict()
+        d = small_spec(image_size=16, per_class_count=7, background="gradient")
         assert json.loads(json.dumps(d)) == d
         assert d["classes"][1] == ["circle", [0.1, 0.8, 0.15]]
         assert d["splits"] == {"test": [1, 2, 4, 6, 9], "train": [0, 3, 5, 7, 11],
@@ -45,7 +43,7 @@ class TestSpecValidation:
 
     def test_image_size_below_the_shape_bound_fails(self):
         with pytest.raises(ValueError, match=r"image_size must be >= 15, got 14"):
-            small_spec(image_size=14)
+            RunConfig(image_size=14)
         # the bound is tight: at 14 px the thinnest plus, centred between
         # pixel centres, covers none of them
         assert not ds._shape_mask("plus", 14, 7.5, 7.5, 0.1 * 14).any()
@@ -77,8 +75,8 @@ class TestRenderSample:
         for c in range(12):
             for i in range(25):
                 image, box = ds.render_sample(spec, c, np.random.default_rng((5, c, i)))
-                assert 0 <= box.y0 <= box.y1 < spec.image_size
-                assert 0 <= box.x0 <= box.x1 < spec.image_size
+                assert 0 <= box.y0 <= box.y1 < spec["image_size"]
+                assert 0 <= box.x0 <= box.x1 < spec["image_size"]
                 assert image.min() >= 0.0 and image.max() <= 1.0
 
     def test_class_color_inside_box_and_distractors_disjoint(self):
@@ -260,7 +258,7 @@ class TestGenerateDataset:
         # one split's images are 200 x 24 KiB here; rendering streams them to
         # disk a sample at a time and hashes each file as it writes it
         spec = small_spec(per_class_count=40)
-        split_bytes = 5 * 40 * spec.image_size ** 2 * 3 * 8
+        split_bytes = 5 * 40 * spec["image_size"] ** 2 * 3 * 8
         ds.generate_dataset(spec, 3, tmp_path / "warm")    # caches, first imports
         started = not tracemalloc.is_tracing()
         if started:

@@ -353,8 +353,7 @@ def test_diverging_run_raises_before_stepping_on_nan(tmp_path, monkeypatch):
         return stepped[-1]
 
     monkeypatch.setattr(enc, "sgd_step", sgd_step)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NonFiniteLoss, match="base phase, epoch 0, episode 3"):
+    with pytest.raises(NonFiniteLoss, match="base phase, epoch 0, episode 3"):
         harness.train_episodic(cfg, enc.init_params(cfg.arch, 0), "base",
                                ds.load_dataset(tmp_path)[1]["train"])
     assert len(stepped) == 3
@@ -375,8 +374,7 @@ def test_dead_encoder_raises_before_stepping(tmp_path, monkeypatch):
         return stepped[-1]
 
     monkeypatch.setattr(enc, "sgd_step", sgd_step)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(DeadEncoder, match="base phase, epoch 0, episode 3"):
+    with pytest.raises(DeadEncoder, match="base phase, epoch 0, episode 3"):
         harness.train_episodic(cfg, enc.init_params(cfg.arch, 0), "base",
                                ds.load_dataset(tmp_path)[1]["train"])
     assert len(stepped) == 3
@@ -412,3 +410,33 @@ def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch):
         harness.report_emit(dataclasses.replace(report, seed=2), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+_OVERFLOWS = {
+    "pretrain": (NonFiniteLoss, r"^pretrain, epoch 0, batch 0 \(index 0\): .*non-finite map"),
+    "train_episodic": (NonFiniteLoss, r"^base phase, epoch 0, episode 0 \(index 0\): loss nan"),
+    "evaluate": (DegenerateRepresentation, r"^split row \d+ has a non-finite feature map"),
+    "localize_cmd": (DegenerateRepresentation, r"^representation row 0 has norm inf"),
+}
+
+
+@pytest.mark.parametrize("entry", _OVERFLOWS)
+def test_overflowing_encoder_raises_the_named_error(data_root, tmp_path, entry):
+    # weights scaled by 1e200, or stepped at pretrain_lr = 1e300, overflow the
+    # forward pass; tier-1 turns every RuntimeWarning into an error, so numpy's
+    # overflow warning would otherwise pre-empt the named check
+    cfg = small_config(data_dir=str(data_root), per_class_count=8, pretrain_lr=1e300,
+                       pretrain_epochs=1, epochs_base=1, episodes_per_epoch=1, tasks=1)
+    init = enc.init_params(cfg.arch, 0)
+    params = enc.EncoderParams(cfg.arch, init.flat * 1e200)
+    out_dir = tmp_path / "overlays"
+    run = {
+        "pretrain": lambda: harness.pretrain(cfg),
+        "train_episodic": lambda: harness.train_episodic(cfg, params, "base"),
+        "evaluate": lambda: harness.evaluate(cfg, params, "refined"),
+        "localize_cmd": lambda: harness.localize_cmd(cfg, params, [0], "test", out_dir),
+    }[entry]
+    error, message = _OVERFLOWS[entry]
+    with pytest.raises(error, match=message):
+        run()
+    assert not out_dir.exists()

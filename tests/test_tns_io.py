@@ -1,3 +1,6 @@
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +55,20 @@ def test_rejects_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="payload"):
         read_tns(path)
+
+
+def test_file_shrunk_after_the_size_check_fails_by_name(tmp_path, monkeypatch):
+    # the size check reads the file's size once; a file that loses its last
+    # element after that check reaches the read short. os.fstat reports the
+    # size the file had before it shrank.
+    path = tmp_path / "t.tns"
+    write_tns(path, np.zeros(4, dtype=np.float64))
+    path.write_bytes(path.read_bytes()[:-8])
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat",
+                        lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
+    with pytest.raises(ValueError, match=r"t.tns: payload shorter than its extents \(4,\)"):
+        read_tns_sha256(path)
 
 
 @pytest.mark.parametrize("extents, payload",
