@@ -36,6 +36,29 @@ def int_list(text):
     return ids
 
 
+def _check_outputs(parser, args, cfg) -> None:
+    """parser.error, naming the flag and path, for an output under an existing non-directory,
+    of the wrong kind (a directory; for --out-dir, a non-directory) or resolving to an input:
+    the checkpoint or its sidecar, the config, the manifest or a path in a split directory."""
+    flag = {"eval": "--report", "localize": "--out-dir"}.get(args.command, "--out")
+    if (out := vars(args).get(flag[2:].replace("-", "_"))) is None:
+        return   # gen-data
+    data, checkpoint = Path(cfg.data_dir), vars(args).get("checkpoint")
+    inputs = [args.config, data / "manifest.json", *(data / name for name in SPLITS)]
+    if checkpoint:
+        inputs += [checkpoint, enc.checkpoint_sidecar(checkpoint)]
+    inputs = {Path(path).resolve() for path in inputs if path}
+    # a .json --out, its own sidecar, raises ValueError in checkpoint_sidecar
+    for path in [out, str(enc.checkpoint_sidecar(out))] if flag == "--out" else [out]:
+        target = Path(path).resolve()
+        if any(p.exists() and not p.is_dir() for p in Path(path).parents):
+            parser.error(f"argument {flag}: {path} lies under a file")
+        if (target.exists() and target.is_dir() != (flag == "--out-dir")
+                or inputs & {target, *target.parents}):
+            what = "a file" if flag == "--out-dir" else "a directory"
+            parser.error(f"argument {flag}: {path} is {what} or an input of {args.command}")
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="protoloc",
@@ -79,14 +102,7 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     cfg = _build_config(args)
-    if args.command in ("pretrain", "train"):
-        enc.checkpoint_sidecar(args.out)   # a .json --out fails before any work
-    elif args.command == "eval":   # a report must not replace an input, nor be a directory
-        target = Path(args.report).resolve()
-        inputs = (args.checkpoint, enc.checkpoint_sidecar(args.checkpoint), args.config,
-                  Path(cfg.data_dir) / "manifest.json")
-        if target.is_dir() or target in {Path(path).resolve() for path in inputs if path}:
-            parser.error(f"argument --report: {args.report} is a directory or an input of eval")
+    _check_outputs(parser, args, cfg)
     if args.command in ("train", "eval", "localize"):
         params, _ = enc.load_checkpoint(args.checkpoint)
 

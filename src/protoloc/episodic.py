@@ -14,10 +14,13 @@ is base + lambda * RoI. At lambda = 0, the base loss, no box is proposed
 and no RoI feature taken; otherwise the supports are boxed, pooled and sent
 their RoI gradient in one call each. Gradients flow through query
 embeddings, support embeddings (via the prototype mean) and the RoIAlign
-sampling weights; proposed box coordinates are treated as constants.
+sampling weights; proposed box coordinates are treated as constants. Its
+two terms and the support boxes come back with the loss, as ``EpisodeTerms``.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,9 +90,16 @@ def episode_head(fms, episode: Episode, tau, cfg: RunConfig, refine):
     return emb[ns:], protos, refined
 
 
+class EpisodeTerms(NamedTuple):
+    """Base loss, RoI loss and (N*K, 4) support boxes; the last two None at lambda_roi = 0."""
+    base: float
+    roi: float | None
+    support_boxes: np.ndarray | None
+
+
 def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
                               cfg: RunConfig, lambda_roi: float):
-    """Loss value and its exact parameter gradient for one episode.
+    """(loss, its exact parameter gradient, ``EpisodeTerms``) for one episode.
 
     The loss is base + lambda_roi * RoI at temperature ``cfg.temperature``;
     the RoI term runs only when lambda_roi != 0, on the refined representations
@@ -102,10 +112,12 @@ def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
     fms, cache = enc.forward_batch(params, episode.split.images[episode.ids])
     q_emb, protos, refined = episode_head(fms, episode, cfg.tau_train, cfg, lambda_roi != 0.0)
     loss, dq, dproto = distance_logit_loss(q_emb, labels, protos, cfg.temperature)
+    terms = EpisodeTerms(loss, None, None)
 
     if refined is not None:
-        reps, _, weights = refined
+        reps, boxes, weights = refined
         loss_r, dq_r, dref = distance_logit_loss(q_emb, labels, reps, cfg.temperature)
+        terms = EpisodeTerms(loss, loss_r, boxes)
         loss = loss + lambda_roi * loss_r
         dq = dq + lambda_roi * dq_r
 
@@ -113,4 +125,4 @@ def episode_loss_and_gradient(params: enc.EncoderParams, episode: Episode,
         fms.shape, np.concatenate([np.repeat(dproto / k, k, axis=0), dq]))
     if refined is not None:
         grad_fms[:ns] += roi.roi_feature_vjp(weights, np.repeat(lambda_roi * dref / k, k, axis=0))
-    return loss, enc.backward_batch(params, cache, grad_fms)
+    return loss, enc.backward_batch(params, cache, grad_fms), terms

@@ -17,13 +17,13 @@ first request, which refuses a row whose map is not finite, by its row.
 Pretraining returns the encoder and its losses; its linear head stays
 internal. The base training phase is the episode loss at lambda = 0.
 
-An eval task builds its class representations with
-``episodic.episode_head``, as the episode loss trains: in refined mode
-its supports are boxed and pooled in one call each. Every task boxes all
-its query maps against their predicted classes in one ``propose_boxes``
-call and scores the (N, 4) stack against the queries' ground-truth rows
-in one ``iou`` call;
-``localize_cmd`` proposes and scores every box in one call each.
+An eval task builds its class representations with ``episodic.episode_head``,
+as the episode loss trains: in refined mode its supports are boxed and pooled
+in one call each. Every task boxes its query maps against their predicted
+classes in one ``propose_boxes`` call, scores them in one ``iou`` call and
+returns a ``TaskRecord``; ``evaluate`` folds each record into the report as
+it arrives, in task order, and keeps none. ``localize_cmd`` proposes and
+scores every box in one call each.
 """
 
 from __future__ import annotations
@@ -31,13 +31,14 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import encoder as enc
 from . import kernels
 from .config import RunConfig
-from .dataset import SPLITS, load_dataset, sample_episode
+from .dataset import SPLITS, Episode, load_dataset, sample_episode
 from .episodic import episode_head, episode_loss_and_gradient, nearest_class, softmax_cross_entropy
 # propose_box and roi_feature are unused here; bench/spans.py traces them as harness names
 from .localization import BoundingBox, DegenerateRepresentation, iou, propose_box, propose_boxes
@@ -191,7 +192,7 @@ def train_episodic(cfg: RunConfig, params: enc.EncoderParams, phase: str,
             episode = sample_episode(split, cfg.n_way, cfg.k_shot, cfg.queries, rng)
             where = f"{phase} phase, epoch {epoch}, episode {j} (index {len(losses)})"
             try:
-                loss, grad = episode_loss_and_gradient(params, episode, cfg, lambda_roi)
+                loss, grad, _ = episode_loss_and_gradient(params, episode, cfg, lambda_roi)
             except DegenerateRepresentation as err:
                 raise DegenerateRepresentation(f"{where}: {err}") from err
             params = _step(params, grad, cfg.lr, loss, where)
@@ -239,22 +240,27 @@ def _split_features(params, images):
     return fetch
 
 
-def _eval_task(cfg, features, split, task_index, mode):
+class TaskRecord(NamedTuple):
+    """An eval task's episode, predicted query classes, query boxes and their IoUs,
+    and its (N*K, 4) support boxes, None in prototype mode."""
+    episode: Episode
+    pred: np.ndarray
+    boxes: np.ndarray
+    ious: np.ndarray
+    support_boxes: np.ndarray | None
+
+
+def _eval_task(cfg, features, split, task_index, mode) -> TaskRecord:
     rng = np.random.default_rng((cfg.seed, _EVAL_STREAM, task_index))
     episode = sample_episode(split, cfg.n_way, cfg.k_shot, cfg.queries, rng)
     fms = features(episode.ids)
     q_emb, protos, refined = episode_head(fms, episode, cfg.tau_eval, cfg, mode == "refined")
-    reps = protos if refined is None else refined[0]
-
+    reps, support_boxes = (protos, None) if refined is None else refined[:2]
     pred = nearest_class(q_emb, reps)
-    accuracy = float((pred == episode.query_labels).mean())
-
     size = cfg.arch_input_size
     boxes = propose_boxes(fms[len(episode.support_ids):], reps[pred], cfg.tau_eval, size, size,
                           cfg.connectivity)
-    ious = iou(boxes, episode.query_boxes)
-    # summed in order, as a pairwise ious.sum() would change mean_iou's low bits
-    return accuracy, sum(ious.tolist(), 0.0), int((ious >= 0.5).sum()), len(ious)
+    return TaskRecord(episode, pred, boxes, iou(boxes, episode.query_boxes), support_boxes)
 
 
 @_NAMED_CHECKS
@@ -269,20 +275,24 @@ def evaluate(cfg: RunConfig, params: enc.EncoderParams, reps_mode: str,
         split = _load_splits(cfg)["test"]
 
     features = _split_features(params, split.images)
-    results = [_eval_task(cfg, features, split, t, reps_mode) for t in range(cfg.tasks)]
-
-    accuracies, iou_sums, hits, counts = (list(column) for column in zip(*results))
-    mean_acc = float(np.mean(accuracies))
+    accuracies, iou_sum, hits, count = [], 0.0, 0, 0
+    for t in range(cfg.tasks):
+        task = _eval_task(cfg, features, split, t, reps_mode)
+        accuracies.append(float((task.pred == task.episode.query_labels).mean()))
+        # summed in order, as a pairwise ious.sum() would change mean_iou's low bits
+        iou_sum += sum(task.ious.tolist(), 0.0)
+        hits += int((task.ious >= 0.5).sum())
+        count += len(task.ious)
     ci95 = (float(1.96 * np.std(accuracies, ddof=1) / np.sqrt(len(accuracies)))
             if len(accuracies) > 1 else 0.0)
     return EvalReport(
         seed=cfg.seed,
         mode=reps_mode,
         n_tasks=cfg.tasks,
-        mean_accuracy=mean_acc,
+        mean_accuracy=float(np.mean(accuracies)),
         ci95=ci95,
-        mean_iou=sum(iou_sums) / sum(counts),
-        corloc_at_50=sum(hits) / sum(counts),
+        mean_iou=iou_sum / count,
+        corloc_at_50=hits / count,
         task_accuracies=accuracies,
         config=cfg.echo(),
     )

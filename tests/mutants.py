@@ -51,7 +51,8 @@ MUTATIONS = [
     Mutation("src/protoloc/roi.py", "ay[:, :, None] * ax[:, None, :]",
              "ax[:, :, None] * ay[:, None, :]",
              "roi_feature_vjp transposes each map's cell weights (shape-legal on square maps)"),
-    Mutation("src/protoloc/harness.py", "int((ious >= 0.5).sum())", "int((ious > 0.5).sum())",
+    Mutation("src/protoloc/harness.py", "int((task.ious >= 0.5).sum())",
+             "int((task.ious > 0.5).sum())",
              "CorLoc@0.5 stops counting a box of IoU exactly 0.5"),
     Mutation("src/protoloc/episodic.py", "episode, cfg.tau_train, cfg,",
              "episode, cfg.tau_eval, cfg,",
@@ -80,7 +81,8 @@ MUTATIONS = [
              "np.flatnonzero(~((norms > 1e-12) & (norms < np.inf)))",
              "np.flatnonzero(norms <= 1e-12)",
              "a NaN or infinite representation norm passes the degenerate check"),
-    Mutation("src/protoloc/cli.py", "enc.checkpoint_sidecar(args.out)   #", "pass   #",
+    Mutation("src/protoloc/cli.py",
+             '[out, str(enc.checkpoint_sidecar(out))] if flag == "--out" else [out]', "[out]",
              "a .json --out is refused only after the work, when the sidecar is written"),
     Mutation("src/protoloc/localization.py", "return upsampled >= np.where",
              "return upsampled > np.where", "the threshold drops a pixel at exactly tau * max"),
@@ -173,13 +175,24 @@ MUTATIONS = [
     Mutation("src/protoloc/config.py", "if not 0 <= self.distractors_min <=",
              "if not self.distractors_min <=",
              "a negative data.distractors_min passes, and a draw below 0 means no distractor"),
-    Mutation("src/protoloc/cli.py", "target.is_dir() or target in {",
-             "target.is_dir() or target in set() & {",
-             "eval --report may name its checkpoint, sidecar, config or manifest, and "
-             "overwrites it"),
+    Mutation("src/protoloc/cli.py", "\n                or inputs & {target, *target.parents}):",
+             "):",
+             "an output may name an input of its command (checkpoint, sidecar, config, "
+             "manifest, split file) and overwrites it"),
     Mutation("src/protoloc/harness.py", "@_NAMED_CHECKS\ndef evaluate(", "def evaluate(",
              "an overflowing encoder in eval raises a bare RuntimeWarning under -W error, "
              "not the named DegenerateRepresentation"),
+    Mutation("src/protoloc/harness.py", "iou_sum += sum(task.ious.tolist(), 0.0)",
+             "iou_sum += task.ious.sum()",
+             "the report folds a task's IoUs in numpy's pairwise order, not in query order"),
+    Mutation("src/protoloc/harness.py", "iou(boxes, episode.query_boxes), support_boxes)",
+             "iou(boxes, episode.query_boxes), None)",
+             "a refined task's record drops the support boxes it computed"),
+    Mutation("src/protoloc/episodic.py", "EpisodeTerms(loss, loss_r, boxes)",
+             "EpisodeTerms(loss, lambda_roi * loss_r, boxes)",
+             "the episode's RoI term is recorded already weighted by lambda"),
+    Mutation("src/protoloc/cli.py", ", *(data / name for name in SPLITS)]", "]",
+             "an output may name a split file, and overwrites the dataset"),
 ]
 
 

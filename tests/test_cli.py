@@ -1,17 +1,24 @@
 """End-to-end smoke test of the command line at a tiny scale."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import protoloc
 from protoloc import cli, harness
 from protoloc.localization import DegenerateRepresentation, propose_boxes
+
+from test_config import _configs, _render
 
 CONFIG = """\
 dataset.path = data
@@ -61,6 +68,79 @@ def test_chain_runs_and_reports_repeat_bytewise(tmp_path, monkeypatch, capsys):
     assert first == second
     assert b'"seed": 7' in first["refined"]
     assert "overlays in overlays" in capsys.readouterr().out
+
+
+@st.composite
+def _tiny_configs(draw):
+    """A config drawn by _configs() at a tiny scale: 1-4 blocks of 1-8 channels
+    on a 16-32 px input, 0-3 distractors, 1-3 shots, 1-4 queries and 0-3 more
+    items per class, one epoch per phase of 1-3 episodes, and 1-4 tasks."""
+    channels = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)))
+    cell = 2 ** len(channels)
+    size = cell * draw(st.integers(-(-15 // cell), 32 // cell))
+    k_shot, queries = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    most = draw(st.integers(0, 3))   # distractors
+    return dataclasses.replace(
+        draw(_configs()), data_dir="data", arch_blocks=len(channels), arch_channels=channels,
+        arch_input_size=size, image_size=size, distractors_max=most,
+        distractors_min=draw(st.integers(0, most)), k_shot=k_shot, queries=queries,
+        per_class_count=k_shot + queries + draw(st.integers(0, 3)),
+        roi_grid=draw(st.integers(1, 9)), roi_samples=draw(st.integers(1, 7)),
+        pretrain_epochs=1, pretrain_batch=draw(st.integers(1, 64)), epochs_base=1,
+        epochs_ours=1, episodes_per_epoch=draw(st.integers(1, 3)), tasks=draw(st.integers(1, 4)))
+
+
+# the named errors a run of an accepted config may stop with
+_STOPS = (harness.NonFiniteLoss, harness.DeadEncoder, DegenerateRepresentation)
+
+
+def _stop(argv):
+    """None if the command ran, else the named error that stopped it, as text."""
+    try:
+        assert cli.main(argv + ["--config", "run.cfg"]) == 0, argv
+    except _STOPS as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _reals(value):
+    """Every real in a parsed JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [real for item in value for real in _reals(item)]
+    return [value] if isinstance(value, float) else []
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(cfg=_tiny_configs())
+def test_an_accepted_config_runs_bytewise_or_stops_by_name(cfg):
+    # two runs of the whole chain write the same bytes, with every real
+    # finite, or stop with the same named error; at lambda = 0, "ours" from
+    # the pretrained checkpoint replays "base" from it
+    outputs = ("prototype.json", "refined.json", "overlays/boxes.txt")
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        for name in ("a", "b"):
+            (Path(tmp) / name).mkdir()
+            patch.chdir(Path(tmp) / name)
+            Path("run.cfg").write_text(_render(cfg.echo()))
+            stop = next((text for text in map(_stop, STAGES) if text), None)
+            runs.append(stop or {out: Path(out).read_bytes() for out in outputs})
+        assert runs[0] == runs[1]
+        if stop is None:
+            reals = [real for out in outputs[:2] for real in _reals(json.loads(runs[0][out]))]
+            reals += [float(line.split()[-1]) for line in runs[0][outputs[2]].splitlines()]
+            assert all(map(math.isfinite, reals))
+        if Path("pre.tns").exists():
+            zero = _stop(["train", "--phase", "ours", "--checkpoint", "pre.tns",
+                          "--out", "zero.tns", "--set", "loss.lambda_roi=0"])
+            if Path("base.tns").exists():
+                assert zero is None
+                for suffix in (".tns", ".json"):
+                    assert (Path("zero" + suffix).read_bytes()
+                            == Path("base" + suffix).read_bytes())
+            else:   # the chain stopped in the base phase
+                assert zero.replace("ours phase", "base phase") == stop
 
 
 def test_each_command_reads_only_the_split_it_uses(tmp_path, monkeypatch):
@@ -133,6 +213,63 @@ def test_eval_report_naming_an_input_or_a_directory_fails_before_any_work(
     assert (f"argument --report: {report} is a directory or an input of eval"
             in capsys.readouterr().err)
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def _tree(root):
+    """Every path under root, with its bytes if it is a file."""
+    return {p: p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+
+_TRAIN = ["train", "--phase", "base", "--checkpoint", "ours.tns"]
+_LOCALIZE = ["localize", "--checkpoint", "ours.tns", "--ids", "0"]
+# (argv, what stderr says) of an output that cannot be written, or that would
+# write over an input, in the tree below; F is a regular file
+_BAD_OUTPUTS = {
+    "report-is-a-split-file": (["eval", "--checkpoint", "ours.tns", "--report",
+                                "data/test/labels.tns"],
+                               "--report: data/test/labels.tns is a directory or an input of eval"),
+    "train-out-under-a-file": (_TRAIN + ["--out", "F/b.tns"], "--out: F/b.tns lies under a file"),
+    "pretrain-out-under-a-file": (["pretrain", "--out", "F/ck.tns"],
+                                  "--out: F/ck.tns lies under a file"),
+    "out-dir-is-a-file": (_LOCALIZE + ["--out-dir", "F"],
+                          "--out-dir: F is a file or an input of localize"),
+    "out-dir-under-a-file": (_LOCALIZE + ["--out-dir", "F/overlays"],
+                             "--out-dir: F/overlays lies under a file"),
+    "out-dir-in-a-split": (_LOCALIZE + ["--out-dir", "data/val/overlays"],
+                           "--out-dir: data/val/overlays is a file or an input of localize"),
+    "out-is-the-checkpoint": (_TRAIN + ["--out", "./ours.tns"],
+                              "--out: ./ours.tns is a directory or an input of train"),
+    "out-sidecar-is-the-manifest": (["pretrain", "--out", "data/manifest.tns"],
+                                    "--out: data/manifest.json is a directory or an input of "
+                                    "pretrain"),
+    "out-sidecar-is-the-config": (_TRAIN + ["--out", "run.tns", "--config", "run.json"],
+                                  "--out: run.json is a directory or an input of train"),
+    "out-is-a-directory": (["pretrain", "--out", "data"],
+                           "--out: data is a directory or an input of pretrain"),
+}
+
+
+@pytest.mark.parametrize("argv, message", _BAD_OUTPUTS.values(), ids=_BAD_OUTPUTS)
+def test_bad_output_fails_before_any_work_and_keeps_every_input(
+        tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in [("run.cfg", CONFIG), ("run.json", CONFIG), ("F", "a file\n"),
+                       ("data/manifest.json", "{}\n"), ("ours.tns", "weights\n"),
+                       ("ours.json", "{}\n")] + [(f"data/{split}/{f}", f"{split} {f}\n")
+                                                 for split in ("train", "val", "test")
+                                                 for f in ("images.tns", "labels.tns")]:
+        Path(name).parent.mkdir(parents=True, exist_ok=True)
+        Path(name).write_text(text)
+    before = _tree(tmp_path)
+    _unread(cli.enc, "load_checkpoint", monkeypatch)
+    _unread(harness, "load_dataset", monkeypatch)
+    if "--config" not in argv:
+        argv = argv + ["--config", "run.cfg"]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert f"argument {message}" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
 
 
 _CONFIG_ERRORS = {

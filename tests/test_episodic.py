@@ -259,13 +259,28 @@ class TestLosses:
         assert abs((ours[0.5] - base) - 0.5 * (ours[1.0] - base)) <= 1e-12
         assert ours[1.0] > base
 
+    def test_terms_hold_both_loss_terms_and_the_support_boxes(self, fix_boxes):
+        # the loss is rebuilt bit for bit from its terms; at lambda = 0 no
+        # RoI term is computed and no box is proposed
+        params = enc.init_params(SMALL, 9)
+        episode = tiny_episode(seed=9)
+        cfg, lam = small_cfg(temperature=8.0, roi_grid=2, roi_samples=2), 0.3
+        boxes = [BoundingBox(0, 0, 15, 15), BoundingBox(3, 5, 12, 14)]
+        fix_boxes(boxes)
+        loss, _, terms = ep.episode_loss_and_gradient(params, episode, cfg, lam)
+        assert terms.base + lam * terms.roi == loss
+        assert terms.support_boxes.tolist() == [list(box) for box in boxes]
+        base, _, zero = ep.episode_loss_and_gradient(params, episode, cfg, 0.0)
+        assert base == zero.base == terms.base
+        assert (zero.roi, zero.support_boxes) == (None, None)
+
 
 class TestEpisodeGradient:
     def test_prototype_mode_matches_finite_differences(self):
         params = enc.init_params(SMALL, 41)
         episode = tiny_episode(seed=41)
         cfg = small_cfg(temperature=8.0)
-        _, grad = ep.episode_loss_and_gradient(params, episode, cfg, 0.0)
+        _, grad, _ = ep.episode_loss_and_gradient(params, episode, cfg, 0.0)
 
         def loss(flat):
             return loss_value(enc.EncoderParams(SMALL, flat), episode, cfg, 0.0)
@@ -279,7 +294,7 @@ class TestEpisodeGradient:
         rng = np.random.default_rng(42)
         rows = np.arange(2)
         episode = Episode(split_of(rng.uniform(size=(2, 16, 16, 3))), 2, 1, rows, rows)
-        _, grad = ep.episode_loss_and_gradient(params, episode, small_cfg(temperature=1e-4), 0.0)
+        _, grad, _ = ep.episode_loss_and_gradient(params, episode, small_cfg(temperature=1e-4), 0.0)
         assert np.linalg.norm(grad) <= 1e-8
 
     def test_refined_mode_matches_finite_differences_at_fixed_boxes(self, fix_boxes):
@@ -293,16 +308,16 @@ class TestEpisodeGradient:
         protos = embeds.reshape(2, 1, -1).mean(axis=1)
         boxes = propose_boxes(fms, protos, 0.5, 16, 16, 4)
 
-        _, live = ep.episode_loss_and_gradient(params, episode, cfg, lam)
+        _, live, _ = ep.episode_loss_and_gradient(params, episode, cfg, lam)
         fix_boxes(boxes)
-        _, grad = ep.episode_loss_and_gradient(params, episode, cfg, lam)
+        _, grad, _ = ep.episode_loss_and_gradient(params, episode, cfg, lam)
         np.testing.assert_array_equal(grad, live)   # same boxes either way
 
         # both live boxes are the full image; with distinct boxes, a support
         # sent another support's RoI gradient shows
         assert boxes.tolist() == [[0, 0, 15, 15]] * 2
         fix_boxes([[0, 0, 15, 15], [3, 5, 12, 14]])
-        _, grad = ep.episode_loss_and_gradient(params, episode, cfg, lam)
+        _, grad, _ = ep.episode_loss_and_gradient(params, episode, cfg, lam)
 
         def loss(flat):
             return loss_value(enc.EncoderParams(SMALL, flat), episode, cfg, lam)
@@ -317,5 +332,5 @@ class TestEpisodeGradient:
         monkeypatch.setattr(ep, "propose_boxes", no_box)
         params = enc.init_params(SMALL, 44)
         episode = tiny_episode(seed=44)
-        loss, grad = ep.episode_loss_and_gradient(params, episode, small_cfg(), 0.0)
+        loss, grad, _ = ep.episode_loss_and_gradient(params, episode, small_cfg(), 0.0)
         assert np.isfinite(loss) and grad.any()

@@ -15,7 +15,7 @@ from protoloc.config import RunConfig
 from protoloc.encoder import EncoderArch
 from protoloc.harness import (ArchMismatch, DeadEncoder, NonFiniteLoss, SpecMismatch,
                               UnknownId)
-from protoloc.localization import BoundingBox, DegenerateRepresentation
+from protoloc.localization import BoundingBox, DegenerateRepresentation, iou
 
 SMALL = dict(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size=16)
 
@@ -151,6 +151,40 @@ def test_report_bytes_identical_across_equal_seed_runs(splits, mode):
     assert hashlib.sha256(texts[0].encode()).hexdigest() == REPORT_SHA256[mode]
 
 
+@pytest.mark.parametrize("mode", ["prototype", "refined"])
+def test_task_records_rebuild_the_report(splits, monkeypatch, mode):
+    # evaluate keeps no record, so a spy collects them; folded as evaluate
+    # folds them, they give the report's figures bit for bit
+    records, reps_boxes = [], []
+    real_task, real_reps = harness._eval_task, episodic.refined_reps
+
+    def eval_task(*args):
+        records.append(real_task(*args))
+        return records[-1]
+
+    def refined_reps(*args):
+        out = real_reps(*args)
+        reps_boxes.append(out[1])
+        return out
+
+    monkeypatch.setattr(harness, "_eval_task", eval_task)
+    monkeypatch.setattr(episodic, "refined_reps", refined_reps)
+    cfg = RunConfig(n_way=3, k_shot=2, queries=3, tasks=6, **SMALL)
+    report = harness.evaluate(cfg, enc.init_params(cfg.arch, 4), mode, splits["test"])
+    assert [float((r.pred == r.episode.query_labels).mean())
+            for r in records] == report.task_accuracies
+    count = sum(len(r.ious) for r in records)
+    assert sum(sum(r.ious.tolist(), 0.0) for r in records) / count == report.mean_iou
+    assert sum(int((r.ious >= 0.5).sum()) for r in records) / count == report.corloc_at_50
+    for r in records:
+        assert r.ious.tolist() == iou(r.boxes, r.episode.query_boxes).tolist()
+    if mode == "refined":   # one refined_reps call per task
+        assert len(reps_boxes) == len(records) == 6
+        assert all(np.array_equal(r.support_boxes, b) for r, b in zip(records, reps_boxes))
+    else:
+        assert reps_boxes == [] and all(r.support_boxes is None for r in records)
+
+
 def test_refined_eval_with_full_image_boxes_replays_prototype_eval(splits, fix_boxes):
     # on a 4 x 4 map with one RoI sample per cell center, the full-image
     # RoI feature is the global average, i.e. the support embedding
@@ -228,6 +262,21 @@ def test_evaluate_rejects_arch_mismatch(tmp_path):
     cfg = RunConfig(data_dir=str(tmp_path / "missing"), arch_input_size=64, image_size=64)
     with pytest.raises(ArchMismatch):
         harness.evaluate(cfg, params, "refined")
+
+
+@pytest.mark.parametrize("entry, message", [("train_episodic", "unknown phase 'bogus'"),
+                                            ("evaluate", "unknown reps_mode 'bogus'")])
+def test_unknown_phase_or_mode_fails_before_the_dataset_is_read(tmp_path, monkeypatch,
+                                                                entry, message):
+    # the CLI's --phase and --mode choices keep users from these errors;
+    # library callers, the benchmark among them, can reach them
+    def unread(*args):
+        raise AssertionError("the dataset was read before the phase or mode was checked")
+
+    monkeypatch.setattr(harness, "load_dataset", unread)
+    cfg = RunConfig(data_dir=str(tmp_path / "missing"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        getattr(harness, entry)(cfg, enc.init_params(cfg.arch, 0), "bogus")
 
 
 def test_localize_cmd_rejects_arch_mismatch(tmp_path):

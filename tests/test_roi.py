@@ -241,7 +241,7 @@ class TestRefineRepresentation:
         self.fix_boxes(boxes)
         cfg = RunConfig(arch_blocks=2, arch_channels=(4, 6), arch_input_size=16, image_size=16,
                         temperature=8.0)
-        got, grad = episode_loss_and_gradient(params, episode, cfg, 1.0)
+        got, grad, _ = episode_loss_and_gradient(params, episode, cfg, 1.0)
         fms, _ = enc.forward_batch(params, images)
         emb = global_avg_pool_batch(fms)
         feats, _ = roi.roi_feature(fms[:ns], boxes, (16, 16), cfg.roi_grid, cfg.roi_samples)
